@@ -20,7 +20,7 @@ import numpy as np
 
 from . import charts, corpus, fusion, model, optim
 from .embedding_io import FORMATS, parse_embedding, write_word2vec_binary
-from .errors import EmbfuseError, ValidationError
+from .errors import EmbfuseError, EmptySeriesError, ValidationError
 
 
 class UsageError(ValidationError):
@@ -412,6 +412,22 @@ def _load_pairs(path: str, dicts: corpus.CorpusDictionaries) -> List[Tuple[str, 
     return pairs
 
 
+def _write_history_chart(histories, pair_id: str, out_dir: str) -> None:
+    """Write the per-pair loss chart, or say why it was skipped.
+
+    A chart needs some run of the pair with two or more recorded epochs.
+    """
+    group = [h for h in histories if h.pair == pair_id]
+    shown = pair_id or "(unnamed)"
+    svg_path = os.path.join(out_dir, f"{_safe_name(pair_id)}.svg")
+    try:
+        svg = charts.history_chart(group, f"train loss by optimizer: {shown}")
+    except EmptySeriesError:
+        print(f"skipped chart {svg_path}: no run of {shown} recorded 2 or more epochs")
+        return
+    _write_text(svg_path, svg)
+
+
 def _run_sweep(opts: Dict[str, Any]) -> int:
     ds = _read_dataset(opts["dataset"])
     data = _split_dataset(ds)
@@ -444,9 +460,7 @@ def _run_sweep(opts: Dict[str, Any]) -> int:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         optim.write_history_csv(histories, fh)
     for pair_id, _ in pairs:
-        group = [h for h in histories if h.pair == pair_id]
-        svg_path = os.path.join(opts["out_dir"], f"{_safe_name(pair_id)}.svg")
-        _write_text(svg_path, charts.history_chart(group, f"train loss by optimizer: {pair_id}"))
+        _write_history_chart(histories, pair_id, opts["out_dir"])
     for h in histories:
         if h.diverged:
             print(f"{h.pair} {h.optimizer}: diverged at epoch {h.diverged_epoch}")
@@ -489,10 +503,7 @@ def _run_report(opts: Dict[str, Any]) -> int:
         if h.pair not in pair_ids:
             pair_ids.append(h.pair)
     for pair_id in pair_ids:
-        group = [h for h in histories if h.pair == pair_id]
-        svg_path = os.path.join(opts["out_dir"], f"{_safe_name(pair_id)}.svg")
-        _write_text(svg_path, charts.history_chart(
-            group, f"train loss by optimizer: {pair_id or '(unnamed)'}"))
+        _write_history_chart(histories, pair_id, opts["out_dir"])
     summary_path = os.path.join(opts["out_dir"], "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")

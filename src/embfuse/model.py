@@ -10,9 +10,17 @@ Architecture over a (usually frozen) embedding matrix:
 
 Index 0 marks left padding. Padded steps pass the recurrent state through
 unchanged in both directions, and pooling ignores them, so adding more left
-padding never changes the output. Training-mode forward keeps a full trace
-for exact backpropagation through time; gradients are checked against
-central finite differences in the test suite.
+padding never changes the output.
+
+Training-mode forward returns a trace for exact backpropagation through time
+(BPTT). For each recurrent direction it holds a store of preallocated
+(T, B, .) arrays filled step by step: the gate activations, the hidden states
+(and for the LSTM the cell states and tanh of the new cell state), and for
+the GRU the recurrent products h U. The backward pass consumes the store,
+overwriting the gate arrays with the gate gradients. Inference-mode forward
+keeps no store: each direction holds only its output sequence and its input
+preactivations, which the gate activations overwrite step by step.
+Gradients are checked against central finite differences in the test suite.
 """
 from __future__ import annotations
 
@@ -55,13 +63,23 @@ class ModelConfig:
             raise ValidationError("the classifier head is fixed at 3 classes")
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) written into out (which may be x); the caller silences overflow."""
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function 1 / (1 + exp(-x)).
+
+    Below x = -709 exp(-x) overflows to inf and the result is its correct
+    limit 0, so that overflow is expected and not reported.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return _sigmoid(x, np.empty_like(x))
 
 
 # parameter blocks in a fixed order; flat vectors concatenate these
@@ -180,7 +198,41 @@ def init_parameters(
     return ModelParameters(blocks=blocks, embedding=embedding.copy())
 
 
-# --- single-step cell operations ---
+# --- cell math: one definition, shared by the single-step cells and the scans ---
+
+def _lstm_cell(a, c_prev, gates):
+    """LSTM cell on the preactivation a = x W + b + h_prev U, packed [i|f|g|o].
+
+    Writes the gate activations [i, f, g, o] into gates, which must not alias
+    a, and returns (c, tanh(c), h). Call under np.errstate(over="ignore").
+    """
+    H = a.shape[-1] // 4
+    _sigmoid(a, gates)
+    np.tanh(a[..., 2 * H:3 * H], out=gates[..., 2 * H:3 * H])
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    c = f * c_prev
+    c += i * g
+    tanh_c = np.tanh(c)
+    return c, tanh_c, o * tanh_c
+
+
+def _gru_cell(xw, hu, h_prev, gates):
+    """GRU cell on xw = x W + b and hu = h_prev U, packed [z|r|n].
+
+    The reset gate scales the recurrent term inside the candidate. Writes the
+    activations [z, r, n] into gates (which may alias xw) and returns
+    h = (1 - z) * n + z * h_prev. Call under np.errstate(over="ignore").
+    """
+    G = hu.shape[-1] // 3
+    zr = np.add(xw[..., :2 * G], hu[..., :2 * G], out=gates[..., :2 * G])
+    _sigmoid(zr, zr)
+    n = np.add(xw[..., 2 * G:], gates[..., G:2 * G] * hu[..., 2 * G:], out=gates[..., 2 * G:])
+    np.tanh(n, out=n)
+    h = h_prev - n
+    h *= gates[..., :G]
+    h += n
+    return h
+
 
 def lstm_cell_step(
     x: np.ndarray,
@@ -203,13 +255,9 @@ def lstm_cell_step(
         )
     if c_prev.shape != h_prev.shape:
         raise ShapeMismatchError("h_prev and c_prev must have the same shape")
-    a = x @ W + h_prev @ U + b
-    i = sigmoid(a[..., :H])
-    f = sigmoid(a[..., H:2 * H])
-    g = np.tanh(a[..., 2 * H:3 * H])
-    o = sigmoid(a[..., 3 * H:])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
+    a = h_prev @ U + (x @ W + b)
+    with np.errstate(over="ignore"):
+        c, _, h = _lstm_cell(a, c_prev, np.empty_like(a))
     return h, c
 
 
@@ -231,155 +279,211 @@ def gru_cell_step(
         raise ShapeMismatchError(
             f"GRU shapes inconsistent: x{x.shape} h{h_prev.shape} W{W.shape} U{U.shape} b{b.shape}"
         )
-    xw = x @ W
+    xw = x @ W + b
     hu = h_prev @ U
-    z = sigmoid(xw[..., :G] + hu[..., :G] + b[:G])
-    r = sigmoid(xw[..., G:2 * G] + hu[..., G:2 * G] + b[G:2 * G])
-    n = np.tanh(xw[..., 2 * G:] + r * hu[..., 2 * G:] + b[2 * G:])
-    return (1.0 - z) * n + z * h_prev
+    with np.errstate(over="ignore"):
+        return _gru_cell(xw, hu, h_prev, np.empty(np.broadcast(xw, hu).shape))
 
 
-# --- masked bidirectional layers (training caches for BPTT) ---
+# --- masked bidirectional scans ---
+#
+# A scan runs time-major in processing order: step s of the reverse direction
+# is time T-1-s. The input GEMM X W + b over all T*B rows runs once, before
+# the loop, so the forward loop keeps only the recurrent product h U and the
+# cell math. The backward scan first turns the stored activations into the
+# factors taking the incoming gradient to each gate gradient, for all steps at
+# once; its loop keeps only the gradient recurrence through U^T and writes
+# each step's gate gradient over the store. dW, dU, db and dX are then one
+# GEMM or reduction each over all T*B rows.
 
-def _lstm_direction_forward(X, mask, W, U, b, reverse: bool):
-    if reverse:
-        X = X[:, ::-1]
-        mask = mask[:, ::-1]
-    B, T, D = X.shape
+def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """(B, T, ...) -> (T, B, ...) view in processing order."""
+    a = a.swapaxes(0, 1)
+    return a[::-1] if reverse else a
+
+
+def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """Inverse of _time_major."""
+    return (a[::-1] if reverse else a).swapaxes(0, 1)
+
+
+def _scan_rows(X: np.ndarray, reverse: bool) -> np.ndarray:
+    """(B, T, D) -> (T*B, D) rows, time-major in processing order."""
+    Xt = _time_major(X, reverse)
+    return Xt.reshape(-1, Xt.shape[2])
+
+
+def _scan_setup(X, mask, W, b, reverse):
+    """Preactivations X W + b as (T, B, K) and the (T, B, 1) step mask."""
+    B, T = mask.shape
+    xw = (_scan_rows(X, reverse) @ W).reshape(T, B, W.shape[1])
+    xw += b
+    return xw, _step_mask(mask, reverse)
+
+
+def _step_mask(mask: np.ndarray, reverse: bool) -> np.ndarray:
+    """(B, T) padding mask -> (T, B, 1) booleans, True where a step is real."""
+    return _time_major(mask, reverse)[:, :, None] > 0.0
+
+
+def _lstm_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
+    """One LSTM direction over (B, T, D); returns ((B, T, H) outputs, store).
+
+    Padded steps carry h and c through unchanged. store is None unless training.
+    """
+    gates, valid = _scan_setup(X, mask, W, b, reverse)
+    T, B, _ = gates.shape
     H = U.shape[0]
-    xw_all = X.reshape(B * T, D) @ W
-    xw_all = xw_all.reshape(B, T, 4 * H)
-    h = np.zeros((B, H))
+    hs = np.zeros((T + 1, B, H))  # hs[s] is the state entering step s
+    cs = np.zeros((T + 1, B, H)) if training else None
+    tanh_cs = np.empty((T, B, H)) if training else None
     c = np.zeros((B, H))
-    out = np.empty((B, T, H))
-    cache = []
-    for t in range(T):
-        a = xw_all[:, t] + h @ U + b
-        i = sigmoid(a[:, :H])
-        f = sigmoid(a[:, H:2 * H])
-        g = np.tanh(a[:, 2 * H:3 * H])
-        o = sigmoid(a[:, 3 * H:])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        m = mask[:, t:t + 1]
-        cache.append((h, c, i, f, g, o, tanh_c))
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
-        out[:, t] = h
-    if reverse:
-        out = out[:, ::-1]
-    return out, cache
+    with np.errstate(over="ignore"):
+        for s in range(T):
+            a = hs[s] @ U
+            a += gates[s]
+            c_new, tanh_c, h_new = _lstm_cell(a, c, gates[s])
+            m = valid[s]
+            hs[s + 1] = np.where(m, h_new, hs[s])
+            c = np.where(m, c_new, c)
+            if training:
+                cs[s + 1] = c
+                tanh_cs[s] = tanh_c
+    store = (gates, hs, cs, tanh_cs) if training else None
+    return _batch_major(hs[1:], reverse), store
 
 
-def _lstm_direction_backward(dout, X, mask, W, U, b, cache, reverse: bool):
-    if reverse:
-        dout = dout[:, ::-1]
-        X = X[:, ::-1]
-        mask = mask[:, ::-1]
-    B, T, D = X.shape
-    H = U.shape[0]
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros_like(b)
-    dX = np.empty((B, T, D))
+def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, need_dx: bool = True):
+    """BPTT through one LSTM direction; returns (dX or None, dW, dU, db).
+
+    Consumes store: the gate array ends up holding the gate gradients.
+    """
+    gates, hs, cs, tanh_cs = store
+    T, B, H = tanh_cs.shape
+    valid = _step_mask(mask, reverse)
+    live = valid.astype(np.float64)
+    gates4 = gates.reshape(T, B, 4, H)
+    i, f, g, o = (gates4[:, :, k] for k in range(4))
+    # Per-step factors that do not depend on the incoming gradient, for all
+    # steps at once and in place over the store. Padded steps get zero
+    # factors and a unit carry, so they pass dc through untouched.
+    # o <- da_o / dh = o (1 - o) tanh(c)
+    # tanh_cs <- (dc from dh) / dh = o (1 - tanh(c)^2)
+    do = o * (1.0 - o)
+    do *= tanh_cs
+    np.multiply(tanh_cs, tanh_cs, out=tanh_cs)
+    np.subtract(1.0, tanh_cs, out=tanh_cs)
+    tanh_cs *= o
+    tanh_cs *= live
+    o[...] = do
+    # f <- da_f / dc = f (1 - f) c_prev; cs[:-1] <- the carry dc_prev / dc = f
+    carry = cs[:-1]
+    df = f * (1.0 - f)
+    df *= carry
+    np.copyto(carry, np.where(valid, f, 1.0))
+    f[...] = df
+    # i <- da_i / dc = i (1 - i) g; g <- da_g / dc = (1 - g^2) i
+    di = i * (1.0 - i)
+    di *= g
+    np.multiply(g, g, out=g)
+    np.subtract(1.0, g, out=g)
+    g *= i
+    i[...] = di
+    del do, df, di
+    gates *= live
+
+    dout = _time_major(dout, reverse)
+    UT = U.T
     dh = np.zeros((B, H))
     dc = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        h_prev, c_prev, i, f, g, o, tanh_c = cache[t]
-        m = mask[:, t:t + 1]
-        dh_total = dout[:, t] + dh
-        dh_new = m * dh_total
-        dh_pass = (1.0 - m) * dh_total
-        dc_new = m * dc
-        dc_pass = (1.0 - m) * dc
-        do = dh_new * tanh_c
-        dc_new = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c)
-        df = dc_new * c_prev
-        di = dc_new * g
-        dg = dc_new * i
-        da = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dW += X[:, t].T @ da
-        dU += h_prev.T @ da
-        db += da.sum(axis=0)
-        dX[:, t] = da @ W.T
-        dh = da @ U.T + dh_pass
-        dc = dc_new * f + dc_pass
-    if reverse:
-        dX = dX[:, ::-1]
+    for s in range(T - 1, -1, -1):
+        dh_total = dout[s] + dh
+        dc = dc + dh_total * tanh_cs[s]
+        gates4[s, :, :3] *= dc[:, None, :]
+        gates[s, :, 3 * H:] *= dh_total
+        dc *= carry[s]
+        dh = np.where(valid[s], gates[s] @ UT, dh_total)
+    da = gates.reshape(T * B, 4 * H)
+    dW = _scan_rows(X, reverse).T @ da
+    dU = hs[:-1].reshape(T * B, H).T @ da
+    db = da.sum(axis=0)
+    dX = _batch_major((da @ W.T).reshape(T, B, -1), reverse) if need_dx else None
     return dX, dW, dU, db
 
 
-def _gru_direction_forward(X, mask, W, U, b, reverse: bool):
-    if reverse:
-        X = X[:, ::-1]
-        mask = mask[:, ::-1]
-    B, T, D = X.shape
+def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
+    """One GRU direction over (B, T, D); returns ((B, T, G) outputs, store).
+
+    Padded steps carry h through unchanged. store is None unless training.
+    """
+    gates, valid = _scan_setup(X, mask, W, b, reverse)
+    T, B, _ = gates.shape
     G = U.shape[0]
-    xw_all = (X.reshape(B * T, D) @ W).reshape(B, T, 3 * G)
-    h = np.zeros((B, G))
-    out = np.empty((B, T, G))
-    cache = []
-    for t in range(T):
-        xw = xw_all[:, t]
-        hu = h @ U
-        z = sigmoid(xw[:, :G] + hu[:, :G] + b[:G])
-        r = sigmoid(xw[:, G:2 * G] + hu[:, G:2 * G] + b[G:2 * G])
-        hu_n = hu[:, 2 * G:]
-        n = np.tanh(xw[:, 2 * G:] + r * hu_n + b[2 * G:])
-        h_new = (1.0 - z) * n + z * h
-        m = mask[:, t:t + 1]
-        cache.append((h, z, r, n, hu_n))
-        h = m * h_new + (1.0 - m) * h
-        out[:, t] = h
-    if reverse:
-        out = out[:, ::-1]
-    return out, cache
+    hs = np.zeros((T + 1, B, G))  # hs[s] is the state entering step s
+    hus = np.empty((T, B, 3 * G)) if training else None
+    with np.errstate(over="ignore"):
+        for s in range(T):
+            hu = hs[s] @ U
+            h_new = _gru_cell(gates[s], hu, hs[s], gates[s])
+            hs[s + 1] = np.where(valid[s], h_new, hs[s])
+            if training:
+                hus[s] = hu
+    store = (gates, hs, hus) if training else None
+    return _batch_major(hs[1:], reverse), store
 
 
-def _gru_direction_backward(dout, X, mask, W, U, b, cache, reverse: bool):
-    if reverse:
-        dout = dout[:, ::-1]
-        X = X[:, ::-1]
-        mask = mask[:, ::-1]
-    B, T, D = X.shape
+def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool):
+    """BPTT through one GRU direction; returns (dX, dW, dU, db).
+
+    Consumes store: the gate array ends up holding the input-side gradient
+    dw_in and the recurrent products hus the recurrent-side gradient du_in.
+    """
+    gates, hs, hus = store
+    T, B, _ = gates.shape
     G = U.shape[0]
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros_like(b)
-    dX = np.empty((B, T, D))
+    valid = _step_mask(mask, reverse)
+    live = valid.astype(np.float64)
+    z, r, n = (gates[:, :, k * G:(k + 1) * G] for k in range(3))
+    # Per-step factors taking dh to each gate gradient, for all steps at once
+    # and in place: gates becomes [dz, dr, dn] / dh and hus [dz, dr, dhu_n] / dh.
+    # keep is the direct path dh_prev / dh. Padded steps get zero factors and
+    # keep = 1, so they pass dh through untouched.
+    dn = n * n
+    np.subtract(1.0, dn, out=dn)
+    dn *= 1.0 - z
+    dn *= live
+    dz = hs[:-1] - n
+    dz *= z
+    dz *= 1.0 - z
+    dz *= live
+    keep = np.where(valid, z, 1.0)
+    dr = dn * hus[:, :, 2 * G:]
+    dr *= r
+    dr *= 1.0 - r
+    np.multiply(dn, r, out=hus[:, :, 2 * G:])
+    z[...] = dz
+    r[...] = dr
+    n[...] = dn
+    hus[:, :, :2 * G] = gates[:, :, :2 * G]
+    del dz, dr, dn
+
+    dout = _time_major(dout, reverse)
+    gates3 = gates.reshape(T, B, 3, G)
+    hus3 = hus.reshape(T, B, 3, G)
+    UT = U.T
     dh = np.zeros((B, G))
-    for t in range(T - 1, -1, -1):
-        h_prev, z, r, n, hu_n = cache[t]
-        m = mask[:, t:t + 1]
-        dh_total = dout[:, t] + dh
-        dh_new = m * dh_total
-        dh_pass = (1.0 - m) * dh_total
-        dz = dh_new * (h_prev - n)
-        dn = dh_new * (1.0 - z)
-        dh_prev = dh_new * z + dh_pass
-        da_n = dn * (1.0 - n * n)
-        dr = da_n * hu_n
-        dhu_n = da_n * r
-        da_z = dz * z * (1.0 - z)
-        da_r = dr * r * (1.0 - r)
-        dw_in = np.concatenate([da_z, da_r, da_n], axis=1)
-        du_in = np.concatenate([da_z, da_r, dhu_n], axis=1)
-        dW += X[:, t].T @ dw_in
-        dU += h_prev.T @ du_in
-        db += dw_in.sum(axis=0)
-        dX[:, t] = dw_in @ W.T
-        dh = dh_prev + du_in @ U.T
-    if reverse:
-        dX = dX[:, ::-1]
+    for s in range(T - 1, -1, -1):
+        dh_total = dout[s] + dh
+        d = dh_total[:, None, :]
+        gates3[s] *= d
+        hus3[s] *= d
+        dh = hus[s] @ UT
+        dh += dh_total * keep[s]
+    dw_in = gates.reshape(T * B, 3 * G)
+    dW = _scan_rows(X, reverse).T @ dw_in
+    dU = hs[:-1].reshape(T * B, G).T @ hus.reshape(T * B, 3 * G)
+    db = dw_in.sum(axis=0)
+    dX = _batch_major((dw_in @ W.T).reshape(T, B, -1), reverse)
     return dX, dW, dU, db
 
 
@@ -409,20 +513,24 @@ def _masked_max_pool_backward(dpool, argmax, all_pad, shape) -> np.ndarray:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate needed for an exact backward pass."""
+    """Every intermediate needed for an exact backward pass.
+
+    The backward pass consumes the four recurrent stores, so a trace is
+    backpropagated at most once.
+    """
 
     x: np.ndarray
     mask: np.ndarray
     emb: np.ndarray
     sd_mask: Optional[np.ndarray]
     emb_dropped: np.ndarray
-    lstm_fw_cache: list
-    lstm_bw_cache: list
+    lstm_fw_store: tuple
+    lstm_bw_store: tuple
     S: np.ndarray
     do1_mask: Optional[np.ndarray]
     S_dropped: np.ndarray
-    gru_fw_cache: list
-    gru_bw_cache: list
+    gru_fw_store: tuple
+    gru_bw_store: tuple
     G: np.ndarray
     do2_mask: Optional[np.ndarray]
     G_dropped: np.ndarray
@@ -475,10 +583,10 @@ def forward(
         emb_dropped = emb
 
     p = params.blocks
-    fw_out, fw_cache = _lstm_direction_forward(
-        emb_dropped, mask, p["lstm_fw_W"], p["lstm_fw_U"], p["lstm_fw_b"], reverse=False)
-    bw_out, bw_cache = _lstm_direction_forward(
-        emb_dropped, mask, p["lstm_bw_W"], p["lstm_bw_U"], p["lstm_bw_b"], reverse=True)
+    fw_out, fw_store = _lstm_direction_forward(
+        emb_dropped, mask, p["lstm_fw_W"], p["lstm_fw_U"], p["lstm_fw_b"], False, training)
+    bw_out, bw_store = _lstm_direction_forward(
+        emb_dropped, mask, p["lstm_bw_W"], p["lstm_bw_U"], p["lstm_bw_b"], True, training)
     S = np.concatenate([fw_out, bw_out], axis=2)
 
     do1_mask = None
@@ -488,10 +596,10 @@ def forward(
     else:
         S_dropped = S
 
-    gfw_out, gfw_cache = _gru_direction_forward(
-        S_dropped, mask, p["gru_fw_W"], p["gru_fw_U"], p["gru_fw_b"], reverse=False)
-    gbw_out, gbw_cache = _gru_direction_forward(
-        S_dropped, mask, p["gru_bw_W"], p["gru_bw_U"], p["gru_bw_b"], reverse=True)
+    gfw_out, gfw_store = _gru_direction_forward(
+        S_dropped, mask, p["gru_fw_W"], p["gru_fw_U"], p["gru_fw_b"], False, training)
+    gbw_out, gbw_store = _gru_direction_forward(
+        S_dropped, mask, p["gru_bw_W"], p["gru_bw_U"], p["gru_bw_b"], True, training)
     G = np.concatenate([gfw_out, gbw_out], axis=2)
 
     do2_mask = None
@@ -515,9 +623,9 @@ def forward(
         return probs, None
     trace = ForwardTrace(
         x=x, mask=mask, emb=emb, sd_mask=sd_mask, emb_dropped=emb_dropped,
-        lstm_fw_cache=fw_cache, lstm_bw_cache=bw_cache, S=S,
+        lstm_fw_store=fw_store, lstm_bw_store=bw_store, S=S,
         do1_mask=do1_mask, S_dropped=S_dropped,
-        gru_fw_cache=gfw_cache, gru_bw_cache=gbw_cache, G=G,
+        gru_fw_store=gfw_store, gru_bw_store=gbw_store, G=G,
         do2_mask=do2_mask, G_dropped=G_dropped,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
     )
@@ -557,10 +665,10 @@ def _backward(
     G_units = config.gru_units
     dS_fw, dWgf, dUgf, dbgf = _gru_direction_backward(
         dG[:, :, :G_units], trace.S_dropped, trace.mask,
-        p["gru_fw_W"], p["gru_fw_U"], p["gru_fw_b"], trace.gru_fw_cache, reverse=False)
+        p["gru_fw_W"], p["gru_fw_U"], trace.gru_fw_store, reverse=False)
     dS_bw, dWgb, dUgb, dbgb = _gru_direction_backward(
         dG[:, :, G_units:], trace.S_dropped, trace.mask,
-        p["gru_bw_W"], p["gru_bw_U"], p["gru_bw_b"], trace.gru_bw_cache, reverse=True)
+        p["gru_bw_W"], p["gru_bw_U"], trace.gru_bw_store, reverse=True)
     grads["gru_fw_W"], grads["gru_fw_U"], grads["gru_fw_b"] = dWgf, dUgf, dbgf
     grads["gru_bw_W"], grads["gru_bw_U"], grads["gru_bw_b"] = dWgb, dUgb, dbgb
 
@@ -568,16 +676,17 @@ def _backward(
     dS_dropped += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S.shape)
     dS = dS_dropped * trace.do1_mask if trace.do1_mask is not None else dS_dropped
 
+    need_dx = config.train_embedding
     dE_fw, dWlf, dUlf, dblf = _lstm_direction_backward(
         dS[:, :, :Hl], trace.emb_dropped, trace.mask,
-        p["lstm_fw_W"], p["lstm_fw_U"], p["lstm_fw_b"], trace.lstm_fw_cache, reverse=False)
+        p["lstm_fw_W"], p["lstm_fw_U"], trace.lstm_fw_store, reverse=False, need_dx=need_dx)
     dE_bw, dWlb, dUlb, dblb = _lstm_direction_backward(
         dS[:, :, Hl:], trace.emb_dropped, trace.mask,
-        p["lstm_bw_W"], p["lstm_bw_U"], p["lstm_bw_b"], trace.lstm_bw_cache, reverse=True)
+        p["lstm_bw_W"], p["lstm_bw_U"], trace.lstm_bw_store, reverse=True, need_dx=need_dx)
     grads["lstm_fw_W"], grads["lstm_fw_U"], grads["lstm_fw_b"] = dWlf, dUlf, dblf
     grads["lstm_bw_W"], grads["lstm_bw_U"], grads["lstm_bw_b"] = dWlb, dUlb, dblb
 
-    if config.train_embedding:
+    if need_dx:
         dE = dE_fw + dE_bw
         if trace.sd_mask is not None:
             dE = dE * trace.sd_mask
@@ -702,8 +811,16 @@ def load_checkpoint(fh) -> Tuple[ModelParameters, ModelConfig]:
     if version != _CKPT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", read_exact(4))
-    cfg = json.loads(read_exact(cfg_len).decode("utf-8"))
-    config = ModelConfig(**cfg)
+    try:
+        cfg = json.loads(read_exact(cfg_len).decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValidationError(f"checkpoint config is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValidationError("checkpoint config must be a JSON object")
+    try:
+        config = ModelConfig(**cfg)
+    except TypeError as exc:
+        raise ValidationError(f"checkpoint config does not fit the model: {exc}") from None
     (n_items,) = struct.unpack("<I", read_exact(4))
     arrays: Dict[str, np.ndarray] = {}
     for _ in range(n_items):

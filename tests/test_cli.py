@@ -248,6 +248,50 @@ class TestPreparedPipeline:
         assert summary[0][:3] == ["pair", "optimizer", "learning_rate"]
         assert len(summary) == 5  # header + 4 runs
 
+    def test_sweep_one_epoch_skips_chart(self, capsys, pipeline_dir):
+        manifest = str(pipeline_dir["root"] / "pairs_one.csv")
+        with open(manifest, "w", newline="") as fh:
+            fh.write(f"pair,path\nglove+fasttext,{pipeline_dir['fused']}\n")
+        out_dir = str(pipeline_dir["root"] / "sweep_one_epoch")
+        code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
+                             "--pairs", manifest, "--optimizers", "sgd,adam",
+                             "--lr", "0.05", "--epochs", "1", "--batch", "8",
+                             "--seed", "3", "--out-dir", out_dir, *TINY_MODEL)
+        assert code == 0, err
+        csv_path = os.path.join(out_dir, "histories.csv")
+        with open(csv_path) as fh:
+            assert len(fh.read().splitlines()) == 1 + 2  # header + kinds x 1 epoch
+        assert not os.path.exists(os.path.join(out_dir, "glove_fasttext.svg"))
+        skipped = [line for line in out.splitlines() if line.startswith("skipped chart")]
+        assert len(skipped) == 1 and "2 or more epochs" in skipped[0]
+        assert "glove+fasttext sgd: train_loss=" in out
+        assert "glove+fasttext adam: train_loss=" in out
+
+        report_dir = str(pipeline_dir["root"] / "report_one_epoch")
+        code, out, err = run(capsys, "report", "--history", csv_path, "--out-dir", report_dir)
+        assert code == 0, err
+        assert os.path.isfile(os.path.join(report_dir, "summary.csv"))
+        assert "skipped chart" in out
+
+    def test_eval_rejects_checkpoint_with_unknown_config_key(self, capsys, pipeline_dir,
+                                                              tmp_path):
+        good = tmp_path / "good.ckpt"
+        assert dispatch(["train", "--dataset", pipeline_dir["dataset"],
+                         "--fused", pipeline_dir["fused"], "--optimizer", "sgd",
+                         "--lr", "0.01", "--epochs", "1", "--batch", "8",
+                         "--out", str(good), *TINY_MODEL]) == 0
+        capsys.readouterr()
+        data = good.read_bytes()
+        cfg_len = int.from_bytes(data[12:16], "little")
+        cfg = data[16:16 + cfg_len].replace(b'"seed"', b'"sneed"')
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data[:12] + len(cfg).to_bytes(4, "little") + cfg + data[16 + cfg_len:])
+        code, out, err = run(capsys, "eval", "--dataset", pipeline_dir["dataset"],
+                             "--ckpt", str(bad))
+        assert code == 1
+        assert err.startswith("ERROR invalid:") and "sneed" in err
+        assert "Traceback" not in err
+
     def test_sweep_rejects_unknown_optimizer(self, capsys, pipeline_dir):
         code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
                              "--pairs", "/no/such/manifest.csv",

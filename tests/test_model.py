@@ -1,6 +1,9 @@
 """Network tests: scalar cell oracles, gradient checking, invariances."""
 import io
+import json
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from embfuse.model import (
     masked_max_pool,
     predict,
     save_checkpoint,
+    sigmoid,
     to_flat,
     trainable_block_names,
 )
@@ -74,6 +78,32 @@ def scalar_gru_step(x, h_prev, W, U, b):
         n = math.tanh(xw(2 * G + j) + r * hu(2 * G + j) + b[2 * G + j])
         out.append((1.0 - z) * n + z * h_prev[j])
     return out
+
+
+class TestSigmoid:
+    @staticmethod
+    def two_branch(x):
+        """Reference: exp of a non-positive argument only, so nothing overflows."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_extremes_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-800.0, 800.0]))
+        assert out.tolist() == [0.0, 1.0]
+
+    def test_exactly_half_at_zero(self):
+        assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_matches_two_branch_form(self):
+        x = np.linspace(-40.0, 40.0, 80001)
+        ref = self.two_branch(x)
+        assert np.max(np.abs(sigmoid(x) - ref) / ref) <= 5e-16
 
 
 class TestCellOracles:
@@ -341,6 +371,17 @@ class TestForwardInvariances:
         )
         assert np.allclose(probs_rev, probs, rtol=0.0, atol=1e-12)
 
+    def test_inference_equals_training_without_dropout(self):
+        config = tiny_config()
+        x, _, emb = tiny_batch(config, batch=5)
+        x[1, :5] = 0  # rows padded to different lengths
+        x[3] = 0
+        params = init_parameters(config, emb)
+        probs_infer, trace = forward(x, params, config, training=False)
+        probs_train, _ = forward(x, params, config, training=True)
+        assert trace is None
+        assert np.array_equal(probs_infer, probs_train)
+
     def test_probs_are_normalized(self):
         config = tiny_config()
         x, _, emb = tiny_batch(config)
@@ -506,6 +547,30 @@ class TestCheckpoint:
     def test_rejects_foreign_bytes(self):
         with pytest.raises(ValidationError):
             load_checkpoint(io.BytesIO(b"PNG....not a checkpoint"))
+
+    @staticmethod
+    def _with_config_bytes(cfg_bytes):
+        """A valid checkpoint whose config JSON is replaced by cfg_bytes."""
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        buf = io.BytesIO()
+        save_checkpoint(buf, init_parameters(config, emb), config)
+        data = buf.getvalue()
+        (old_len,) = struct.unpack("<I", data[12:16])
+        return data[:12] + struct.pack("<I", len(cfg_bytes)) + cfg_bytes + data[16 + old_len:]
+
+    def test_rejects_malformed_config_json(self):
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_checkpoint(io.BytesIO(self._with_config_bytes(b"{max_len: 7")))
+
+    def test_rejects_unknown_config_key(self):
+        cfg = json.dumps({"max_len": 7, "no_such_key": 1}).encode("utf-8")
+        with pytest.raises(ValidationError, match="no_such_key"):
+            load_checkpoint(io.BytesIO(self._with_config_bytes(cfg)))
+
+    def test_rejects_non_object_config(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            load_checkpoint(io.BytesIO(self._with_config_bytes(b"[7]")))
 
     def test_rejects_truncated_stream(self):
         config = tiny_config()
