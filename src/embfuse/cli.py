@@ -480,9 +480,9 @@ def _run_eval(opts: Dict[str, Any]) -> int:
         params, config = model.load_checkpoint(fh)
     data = _split_dataset(ds)
     x, y = (data.train_x, data.train_y) if opts["split"] == "train" else (data.test_x, data.test_y)
-    loss, acc = model.evaluate(x, y, params, config)
-    pred = model.predict(x, params, config)
-    cm = model.confusion_matrix(pred, y)
+    probs = model.predict_proba(x, params, config)
+    loss, acc = model.loss_accuracy(probs, y)
+    cm = model.confusion_matrix(model.classify(probs), y)
     print(f"split={opts['split']} examples={len(y)} loss={loss:.6f} accuracy={acc:.6f}")
     print("confusion (rows=truth bad/neutral/good, cols=predicted):")
     for row in cm:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .embedding_io import _ByteStream
+from .embedding_io import iter_lines
 from .errors import (
     EmptyFileError,
     EmptyInputError,
@@ -100,7 +100,7 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
 
     Returns (records, dropped_row_count).
     """
-    lines = (raw.decode("utf-8") for raw in _ByteStream(stream).lines())
+    lines = (raw.decode("utf-8") for raw in iter_lines(stream))
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -280,7 +280,7 @@ def default_lemmatize(token: str) -> str:
 def load_lemma_table(stream) -> Dict[str, str]:
     """Load a ``token TAB lemma`` lemma table exported from any NLP tool."""
     table: Dict[str, str] = {}
-    for line_no, raw in enumerate(_ByteStream(stream).lines(), start=1):
+    for line_no, raw in enumerate(iter_lines(stream), start=1):
         line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
         if not line:
             continue

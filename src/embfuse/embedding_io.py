@@ -11,13 +11,25 @@ Three on-disk formats are supported and normalized into one in-memory
 
 Values are widened to float64 internally regardless of the storage width.
 Parsing is streaming: sources may be binary file objects or iterables of
-bytes chunks, and nothing beyond the output table plus O(dim) is buffered.
+bytes chunks. Besides the output table, a parser holds one input chunk (or
+the one line or record that spans chunks, if longer) and the rows decoded so
+far, in blocks of up to ``_BLOCK_ROWS`` rows: float32 for ``w2v-bin``,
+float64 for text. The blocks are copied into the float64 matrix once, at the
+end, and each is freed as soon as it is copied.
+
+Decoding is done a block at a time. A w2v-bin record's float bytes are
+appended to a float32 block and checked for non-finite values when the block
+is full. A block of text lines has its components decoded by one
+``np.loadtxt`` call, which rounds exactly as ``float()`` does; a block it
+cannot decode exactly is re-read line by line with ``float()``, so the
+accepted syntax and every error (type, message, line number) are those of
+the line-by-line parser.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,66 +46,51 @@ from .errors import (
 FORMATS = ("glove", "w2v-bin", "fasttext")
 
 _CHUNK = 1 << 16
+_BLOCK_ROWS = 4096
 
 
-class _ByteStream:
-    """Buffered byte reader over a file-like object or an iterable of bytes."""
+def _chunks(source) -> Iterator[bytes]:
+    """Byte chunks of a binary file object, a bytes object or an iterable of bytes."""
+    if hasattr(source, "read"):
+        return iter(lambda: source.read(_CHUNK), b"")
+    if isinstance(source, (bytes, bytearray)):
+        return iter((bytes(source),))
+    return map(bytes, source)
 
-    def __init__(self, source):
-        if hasattr(source, "read"):
-            self._chunks = iter(lambda: source.read(_CHUNK), b"")
-        elif isinstance(source, (bytes, bytearray)):
-            self._chunks = iter((bytes(source),))
-        else:
-            self._chunks = iter(source)
-        self._buf = bytearray()
-        self._eof = False
 
-    def _fill(self) -> bool:
-        if self._eof:
-            return False
-        try:
-            chunk = next(self._chunks)
-        except StopIteration:
-            self._eof = True
-            return False
-        self._buf += chunk
-        return True
+def _refill(chunks: Iterator[bytes], tail: bytes, need: int) -> Tuple[bytes, bool]:
+    """``tail`` plus further chunks until it holds ``need`` bytes; True once the stream ends."""
+    pieces = [tail]
+    have = len(tail)
+    for chunk in chunks:
+        pieces.append(chunk)
+        have += len(chunk)
+        if have >= need:
+            return b"".join(pieces), False
+    return b"".join(pieces), True
 
-    def read(self, n: int) -> bytes:
-        while len(self._buf) < n and self._fill():
-            pass
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
 
-    def read_until(self, delim: bytes) -> bytes:
-        """Read up to and including ``delim``; at EOF returns the remainder."""
-        start = 0
-        while True:
-            i = self._buf.find(delim, start)
-            if i >= 0:
-                out = bytes(self._buf[: i + 1])
-                del self._buf[: i + 1]
-                return out
-            start = max(0, len(self._buf) - len(delim) + 1)
-            if not self._fill():
-                out = bytes(self._buf)
-                self._buf.clear()
-                return out
+def iter_lines(source) -> Iterator[bytes]:
+    """Yield the lines of a byte source, each with its trailing newline where present.
 
-    def peek(self, n: int) -> bytes:
-        while len(self._buf) < n and self._fill():
-            pass
-        return bytes(self._buf[:n])
-
-    def lines(self):
-        """Yield lines including their trailing newline where present."""
-        while True:
-            line = self.read_until(b"\n")
-            if not line:
-                return
-            yield line
+    Lines are split on ``b"\\n"`` before anything is decoded, so a chunk edge
+    never splits a UTF-8 character.
+    """
+    pending: List[bytes] = []
+    for chunk in _chunks(source):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        lines = b"".join(pending).split(b"\n")
+        lines.pop()
+        for line in lines:
+            yield line + b"\n"
+        pending = [chunk[cut:]]
+    tail = b"".join(pending)
+    if tail:
+        yield tail
 
 
 @dataclass
@@ -138,15 +135,29 @@ class EmbeddingTable:
             raise ParseFloatError("matrix contains non-finite entries")
 
 
-def _finish_table(name: str, dim: int, tokens: List[str], rows: List[np.ndarray],
+def _admit(vocab: Dict[str, int], warnings: List[str], token: str, unit: str, no: int) -> bool:
+    """Give ``token`` the next row unless it was seen before ("keep first", with a warning)."""
+    if token in vocab:
+        warnings.append(f"duplicate token {token!r} at {unit} {no}, kept first")
+        return False
+    vocab[token] = len(vocab)
+    return True
+
+
+def _finish_table(name: str, dim: int, vocab: Dict[str, int], blocks: List[np.ndarray],
                   warnings: List[str]) -> EmbeddingTable:
-    if rows:
-        matrix = np.vstack(rows)
-        mean = matrix.mean(axis=0)
+    """Stack the row blocks (emptying ``blocks``) into one float64 matrix."""
+    if len(blocks) == 1 and blocks[0].dtype == np.float64:
+        matrix = blocks.pop()
     else:
-        matrix = np.zeros((0, dim))
-        mean = np.zeros(dim)
-    vocab = {tok: i for i, tok in enumerate(tokens)}
+        matrix = np.empty((len(vocab), dim))
+        row = 0
+        blocks.reverse()
+        while blocks:
+            block = blocks.pop()
+            matrix[row:row + len(block)] = block
+            row += len(block)
+    mean = matrix.mean(axis=0) if len(vocab) else np.zeros(dim)
     return EmbeddingTable(name=name, dim=dim, vocab=vocab, matrix=matrix,
                           mean=mean, warnings=warnings)
 
@@ -165,41 +176,91 @@ def _parse_component(text: str, line_no: int) -> float:
     return value
 
 
-def _parse_text_lines(lines: Iterable[bytes], name: str, dim: int | None,
-                      first_line_no: int, warnings: List[str]):
-    """Shared line loop for the glove and fasttext text formats."""
-    tokens: List[str] = []
-    rows: List[np.ndarray] = []
-    seen: Dict[str, int] = {}
-    line_no = first_line_no - 1
-    n_data = 0
-    for raw in lines:
-        line_no += 1
-        parts = raw.decode("utf-8").split()
-        if not parts:
-            continue
-        n_data += 1
-        if dim is None:
-            dim = len(parts) - 1
-            if dim < 1:
+class _TextRows:
+    """Rows of the glove/fasttext text formats, decoded a block of lines at a time."""
+
+    def __init__(self, dim: Optional[int], first_line_no: int, warnings: List[str]):
+        self.dim = dim
+        self.line_no = first_line_no - 1  # number of the last line consumed
+        self.n_data = 0
+        self.vocab: Dict[str, int] = {}
+        self.blocks: List[np.ndarray] = []
+        self.warnings = warnings
+
+    def add(self, raws: List[bytes]) -> None:
+        if not self._add_bulk(raws):
+            self._add_each(raws)
+        self.line_no += len(raws)
+
+    def _add_bulk(self, raws: List[bytes]) -> bool:
+        """Decode the block with one ``np.loadtxt``; False, with no state changed, if it cannot."""
+        tokens, texts, line_nos = [], [], []
+        for line_no, raw in enumerate(raws, self.line_no + 1):
+            try:
+                parts = raw.decode("utf-8").split(None, 1)
+            except UnicodeDecodeError:
+                return False
+            if len(parts) == 2:
+                tokens.append(parts[0])
+                texts.append(parts[1])
+                line_nos.append(line_no)
+            elif parts:
+                return False
+        if not texts:
+            return True
+        try:
+            values = np.loadtxt(texts, comments=None, ndmin=2)
+        except ValueError:
+            return False
+        dim = self.dim or values.shape[1]
+        if values.shape != (len(texts), dim) or not np.isfinite(values).all():
+            return False
+        self.dim = dim
+        self.n_data += len(texts)
+        keep = [i for i, (token, line_no) in enumerate(zip(tokens, line_nos))
+                if _admit(self.vocab, self.warnings, token, "line", line_no)]
+        self.blocks.append(values if len(keep) == len(texts) else values[keep])
+        return True
+
+    def _add_each(self, raws: List[bytes]) -> None:
+        """Decode the block line by line with ``float()``, raising at the first bad line."""
+        rows = []
+        for line_no, raw in enumerate(raws, self.line_no + 1):
+            parts = raw.decode("utf-8").split()
+            if not parts:
+                continue
+            self.n_data += 1
+            if self.dim is None:
+                self.dim = len(parts) - 1
+                if self.dim < 1:
+                    raise DimMismatchError(
+                        f"line {line_no}: expected a token and at least one component",
+                        line_no,
+                    )
+            if len(parts) - 1 != self.dim:
                 raise DimMismatchError(
-                    f"line {line_no}: expected a token and at least one component",
+                    f"line {line_no}: {len(parts) - 1} components, expected {self.dim}",
                     line_no,
                 )
-        if len(parts) - 1 != dim:
-            raise DimMismatchError(
-                f"line {line_no}: {len(parts) - 1} components, expected {dim}",
-                line_no,
-            )
-        token = parts[0]
-        if token in seen:
-            warnings.append(f"duplicate token {token!r} at line {line_no}, kept first")
-            continue
-        row = np.array([_parse_component(p, line_no) for p in parts[1:]])
-        seen[token] = len(tokens)
-        tokens.append(token)
-        rows.append(row)
-    return dim, tokens, rows, n_data
+            if _admit(self.vocab, self.warnings, parts[0], "line", line_no):
+                rows.append([_parse_component(p, line_no) for p in parts[1:]])
+        if rows:
+            self.blocks.append(np.array(rows))
+
+
+def _parse_text_lines(lines: Iterable[bytes], dim: Optional[int], first_line_no: int,
+                      warnings: List[str]) -> _TextRows:
+    """Shared line loop for the glove and fasttext text formats."""
+    rows = _TextRows(dim, first_line_no, warnings)
+    block: List[bytes] = []
+    for raw in lines:
+        block.append(raw)
+        if len(block) == _BLOCK_ROWS:
+            rows.add(block)
+            block = []
+    if block:
+        rows.add(block)
+    return rows
 
 
 def parse_glove_text(stream, name: str = "glove") -> EmbeddingTable:
@@ -211,12 +272,10 @@ def parse_glove_text(stream, name: str = "glove") -> EmbeddingTable:
     line's, and ParseFloatError on unparseable or non-finite components.
     """
     warnings: List[str] = []
-    dim, tokens, rows, n_lines = _parse_text_lines(
-        _ByteStream(stream).lines(), name, None, 1, warnings
-    )
-    if n_lines == 0:
+    rows = _parse_text_lines(iter_lines(stream), None, 1, warnings)
+    if rows.n_data == 0:
         raise EmptyInputError("no lines in input")
-    return _finish_table(name, dim, tokens, rows, warnings)
+    return _finish_table(name, rows.dim, rows.vocab, rows.blocks, warnings)
 
 
 def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
@@ -226,8 +285,8 @@ def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
     count; a mismatch is recorded as a warning, not an error, since published
     files are sometimes trimmed.
     """
-    bs = _ByteStream(stream)
-    header = bs.read_until(b"\n")
+    lines = iter_lines(stream)
+    header = next(lines, b"")
     if not header:
         raise EmptyInputError("no lines in input")
     parts = header.split()
@@ -240,12 +299,21 @@ def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
     if declared < 0 or dim < 1:
         raise BadHeaderError(f"invalid header values {declared} {dim}")
     warnings: List[str] = []
-    dim, tokens, rows, n_lines = _parse_text_lines(bs.lines(), name, dim, 2, warnings)
-    if n_lines == 0:
+    rows = _parse_text_lines(lines, dim, 2, warnings)
+    if rows.n_data == 0:
         raise EmptyInputError("header but no vector lines")
-    if n_lines != declared:
-        warnings.append(f"count mismatch: header declares {declared}, found {n_lines} lines")
-    return _finish_table(name, dim, tokens, rows, warnings)
+    if rows.n_data != declared:
+        warnings.append(f"count mismatch: header declares {declared}, found {rows.n_data} lines")
+    return _finish_table(name, dim, rows.vocab, rows.blocks, warnings)
+
+
+def _float32_block(data: bytearray, dim: int, first_rec: int, dups: List[int]) -> np.ndarray:
+    """View a block of records' float bytes as rows, check them, and drop duplicate rows."""
+    rows = np.frombuffer(data, dtype="<f4").reshape(-1, dim)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ParseFloatError(f"record {first_rec + int(np.argmin(finite))}: non-finite component")
+    return np.delete(rows, dups, axis=0) if dups else rows
 
 
 def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
@@ -254,12 +322,19 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
     Header is ASCII ``vocab_size dim\\n``; each record is the token bytes, a
     single space, then dim little-endian float32 values, optionally followed
     by one newline. Floats are widened to float64. Duplicate tokens keep the
-    first occurrence and record a warning.
+    first occurrence and record a warning. The declared vocab_size bounds the
+    number of records read but sizes no allocation.
     """
-    bs = _ByteStream(stream)
-    header = bs.read_until(b"\n")
-    if not header.endswith(b"\n"):
+    chunks = _chunks(stream)
+    buf, eof = b"", False
+    while True:
+        nl = buf.find(b"\n")
+        if nl >= 0 or eof:
+            break
+        buf, eof = _refill(chunks, buf, 2 * len(buf) + 1)
+    if nl < 0:
         raise BadHeaderError("missing header line")
+    header = buf[:nl + 1]
     parts = header.split()
     if len(parts) != 2:
         raise BadHeaderError(f"expected 'vocab_size dim' header, got {header!r}")
@@ -270,34 +345,47 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
     if count < 0 or dim < 1:
         raise BadHeaderError(f"invalid header values {count} {dim}")
 
-    tokens: List[str] = []
-    rows: List[np.ndarray] = []
-    seen: Dict[str, int] = {}
+    vocab: Dict[str, int] = {}
     warnings: List[str] = []
-    for rec in range(1, count + 1):
-        tok_bytes = bs.read_until(b" ")
-        if not tok_bytes.endswith(b" ") or len(tok_bytes) < 2:
-            raise TruncatedRecordError(f"record {rec}: stream ended in token", rec)
-        try:
-            token = tok_bytes[:-1].decode("utf-8")
-        except UnicodeDecodeError:
-            token = tok_bytes[:-1].decode("utf-8", errors="replace")
-            warnings.append(f"record {rec}: token is not valid UTF-8, replaced")
-        raw = bs.read(4 * dim)
-        if len(raw) < 4 * dim:
-            raise TruncatedRecordError(f"record {rec}: stream ended in floats", rec)
-        vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        if not np.isfinite(vec).all():
-            raise ParseFloatError(f"record {rec}: non-finite component")
-        if bs.peek(1) == b"\n":
-            bs.read(1)
-        if token in seen:
-            warnings.append(f"duplicate token {token!r} at record {rec}, kept first")
+    blocks: List[np.ndarray] = []
+    nbytes = 4 * dim
+    block, block_first, dups = bytearray(), 1, []
+    pos, view = nl + 1, memoryview(buf)
+    error = None
+    rec = 0
+    while rec < count:
+        sp = buf.find(b" ", pos)
+        end = sp + 1 + nbytes
+        # Decode a record once its floats and the byte after them are in hand.
+        if (sp < 0 or end >= len(buf)) and not eof:
+            need = 2 * (len(buf) - pos) + 1 if sp < 0 else end + 1 - pos
+            buf, eof = _refill(chunks, buf[pos:], need)
+            pos, view = 0, memoryview(buf)
             continue
-        seen[token] = len(tokens)
-        tokens.append(token)
-        rows.append(vec)
-    return _finish_table(name, dim, tokens, rows, warnings)
+        rec += 1
+        if sp <= pos:
+            error = TruncatedRecordError(f"record {rec}: stream ended in token", rec)
+            break
+        if end > len(buf):
+            error = TruncatedRecordError(f"record {rec}: stream ended in floats", rec)
+            break
+        try:
+            token = buf[pos:sp].decode("utf-8")
+        except UnicodeDecodeError:
+            token = buf[pos:sp].decode("utf-8", errors="replace")
+            warnings.append(f"record {rec}: token is not valid UTF-8, replaced")
+        block += view[sp + 1:end]
+        pos = end + 1 if end < len(buf) and buf[end] == 0x0A else end
+        if not _admit(vocab, warnings, token, "record", rec):
+            dups.append(rec - block_first)
+        if rec - block_first + 1 == _BLOCK_ROWS:
+            blocks.append(_float32_block(block, dim, block_first, dups))
+            block, block_first, dups = bytearray(), rec + 1, []
+    if block:
+        blocks.append(_float32_block(block, dim, block_first, dups))
+    if error is not None:
+        raise error
+    return _finish_table(name, dim, vocab, blocks, warnings)
 
 
 def write_word2vec_binary(table: EmbeddingTable) -> bytes:
@@ -321,10 +409,10 @@ def write_word2vec_binary(table: EmbeddingTable) -> bytes:
 
 
 def mean_vector(table: EmbeddingTable) -> np.ndarray:
-    """Component-wise arithmetic mean over all rows of the table."""
+    """Component-wise arithmetic mean over all rows of the table (a copy of ``table.mean``)."""
     if len(table.vocab) == 0:
         raise EmptyTableError("cannot take the mean of an empty table")
-    return table.matrix.mean(axis=0)
+    return table.mean.copy()
 
 
 def parse_embedding(stream, fmt: str, name: str = "") -> EmbeddingTable:

@@ -32,19 +32,21 @@ FALLBACK_STAGES = ("exact", "lower", "capital", "lemma")
 
 
 def fuse_both(v1: np.ndarray, v2: np.ndarray, mean1: np.ndarray, mean2: np.ndarray) -> np.ndarray:
-    """Average the first vector with the mean-shifted second vector."""
-    v1, v2, mean1, mean2 = (np.asarray(a, dtype=np.float64) for a in (v1, v2, mean1, mean2))
-    if not (v1.shape == v2.shape == mean1.shape == mean2.shape):
-        raise DimMismatchError(
-            f"vector dims differ: {v1.shape} {v2.shape} {mean1.shape} {mean2.shape}"
-        )
-    return (v1 + (v2 + (mean1 - mean2))) / 2.0
+    """Average the first vector with the mean-shifted second vector.
+
+    ``v1`` and ``v2`` may also be matching stacks of rows, one fused row each.
+    """
+    v1 = np.asarray(v1, dtype=np.float64)
+    shifted = fuse_second_only(v2, mean1, mean2)
+    if v1.shape != shifted.shape:
+        raise DimMismatchError(f"vector dims differ: {v1.shape} {shifted.shape}")
+    return (v1 + shifted) / 2.0
 
 
 def fuse_second_only(v2: np.ndarray, mean1: np.ndarray, mean2: np.ndarray) -> np.ndarray:
-    """Shift a second-table vector into the first table's coordinate frame."""
+    """Shift a second-table vector (or a stack of rows) into the first table's coordinate frame."""
     v2, mean1, mean2 = (np.asarray(a, dtype=np.float64) for a in (v2, mean1, mean2))
-    if not (v2.shape == mean1.shape == mean2.shape):
+    if not (v2.shape[-1:] == mean1.shape == mean2.shape):
         raise DimMismatchError(f"vector dims differ: {v2.shape} {mean1.shape} {mean2.shape}")
     return v2 + (mean1 - mean2)
 
@@ -136,14 +138,15 @@ def build_fused_matrix(
     if emb1.dim != emb2.dim:
         raise DimMismatchError(f"table dims differ: {emb1.dim} vs {emb2.dim}")
     dim = emb1.dim
-    mean1 = emb1.mean
-    mean2 = emb2.mean
-    shift = mean1 - mean2
-
     matrix = np.zeros((dicts.vocab_size, dim), dtype=np.float64)
     unknown_row = np.full(dim, float(unknown_fill), dtype=np.float64)
     matrix[UNK_INDEX] = unknown_row
     counts = BranchCounts()
+    # dictionary row and table rows of each word, per branch
+    both: List[Tuple[int, int, int]] = []
+    first_only: List[Tuple[int, int]] = []
+    second_only: List[Tuple[int, int]] = []
+    unknown: List[int] = []
 
     for token, w in dicts.dict_words.items():
         resolved = None
@@ -152,25 +155,31 @@ def build_fused_matrix(
                 resolved = (stage, key)
                 break
         if resolved is None:
-            matrix[w] = unknown_row
-            counts.unknown += 1
+            unknown.append(w)
             continue
         stage, key = resolved
         if stage in ("lower", "capital"):
             counts.case_hits += 1
         elif stage == "lemma":
             counts.lemma_hits += 1
-        in1 = key in emb1
-        in2 = key in emb2
-        if in1 and in2:
-            matrix[w] = (emb1.vector(key) + (emb2.vector(key) + shift)) / 2.0
-            counts.both += 1
-        elif in1:
-            matrix[w] = emb1.vector(key)
-            counts.first_only += 1
+        i1 = emb1.vocab.get(key)
+        i2 = emb2.vocab.get(key)
+        if i1 is not None and i2 is not None:
+            both.append((w, i1, i2))
+        elif i1 is not None:
+            first_only.append((w, i1))
         else:
-            matrix[w] = emb2.vector(key) + shift
-            counts.second_only += 1
+            second_only.append((w, i2))
+
+    w, i1, i2 = np.array(both, dtype=np.intp).reshape(-1, 3).T
+    matrix[w] = fuse_both(emb1.matrix[i1], emb2.matrix[i2], emb1.mean, emb2.mean)
+    w, i1 = np.array(first_only, dtype=np.intp).reshape(-1, 2).T
+    matrix[w] = emb1.matrix[i1]
+    w, i2 = np.array(second_only, dtype=np.intp).reshape(-1, 2).T
+    matrix[w] = fuse_second_only(emb2.matrix[i2], emb1.mean, emb2.mean)
+    matrix[unknown] = unknown_row
+    counts.both, counts.first_only = len(both), len(first_only)
+    counts.second_only, counts.unknown = len(second_only), len(unknown)
 
     return FusedMatrix(matrix=matrix, dim=dim, branch_counts=counts, unknown_row=unknown_row)
 

@@ -724,45 +724,68 @@ def _loss_probs_grad(x, labels, params, config, rng):
     return loss, probs, grads_to_flat(grads, config)
 
 
+# Inference runs in chunks of rows sized so that one chunk's LSTM
+# preactivation, a (max_len, rows, 4 * lstm_units) float64 array, stays
+# within this many bytes.
+_INFER_CHUNK_BYTES = 64 << 20
+
+
+def inference_batch_size(config: ModelConfig) -> int:
+    """Default rows per inference chunk for ``config`` (at least 1)."""
+    row_bytes = config.max_len * 4 * config.lstm_units * 8
+    return max(1, _INFER_CHUNK_BYTES // row_bytes)
+
+
+def predict_proba(
+    x: np.ndarray,
+    params: ModelParameters,
+    config: ModelConfig,
+    batch_size: Optional[int] = None,
+) -> np.ndarray:
+    """Inference-mode class probabilities for an index batch, computed in chunks."""
+    x = np.asarray(x)
+    if x.ndim == 1:
+        x = x[None, :]
+    step = batch_size or inference_batch_size(config)
+    out = [forward(x[start:start + step], params, config, training=False)[0]
+           for start in range(0, len(x), step)]
+    return np.concatenate(out) if out else np.zeros((0, config.num_classes))
+
+
+def classify(probs: np.ndarray) -> np.ndarray:
+    """Predicted class of each row of class probabilities."""
+    return probs.argmax(axis=1)
+
+
+def loss_accuracy(probs: np.ndarray, labels: np.ndarray) -> Tuple[float, float]:
+    """Mean cross-entropy and accuracy of class probabilities against labels."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(labels)
+    if n == 0:
+        return float("nan"), float("nan")
+    picked = np.clip(probs[np.arange(n), labels], 1e-300, None)
+    return float(-np.log(picked).sum()) / n, int((classify(probs) == labels).sum()) / n
+
+
 def evaluate(
     x: np.ndarray,
     labels: np.ndarray,
     params: ModelParameters,
     config: ModelConfig,
-    batch_size: int = 256,
+    batch_size: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Inference-mode (loss, accuracy) over a full set, computed in chunks."""
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(labels)
-    if n == 0:
-        return float("nan"), float("nan")
-    total_nll = 0.0
-    correct = 0
-    for start in range(0, n, batch_size):
-        xb = x[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        probs, _ = forward(xb, params, config, training=False)
-        eps_safe = np.clip(probs[np.arange(len(yb)), yb], 1e-300, None)
-        total_nll += float(-np.log(eps_safe).sum())
-        correct += int((probs.argmax(axis=1) == yb).sum())
-    return total_nll / n, correct / n
+    return loss_accuracy(predict_proba(x, params, config, batch_size), labels)
 
 
 def predict(
     x: np.ndarray,
     params: ModelParameters,
     config: ModelConfig,
-    batch_size: int = 256,
+    batch_size: Optional[int] = None,
 ) -> np.ndarray:
     """Inference-mode class predictions for an index batch."""
-    out = []
-    x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[None, :]
-    for start in range(0, len(x), batch_size):
-        probs, _ = forward(x[start:start + batch_size], params, config, training=False)
-        out.append(probs.argmax(axis=1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    return classify(predict_proba(x, params, config, batch_size))
 
 
 def confusion_matrix(pred: np.ndarray, labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:

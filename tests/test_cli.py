@@ -292,6 +292,42 @@ class TestPreparedPipeline:
         assert err.startswith("ERROR invalid:") and "sneed" in err
         assert "Traceback" not in err
 
+    def test_eval_runs_inference_once(self, capsys, pipeline_dir, tmp_path, monkeypatch):
+        from embfuse import corpus, model, optim
+        ckpt = tmp_path / "m.ckpt"
+        assert dispatch(["train", "--dataset", pipeline_dir["dataset"],
+                         "--fused", pipeline_dir["fused"], "--optimizer", "sgd",
+                         "--lr", "0.05", "--epochs", "1", "--batch", "8", "--seed", "4",
+                         "--out", str(ckpt), *TINY_MODEL]) == 0
+        capsys.readouterr()
+        with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
+            ds = corpus.read_dataset(fh)
+        data = optim.SplitDataset.from_examples(ds.train, ds.test)
+        with open(ckpt, "rb") as fh:
+            params, config = model.load_checkpoint(fh)
+        probs, _ = model.forward(data.train_x, params, config, training=False)
+        y = data.train_y
+        loss = float(-np.log(probs[np.arange(len(y)), y]).sum()) / len(y)
+        acc = int((probs.argmax(axis=1) == y).sum()) / len(y)
+        cm = model.confusion_matrix(probs.argmax(axis=1), y)
+        want = [f"split=train examples={len(y)} loss={loss:.6f} accuracy={acc:.6f}",
+                "confusion (rows=truth bad/neutral/good, cols=predicted):"]
+        want += ["  " + " ".join(f"{int(v):5d}" for v in row) for row in cm]
+
+        calls = []
+        real_forward = model.forward
+
+        def counting_forward(x, *args, **kwargs):
+            calls.append(len(x))
+            return real_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        code, out, err = run(capsys, "eval", "--dataset", pipeline_dir["dataset"],
+                             "--ckpt", str(ckpt), "--split", "train")
+        assert code == 0, err
+        assert calls == [len(y)]
+        assert out == "\n".join(want) + "\n"
+
     def test_sweep_rejects_unknown_optimizer(self, capsys, pipeline_dir):
         code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
                              "--pairs", "/no/such/manifest.csv",

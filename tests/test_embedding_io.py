@@ -1,10 +1,13 @@
 """Parser tests: hand-written expected tables, round-trips, error paths."""
 import io
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from embfuse import embedding_io
 from embfuse.embedding_io import (
     EmbeddingTable,
     FORMATS,
@@ -269,3 +272,234 @@ class TestTableOps:
         with open(p, "rb") as fh:
             table = parse_embedding(fh, "fasttext", name="mine")
         assert table.name == "mine"
+
+
+# --- block decoding against line-by-line oracles ---
+
+BLOCK_ROWS = embedding_io._BLOCK_ROWS
+
+# component spellings whose float() value the block decoder must reproduce bit for bit
+TRICKY = ["0.1", "0.3", "2.675", "1.0000000000000002", "-0.0", "0.0", "1e5", "-2.5E-3",
+          "6.02e+23", "4.9e-324", "1e-320", "2.2250738585072009e-308", "+.5", "7.", "00012"]
+
+
+def text_oracle(data, header=False):
+    """Reference text parse: split on b"\\n", decode, str.split, float() each component."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    first = 1
+    if header:
+        lines, first = lines[1:], 2
+    vocab, rows, warnings = {}, [], []
+    for line_no, raw in enumerate(lines, first):
+        parts = raw.decode("utf-8").split()
+        if not parts:
+            continue
+        if parts[0] in vocab:
+            warnings.append(f"duplicate token {parts[0]!r} at line {line_no}, kept first")
+            continue
+        vocab[parts[0]] = len(rows)
+        rows.append([float(p) for p in parts[1:]])
+    return vocab, np.array(rows), warnings
+
+
+def w2v_oracle(data):
+    """Reference w2v-bin parse: one record at a time with struct.unpack."""
+    header, _, rest = data.partition(b"\n")
+    count, dim = (int(p) for p in header.split())
+    vocab, rows, warnings = {}, [], []
+    pos = 0
+    for rec in range(1, count + 1):
+        sp = rest.index(b" ", pos)
+        try:
+            token = rest[pos:sp].decode("utf-8")
+        except UnicodeDecodeError:
+            token = rest[pos:sp].decode("utf-8", errors="replace")
+            warnings.append(f"record {rec}: token is not valid UTF-8, replaced")
+        row = struct.unpack(f"<{dim}f", rest[sp + 1:sp + 1 + 4 * dim])
+        pos = sp + 1 + 4 * dim
+        if rest[pos:pos + 1] == b"\n":
+            pos += 1
+        if token in vocab:
+            warnings.append(f"duplicate token {token!r} at record {rec}, kept first")
+            continue
+        vocab[token] = len(rows)
+        rows.append(row)
+    return vocab, np.array(rows), warnings
+
+
+def assert_same_table(table, oracle):
+    vocab, matrix, warnings = oracle
+    assert table.vocab == vocab
+    assert table.matrix.shape == matrix.shape
+    assert table.matrix.tobytes() == matrix.tobytes()  # bit-identical, -0.0 included
+    assert table.mean.tobytes() == matrix.mean(axis=0).tobytes()
+    assert table.warnings == warnings
+
+
+def chunked(data, size):
+    return iter([data[i:i + size] for i in range(0, len(data), size)])
+
+
+def varied_text_lines(n, dim, seed):
+    """n glove lines with tricky spellings, mixed separators and non-ASCII tokens."""
+    rng = derive_rng(seed, "varied-text")
+    tokens = ["café", "ночь", "東京", "naïve"]
+    seps = [" ", " ", " ", "  ", "\t", " \t  "]
+    lines = []
+    for i in range(n):
+        token = tokens[i] if i < len(tokens) else f"w{i}"
+        comps = []
+        for _ in range(dim):
+            if rng.random() < 0.2:
+                comps.append(TRICKY[int(rng.integers(len(TRICKY)))])
+            else:
+                comps.append(repr(float(rng.normal())))
+        line = token + "".join(seps[int(rng.integers(len(seps)))] + c for c in comps)
+        lines.append(line + ("\r" if rng.random() < 0.1 else ""))
+    return lines
+
+
+class TestBlockDecoding:
+    def test_text_cases_bit_identical_to_float_oracle(self):
+        lines = varied_text_lines(40, 4, seed=1)
+        lines[7] = "dup 1 2 3 4"
+        lines[9] = "dup 5 6 x 8"  # a duplicate is skipped before its components are read
+        lines[12] = ""
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        assert_same_table(parse_glove_text(data), text_oracle(data))
+        ft = f"{len(lines) - 1} 4\n".encode("ascii") + data
+        assert_same_table(parse_fasttext_text(ft), text_oracle(ft, header=True))
+
+    def test_float_only_spellings_fall_back_line_by_line(self):
+        # float() accepts underscores, non-ASCII digits and Unicode spaces
+        data = "a 1_0 0.5\nb \u0663.\u0665 2\nc 1\u00a02.5\nd 4\u2003-0.0\n".encode("utf-8")
+        table = parse_glove_text(data)
+        assert_same_table(table, text_oracle(data))
+        assert np.array_equal(table.matrix, [[10.0, 0.5], [3.5, 2.0], [1.0, 2.5], [4.0, -0.0]])
+
+    def test_multi_block_text_in_odd_chunks(self):
+        n = 3 * BLOCK_ROWS + 7
+        lines = varied_text_lines(n, 3, seed=2)
+        lines[BLOCK_ROWS + 11] = f"w{BLOCK_ROWS + 11} 1_0 2 3"  # one block decodes line by line
+        lines[2 * BLOCK_ROWS + 3] = "w5 9 9 9"  # a duplicate in a later block
+        data = ("\r\n".join(lines) + "\r\n").encode("utf-8")
+        want = text_oracle(data)
+        assert_same_table(parse_glove_text(data), want)
+        for size in (1, 13, 4099):
+            assert_same_table(parse_glove_text(chunked(data, size)), want)
+
+    def test_w2v_bit_identical_to_struct_oracle(self):
+        rng = derive_rng(3, "w2v-oracle")
+        tricky = np.array([0.1, -0.0, 1e-40, 3.4e38, 1.17549435e-38, 2.5], dtype="<f4")
+        for newline in (b"", b"\n"):
+            out = bytearray(b"9 6\n")
+            for i, token in enumerate(["café", "ночь", "b", "b", "x", "y", "z", "q", "\xff"]):
+                row = tricky if i == 0 else rng.normal(size=6).astype("<f4")
+                raw = b"\xff\xfe" if token == "\xff" else token.encode("utf-8")
+                out += raw + b" " + row.tobytes() + newline
+            data = bytes(out)
+            table = parse_word2vec_binary(data)
+            assert_same_table(table, w2v_oracle(data))
+            assert any("duplicate token 'b' at record 4" in w for w in table.warnings)
+
+    def test_multi_block_w2v_in_odd_chunks(self):
+        rng = derive_rng(4, "w2v-blocks")
+        n, dim = 3 * BLOCK_ROWS + 5, 3
+        values = rng.normal(size=(n, dim)).astype("<f4")
+        out = bytearray(f"{n} {dim}\n".encode("ascii"))
+        for i in range(n):
+            token = "w7" if i == 2 * BLOCK_ROWS + 1 else f"w{i}"
+            out += token.encode("ascii") + b" " + values[i].tobytes() + (b"\n" if i % 3 else b"")
+        data = bytes(out)
+        want = w2v_oracle(data)
+        assert_same_table(parse_word2vec_binary(data), want)
+        for size in (1, 13, 4099):
+            assert_same_table(parse_word2vec_binary(chunked(data, size)), want)
+
+
+class TestErrorsDeepInFile:
+    N = 6000
+
+    def glove_bytes(self, bad_line, bad_text):
+        lines = [f"w{i} {i}.5 -{i}.25" for i in range(1, self.N + 1)]
+        lines[bad_line - 1] = bad_text
+        return ("\n".join(lines) + "\n").encode("ascii")
+
+    def test_bad_float_reports_its_line(self):
+        with pytest.raises(ParseFloatError) as exc:
+            parse_glove_text(self.glove_bytes(5000, "bad 1.5 x"))
+        assert exc.value.line_no == 5000
+        assert str(exc.value) == "line 5000: cannot parse 'x' as a float"
+
+    def test_non_finite_reports_its_line(self):
+        with pytest.raises(ParseFloatError) as exc:
+            parse_glove_text(chunked(self.glove_bytes(5001, "bad nan 2"), 4099))
+        assert exc.value.line_no == 5001
+        assert str(exc.value) == "line 5001: non-finite component 'nan'"
+
+    def test_dim_mismatch_reports_its_line(self):
+        with pytest.raises(DimMismatchError) as exc:
+            parse_glove_text(self.glove_bytes(4999, "bad 1 2 3"))
+        assert exc.value.line_no == 4999
+        assert str(exc.value) == "line 4999: 3 components, expected 2"
+        ft = f"{self.N} 2\n".encode("ascii") + self.glove_bytes(4999, "bad 1 2 3")
+        with pytest.raises(DimMismatchError) as exc:
+            parse_fasttext_text(ft)
+        assert exc.value.line_no == 5000
+
+    def test_width_change_at_a_block_edge_reports_its_line(self):
+        lines = [f"w{i} 1 2" if i <= BLOCK_ROWS else f"w{i} 1 2 3" for i in range(1, self.N + 1)]
+        with pytest.raises(DimMismatchError) as exc:
+            parse_glove_text(("\n".join(lines) + "\n").encode("ascii"))
+        assert exc.value.line_no == BLOCK_ROWS + 1
+
+    def test_first_error_wins_across_a_block(self):
+        data = self.glove_bytes(5200, "bad 1 2 3")
+        data = data.replace(b"\nw4100 ", b"\nw4100 \xff", 1)  # invalid UTF-8 earlier in the block
+        with pytest.raises(UnicodeDecodeError):
+            parse_glove_text(data)
+
+    def w2v_bytes(self, nan_record=None):
+        values = np.arange(2 * self.N, dtype="<f4").reshape(self.N, 2)
+        if nan_record is not None:
+            values[nan_record - 1, 1] = np.nan
+        out = bytearray(f"{self.N} 2\n".encode("ascii"))
+        for i in range(self.N):
+            out += f"w{i} ".encode("ascii") + values[i].tobytes()
+        return bytes(out)
+
+    def test_w2v_non_finite_reports_its_record(self):
+        with pytest.raises(ParseFloatError) as exc:
+            parse_word2vec_binary(self.w2v_bytes(nan_record=5000))
+        assert str(exc.value) == "record 5000: non-finite component"
+
+    def test_w2v_non_finite_before_truncation_wins(self):
+        data = self.w2v_bytes(nan_record=4990)
+        cut = data.index(b"w5000 ") + 8
+        with pytest.raises(ParseFloatError) as exc:
+            parse_word2vec_binary(data[:cut])
+        assert str(exc.value) == "record 4990: non-finite component"
+
+    def test_w2v_truncation_reports_its_record(self):
+        data = self.w2v_bytes()
+        cut = data.index(b"w4999 ") + 8
+        with pytest.raises(TruncatedRecordError) as exc:
+            parse_word2vec_binary(chunked(data[:cut], 4099))
+        assert exc.value.record_no == 5000
+        assert str(exc.value) == "record 5000: stream ended in floats"
+
+    def test_w2v_huge_declared_count_allocates_nothing_for_it(self):
+        row = np.ones(300, dtype="<f4").tobytes()
+        data = b"1000000000 300\nonly " + row
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedRecordError) as exc:
+                parse_word2vec_binary(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.record_no == 2
+        assert str(exc.value) == "record 2: stream ended in token"
+        assert peak < 1 << 20

@@ -20,6 +20,7 @@ from embfuse.model import (
     forward,
     from_flat,
     gru_cell_step,
+    inference_batch_size,
     init_parameters,
     load_checkpoint,
     loss_and_grad,
@@ -514,6 +515,45 @@ class TestEvaluatePredict:
         pred_chunks = predict(x, params, config, batch_size=2)
         assert np.array_equal(pred_whole, pred_chunks)
         assert pred_whole.shape == (7,)
+
+    def test_chunked_inference_matches_one_chunk(self):
+        config = tiny_config()
+        x, labels, emb = tiny_batch(config, batch=11)
+        params = init_parameters(config, emb)
+        one_loss, one_acc = evaluate(x, labels, params, config, batch_size=11)
+        one_pred = predict(x, params, config, batch_size=11)
+        for size in (1, 3, 4, 10):
+            loss, acc = evaluate(x, labels, params, config, batch_size=size)
+            assert abs(loss - one_loss) <= 1e-12
+            assert acc == one_acc
+            assert np.array_equal(predict(x, params, config, batch_size=size), one_pred)
+
+    def test_default_chunk_bounds_the_lstm_preactivation(self, monkeypatch):
+        paper = ModelConfig()
+        rows = inference_batch_size(paper)
+        # paper size: a 64-row split is one chunk, and one chunk's
+        # (max_len, rows, 4 * lstm_units) float64 preactivation fits in 64 MiB
+        assert rows >= 64
+        assert paper.max_len * rows * 4 * paper.lstm_units * 8 <= 64 << 20
+        assert inference_batch_size(ModelConfig(max_len=10 ** 6, lstm_units=10 ** 3)) == 1
+
+        import embfuse.model as model_module
+        config = tiny_config()
+        x, labels, emb = tiny_batch(config, batch=11)
+        params = init_parameters(config, emb)
+        row_bytes = config.max_len * 4 * config.lstm_units * 8
+        monkeypatch.setattr(model_module, "_INFER_CHUNK_BYTES", 3 * row_bytes)
+        sizes = []
+        real_forward = model_module.forward
+
+        def recording_forward(xb, *args, **kwargs):
+            sizes.append(len(xb))
+            return real_forward(xb, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "forward", recording_forward)
+        loss, _ = evaluate(x, labels, params, config)
+        assert sizes == [3, 3, 3, 2]
+        assert abs(loss - evaluate(x, labels, params, config, batch_size=11)[0]) <= 1e-12
 
     def test_label_guards(self):
         config = tiny_config()
