@@ -38,6 +38,7 @@ from .errors import (
     DimMismatchError,
     EmptyInputError,
     EmptyTableError,
+    InvalidUtf8Error,
     ParseFloatError,
     TruncatedRecordError,
     ValidationError,
@@ -91,6 +92,15 @@ def iter_lines(source) -> Iterator[bytes]:
     tail = b"".join(pending)
     if tail:
         yield tail
+
+
+def decode_line(raw: bytes, line_no: int, what: str = "line") -> str:
+    """A line decoded as UTF-8; an InvalidUtf8Error naming the line if it is not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidUtf8Error(
+            f"{what} {line_no}: byte {exc.start + 1} is not valid UTF-8", exc) from None
 
 
 @dataclass
@@ -226,7 +236,7 @@ class _TextRows:
         """Decode the block line by line with ``float()``, raising at the first bad line."""
         rows = []
         for line_no, raw in enumerate(raws, self.line_no + 1):
-            parts = raw.decode("utf-8").split()
+            parts = decode_line(raw, line_no).split()
             if not parts:
                 continue
             self.n_data += 1

@@ -21,6 +21,21 @@ class ValidationError(EmbfuseError):
     exit_code = 1
 
 
+class InvalidUtf8Error(ValidationError, UnicodeDecodeError):
+    """A line of text input that is not UTF-8.
+
+    Still a UnicodeDecodeError carrying the codec's details, so a caller
+    that catches the decode error keeps working.
+    """
+
+    def __init__(self, message: str, exc: UnicodeDecodeError):
+        UnicodeDecodeError.__init__(self, exc.encoding, exc.object, exc.start, exc.end, exc.reason)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
 # --- embedding_io ---
 
 class EmptyInputError(EmbfuseError):

@@ -12,22 +12,29 @@ Index 0 marks left padding. Padded steps pass the recurrent state through
 unchanged in both directions, and pooling ignores them, so adding more left
 padding never changes the output.
 
+Parameters have one representation: the 14 weight blocks (and the embedding,
+when it is trained) are reshaped views into one contiguous float64 vector,
+``ModelParameters.flat``, so an optimizer updates every block by writing that
+vector in place. A frozen embedding is held outside it.
+
 Training-mode forward returns a trace for exact backpropagation through time
 (BPTT). For each recurrent direction it holds a store of preallocated
 (T, B, .) arrays filled step by step: the gate activations, the hidden states
 (and for the LSTM the cell states and tanh of the new cell state), and for
 the GRU the recurrent products h U. The backward pass consumes the store,
-overwriting the gate arrays with the gate gradients. Inference-mode forward
-keeps no store: each direction holds only its output sequence and its input
-preactivations, which the gate activations overwrite step by step.
-Gradients are checked against central finite differences in the test suite.
+overwriting the gate arrays with the gate gradients, and writes each block's
+gradient straight into its view of one flat gradient vector laid out like
+``flat``. Inference-mode forward keeps no store: each direction holds only
+its output sequence and its input preactivations, which the gate activations
+overwrite step by step. Gradients are checked against central finite
+differences in the test suite.
 """
 from __future__ import annotations
 
 import json
 import struct
 from dataclasses import dataclass, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -92,25 +99,77 @@ _BLOCK_ORDER = (
 )
 
 
-@dataclass
+class _BlockViews(dict):
+    """The block views of a parameter set, by name; rebinding a name raises.
+
+    A block swapped for a new array would be cut off from the buffer, so the
+    optimizer would update one array while forward read another.
+    """
+
+    def _rebind(self, *args, **kwargs):
+        raise TypeError("parameter blocks are views of ModelParameters.flat: "
+                        "write into a block instead of rebinding it")
+
+    __setitem__ = __delitem__ = __ior__ = _rebind
+    clear = pop = popitem = setdefault = update = _rebind
+
+
 class ModelParameters:
-    """All weights plus the embedding matrix, addressable by block name."""
+    """All weights plus the embedding matrix, addressable by block name.
 
-    blocks: Dict[str, np.ndarray]
-    embedding: np.ndarray
+    The trainable weights live in one float64 vector, ``flat``: the blocks of
+    _BLOCK_ORDER back to back, then the embedding when ``train_embedding`` is
+    set. ``blocks[name]`` (and then ``embedding``) are reshaped views of it, so
+    an update written into ``flat`` is the update of every block. ``blocks``
+    refuses rebinding a name: a block is changed by writing into it. A frozen embedding is held outside the buffer.
+    """
 
-    def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        self.blocks = {k: np.asarray(v, dtype=np.float64) for k, v in self.blocks.items()}
-        missing = [name for name in _BLOCK_ORDER if name not in self.blocks]
+    def __init__(self, blocks: Mapping[str, np.ndarray], embedding: np.ndarray,
+                 train_embedding: bool):
+        embedding = np.asarray(embedding, dtype=np.float64)
+        missing = [name for name in _BLOCK_ORDER if name not in blocks]
         if missing:
             raise ValidationError(f"missing parameter blocks: {missing}")
+        unknown = sorted(set(blocks) - set(_BLOCK_ORDER))
+        if unknown:
+            raise ValidationError(f"unknown parameter blocks: {unknown}")
+        names = _BLOCK_ORDER + (("embedding",) if train_embedding else ())
+        arrays = [embedding if name == "embedding" else np.asarray(blocks[name], dtype=np.float64)
+                  for name in names]
+        self.layout = tuple((name, a.shape) for name, a in zip(names, arrays))  # buffer order
+        self._bind(np.concatenate([a.ravel() for a in arrays]), embedding)
+
+    def _bind(self, flat: np.ndarray, embedding: Optional[np.ndarray]) -> None:
+        self.flat = flat
+        views = self.split(flat)
+        self.embedding = views.pop("embedding", embedding)
+        self.blocks = _BlockViews(views)
+
+    @property
+    def train_embedding(self) -> bool:
+        return self.layout[-1][0] == "embedding"
+
+    def split(self, vec: np.ndarray) -> Dict[str, np.ndarray]:
+        """Named reshaped views of a vector laid out like ``flat``."""
+        if vec.shape != self.flat.shape:
+            raise ShapeMismatchError("flat vector length does not match the parameter layout")
+        views: Dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in self.layout:
+            size = int(np.prod(shape))
+            views[name] = vec[offset:offset + size].reshape(shape)
+            offset += size
+        return views
+
+    def _over(self, flat: np.ndarray) -> "ModelParameters":
+        """A set with this layout whose trainable weights are flat; a frozen embedding is copied."""
+        new = ModelParameters.__new__(ModelParameters)
+        new.layout = self.layout
+        new._bind(flat, None if self.train_embedding else self.embedding.copy())
+        return new
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            blocks={k: v.copy() for k, v in self.blocks.items()},
-            embedding=self.embedding.copy(),
-        )
+        return self._over(self.flat.copy())
 
 
 def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:
@@ -120,38 +179,33 @@ def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:
     return names
 
 
-def _get_block(params: ModelParameters, name: str) -> np.ndarray:
-    return params.embedding if name == "embedding" else params.blocks[name]
+def _check_layout(params: ModelParameters, config: ModelConfig) -> None:
+    if params.train_embedding != config.train_embedding:
+        raise ShapeMismatchError("parameter layout does not match config.train_embedding")
 
 
 def to_flat(params: ModelParameters, config: ModelConfig) -> np.ndarray:
-    """Concatenate the trainable blocks into one float64 vector."""
-    return np.concatenate([_get_block(params, n).ravel() for n in trainable_block_names(config)])
+    """A copy of the trainable weights as one float64 vector (blocks, then a trained embedding)."""
+    _check_layout(params, config)
+    return params.flat.copy()
 
 
 def from_flat(params: ModelParameters, config: ModelConfig, flat: np.ndarray) -> ModelParameters:
-    """Rebuild a parameter set from a flat vector (round-trip of to_flat)."""
-    flat = np.asarray(flat, dtype=np.float64)
-    new = params.copy()
-    offset = 0
-    for name in trainable_block_names(config):
-        block = _get_block(params, name)
-        chunk = flat[offset:offset + block.size]
-        if chunk.size != block.size:
-            raise ShapeMismatchError("flat vector length does not match the parameter layout")
-        value = chunk.reshape(block.shape)
-        if name == "embedding":
-            new.embedding = value.copy()
-        else:
-            new.blocks[name] = value.copy()
-        offset += block.size
-    if offset != flat.size:
+    """A new parameter set with the trainable weights copied from flat (round-trip of to_flat)."""
+    _check_layout(params, config)
+    flat = np.array(flat, dtype=np.float64)
+    if flat.shape != params.flat.shape:
         raise ShapeMismatchError("flat vector length does not match the parameter layout")
-    return new
+    return params._over(flat)
 
 
-def grads_to_flat(grads: Dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
-    return np.concatenate([grads[n].ravel() for n in trainable_block_names(config)])
+def grads_to_flat(grads: Mapping[str, np.ndarray], config: ModelConfig) -> np.ndarray:
+    """Per-block gradients, named as ``ModelParameters.split`` names them, packed into one vector.
+
+    The inverse of ``params.split(grad)``. The training loop does not use it:
+    backpropagation writes its gradient into a flat vector to begin with.
+    """
+    return np.concatenate([np.ravel(grads[name]) for name in trainable_block_names(config)])
 
 
 def init_parameters(
@@ -195,7 +249,7 @@ def init_parameters(
     feat = 2 * Hl + 2 * Hg
     blocks["dense_W"] = glorot(feat, C, (feat, C))
     blocks["dense_b"] = np.zeros(C)
-    return ModelParameters(blocks=blocks, embedding=embedding.copy())
+    return ModelParameters(blocks, embedding.copy(), config.train_embedding)
 
 
 # --- cell math: one definition, shared by the single-step cells and the scans ---
@@ -353,8 +407,9 @@ def _lstm_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = Fa
     return _batch_major(hs[1:], reverse), store
 
 
-def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, need_dx: bool = True):
-    """BPTT through one LSTM direction; returns (dX or None, dW, dU, db).
+def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need_dx: bool = True):
+    """BPTT through one LSTM direction; writes (dW, dU, db) into the arrays
+    out and returns dX, or None unless need_dx.
 
     Consumes store: the gate array ends up holding the gate gradients.
     """
@@ -404,11 +459,11 @@ def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, need_dx:
         dc *= carry[s]
         dh = np.where(valid[s], gates[s] @ UT, dh_total)
     da = gates.reshape(T * B, 4 * H)
-    dW = _scan_rows(X, reverse).T @ da
-    dU = hs[:-1].reshape(T * B, H).T @ da
-    db = da.sum(axis=0)
-    dX = _batch_major((da @ W.T).reshape(T, B, -1), reverse) if need_dx else None
-    return dX, dW, dU, db
+    dW, dU, db = out
+    np.matmul(_scan_rows(X, reverse).T, da, out=dW)
+    np.matmul(hs[:-1].reshape(T * B, H).T, da, out=dU)
+    da.sum(axis=0, out=db)
+    return _batch_major((da @ W.T).reshape(T, B, -1), reverse) if need_dx else None
 
 
 def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
@@ -432,8 +487,9 @@ def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = Fal
     return _batch_major(hs[1:], reverse), store
 
 
-def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool):
-    """BPTT through one GRU direction; returns (dX, dW, dU, db).
+def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out):
+    """BPTT through one GRU direction; writes (dW, dU, db) into the arrays
+    out and returns dX.
 
     Consumes store: the gate array ends up holding the input-side gradient
     dw_in and the recurrent products hus the recurrent-side gradient du_in.
@@ -480,11 +536,11 @@ def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool):
         dh = hus[s] @ UT
         dh += dh_total * keep[s]
     dw_in = gates.reshape(T * B, 3 * G)
-    dW = _scan_rows(X, reverse).T @ dw_in
-    dU = hs[:-1].reshape(T * B, G).T @ hus.reshape(T * B, 3 * G)
-    db = dw_in.sum(axis=0)
-    dX = _batch_major((dw_in @ W.T).reshape(T, B, -1), reverse)
-    return dX, dW, dU, db
+    dW, dU, db = out
+    np.matmul(_scan_rows(X, reverse).T, dw_in, out=dW)
+    np.matmul(hs[:-1].reshape(T * B, G).T, hus.reshape(T * B, 3 * G), out=dU)
+    dw_in.sum(axis=0, out=db)
+    return _batch_major((dw_in @ W.T).reshape(T, B, -1), reverse)
 
 
 def masked_max_pool(seq: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -513,25 +569,23 @@ def _masked_max_pool_backward(dpool, argmax, all_pad, shape) -> np.ndarray:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate needed for an exact backward pass.
+    """The intermediates the exact backward pass reads, and nothing more.
 
-    The backward pass consumes the four recurrent stores, so a trace is
-    backpropagated at most once.
+    Dropout scales each layer's output in place, so only the dropped-out
+    arrays are kept. The backward pass consumes the four recurrent stores, so
+    a trace is backpropagated at most once.
     """
 
     x: np.ndarray
     mask: np.ndarray
-    emb: np.ndarray
     sd_mask: Optional[np.ndarray]
     emb_dropped: np.ndarray
     lstm_fw_store: tuple
     lstm_bw_store: tuple
-    S: np.ndarray
     do1_mask: Optional[np.ndarray]
     S_dropped: np.ndarray
     gru_fw_store: tuple
     gru_bw_store: tuple
-    G: np.ndarray
     do2_mask: Optional[np.ndarray]
     G_dropped: np.ndarray
     pool1: Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -573,41 +627,36 @@ def forward(
         raise ValidationError("training-mode forward with dropout needs an rng")
 
     mask = (x != 0).astype(np.float64)
-    emb = params.embedding[x]
+    emb_dropped = params.embedding[x]  # a gathered copy, so dropout can scale it in place
 
     sd_mask = None
     if training and config.spatial_dropout_rate > 0:
-        sd_mask = _dropout_mask(rng, (emb.shape[0], 1, emb.shape[2]), config.spatial_dropout_rate)
-        emb_dropped = emb * sd_mask
-    else:
-        emb_dropped = emb
+        sd_mask = _dropout_mask(
+            rng, (emb_dropped.shape[0], 1, emb_dropped.shape[2]), config.spatial_dropout_rate)
+        emb_dropped *= sd_mask
 
     p = params.blocks
     fw_out, fw_store = _lstm_direction_forward(
         emb_dropped, mask, p["lstm_fw_W"], p["lstm_fw_U"], p["lstm_fw_b"], False, training)
     bw_out, bw_store = _lstm_direction_forward(
         emb_dropped, mask, p["lstm_bw_W"], p["lstm_bw_U"], p["lstm_bw_b"], True, training)
-    S = np.concatenate([fw_out, bw_out], axis=2)
+    S_dropped = np.concatenate([fw_out, bw_out], axis=2)
 
     do1_mask = None
     if training and config.dropout_rate > 0:
-        do1_mask = _dropout_mask(rng, S.shape, config.dropout_rate)
-        S_dropped = S * do1_mask
-    else:
-        S_dropped = S
+        do1_mask = _dropout_mask(rng, S_dropped.shape, config.dropout_rate)
+        S_dropped *= do1_mask
 
     gfw_out, gfw_store = _gru_direction_forward(
         S_dropped, mask, p["gru_fw_W"], p["gru_fw_U"], p["gru_fw_b"], False, training)
     gbw_out, gbw_store = _gru_direction_forward(
         S_dropped, mask, p["gru_bw_W"], p["gru_bw_U"], p["gru_bw_b"], True, training)
-    G = np.concatenate([gfw_out, gbw_out], axis=2)
+    G_dropped = np.concatenate([gfw_out, gbw_out], axis=2)
 
     do2_mask = None
     if training and config.dropout_rate > 0:
-        do2_mask = _dropout_mask(rng, G.shape, config.dropout_rate)
-        G_dropped = G * do2_mask
-    else:
-        G_dropped = G
+        do2_mask = _dropout_mask(rng, G_dropped.shape, config.dropout_rate)
+        G_dropped *= do2_mask
 
     pool1 = masked_max_pool(S_dropped, mask)
     pool2 = masked_max_pool(G_dropped, mask)
@@ -622,10 +671,10 @@ def forward(
     if not training:
         return probs, None
     trace = ForwardTrace(
-        x=x, mask=mask, emb=emb, sd_mask=sd_mask, emb_dropped=emb_dropped,
-        lstm_fw_store=fw_store, lstm_bw_store=bw_store, S=S,
+        x=x, mask=mask, sd_mask=sd_mask, emb_dropped=emb_dropped,
+        lstm_fw_store=fw_store, lstm_bw_store=bw_store,
         do1_mask=do1_mask, S_dropped=S_dropped,
-        gru_fw_store=gfw_store, gru_bw_store=gbw_store, G=G,
+        gru_fw_store=gfw_store, gru_bw_store=gbw_store,
         do2_mask=do2_mask, G_dropped=G_dropped,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
     )
@@ -642,58 +691,58 @@ def _backward(
     labels: np.ndarray,
     params: ModelParameters,
     config: ModelConfig,
-) -> Dict[str, np.ndarray]:
+    grad: np.ndarray,
+) -> None:
+    """Write the gradient into grad, a vector laid out like params.flat.
+
+    Every block's gradient is computed straight into its view of grad.
+    """
     p = params.blocks
+    g = params.split(grad)
     B = trace.probs.shape[0]
     Hl = config.lstm_units
-    grads: Dict[str, np.ndarray] = {}
 
     onehot = np.zeros_like(trace.probs)
     onehot[np.arange(B), labels] = 1.0
     dlogits = (trace.probs - onehot) / B
 
-    grads["dense_W"] = trace.feats.T @ dlogits
-    grads["dense_b"] = dlogits.sum(axis=0)
+    np.matmul(trace.feats.T, dlogits, out=g["dense_W"])
+    dlogits.sum(axis=0, out=g["dense_b"])
     dfeats = dlogits @ p["dense_W"].T
 
     dpool1 = dfeats[:, :2 * Hl]
     dpool2 = dfeats[:, 2 * Hl:]
 
-    dG_dropped = _masked_max_pool_backward(dpool2, trace.pool2[1], trace.pool2[2], trace.G.shape)
-    dG = dG_dropped * trace.do2_mask if trace.do2_mask is not None else dG_dropped
+    dG = _masked_max_pool_backward(dpool2, trace.pool2[1], trace.pool2[2], trace.G_dropped.shape)
+    if trace.do2_mask is not None:
+        dG *= trace.do2_mask
 
     G_units = config.gru_units
-    dS_fw, dWgf, dUgf, dbgf = _gru_direction_backward(
-        dG[:, :, :G_units], trace.S_dropped, trace.mask,
-        p["gru_fw_W"], p["gru_fw_U"], trace.gru_fw_store, reverse=False)
-    dS_bw, dWgb, dUgb, dbgb = _gru_direction_backward(
-        dG[:, :, G_units:], trace.S_dropped, trace.mask,
-        p["gru_bw_W"], p["gru_bw_U"], trace.gru_bw_store, reverse=True)
-    grads["gru_fw_W"], grads["gru_fw_U"], grads["gru_fw_b"] = dWgf, dUgf, dbgf
-    grads["gru_bw_W"], grads["gru_bw_U"], grads["gru_bw_b"] = dWgb, dUgb, dbgb
-
-    dS_dropped = dS_fw + dS_bw
-    dS_dropped += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S.shape)
-    dS = dS_dropped * trace.do1_mask if trace.do1_mask is not None else dS_dropped
+    dS = _gru_direction_backward(
+        dG[:, :, :G_units], trace.S_dropped, trace.mask, p["gru_fw_W"], p["gru_fw_U"],
+        trace.gru_fw_store, False, (g["gru_fw_W"], g["gru_fw_U"], g["gru_fw_b"]))
+    dS += _gru_direction_backward(
+        dG[:, :, G_units:], trace.S_dropped, trace.mask, p["gru_bw_W"], p["gru_bw_U"],
+        trace.gru_bw_store, True, (g["gru_bw_W"], g["gru_bw_U"], g["gru_bw_b"]))
+    del dG  # not needed by the LSTM backward, whose stores are the largest
+    dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
+    if trace.do1_mask is not None:
+        dS *= trace.do1_mask
 
     need_dx = config.train_embedding
-    dE_fw, dWlf, dUlf, dblf = _lstm_direction_backward(
-        dS[:, :, :Hl], trace.emb_dropped, trace.mask,
-        p["lstm_fw_W"], p["lstm_fw_U"], trace.lstm_fw_store, reverse=False, need_dx=need_dx)
-    dE_bw, dWlb, dUlb, dblb = _lstm_direction_backward(
-        dS[:, :, Hl:], trace.emb_dropped, trace.mask,
-        p["lstm_bw_W"], p["lstm_bw_U"], trace.lstm_bw_store, reverse=True, need_dx=need_dx)
-    grads["lstm_fw_W"], grads["lstm_fw_U"], grads["lstm_fw_b"] = dWlf, dUlf, dblf
-    grads["lstm_bw_W"], grads["lstm_bw_U"], grads["lstm_bw_b"] = dWlb, dUlb, dblb
+    dE = _lstm_direction_backward(
+        dS[:, :, :Hl], trace.emb_dropped, trace.mask, p["lstm_fw_W"], p["lstm_fw_U"],
+        trace.lstm_fw_store, False, (g["lstm_fw_W"], g["lstm_fw_U"], g["lstm_fw_b"]), need_dx)
+    dE_bw = _lstm_direction_backward(
+        dS[:, :, Hl:], trace.emb_dropped, trace.mask, p["lstm_bw_W"], p["lstm_bw_U"],
+        trace.lstm_bw_store, True, (g["lstm_bw_W"], g["lstm_bw_U"], g["lstm_bw_b"]), need_dx)
 
     if need_dx:
-        dE = dE_fw + dE_bw
+        dE += dE_bw
         if trace.sd_mask is not None:
-            dE = dE * trace.sd_mask
-        dEmb = np.zeros_like(params.embedding)
-        np.add.at(dEmb, trace.x, dE)
-        grads["embedding"] = dEmb
-    return grads
+            dE *= trace.sd_mask
+        g["embedding"][...] = 0.0
+        np.add.at(g["embedding"], trace.x, dE)
 
 
 def loss_and_grad(
@@ -703,7 +752,7 @@ def loss_and_grad(
     config: ModelConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its flat gradient."""
+    """Mean cross-entropy over the batch and its gradient, a new vector laid out like params.flat."""
     loss, _, grad = _loss_probs_grad(x, labels, params, config, rng)
     return loss, grad
 
@@ -718,10 +767,12 @@ def _loss_probs_grad(x, labels, params, config, rng):
         raise ShapeMismatchError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= config.num_classes):
         raise IndexOutOfRangeError("labels must lie in 0..2")
+    _check_layout(params, config)
     probs, trace = forward(x, params, config, training=True, rng=rng)
     loss = _loss_from_trace(trace, labels)
-    grads = _backward(trace, labels, params, config)
-    return loss, probs, grads_to_flat(grads, config)
+    grad = np.empty_like(params.flat)
+    _backward(trace, labels, params, config, grad)
+    return loss, probs, grad
 
 
 # Inference runs in chunks of rows sized so that one chunk's LSTM
@@ -857,5 +908,5 @@ def load_checkpoint(fh) -> Tuple[ModelParameters, ModelConfig]:
     if "embedding" not in arrays:
         raise ValidationError("checkpoint is missing the embedding block")
     embedding = arrays.pop("embedding")
-    params = ModelParameters(blocks=arrays, embedding=embedding)
+    params = ModelParameters(arrays, embedding, config.train_embedding)
     return params, config

@@ -1,10 +1,17 @@
 """First-order optimizers, the training loop, and the comparison harness.
 
 Five update rules (sgd, sgd with momentum, adagrad, adadelta, adam) share a
-flat-vector interface so the whole parameter set is one array. On top of
-them sit the epoch loop with per-epoch metrics, a learning-rate range search
-over a log grid, and an optimizer-by-embedding sweep that fans out over a
-small grid of training runs and collects their histories.
+flat-vector interface so the whole parameter set is one array. Each rule is
+written once, as an in-place update: ``step(w, g, out=w)`` overwrites the
+weights, and ``step(w, g)`` returns new weights and leaves w untouched. The
+training loop steps ``params.flat`` in place, so the block views of the
+model's parameters see each update with no copying; the optimizer's state
+vectors are allocated once, and only the step's temporaries are transient.
+
+On top of the rules sit the epoch loop with per-epoch metrics, a
+learning-rate range search over a log grid, and an optimizer-by-embedding
+sweep that fans out over a small grid of training runs and collects their
+histories.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .model import (
+from .model import (  # noqa: F401  from_flat and to_flat are re-exported helpers
     ModelConfig,
     ModelParameters,
     _loss_probs_grad,
@@ -78,30 +85,42 @@ class OptimizerSpec:
 
 
 class _Stepper:
-    """Shared stepping shell: validates the gradient, applies the rule."""
+    """Shared stepping shell: validates the gradient, applies the rule in place."""
 
     def __init__(self, spec: OptimizerSpec, n: int):
         self.spec = spec
         self.n = n
 
-    def step(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def step(self, w: np.ndarray, g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The next weights: a new vector with out=None (w is left untouched),
+        or w itself, updated in place, with out=w.
+
+        Optimizer state advances only once the gradient has passed validation.
+        """
         w = np.asarray(w, dtype=np.float64)
         g = np.asarray(g, dtype=np.float64)
         if w.shape != (self.n,) or g.shape != (self.n,):
             raise ShapeMismatchError(
                 f"expected flat vectors of length {self.n}, got {w.shape} and {g.shape}"
             )
+        if out is not None and out is not w:
+            raise ShapeMismatchError("out must be None or w itself")
         if not np.isfinite(g).all():
             raise NonFiniteGradientError("gradient contains nan or inf")
-        return self._apply(w, g)
+        if out is None:
+            out = w.copy()
+        self._apply(out, g)
+        return out
 
-    def _apply(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def _apply(self, w: np.ndarray, g: np.ndarray) -> None:
+        """Update w and the state in place, in the rule's textbook operation
+        order, so the result is bit-identical to the out-of-place formula."""
         raise NotImplementedError
 
 
 class Sgd(_Stepper):
     def _apply(self, w, g):
-        return w - self.spec.learning_rate * g
+        w -= self.spec.learning_rate * g
 
 
 class SgdMomentum(_Stepper):
@@ -110,8 +129,9 @@ class SgdMomentum(_Stepper):
         self.velocity = np.zeros(n)
 
     def _apply(self, w, g):
-        self.velocity = self.spec.momentum * self.velocity + g
-        return w - self.spec.learning_rate * self.velocity
+        self.velocity *= self.spec.momentum
+        self.velocity += g
+        w -= self.spec.learning_rate * self.velocity
 
 
 class Adagrad(_Stepper):
@@ -120,8 +140,8 @@ class Adagrad(_Stepper):
         self.accum = np.zeros(n)
 
     def _apply(self, w, g):
-        self.accum = self.accum + g * g
-        return w - self.spec.learning_rate * g / np.sqrt(self.accum + self.spec.adagrad_eps)
+        self.accum += g * g
+        w -= self.spec.learning_rate * g / np.sqrt(self.accum + self.spec.adagrad_eps)
 
 
 class Adadelta(_Stepper):
@@ -132,10 +152,13 @@ class Adadelta(_Stepper):
 
     def _apply(self, w, g):
         rho, eps = self.spec.adadelta_rho, self.spec.adadelta_eps
-        self.sq_grad = rho * self.sq_grad + (1.0 - rho) * g * g
+        self.sq_grad *= rho
+        self.sq_grad += (1.0 - rho) * g * g
         delta = -np.sqrt(self.sq_delta + eps) / np.sqrt(self.sq_grad + eps) * g
-        self.sq_delta = rho * self.sq_delta + (1.0 - rho) * delta * delta
-        return w + self.spec.learning_rate * delta
+        self.sq_delta *= rho
+        self.sq_delta += (1.0 - rho) * delta * delta
+        delta *= self.spec.learning_rate
+        w += delta
 
 
 class Adam(_Stepper):
@@ -148,11 +171,18 @@ class Adam(_Stepper):
     def _apply(self, w, g):
         b1, b2, eps = self.spec.adam_beta1, self.spec.adam_beta2, self.spec.adam_eps
         self.t += 1
-        self.m = b1 * self.m + (1.0 - b1) * g
-        self.v = b2 * self.v + (1.0 - b2) * g * g
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * g * g
         m_hat = self.m / (1.0 - b1 ** self.t)
-        v_hat = self.v / (1.0 - b2 ** self.t)
-        return w - self.spec.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        denom = self.v / (1.0 - b2 ** self.t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        # w - lr * m_hat / (sqrt(v_hat) + eps), in place
+        m_hat *= self.spec.learning_rate
+        m_hat /= denom
+        w -= m_hat
 
 
 _STEPPERS = {
@@ -240,8 +270,8 @@ def train(
     if epochs < 1 or batch_size < 1:
         raise ValidationError("epochs and batch_size must be positive")
     params = init_parameters(config, embedding, derive_rng(seed, "init"))
-    flat = to_flat(params, config)
-    stepper = make_optimizer(spec, flat.size)
+    stepper = make_optimizer(spec, params.flat.size)
+    dropout = config.spatial_dropout_rate > 0 or config.dropout_rate > 0
     history = TrainingHistory(
         pair=pair_id, optimizer=spec.kind, learning_rate=spec.learning_rate, seed=seed,
     )
@@ -257,7 +287,7 @@ def train(
             idx = order[start:start + batch_size]
             xb = data.train_x[idx]
             yb = data.train_y[idx]
-            rng = derive_rng(seed, "dropout", epoch, bi)
+            rng = derive_rng(seed, "dropout", epoch, bi) if dropout else None
             loss, probs, grad = _loss_probs_grad(xb, yb, params, config, rng)
             if not math.isfinite(loss):
                 history.diverged = True
@@ -268,13 +298,12 @@ def train(
             correct += int((probs.argmax(axis=1) == yb).sum())
             seen += len(yb)
             try:
-                flat = stepper.step(flat, grad)
+                stepper.step(params.flat, grad, out=params.flat)
             except NonFiniteGradientError:
                 history.diverged = True
                 history.diverged_epoch = epoch
                 broke = True
                 break
-            params = from_flat(params, config, flat)
         if broke:
             break
         test_loss, test_acc = evaluate(data.test_x, data.test_y, params, config)

@@ -116,6 +116,46 @@ class TestInspect:
         assert "mean_norm=" in out
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 ends in one ERROR line naming its line, not a traceback."""
+
+    def test_inspect_glove(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a 1 2\nb\xff 3 4\n")
+        code, out, err = run(capsys, "inspect", str(path), "--format", "glove")
+        assert code == 1
+        assert err == "ERROR invalid: line 2: byte 2 is not valid UTF-8\n"
+
+    def test_inspect_fasttext_counts_the_header(self, capsys, tmp_path):
+        path = tmp_path / "bad.vec"
+        path.write_bytes(b"2 2\na 1 2\nb 3 4\xff\n")
+        code, out, err = run(capsys, "inspect", str(path), "--format", "fasttext")
+        assert code == 1
+        assert err == "ERROR invalid: line 3: byte 6 is not valid UTF-8\n"
+
+    def test_prepare_review_csv(self, capsys, tmp_path):
+        with open(os.path.join(FIXTURES, "reviews_50.csv"), "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[3] = b"\xff" + lines[3]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code, out, err = run(capsys, "prepare", "--csv", str(bad),
+                             "--out", str(tmp_path / "d.ds"), "--max-len", "16")
+        assert code == 1
+        assert err == "ERROR invalid: CSV line 4: byte 1 is not valid UTF-8\n"
+        assert not (tmp_path / "d.ds").exists()
+
+    def test_prepare_lemma_table(self, capsys, tmp_path):
+        table = tmp_path / "lemmas.tsv"
+        table.write_bytes(b"cats\tcat\ndogs\tdo\xc3g\n")
+        code, out, err = run(capsys, "prepare",
+                             "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                             "--lemma-table", str(table),
+                             "--out", str(tmp_path / "d.ds"), "--max-len", "16")
+        assert code == 1
+        assert err == "ERROR invalid: lemma table line 2: byte 8 is not valid UTF-8\n"
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """Run prepare and fuse once; later tests reuse the artifacts."""

@@ -19,6 +19,7 @@ from embfuse.model import (
     evaluate,
     forward,
     from_flat,
+    grads_to_flat,
     gru_cell_step,
     inference_batch_size,
     init_parameters,
@@ -340,14 +341,14 @@ class TestForwardInvariances:
         swapped = params.copy()
         for kind in ("lstm", "gru"):
             for part in ("W", "U", "b"):
-                a = swapped.blocks[f"{kind}_fw_{part}"]
-                swapped.blocks[f"{kind}_fw_{part}"] = swapped.blocks[f"{kind}_bw_{part}"]
-                swapped.blocks[f"{kind}_bw_{part}"] = a
+                fw = swapped.blocks[f"{kind}_fw_{part}"]
+                bw = swapped.blocks[f"{kind}_bw_{part}"]
+                fw[...], bw[...] = bw.copy(), fw.copy()
         for d in ("fw", "bw"):
             Wg = swapped.blocks[f"gru_{d}_W"]
-            swapped.blocks[f"gru_{d}_W"] = np.concatenate([Wg[Hl:], Wg[:Hl]], axis=0)
+            Wg[...] = np.concatenate([Wg[Hl:], Wg[:Hl]], axis=0)
         Wd = swapped.blocks["dense_W"]
-        swapped.blocks["dense_W"] = np.concatenate([
+        Wd[...] = np.concatenate([
             Wd[Hl:2 * Hl], Wd[:Hl], Wd[2 * Hl + Hg:], Wd[2 * Hl:2 * Hl + Hg],
         ], axis=0)
 
@@ -485,6 +486,23 @@ class TestFlatPacking:
         params = init_parameters(config, emb)
         with pytest.raises(ShapeMismatchError):
             from_flat(params, config, np.zeros(3))
+
+    @pytest.mark.parametrize("train_embedding", [False, True])
+    def test_grads_to_flat_inverts_split(self, train_embedding):
+        config = tiny_config(train_embedding=train_embedding)
+        x, labels, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        _, grad = loss_and_grad(x, labels, params, config)
+        assert np.array_equal(grads_to_flat(params.split(grad), config), grad)
+
+    def test_blocks_cannot_be_rebound(self):
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        with pytest.raises(TypeError):
+            params.blocks["dense_b"] = np.zeros(3)
+        params.blocks["dense_b"][...] = 1.0
+        assert np.array_equal(to_flat(params, config)[-3:], np.ones(3))
 
 
 class TestEvaluatePredict:

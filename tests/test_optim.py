@@ -13,7 +13,7 @@ from embfuse.errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from embfuse.model import ModelConfig
+from embfuse.model import ModelConfig, load_checkpoint, save_checkpoint
 from embfuse.optim import (
     DEFAULT_LR,
     DEFAULT_LR_GRID,
@@ -139,6 +139,34 @@ class TestStepRules:
             opt.step(np.zeros(3), np.array([1.0, np.inf, 0.0]))
 
 
+class TestInPlaceStep:
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_out_equals_pure_step_and_pure_leaves_w(self, kind):
+        spec = OptimizerSpec(kind=kind, learning_rate=DEFAULT_LR[kind])
+        pure, inplace = make_optimizer(spec, 50), make_optimizer(spec, 50)
+        rng = derive_rng(23, "in-place", kind)
+        w = rng.normal(size=50)
+        w_inplace = w.copy()
+        for _ in range(20):
+            g = rng.normal(size=50)
+            before = w.copy()
+            w_next = pure.step(w, g)
+            assert np.array_equal(w, before)
+            assert w_next is not w
+            assert inplace.step(w_inplace, g, out=w_inplace) is w_inplace
+            assert np.array_equal(w_next, w_inplace)
+            w = w_next
+
+    def test_bad_out_rejected_and_state_untouched(self):
+        opt = make_optimizer(OptimizerSpec(kind="sgd_momentum", learning_rate=0.1), 4)
+        w = np.zeros(4)
+        with pytest.raises(ShapeMismatchError):
+            opt.step(w, np.ones(4), out=w.copy())
+        with pytest.raises(NonFiniteGradientError):
+            opt.step(w, np.array([1.0, np.nan, 0.0, 0.0]), out=w)
+        assert np.array_equal(w, np.zeros(4)) and not opt.velocity.any()
+
+
 class TestConvexConvergence:
     """Quadratic bowl: every optimizer must find the minimum."""
 
@@ -232,6 +260,52 @@ class TestTrain:
         _, hist = train(data, tiny_embedding, small_config(), spec,
                         epochs=1, batch_size=16, seed=5)
         assert math.isnan(hist.test_loss[0]) and math.isnan(hist.test_accuracy[0])
+
+
+class TestTrainParameterBuffer:
+    @pytest.mark.parametrize("train_embedding", [False, True])
+    def test_blocks_stay_views_of_the_flat_buffer(self, tiny_dataset, tiny_embedding,
+                                                  train_embedding):
+        params, _ = train(tiny_dataset, tiny_embedding,
+                          small_config(train_embedding=train_embedding),
+                          OptimizerSpec(kind="adam", learning_rate=0.01),
+                          epochs=1, batch_size=16, seed=5)
+        assert all(np.shares_memory(b, params.flat) for b in params.blocks.values())
+        assert np.shares_memory(params.embedding, params.flat) == train_embedding
+        assert params.flat.size == sum(b.size for b in params.blocks.values()) + (
+            params.embedding.size if train_embedding else 0)
+
+    def test_train_never_copies_to_or_from_flat(self, tiny_dataset, tiny_embedding, monkeypatch):
+        from embfuse import model, optim
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("to_flat", "from_flat", "grads_to_flat"):
+            wrapper = counting(name, getattr(model, name))
+            monkeypatch.setattr(model, name, wrapper)
+            monkeypatch.setattr(optim, name, wrapper, raising=False)
+        train(tiny_dataset, tiny_embedding, small_config(spatial_dropout_rate=0.2, dropout_rate=0.3),
+              OptimizerSpec(kind="sgd_momentum", learning_rate=0.05), epochs=2, batch_size=16, seed=5)
+        assert calls == []
+
+    def test_trained_checkpoint_round_trips_byte_identically(self, tiny_dataset, tiny_embedding):
+        config = small_config(train_embedding=True)
+        params, _ = train(tiny_dataset, tiny_embedding, config,
+                          OptimizerSpec(kind="adadelta", learning_rate=1.0),
+                          epochs=1, batch_size=16, seed=5)
+        first = io.BytesIO()
+        save_checkpoint(first, params, config)
+        loaded, loaded_config = load_checkpoint(io.BytesIO(first.getvalue()))
+        second = io.BytesIO()
+        save_checkpoint(second, loaded, loaded_config)
+        assert second.getvalue() == first.getvalue()
+        assert np.array_equal(loaded.flat, params.flat)
+        assert all(np.shares_memory(b, loaded.flat) for b in loaded.blocks.values())
 
 
 class TestSplitDataset:
