@@ -9,6 +9,7 @@ for bad invocations or input validation, 2 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import charts, corpus, fusion, model, optim
-from .embedding_io import FORMATS, parse_embedding, write_word2vec_binary
+from .embedding_io import FORMATS, decode_line, parse_embedding, write_word2vec_binary
 from .errors import EmbfuseError, EmptySeriesError, ValidationError
 
 
@@ -163,12 +164,17 @@ def _build_parser(command: str) -> _Parser:
     return parser
 
 
+def _read_lines(path: str, what: str) -> List[str]:
+    """A text file's lines, ends kept; a line that is not UTF-8 raises an error naming it."""
+    with open(path, "rb") as fh:
+        return [decode_line(raw, i, f"{what} line") for i, raw in enumerate(fh, 1)]
+
+
 def _load_config(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file is not valid JSON: {exc}") from None
+    try:
+        loaded = json.loads("".join(_read_lines(path, "config file")))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValidationError("config file must hold a JSON object")
     for key in loaded:
@@ -177,15 +183,25 @@ def _load_config(path: str) -> Dict[str, Any]:
     return loaded
 
 
+def _config_value(opt: _Opt, value: Any) -> Any:
+    """A config file's value for opt, converted as argparse converts the flag's text."""
+    if opt.is_flag or value is None:
+        return value
+    if type(value) in (str, int, float):
+        try:
+            return opt.type(str(value))
+        except ValueError:
+            pass
+    raise ValidationError(f"config key {opt.dest!r} expects {opt.type.__name__}, got {value!r}")
+
+
 def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
     config = _load_config(ns.config) if ns.config else {}
     merged: Dict[str, Any] = {}
     for opt in _COMMAND_OPTS[command]:
         value = getattr(ns, opt.dest)
         if value is None and opt.dest in config:
-            value = config[opt.dest]
-            if isinstance(value, str) and opt.type is not str and not opt.is_flag:
-                value = opt.type(value)
+            value = _config_value(opt, config[opt.dest])
         if value is None:
             value = opt.default if not opt.is_flag else False
         if value is None and opt.required:
@@ -322,9 +338,8 @@ def _run_fuse(opts: Dict[str, Any]) -> int:
     for line in report.lines():
         print(line)
     if opts["report"]:
-        import csv as _csv
         with open(opts["report"], "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["key", "value"])
             writer.writerows(report.rows())
     print(f"wrote {opts['out']}")
@@ -388,25 +403,23 @@ def _run_train(opts: Dict[str, Any]) -> int:
 
 
 def _load_pairs(path: str, dicts: corpus.CorpusDictionaries) -> List[Tuple[str, np.ndarray]]:
-    import csv as _csv
     _require_file(path, "pair manifest")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["pair", "path"]:
-            raise ValidationError("pair manifest must start with a 'pair,path' header")
-        base = os.path.dirname(os.path.abspath(path))
-        pairs: List[Tuple[str, np.ndarray]] = []
-        for row in reader:
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ValidationError(f"bad manifest row: {row!r}")
-            pair_id = row[0].strip()
-            emb_path = row[1].strip()
-            if not os.path.isabs(emb_path):
-                emb_path = os.path.join(base, emb_path)
-            pairs.append((pair_id, _load_fused_matrix(emb_path, dicts)))
+    reader = csv.reader(_read_lines(path, "pair manifest"))
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header[:2]] != ["pair", "path"]:
+        raise ValidationError("pair manifest must start with a 'pair,path' header")
+    base = os.path.dirname(os.path.abspath(path))
+    pairs: List[Tuple[str, np.ndarray]] = []
+    for row in reader:
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        if len(row) < 2:
+            raise ValidationError(f"bad manifest row: {row!r}")
+        pair_id = row[0].strip()
+        emb_path = row[1].strip()
+        if not os.path.isabs(emb_path):
+            emb_path = os.path.join(base, emb_path)
+        pairs.append((pair_id, _load_fused_matrix(emb_path, dicts)))
     if not pairs:
         raise ValidationError("pair manifest lists no pairs")
     return pairs
@@ -491,10 +504,8 @@ def _run_eval(opts: Dict[str, Any]) -> int:
 
 
 def _run_report(opts: Dict[str, Any]) -> int:
-    import csv as _csv
     _require_file(opts["history"], "history CSV")
-    with open(opts["history"], "r", encoding="utf-8", newline="") as fh:
-        histories = optim.read_history_csv(fh)
+    histories = optim.read_history_csv(_read_lines(opts["history"], "history CSV"))
     if not histories:
         raise ValidationError("history CSV holds no runs")
     os.makedirs(opts["out_dir"], exist_ok=True)
@@ -506,7 +517,7 @@ def _run_report(opts: Dict[str, Any]) -> int:
         _write_history_chart(histories, pair_id, opts["out_dir"])
     summary_path = os.path.join(opts["out_dir"], "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([
             "pair", "optimizer", "learning_rate", "epochs",
             "final_train_loss", "final_test_accuracy", "diverged",

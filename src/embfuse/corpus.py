@@ -461,7 +461,10 @@ def write_dataset(ds: PreparedDataset, fh) -> None:
 
 
 def read_dataset(fh) -> PreparedDataset:
-    """Read a dataset written by write_dataset, validating counts."""
+    """Read a dataset written by write_dataset, validating counts.
+
+    A line that does not parse raises ValidationError naming its line number.
+    """
     first = fh.readline().split()
     if len(first) != 2 or first[0] != _DATASET_MAGIC:
         raise ValidationError("not an embfuse dataset file")
@@ -470,7 +473,10 @@ def read_dataset(fh) -> PreparedDataset:
     header: Dict[str, int] = {}
     for part in fh.readline().split():
         key, _, value = part.partition("=")
-        header[key] = int(value)
+        try:
+            header[key] = int(value)
+        except ValueError:
+            raise ValidationError(f"dataset line 2: bad header field {part!r}") from None
     for key in ("vocab_size", "max_len", "train", "test"):
         if key not in header:
             raise ValidationError(f"dataset header missing {key}")
@@ -478,33 +484,37 @@ def read_dataset(fh) -> PreparedDataset:
         raise ValidationError("expected [words] section")
     dict_words: Dict[str, int] = {}
     lemma_dict: Dict[str, str] = {}
-    line = fh.readline()
+    lines = enumerate(iter(fh.readline, ""), 4)
+    line_no, line = next(lines, (0, ""))
     while line and not line.startswith("["):
-        token, idx, lemma = line.rstrip("\n").split("\t")
-        dict_words[token] = int(idx)
+        try:
+            token, idx, lemma = line.rstrip("\n").split("\t")
+            dict_words[token] = int(idx)
+        except ValueError:
+            raise ValidationError(f"dataset line {line_no}: expected token<TAB>index<TAB>lemma") from None
         lemma_dict[token] = lemma
-        line = fh.readline()
+        line_no, line = next(lines, (0, ""))
     if len(dict_words) + 2 != header["vocab_size"]:
         raise ValidationError("word section does not match declared vocab_size")
     dicts = CorpusDictionaries(dict_words, lemma_dict, header["vocab_size"])
 
     sections: Dict[str, List[EncodedExample]] = {"train": [], "test": []}
     current = line.strip().strip("[]") if line else ""
-    line = fh.readline()
-    while line:
+    for line_no, line in lines:
         if line.startswith("["):
             current = line.strip().strip("[]")
         else:
             if current not in sections:
                 raise ValidationError(f"unknown dataset section {current!r}")
             label_text, _, idx_text = line.rstrip("\n").partition("\t")
-            indices = [int(v) for v in idx_text.split()]
+            try:
+                indices = [int(v) for v in idx_text.split()]
+                label = SentimentLabel(int(label_text))
+            except ValueError as exc:
+                raise ValidationError(f"dataset line {line_no}: {exc}") from None
             if len(indices) != header["max_len"]:
                 raise ValidationError("encoded example length differs from max_len")
-            sections[current].append(
-                EncodedExample(indices=indices, label=SentimentLabel(int(label_text)))
-            )
-        line = fh.readline()
+            sections[current].append(EncodedExample(indices=indices, label=label))
     if len(sections["train"]) != header["train"] or len(sections["test"]) != header["test"]:
         raise ValidationError("example counts do not match the dataset header")
     return PreparedDataset(

@@ -10,8 +10,9 @@ resolved key is found:
 
 The shift ``mean1 - mean2`` recentres the second table onto the first so the
 two vector spaces can be averaged coordinate-wise. Key resolution walks a
-fallback chain (exact, lowercase, capitalized, lemma) and the first candidate
-present in either table wins.
+fallback chain (exact, lowercase, capital, lemma) and the first candidate
+present in either table wins. The capital key upper-cases the first character
+and keeps the rest as written ("iPHONE" -> "IPHONE"), unlike str.capitalize().
 """
 from __future__ import annotations
 
@@ -56,7 +57,11 @@ def candidate_keys(
     lemma: Optional[str],
     order: Sequence[str] = FALLBACK_STAGES,
 ) -> List[Tuple[str, str]]:
-    """Ordered, de-duplicated (stage, key) lookup candidates for a token."""
+    """Ordered, de-duplicated (stage, key) lookup candidates for a token.
+
+    The capital stage upper-cases only the first character ("iPHONE" ->
+    "IPHONE"); str.capitalize() would also lower the rest ("Iphone").
+    """
     seen = set()
     out: List[Tuple[str, str]] = []
     for stage in order:

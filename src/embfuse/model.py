@@ -899,7 +899,8 @@ def load_checkpoint(fh) -> Tuple[ModelParameters, ModelConfig]:
     arrays: Dict[str, np.ndarray] = {}
     for _ in range(n_items):
         (name_len,) = struct.unpack("<H", read_exact(2))
-        name = read_exact(name_len).decode("utf-8")
+        # a name that is not UTF-8 decodes to no known block, which ModelParameters rejects
+        name = read_exact(name_len).decode("utf-8", "replace")
         (ndim,) = struct.unpack("<B", read_exact(1))
         shape = tuple(struct.unpack("<Q", read_exact(8))[0] for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1

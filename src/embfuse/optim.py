@@ -10,16 +10,14 @@ vectors are allocated once, and only the step's temporaries are transient.
 
 On top of the rules sit the epoch loop with per-epoch metrics, a
 learning-rate range search over a log grid, and an optimizer-by-embedding
-sweep that fans out over a small grid of training runs and collects their
-histories.
+sweep that trains one run per (pair, optimizer) cell, one after another, and
+collects their histories.
 """
 from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -394,65 +392,36 @@ def write_lr_table(probes: Sequence[LrProbe], fh) -> None:
 
 # --- optimizer-by-embedding sweep ---
 
-def thread_count() -> int:
-    """Worker count for sweep cells, from EMBFUSE_THREADS (default 1).
-
-    EMBFUSE_DETERMINISTIC=1 forces serial execution regardless.
-    """
-    if os.environ.get("EMBFUSE_DETERMINISTIC") == "1":
-        return 1
-    raw = os.environ.get("EMBFUSE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"EMBFUSE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def optimizer_sweep(
     data: SplitDataset,
     config: ModelConfig,
     pairs: Sequence[Tuple[str, np.ndarray]],
-    learning_rate: Optional[float] = None,
+    learning_rate: float,
     kinds: Sequence[str] = OPTIMIZER_KINDS,
     epochs: int = 20,
     batch_size: int = 32,
     seed: int = 7,
-    lr_search_epochs: int = 3,
 ) -> List[TrainingHistory]:
     """Train every optimizer on every embedding pair with a shared seed.
 
     pairs is a sequence of (pair_id, embedding_matrix). Every cell runs at
-    the same single learning rate so that rows differ only in update rule
-    and embedding; when learning_rate is None it is chosen by an lr range
-    search with sgd on the first pair. Returns one history per cell,
-    pair-major, in input order; cell results do not depend on the worker
-    count. Runs that diverge keep their partial history and are flagged,
-    not dropped.
+    the same learning rate so that rows differ only in update rule and
+    embedding. Returns one history per cell, pair-major, in input order.
+    Runs that diverge keep their partial history and are flagged, not
+    dropped.
     """
     if not pairs:
         raise ValidationError("sweep needs at least one embedding pair")
-    if learning_rate is None:
-        learning_rate, _ = lr_range_search(
-            data, pairs[0][1], config, "sgd",
-            epochs=lr_search_epochs, batch_size=batch_size, seed=seed,
-        )
-    cells = [(pair_id, emb, kind) for pair_id, emb in pairs for kind in kinds]
-
-    def run_cell(cell):
-        pair_id, emb, kind = cell
-        spec = OptimizerSpec(kind=kind, learning_rate=learning_rate)
-        _, hist = train(
-            data, emb, config, spec,
-            epochs=epochs, batch_size=batch_size, seed=seed, pair_id=pair_id,
-        )
-        return hist
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(cell) for cell in cells]
+    histories: List[TrainingHistory] = []
+    for pair_id, emb in pairs:
+        for kind in kinds:
+            spec = OptimizerSpec(kind=kind, learning_rate=learning_rate)
+            # bind no name to the trained parameters, so they are freed before the next cell
+            histories.append(train(
+                data, emb, config, spec,
+                epochs=epochs, batch_size=batch_size, seed=seed, pair_id=pair_id,
+            )[1])
+    return histories
 
 
 _HISTORY_COLUMNS = [

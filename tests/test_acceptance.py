@@ -79,9 +79,9 @@ def ref_fuse_matrix(dicts, emb1, emb2, unknown_fill=0.0):
     """Brute-force fusion over plain Python floats, one coordinate at a time.
 
     Mirrors the documented rules directly: candidate keys are tried in
-    order (exact, lowercase, capitalized, lemma) against both tables, the
-    mean shift uses the two table means, and each branch combines
-    coordinates in the written order.
+    order (exact, lowercase, first character upper-cased, lemma) against
+    both tables, the mean shift uses the two table means, and each branch
+    combines coordinates in the written order.
     """
     dim = emb1.dim
     m1 = [float(v) for v in emb1.mean]
@@ -93,7 +93,7 @@ def ref_fuse_matrix(dicts, emb1, emb2, unknown_fill=0.0):
         lower = word.lower()
         if lower != word and lower not in candidates:
             candidates.append(lower)
-        capital = word.capitalize()
+        capital = word[:1].upper() + word[1:]
         if capital != word and capital not in candidates:
             candidates.append(capital)
         lemma = dicts.lemma_dict.get(word)

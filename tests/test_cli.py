@@ -106,6 +106,17 @@ class TestConfigFile:
         assert code == 1
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("value, shown", [('"abc"', "'abc'"), ("[3]", "[3]")])
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, value, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_len": %s}' % value)
+        code, out, err = run(capsys, "prepare",
+                             "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                             "--out", str(tmp_path / "d.ds"), "--config", str(cfg))
+        assert code == 1
+        assert err == f"ERROR invalid: config key 'max_len' expects int, got {shown}\n"
+        assert not (tmp_path / "d.ds").exists()
+
 
 class TestInspect:
     def test_reports_stats(self, capsys):
@@ -154,6 +165,22 @@ class TestNonUtf8Input:
                              "--out", str(tmp_path / "d.ds"), "--max-len", "16")
         assert code == 1
         assert err == "ERROR invalid: lemma table line 2: byte 8 is not valid UTF-8\n"
+
+    def test_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        code, out, err = run(capsys, "inspect", glove_a(), "--format", "glove",
+                             "--config", str(cfg))
+        assert code == 1
+        assert err == "ERROR invalid: config file line 1: byte 11 is not valid UTF-8\n"
+
+    def test_report_history(self, capsys, tmp_path):
+        history = tmp_path / "h.csv"
+        history.write_bytes(b"pair,optimizer\n\xff,sgd\n")
+        code, out, err = run(capsys, "report", "--history", str(history),
+                             "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err == "ERROR invalid: history CSV line 2: byte 1 is not valid UTF-8\n"
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +409,69 @@ class TestPreparedPipeline:
                              "--pairs", str(manifest), "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert "pair,path" in err
+
+    def test_sweep_manifest_not_utf8(self, capsys, pipeline_dir, tmp_path):
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_bytes(b"pair,path\nglove\xff," + pipeline_dir["fused"].encode() + b"\n")
+        code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
+                             "--pairs", str(manifest), "--lr", "0.05",
+                             "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err == "ERROR invalid: pair manifest line 2: byte 6 is not valid UTF-8\n"
+
+    def test_eval_rejects_block_name_not_utf8(self, capsys, pipeline_dir, tmp_path):
+        good = tmp_path / "good.ckpt"
+        assert dispatch(["train", "--dataset", pipeline_dir["dataset"],
+                         "--fused", pipeline_dir["fused"], "--optimizer", "sgd",
+                         "--lr", "0.01", "--epochs", "1", "--batch", "8",
+                         "--out", str(good), *TINY_MODEL]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(good.read_bytes().replace(b"dense_b", b"dense\xffb"))
+        code, out, err = run(capsys, "eval", "--dataset", pipeline_dir["dataset"],
+                             "--ckpt", str(bad))
+        assert code == 1
+        assert err.startswith("ERROR invalid:") and "dense_b" in err
+
+    def test_eval_rejects_malformed_dataset(self, capsys, pipeline_dir, tmp_path):
+        with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        first = lines.index("[train]") + 1
+        lines[first] = "7" + lines[first][1:]
+        bad = tmp_path / "bad.ds"
+        bad.write_text("\n".join(lines), encoding="utf-8", newline="")
+        code, out, err = run(capsys, "eval", "--dataset", str(bad),
+                             "--ckpt", str(tmp_path / "unused.ckpt"))
+        assert code == 1
+        assert err == f"ERROR invalid: dataset line {first + 1}: 7 is not a valid SentimentLabel\n"
+
+    def test_sweep_without_lr_uses_sgd_range_search(self, capsys, pipeline_dir):
+        from embfuse import corpus, fusion, model, optim
+        from embfuse.embedding_io import parse_embedding
+        manifest = str(pipeline_dir["root"] / "pairs_search.csv")
+        with open(manifest, "w", newline="") as fh:
+            fh.write(f"pair,path\nglove+fasttext,{pipeline_dir['fused']}\n")
+        out_dir = str(pipeline_dir["root"] / "sweep_search")
+        code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
+                             "--pairs", manifest, "--optimizers", "sgd,adam",
+                             "--epochs", "2", "--batch", "8", "--seed", "3",
+                             "--out-dir", out_dir, *TINY_MODEL)
+        assert code == 0, err
+
+        with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
+            ds = corpus.read_dataset(fh)
+        with open(pipeline_dir["fused"], "rb") as fh:
+            matrix = fusion.matrix_from_table(parse_embedding(fh, "w2v-bin"), ds.dicts)
+        config = model.ModelConfig(max_len=ds.max_len, emb_dim=matrix.shape[1],
+                                   lstm_units=6, gru_units=4, spatial_dropout_rate=0.0,
+                                   dropout_rate=0.0, seed=3)
+        data = optim.SplitDataset.from_examples(ds.train, ds.test)
+        best, _ = optim.lr_range_search(data, matrix, config, "sgd", batch_size=8, seed=3)
+        assert f"shared lr from sgd range search on glove+fasttext: {best!r}" in out.splitlines()
+        with open(os.path.join(out_dir, "histories.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2  # kinds x epochs
+        assert all(row["learning_rate"] == repr(best) for row in rows)
 
     def test_fuse_rejects_bad_format_suffix(self, capsys, pipeline_dir, tmp_path):
         code, out, err = run(capsys, "fuse", "--emb1", glove_a(),

@@ -1,5 +1,6 @@
 """Corpus pipeline tests: CSV loading, filtering, encoding, splitting."""
 import io
+import re
 
 import pytest
 
@@ -335,4 +336,19 @@ class TestDatasetFile:
             "[train]\n[test]\n"
         )
         with pytest.raises(ValidationError):
+            read_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("header", "vocab_size=abc max_len=2 train=1 test=0",
+         "line 2: bad header field 'vocab_size=abc'"),
+        ("word", "a 2 a", "line 4: expected token<TAB>index<TAB>lemma"),
+        ("example", "7\t0 2", "line 6: 7 is not a valid SentimentLabel"),
+    ], ids=["header-not-int", "word-without-tabs", "unknown-label"])
+    def test_rejects_malformed_line(self, field, value, message):
+        lines = {"header": "vocab_size=3 max_len=2 train=1 test=0",
+                 "word": "a\t2\ta", "example": "0\t0 2"}
+        lines[field] = value
+        text = ("embfuse-dataset 1\n{header}\n[words]\n{word}\n"
+                "[train]\n{example}\n[test]\n").format(**lines)
+        with pytest.raises(ValidationError, match=re.escape(message)):
             read_dataset(io.StringIO(text))

@@ -227,6 +227,18 @@ class TestBuildFusedMatrix:
         assert fused.branch_counts.case_hits == 1
         assert fused.matrix[2].tolist() == [1.0]
 
+    def test_capital_upper_cases_only_the_first_character(self):
+        # str.capitalize() would pick "Iphone"; the capital stage keeps the
+        # rest of the token as written and picks "IPHONE".
+        assert candidate_keys("iPHONE", None) == [
+            ("exact", "iPHONE"), ("lower", "iphone"), ("capital", "IPHONE")]
+        t1 = make_table(["IPHONE", "Iphone"], [[1.0], [2.0]])
+        t2 = make_table(["tokyo"], [[3.0]])
+        dicts = dicts_for(["iPHONE"], {"iPHONE": "iPHONE"})
+        fused = build_fused_matrix(dicts, t1, t2)
+        assert fused.branch_counts.case_hits == 1
+        assert fused.matrix[2].tolist() == [1.0]
+
     def test_lemma_fallback_last(self):
         t1 = make_table(["cat"], [[4.0]])
         t2 = make_table(["felines"], [[8.0]])

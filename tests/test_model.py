@@ -630,6 +630,16 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="JSON object"):
             load_checkpoint(io.BytesIO(self._with_config_bytes(b"[7]")))
 
+    def test_rejects_block_name_that_is_not_utf8(self):
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        buf = io.BytesIO()
+        save_checkpoint(buf, init_parameters(config, emb), config)
+        assert buf.getvalue().count(b"dense_b") == 1
+        bad = buf.getvalue().replace(b"dense_b", b"dense\xffb")
+        with pytest.raises(ValidationError, match="dense_b"):
+            load_checkpoint(io.BytesIO(bad))
+
     def test_rejects_truncated_stream(self):
         config = tiny_config()
         _, _, emb = tiny_batch(config)

@@ -2,6 +2,7 @@
 import io
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from embfuse.optim import (
     optimizer_sweep,
     parse_lr_grid,
     read_history_csv,
-    thread_count,
     train,
     write_history_csv,
     write_lr_table,
@@ -405,34 +405,6 @@ class TestHistoryCsv:
             read_history_csv(io.StringIO("nope,nope\n1,2\n"))
 
 
-class TestThreadCount:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("EMBFUSE_THREADS", raising=False)
-        monkeypatch.delenv("EMBFUSE_DETERMINISTIC", raising=False)
-        assert thread_count() == 1
-
-    def test_env_sets_workers(self, monkeypatch):
-        monkeypatch.setenv("EMBFUSE_THREADS", "4")
-        monkeypatch.delenv("EMBFUSE_DETERMINISTIC", raising=False)
-        assert thread_count() == 4
-
-    def test_deterministic_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("EMBFUSE_THREADS", "8")
-        monkeypatch.setenv("EMBFUSE_DETERMINISTIC", "1")
-        assert thread_count() == 1
-
-    def test_nonpositive_clamped(self, monkeypatch):
-        monkeypatch.setenv("EMBFUSE_THREADS", "0")
-        monkeypatch.delenv("EMBFUSE_DETERMINISTIC", raising=False)
-        assert thread_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("EMBFUSE_THREADS", "many")
-        monkeypatch.delenv("EMBFUSE_DETERMINISTIC", raising=False)
-        with pytest.raises(ValidationError):
-            thread_count()
-
-
 class TestOptimizerSweep:
     def test_cells_are_pair_major_with_shared_lr(self, tiny_dataset):
         pairs = [("alpha", random_embedding(seed=1)), ("beta", random_embedding(seed=2))]
@@ -444,13 +416,27 @@ class TestOptimizerSweep:
         assert all(h.learning_rate == 0.05 for h in hists)
         assert all(len(h.train_loss) == 2 for h in hists)
 
-    def test_default_lr_comes_from_sgd_search(self, tiny_dataset, tiny_embedding):
-        grid_best, _ = lr_range_search(tiny_dataset, tiny_embedding, small_config(),
-                                       "sgd", epochs=1, batch_size=32, seed=5)
-        hists = optimizer_sweep(tiny_dataset, small_config(),
-                                [("only", tiny_embedding)], kinds=("sgd",),
-                                epochs=1, batch_size=32, seed=5, lr_search_epochs=1)
-        assert hists[0].learning_rate == grid_best
+    def test_learning_rate_is_required(self, tiny_dataset, tiny_embedding):
+        with pytest.raises(TypeError):
+            optimizer_sweep(tiny_dataset, small_config(), [("p", tiny_embedding)])
+
+    def test_cell_parameters_freed_before_next_cell(self, tiny_dataset, tiny_embedding,
+                                                     monkeypatch):
+        from embfuse import optim
+        real_train = optim.train
+        trained = []
+
+        def tracking_train(*args, **kwargs):
+            assert all(ref() is None for ref in trained)
+            params, hist = real_train(*args, **kwargs)
+            trained.append(weakref.ref(params))
+            return params, hist
+
+        monkeypatch.setattr(optim, "train", tracking_train)
+        optimizer_sweep(tiny_dataset, small_config(), [("p", tiny_embedding)],
+                        learning_rate=0.05, kinds=("sgd", "adam", "adagrad"),
+                        epochs=1, batch_size=16, seed=6)
+        assert len(trained) == 3
 
     def test_no_pairs_rejected(self, tiny_dataset):
         with pytest.raises(ValidationError):
@@ -463,17 +449,6 @@ class TestOptimizerSweep:
         b = optimizer_sweep(tiny_dataset, small_config(), [("p", tiny_embedding)], **kwargs)
         assert [h.train_loss for h in a] == [h.train_loss for h in b]
         assert [h.test_loss for h in a] == [h.test_loss for h in b]
-
-    def test_threaded_matches_serial(self, tiny_dataset, tiny_embedding, monkeypatch):
-        kwargs = dict(learning_rate=0.05, kinds=("sgd", "adam"),
-                      epochs=1, batch_size=16, seed=6)
-        monkeypatch.delenv("EMBFUSE_THREADS", raising=False)
-        monkeypatch.delenv("EMBFUSE_DETERMINISTIC", raising=False)
-        serial = optimizer_sweep(tiny_dataset, small_config(), [("p", tiny_embedding)], **kwargs)
-        monkeypatch.setenv("EMBFUSE_THREADS", "3")
-        threaded = optimizer_sweep(tiny_dataset, small_config(), [("p", tiny_embedding)], **kwargs)
-        assert [h.train_loss for h in serial] == [h.train_loss for h in threaded]
-        assert [(h.pair, h.optimizer) for h in serial] == [(h.pair, h.optimizer) for h in threaded]
 
 
 class TestSyntheticGenerator:
