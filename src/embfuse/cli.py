@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import charts, corpus, fusion, model, optim
-from .embedding_io import FORMATS, decode_line, parse_embedding, write_word2vec_binary
+from .embedding_io import FORMATS, csv_rows, decode_line, parse_embedding, write_word2vec_binary
 from .errors import EmbfuseError, EmptySeriesError, ValidationError
 
 
@@ -185,8 +185,12 @@ def _load_config(path: str) -> Dict[str, Any]:
 
 def _config_value(opt: _Opt, value: Any) -> Any:
     """A config file's value for opt, converted as argparse converts the flag's text."""
-    if opt.is_flag or value is None:
+    if value is None:
         return value
+    if opt.is_flag:
+        if type(value) is bool:
+            return value
+        raise ValidationError(f"config key {opt.dest!r} expects a boolean, got {value!r}")
     if type(value) in (str, int, float):
         try:
             return opt.type(str(value))
@@ -235,8 +239,7 @@ def _split_emb_arg(text: str) -> Tuple[str, str]:
 
 def _read_dataset(path: str) -> corpus.PreparedDataset:
     _require_file(path, "dataset file")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return corpus.read_dataset(fh)
+    return corpus.read_dataset(_read_lines(path, "dataset"))
 
 
 def _load_fused_matrix(path: str, dicts: corpus.CorpusDictionaries) -> np.ndarray:
@@ -370,7 +373,9 @@ def _run_lr_find(opts: Dict[str, Any]) -> int:
         with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
             optim.write_lr_table(probes, fh)
     if opts["svg"]:
-        _write_text(opts["svg"], charts.lr_chart(probes, f"{opts['optimizer']} learning-rate search"))
+        _write_chart(opts["svg"],
+                     lambda: charts.lr_chart(probes, f"{opts['optimizer']} learning-rate search"),
+                     "fewer than 2 learning rates completed without diverging")
     return 0
 
 
@@ -404,13 +409,13 @@ def _run_train(opts: Dict[str, Any]) -> int:
 
 def _load_pairs(path: str, dicts: corpus.CorpusDictionaries) -> List[Tuple[str, np.ndarray]]:
     _require_file(path, "pair manifest")
-    reader = csv.reader(_read_lines(path, "pair manifest"))
-    header = next(reader, None)
+    rows = csv_rows(_read_lines(path, "pair manifest"), "pair manifest line")
+    _, header = next(rows, (0, None))
     if header is None or [h.strip().lower() for h in header[:2]] != ["pair", "path"]:
         raise ValidationError("pair manifest must start with a 'pair,path' header")
     base = os.path.dirname(os.path.abspath(path))
     pairs: List[Tuple[str, np.ndarray]] = []
-    for row in reader:
+    for _, row in rows:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) < 2:
@@ -425,20 +430,26 @@ def _load_pairs(path: str, dicts: corpus.CorpusDictionaries) -> List[Tuple[str, 
     return pairs
 
 
-def _write_history_chart(histories, pair_id: str, out_dir: str) -> None:
-    """Write the per-pair loss chart, or say why it was skipped.
+def _write_chart(svg_path: str, render: Callable[[], str], why: str) -> None:
+    """Write the chart render() draws, or print one line saying why it was skipped.
 
-    A chart needs some run of the pair with two or more recorded epochs.
+    render raises EmptySeriesError when it has fewer than two points to draw.
     """
-    group = [h for h in histories if h.pair == pair_id]
-    shown = pair_id or "(unnamed)"
-    svg_path = os.path.join(out_dir, f"{_safe_name(pair_id)}.svg")
     try:
-        svg = charts.history_chart(group, f"train loss by optimizer: {shown}")
+        svg = render()
     except EmptySeriesError:
-        print(f"skipped chart {svg_path}: no run of {shown} recorded 2 or more epochs")
+        print(f"skipped chart {svg_path}: {why}")
         return
     _write_text(svg_path, svg)
+
+
+def _write_history_chart(histories, pair_id: str, out_dir: str) -> None:
+    """The per-pair loss chart; it needs some run of the pair with two or more epochs."""
+    group = [h for h in histories if h.pair == pair_id]
+    shown = pair_id or "(unnamed)"
+    _write_chart(os.path.join(out_dir, f"{_safe_name(pair_id)}.svg"),
+                 lambda: charts.history_chart(group, f"train loss by optimizer: {shown}"),
+                 f"no run of {shown} recorded 2 or more epochs")
 
 
 def _run_sweep(opts: Dict[str, Any]) -> int:

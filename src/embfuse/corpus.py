@@ -7,13 +7,12 @@ split. Index 0 is reserved for padding and index 1 for unknown words.
 """
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .embedding_io import decode_line, iter_lines
+from .embedding_io import csv_rows, decode_line, iter_lines
 from .errors import (
     EmptyFileError,
     EmptyInputError,
@@ -101,9 +100,9 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
     Returns (records, dropped_row_count).
     """
     lines = (decode_line(raw, no, "CSV line") for no, raw in enumerate(iter_lines(stream), 1))
-    reader = csv.reader(lines)
+    rows = csv_rows(lines, "CSV line")
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise EmptyFileError("CSV has no header row") from None
     positions: Dict[str, int] = {}
@@ -117,7 +116,7 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
 
     records: List[ReviewRecord] = []
     dropped = 0
-    for row in reader:
+    for _, row in rows:
         if not row:
             continue
         if len(row) <= max(positions.values()):
@@ -129,10 +128,10 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
         except ValueError:
             dropped += 1
             continue
-        rate = int(rate_value)
-        if rate != rate_value or not 1 <= rate <= 5:
+        if not (1 <= rate_value <= 5 and rate_value == int(rate_value)):
             dropped += 1
             continue
+        rate = int(rate_value)
         review_text = row[positions["review_text"]]
         if not review_text.strip():
             dropped += 1
@@ -463,15 +462,17 @@ def write_dataset(ds: PreparedDataset, fh) -> None:
 def read_dataset(fh) -> PreparedDataset:
     """Read a dataset written by write_dataset, validating counts.
 
-    A line that does not parse raises ValidationError naming its line number.
+    fh is a text file or any iterable of its lines. A line that does not
+    parse raises ValidationError naming its line number.
     """
-    first = fh.readline().split()
+    text = iter(fh)
+    first = next(text, "").split()
     if len(first) != 2 or first[0] != _DATASET_MAGIC:
         raise ValidationError("not an embfuse dataset file")
     if first[1] != str(_DATASET_VERSION):
         raise ValidationError(f"unsupported dataset version {first[1]}")
     header: Dict[str, int] = {}
-    for part in fh.readline().split():
+    for part in next(text, "").split():
         key, _, value = part.partition("=")
         try:
             header[key] = int(value)
@@ -480,11 +481,12 @@ def read_dataset(fh) -> PreparedDataset:
     for key in ("vocab_size", "max_len", "train", "test"):
         if key not in header:
             raise ValidationError(f"dataset header missing {key}")
-    if fh.readline().strip() != "[words]":
+    if next(text, "").strip() != "[words]":
         raise ValidationError("expected [words] section")
+    vocab_size = header["vocab_size"]
     dict_words: Dict[str, int] = {}
     lemma_dict: Dict[str, str] = {}
-    lines = enumerate(iter(fh.readline, ""), 4)
+    lines = enumerate(text, 4)
     line_no, line = next(lines, (0, ""))
     while line and not line.startswith("["):
         try:
@@ -492,11 +494,14 @@ def read_dataset(fh) -> PreparedDataset:
             dict_words[token] = int(idx)
         except ValueError:
             raise ValidationError(f"dataset line {line_no}: expected token<TAB>index<TAB>lemma") from None
+        if not 2 <= dict_words[token] < vocab_size:
+            raise ValidationError(
+                f"dataset line {line_no}: word index {idx} outside 2..{vocab_size - 1}")
         lemma_dict[token] = lemma
         line_no, line = next(lines, (0, ""))
-    if len(dict_words) + 2 != header["vocab_size"]:
+    if len(dict_words) + 2 != vocab_size:
         raise ValidationError("word section does not match declared vocab_size")
-    dicts = CorpusDictionaries(dict_words, lemma_dict, header["vocab_size"])
+    dicts = CorpusDictionaries(dict_words, lemma_dict, vocab_size)
 
     sections: Dict[str, List[EncodedExample]] = {"train": [], "test": []}
     current = line.strip().strip("[]") if line else ""

@@ -27,6 +27,7 @@ the line-by-line parser.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -101,6 +102,23 @@ def decode_line(raw: bytes, line_no: int, what: str = "line") -> str:
     except UnicodeDecodeError as exc:
         raise InvalidUtf8Error(
             f"{what} {line_no}: byte {exc.start + 1} is not valid UTF-8", exc) from None
+
+
+def csv_rows(lines: Iterable[str], what: str = "line") -> Iterator[Tuple[int, List[str]]]:
+    """(line number, row) for each CSV row of decoded lines. A row the csv
+    module cannot split, such as one with a lone carriage return, raises
+    ValidationError naming its line."""
+    reader = csv.reader(lines)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            # drop the module's hint about universal-newline mode, which only a caller can act on
+            reason = str(exc).split(" - ", 1)[0]
+            raise ValidationError(f"{what} {reader.line_num}: {reason}") from None
+        yield reader.line_num, row
 
 
 @dataclass

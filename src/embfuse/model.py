@@ -600,6 +600,14 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
+# Weights that diverged carry overflow into inf and nan through every layer
+# and through the optimizer step. train() reads divergence from the loss and
+# the gradient, so the forward pass, the loss, the backward pass and the step
+# run with numpy's overflow and invalid-value reports off.
+_diverging_quietly = np.errstate(over="ignore", invalid="ignore")
+
+
+@_diverging_quietly
 def forward(
     x: np.ndarray,
     params: ModelParameters,
@@ -681,11 +689,13 @@ def forward(
     return probs, trace
 
 
+@_diverging_quietly
 def _loss_from_trace(trace: ForwardTrace, labels: np.ndarray) -> float:
     B = trace.probs.shape[0]
     return float(-trace.log_probs[np.arange(B), labels].mean())
 
 
+@_diverging_quietly
 def _backward(
     trace: ForwardTrace,
     labels: np.ndarray,

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .embedding_io import csv_rows
 from .errors import (
     AllDivergedError,
     EmptyDatasetError,
@@ -33,6 +34,7 @@ from .errors import (
 from .model import (  # noqa: F401  from_flat and to_flat are re-exported helpers
     ModelConfig,
     ModelParameters,
+    _diverging_quietly,
     _loss_probs_grad,
     evaluate,
     from_flat,
@@ -40,8 +42,6 @@ from .model import (  # noqa: F401  from_flat and to_flat are re-exported helper
     to_flat,
 )
 from .seeding import derive_rng
-
-OPTIMIZER_KINDS = ("sgd", "sgd_momentum", "adagrad", "adadelta", "adam")
 
 DEFAULT_LR = {
     "sgd": 0.1,
@@ -51,18 +51,18 @@ DEFAULT_LR = {
     "adam": 0.1,
 }
 
+# The rules' remaining hyperparameters are fixed, so two runs differ only in
+# update rule and learning rate.
+MOMENTUM = 0.9
+ADAGRAD_EPS = 1e-10
+ADADELTA_RHO, ADADELTA_EPS = 0.95, 1e-6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimizerSpec:
     kind: str
     learning_rate: float
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    adagrad_eps: float = 1e-10
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -71,24 +71,16 @@ class OptimizerSpec:
             )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError("momentum must lie in [0, 1)")
-        for name in ("adam_beta1", "adam_beta2", "adadelta_rho"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValidationError(f"{name} must lie in (0, 1)")
-        for name in ("adam_eps", "adagrad_eps", "adadelta_eps"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
 
 
 class _Stepper:
     """Shared stepping shell: validates the gradient, applies the rule in place."""
 
     def __init__(self, spec: OptimizerSpec, n: int):
-        self.spec = spec
+        self.lr = spec.learning_rate
         self.n = n
 
+    @_diverging_quietly
     def step(self, w: np.ndarray, g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The next weights: a new vector with out=None (w is left untouched),
         or w itself, updated in place, with out=w.
@@ -118,7 +110,7 @@ class _Stepper:
 
 class Sgd(_Stepper):
     def _apply(self, w, g):
-        w -= self.spec.learning_rate * g
+        w -= self.lr * g
 
 
 class SgdMomentum(_Stepper):
@@ -127,9 +119,9 @@ class SgdMomentum(_Stepper):
         self.velocity = np.zeros(n)
 
     def _apply(self, w, g):
-        self.velocity *= self.spec.momentum
+        self.velocity *= MOMENTUM
         self.velocity += g
-        w -= self.spec.learning_rate * self.velocity
+        w -= self.lr * self.velocity
 
 
 class Adagrad(_Stepper):
@@ -139,7 +131,7 @@ class Adagrad(_Stepper):
 
     def _apply(self, w, g):
         self.accum += g * g
-        w -= self.spec.learning_rate * g / np.sqrt(self.accum + self.spec.adagrad_eps)
+        w -= self.lr * g / np.sqrt(self.accum + ADAGRAD_EPS)
 
 
 class Adadelta(_Stepper):
@@ -149,13 +141,13 @@ class Adadelta(_Stepper):
         self.sq_delta = np.zeros(n)
 
     def _apply(self, w, g):
-        rho, eps = self.spec.adadelta_rho, self.spec.adadelta_eps
+        rho, eps = ADADELTA_RHO, ADADELTA_EPS
         self.sq_grad *= rho
         self.sq_grad += (1.0 - rho) * g * g
         delta = -np.sqrt(self.sq_delta + eps) / np.sqrt(self.sq_grad + eps) * g
         self.sq_delta *= rho
         self.sq_delta += (1.0 - rho) * delta * delta
-        delta *= self.spec.learning_rate
+        delta *= self.lr
         w += delta
 
 
@@ -167,7 +159,7 @@ class Adam(_Stepper):
         self.t = 0
 
     def _apply(self, w, g):
-        b1, b2, eps = self.spec.adam_beta1, self.spec.adam_beta2, self.spec.adam_eps
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
         self.m *= b1
         self.m += (1.0 - b1) * g
@@ -176,9 +168,9 @@ class Adam(_Stepper):
         m_hat = self.m / (1.0 - b1 ** self.t)
         denom = self.v / (1.0 - b2 ** self.t)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += ADAM_EPS
         # w - lr * m_hat / (sqrt(v_hat) + eps), in place
-        m_hat *= self.spec.learning_rate
+        m_hat *= self.lr
         m_hat /= denom
         w -= m_hat
 
@@ -190,6 +182,7 @@ _STEPPERS = {
     "adadelta": Adadelta,
     "adam": Adam,
 }
+OPTIMIZER_KINDS = tuple(_STEPPERS)
 
 
 def make_optimizer(spec: OptimizerSpec, n_params: int) -> _Stepper:
@@ -280,7 +273,6 @@ def train(
         batch_losses: List[float] = []
         correct = 0
         seen = 0
-        broke = False
         for bi, start in enumerate(range(0, n, batch_size)):
             idx = order[start:start + batch_size]
             xb = data.train_x[idx]
@@ -288,9 +280,6 @@ def train(
             rng = derive_rng(seed, "dropout", epoch, bi) if dropout else None
             loss, probs, grad = _loss_probs_grad(xb, yb, params, config, rng)
             if not math.isfinite(loss):
-                history.diverged = True
-                history.diverged_epoch = epoch
-                broke = True
                 break
             batch_losses.append(loss)
             correct += int((probs.argmax(axis=1) == yb).sum())
@@ -298,18 +287,19 @@ def train(
             try:
                 stepper.step(params.flat, grad, out=params.flat)
             except NonFiniteGradientError:
-                history.diverged = True
-                history.diverged_epoch = epoch
-                broke = True
                 break
-        if broke:
-            break
-        test_loss, test_acc = evaluate(data.test_x, data.test_y, params, config)
-        history.train_loss.append(float(np.mean(batch_losses)))
-        history.train_accuracy.append(correct / seen)
-        history.test_loss.append(test_loss)
-        history.test_accuracy.append(test_acc)
-        history.epoch_seconds.append(time.perf_counter() - started)
+        else:  # every batch stepped: record the epoch
+            test_loss, test_acc = evaluate(data.test_x, data.test_y, params, config)
+            history.train_loss.append(float(np.mean(batch_losses)))
+            history.train_accuracy.append(correct / seen)
+            history.test_loss.append(test_loss)
+            history.test_accuracy.append(test_acc)
+            history.epoch_seconds.append(time.perf_counter() - started)
+            continue
+        # a non-finite loss or gradient broke the epoch off
+        history.diverged = True
+        history.diverged_epoch = epoch
+        break
     return params, history
 
 
@@ -368,9 +358,8 @@ def lr_range_search(
             data, embedding, config, spec,
             epochs=epochs, batch_size=batch_size, seed=seed,
         )
-        diverged = hist.diverged or len(hist.train_loss) < epochs
-        final = math.inf if diverged else hist.train_loss[-1]
-        probes.append(LrProbe(lr, list(hist.train_loss), final, diverged))
+        final = math.inf if hist.diverged else hist.train_loss[-1]
+        probes.append(LrProbe(lr, list(hist.train_loss), final, hist.diverged))
     best: Optional[LrProbe] = None
     for probe in probes:
         if probe.diverged:
@@ -454,35 +443,39 @@ def write_history_csv(histories: Sequence[TrainingHistory], fh) -> None:
 
 def read_history_csv(fh) -> List[TrainingHistory]:
     """Rebuild histories from write_history_csv output (wall times excluded)."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    rows = csv_rows(fh, "history CSV line")
+    _, header = next(rows, (0, None))
     if header != _HISTORY_COLUMNS:
         raise ValidationError("unrecognized history CSV header")
     out: List[TrainingHistory] = []
     current: Optional[TrainingHistory] = None
     last_key: Optional[Tuple[str, str, str, str]] = None
-    for row in reader:
+    for line_no, row in rows:
         if not row:
             continue
-        pair, optimizer, lr_text, seed_text, epoch_text = row[:5]
-        key = (pair, optimizer, lr_text, seed_text)
+        if len(row) != len(_HISTORY_COLUMNS):
+            raise ValidationError(f"history CSV line {line_no}: expected "
+                                  f"{len(_HISTORY_COLUMNS)} fields, got {len(row)}")
+        try:
+            lr, seed, epoch = float(row[2]), int(row[3]), int(row[4])
+            metrics = [float(v) for v in row[5:9]] if epoch else []
+        except ValueError as exc:
+            raise ValidationError(f"history CSV line {line_no}: {exc}") from None
+        key = tuple(row[:4])
         if current is None or key != last_key:
-            current = TrainingHistory(
-                pair=pair, optimizer=optimizer,
-                learning_rate=float(lr_text), seed=int(seed_text),
-            )
+            current = TrainingHistory(pair=row[0], optimizer=row[1], learning_rate=lr, seed=seed)
             last_key = key
             out.append(current)
         diverged = row[9] == "1"
         if diverged:
             current.diverged = True
-        if int(epoch_text) == 0:
+        if epoch == 0:
             current.diverged_epoch = 1
             continue
-        current.train_loss.append(float(row[5]))
-        current.train_accuracy.append(float(row[6]))
-        current.test_loss.append(float(row[7]))
-        current.test_accuracy.append(float(row[8]))
+        current.train_loss.append(metrics[0])
+        current.train_accuracy.append(metrics[1])
+        current.test_loss.append(metrics[2])
+        current.test_accuracy.append(metrics[3])
         if diverged:
             current.diverged_epoch = len(current.train_loss) + 1
     return out

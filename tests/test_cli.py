@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through dispatch()."""
 import csv
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_without_warnings(capsys, *argv):
+    """run(), failing on any warning the invocation raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
 
 
 def glove_a():
@@ -118,6 +126,96 @@ class TestConfigFile:
         assert not (tmp_path / "d.ds").exists()
 
 
+    @pytest.mark.parametrize("value, shown", [
+        ('"no"', "'no'"), ('"true"', "'true'"), ("0", "0"), ("1", "1")])
+    def test_flag_value_must_be_a_boolean(self, capsys, tmp_path, value, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"no_title": %s}' % value)
+        code, out, err = run(capsys, "prepare",
+                             "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                             "--out", str(tmp_path / "d.ds"), "--config", str(cfg))
+        assert code == 1
+        assert err == f"ERROR invalid: config key 'no_title' expects a boolean, got {shown}\n"
+        assert not (tmp_path / "d.ds").exists()
+
+    @pytest.mark.parametrize("value, vocab", [("true", 49), ("false", 61)])
+    def test_flag_value_boolean_sets_the_flag(self, capsys, tmp_path, value, vocab):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"no_title": %s}' % value)
+        code, out, err = run(capsys, "prepare",
+                             "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                             "--out", str(tmp_path / "d.ds"), "--config", str(cfg))
+        assert code == 0, err
+        assert f"vocab size: {vocab}" in out.splitlines()
+
+
+class TestMalformedHistory:
+    HEADER = ("pair,optimizer,learning_rate,seed,epoch,"
+              "train_loss,train_accuracy,test_loss,test_accuracy,run_diverged\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("p,sgd,abc,1,1,0.5,0.5,0.5,0.5,0", "could not convert string to float: 'abc'"),
+        ("p,sgd,0.1,1", "expected 10 fields, got 4"),
+        ("p,sgd,0.1,x,1,0.5,0.5,0.5,0.5,0", "invalid literal for int() with base 10: 'x'"),
+        ("p,sgd,0.1,1,1,0.5,,0.5,0.5,0", "could not convert string to float: ''"),
+    ], ids=["rate-not-float", "short-row", "seed-not-int", "empty-metric"])
+    def test_report_names_the_line(self, capsys, tmp_path, row, message):
+        history = tmp_path / "h.csv"
+        history.write_text(self.HEADER + row + "\n")
+        code, out, err = run(capsys, "report", "--history", str(history),
+                             "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"ERROR invalid: history CSV line 2: {message}\n"
+
+
+class TestCsvInput:
+    """CSV inputs that the csv module cannot split, or whose values are not usable."""
+
+    def test_lone_carriage_return_in_review_csv(self, capsys, tmp_path):
+        with open(os.path.join(FIXTURES, "reviews_50.csv"), "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[4] = lines[4].replace(b" ", b"\r", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code, out, err = run(capsys, "prepare", "--csv", str(bad),
+                             "--out", str(tmp_path / "d.ds"), "--max-len", "16")
+        assert code == 1
+        assert err == "ERROR invalid: CSV line 5: new-line character seen in unquoted field\n"
+
+    def test_lone_carriage_return_in_history_csv(self, capsys, tmp_path):
+        history = tmp_path / "h.csv"
+        history.write_text(TestMalformedHistory.HEADER + "p,sgd,0.1,1,1,0.5,0\r.5,0.5,0.5,0\n",
+                           newline="")
+        code, out, err = run(capsys, "report", "--history", str(history),
+                             "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err == ("ERROR invalid: history CSV line 2: "
+                       "new-line character seen in unquoted field\n")
+
+    def test_lone_carriage_return_in_pair_manifest(self, capsys, pipeline_dir, tmp_path):
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_text("pair,path\np,fused\r.bin\n", newline="")
+        code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
+                             "--pairs", str(manifest), "--lr", "0.05",
+                             "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err == ("ERROR invalid: pair manifest line 2: "
+                       "new-line character seen in unquoted field\n")
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "1e999"])
+    def test_non_finite_star_rate_drops_the_row(self, capsys, tmp_path, rate):
+        with open(os.path.join(FIXTURES, "reviews_50.csv"), "rb") as fh:
+            lines = fh.read().split(b"\n")
+        assert lines[1].endswith(b",1")
+        lines[1] = lines[1][:-1] + rate.encode()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code, out, err = run(capsys, "prepare", "--csv", str(bad),
+                             "--out", str(tmp_path / "d.ds"), "--max-len", "16")
+        assert code == 0, err
+        assert out.splitlines()[0] == "rows loaded: 50 (dropped 1)"
+
+
 class TestInspect:
     def test_reports_stats(self, capsys):
         code, out, err = run(capsys, "inspect", glove_a(), "--format", "glove")
@@ -173,6 +271,19 @@ class TestNonUtf8Input:
                              "--config", str(cfg))
         assert code == 1
         assert err == "ERROR invalid: config file line 1: byte 11 is not valid UTF-8\n"
+
+    def test_fuse_dataset(self, capsys, pipeline_dir, tmp_path):
+        with open(pipeline_dir["dataset"], "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[3] = b"\xff" + lines[3]
+        bad = tmp_path / "bad.ds"
+        bad.write_bytes(b"\n".join(lines))
+        code, out, err = run(capsys, "fuse", "--emb1", glove_a() + ":glove",
+                             "--emb2", fasttext_b() + ":fasttext",
+                             "--dataset", str(bad), "--out", str(tmp_path / "f.bin"))
+        assert code == 1
+        assert err == "ERROR invalid: dataset line 4: byte 1 is not valid UTF-8\n"
+        assert not (tmp_path / "f.bin").exists()
 
     def test_report_history(self, capsys, tmp_path):
         history = tmp_path / "h.csv"
@@ -472,6 +583,63 @@ class TestPreparedPipeline:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2  # kinds x epochs
         assert all(row["learning_rate"] == repr(best) for row in rows)
+
+    def test_fuse_rejects_word_index_outside_vocab(self, capsys, pipeline_dir, tmp_path):
+        with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        at = lines.index("visit\t3\tvisit")
+        lines[at] = "visit\t9999\tvisit"
+        bad = tmp_path / "bad.ds"
+        bad.write_text("\n".join(lines), encoding="utf-8", newline="")
+        code, out, err = run(capsys, "fuse", "--emb1", glove_a() + ":glove",
+                             "--emb2", fasttext_b() + ":fasttext",
+                             "--dataset", str(bad), "--out", str(tmp_path / "f.bin"))
+        assert code == 1
+        assert err == f"ERROR invalid: dataset line {at + 1}: word index 9999 outside 2..60\n"
+
+    def test_lr_find_skips_chart_with_one_surviving_probe(self, capsys, pipeline_dir, tmp_path):
+        table, svg = tmp_path / "lr.csv", tmp_path / "lr.svg"
+        code, out, err = run_without_warnings(
+            capsys, "lr-find", "--dataset", pipeline_dir["dataset"],
+            "--fused", pipeline_dir["fused"], "--optimizer", "sgd",
+            "--grid", "1e-3:1e308:log2", "--epochs", "1", "--batch", "8",
+            "--out", str(table), "--svg", str(svg), *TINY_MODEL)
+        assert code == 0, err
+        assert err == ""
+        assert "lr=1.000e+308 diverged" in out
+        assert "best_lr=0.001" in out
+        assert out.splitlines()[-1] == (
+            f"skipped chart {svg}: fewer than 2 learning rates completed without diverging")
+        assert len(table.read_text().splitlines()) == 3
+        assert not svg.exists()
+
+    def test_diverged_run_trains_and_evaluates_without_warnings(self, capsys, pipeline_dir,
+                                                               tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run_without_warnings(
+            capsys, "train", "--dataset", pipeline_dir["dataset"],
+            "--fused", pipeline_dir["fused"], "--optimizer", "sgd", "--lr", "1e308",
+            "--epochs", "2", "--batch", "8", "--out", str(ckpt), *TINY_MODEL)
+        assert code == 0, err
+        assert err == ""
+        assert "diverged at epoch 1" in out
+        code, out, err = run_without_warnings(
+            capsys, "eval", "--dataset", pipeline_dir["dataset"], "--ckpt", str(ckpt))
+        assert code == 0, err
+        assert err == ""
+        assert "split=test examples=4 loss=nan" in out
+
+    def test_sweep_with_diverging_cells_prints_no_warnings(self, capsys, pipeline_dir):
+        manifest = str(pipeline_dir["root"] / "pairs_diverge.csv")
+        with open(manifest, "w", newline="") as fh:
+            fh.write(f"pair,path\nglove+fasttext,{pipeline_dir['fused']}\n")
+        code, out, err = run_without_warnings(
+            capsys, "sweep", "--dataset", pipeline_dir["dataset"], "--pairs", manifest,
+            "--lr", "1e307", "--epochs", "2", "--batch", "8",
+            "--out-dir", str(pipeline_dir["root"] / "sweep_diverge"), *TINY_MODEL)
+        assert code == 0, err
+        assert err == ""
+        assert "diverged at epoch" in out
 
     def test_fuse_rejects_bad_format_suffix(self, capsys, pipeline_dir, tmp_path):
         code, out, err = run(capsys, "fuse", "--emb1", glove_a(),

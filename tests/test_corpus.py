@@ -343,7 +343,11 @@ class TestDatasetFile:
          "line 2: bad header field 'vocab_size=abc'"),
         ("word", "a 2 a", "line 4: expected token<TAB>index<TAB>lemma"),
         ("example", "7\t0 2", "line 6: 7 is not a valid SentimentLabel"),
-    ], ids=["header-not-int", "word-without-tabs", "unknown-label"])
+        ("word", "a\t9999\ta", "line 4: word index 9999 outside 2..2"),
+        ("word", "a\t1\ta", "line 4: word index 1 outside 2..2"),
+        ("word", "a\t-1\ta", "line 4: word index -1 outside 2..2"),
+    ], ids=["header-not-int", "word-without-tabs", "unknown-label",
+            "word-index-past-vocab", "word-index-unknown-slot", "word-index-negative"])
     def test_rejects_malformed_line(self, field, value, message):
         lines = {"header": "vocab_size=3 max_len=2 train=1 test=0",
                  "word": "a\t2\ta", "example": "0\t0 2"}

@@ -1,0 +1,147 @@
+"""Seeded corruption of the CLI's text inputs: every run exits 0 or prints one ERROR line.
+
+A prepared dataset, a history CSV, a config file, a pair manifest and a
+review CSV each get truncations, byte flips, non-UTF-8 bytes, wrong field
+counts and non-numeric fields, drawn from one seeded generator per case.
+Each corrupted file goes through ``cli.dispatch`` in-process, in the command that reads it.
+A run must exit 0 with nothing on stderr, or print exactly one
+``ERROR <code>: <message>`` line; it must never raise or warn.
+"""
+import os
+import re
+import warnings
+
+import pytest
+
+from embfuse.cli import dispatch
+from embfuse.seeding import derive_rng
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+GLOVE = os.path.join(FIXTURES, "vectors_a_glove.txt")
+FASTTEXT = os.path.join(FIXTURES, "vectors_b_fasttext.txt")
+TINY_MODEL = ["--lstm-units", "6", "--gru-units", "4",
+              "--spatial-dropout", "0.0", "--dropout", "0.0"]
+SEEDS = range(4)
+ERROR_LINE = re.compile(r"ERROR [a-z0-9-]+: [^\n]+\n")
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+HISTORY = (
+    "pair,optimizer,learning_rate,seed,epoch,"
+    "train_loss,train_accuracy,test_loss,test_accuracy,run_diverged\n"
+    "glove+fasttext,sgd,0.05,3,1,1.0986,0.3333,1.0912,0.25,0\n"
+    "glove+fasttext,sgd,0.05,3,2,1.0512,0.4167,1.0804,0.5,0\n"
+    "glove+fasttext,adam,0.05,3,1,1.2034,0.3056,1.1021,0.25,0\n"
+    "glove+fasttext,adam,0.05,3,2,1.1177,0.3611,1.0466,0.5,0\n"
+    "other,sgd,1e+307,3,0,,,,,1\n"
+)
+CONFIG = ('{"format": "glove", "seed": 3, "max_len": 16, "no_title": false,\n'
+          ' "lr": 0.05, "grid": "1e-4:1e-2:log3"}\n')
+
+
+# --- corruptions: each maps (data, rng, separators) to corrupted bytes ---
+
+def truncate(data, rng, seps):
+    return data[:int(rng.integers(0, len(data)))]
+
+
+def flip_byte(data, rng, seps):
+    i = int(rng.integers(len(data)))
+    return data[:i] + bytes([data[i] ^ int(rng.integers(1, 256))]) + data[i + 1:]
+
+
+def insert_non_utf8(data, rng, seps):
+    i = int(rng.integers(len(data) + 1))
+    return data[:i] + [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"][int(rng.integers(4))] + data[i:]
+
+
+def _edit_fields(data, rng, seps, edit):
+    lines = data.split(b"\n")
+    candidates = [i for i, line in enumerate(lines) if any(s in line for s in seps)]
+    at = candidates[int(rng.integers(len(candidates)))]
+    present = [s for s in seps if s in lines[at]]
+    sep = present[int(rng.integers(len(present)))]
+    fields = lines[at].split(sep)
+    edit(fields, int(rng.integers(len(fields))))
+    lines[at] = sep.join(fields)
+    return b"\n".join(lines)
+
+
+def drop_field(data, rng, seps):
+    return _edit_fields(data, rng, seps, lambda fields, k: fields.pop(k))
+
+
+def repeat_field(data, rng, seps):
+    return _edit_fields(data, rng, seps, lambda fields, k: fields.insert(k, fields[k]))
+
+
+def non_numeric(data, rng, seps):
+    numbers = list(NUMBER.finditer(data))
+    m = numbers[int(rng.integers(len(numbers)))]
+    text = [b"abc", b"", b"1.5", b"nan", b"-7", b"1e999"][int(rng.integers(6))]
+    return data[:m.start()] + text + data[m.end():]
+
+
+CORRUPTIONS = [truncate, flip_byte, insert_non_utf8, drop_field, repeat_field, non_numeric]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The pristine inputs, plus the dataset and checkpoint the commands use."""
+    root = tmp_path_factory.mktemp("corruption")
+    dataset, fused, ckpt = str(root / "d.ds"), str(root / "f.bin"), str(root / "m.ckpt")
+    assert dispatch(["prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                     "--out", dataset, "--max-len", "16", "--seed", "0"]) == 0
+    assert dispatch(["fuse", "--emb1", GLOVE + ":glove", "--emb2", FASTTEXT + ":fasttext",
+                     "--dataset", dataset, "--out", fused]) == 0
+    assert dispatch(["train", "--dataset", dataset, "--fused", fused, "--optimizer", "sgd",
+                     "--lr", "0.05", "--epochs", "1", "--batch", "8", "--out", ckpt,
+                     *TINY_MODEL]) == 0
+    with open(dataset, "rb") as fh:
+        dataset_bytes = fh.read()
+    with open(os.path.join(FIXTURES, "reviews_50.csv"), "rb") as fh:
+        reviews_bytes = fh.read()
+    manifest = f"pair,path\nglove+fasttext,{fused}\nagain,{fused}\n".encode()
+    return {"dataset": dataset, "ckpt": ckpt, "bytes": {
+        "dataset": dataset_bytes, "history": HISTORY.encode(), "config": CONFIG.encode(),
+        "manifest": manifest, "reviews": reviews_bytes}}
+
+
+# (input, separators of its fields, argv for the corrupted file at path, scratch dir out)
+TARGETS = {
+    "dataset-fuse": ("dataset", (b"\t", b" "), lambda inp, path, out: [
+        "fuse", "--emb1", GLOVE + ":glove", "--emb2", FASTTEXT + ":fasttext",
+        "--dataset", path, "--out", os.path.join(out, "f.bin")]),
+    "dataset-eval": ("dataset", (b"\t", b" "), lambda inp, path, out: [
+        "eval", "--dataset", path, "--ckpt", inp["ckpt"]]),
+    "history-report": ("history", (b",",), lambda inp, path, out: [
+        "report", "--history", path, "--out-dir", out]),
+    "config-inspect": ("config", (b",", b": "), lambda inp, path, out: [
+        "inspect", GLOVE, "--config", path]),
+    "reviews-prepare": ("reviews", (b",",), lambda inp, path, out: [
+        "prepare", "--csv", path, "--out", os.path.join(out, "d.ds"), "--max-len", "16"]),
+    "manifest-sweep": ("manifest", (b",",), lambda inp, path, out: [
+        "sweep", "--dataset", inp["dataset"], "--pairs", path, "--optimizers", "sgd",
+        "--lr", "0.05", "--epochs", "1", "--batch", "8", "--out-dir", out, *TINY_MODEL]),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_corrupted_input_ends_in_exit_0_or_one_error_line(
+        capsys, tmp_path, inputs, target, corrupt, seed):
+    kind, seps, argv = TARGETS[target]
+    rng = derive_rng(seed, "corruption", target, corrupt.__name__)
+    path = tmp_path / f"corrupt.{kind}"
+    path.write_bytes(corrupt(inputs["bytes"][kind], rng, seps))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv(inputs, str(path), str(tmp_path / "out")))
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert ERROR_LINE.fullmatch(err), err

@@ -179,16 +179,17 @@ GOLDEN = {
 
 @pytest.mark.skipif(blas_build() != PINNED_BLAS,
                     reason="golden values pin one BLAS build's GEMM rounding")
-@pytest.mark.parametrize("case", [
-    pytest.param(c, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")) if c == DIVERGING else c
-    for c in CASES
-], ids=lambda c: f"{c[0]}-lr{c[1]}-do{int(c[2])}-emb{int(c[3])}")
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-lr{c[1]}-do{int(c[2])}-emb{int(c[3])}")
 def test_history_weights_and_checkpoint_match_golden(case):
     assert run_case(*case) == GOLDEN[case]
 
 
 def textbook_rule(spec, n):
-    """Each update rule as its formula reads, out of place, with fresh state arrays."""
+    """Each update rule as its formula reads, out of place, with fresh state arrays.
+
+    The fixed hyperparameters are written as literals, so this reference pins
+    their values as well as the operation order.
+    """
     s = {"v": np.zeros(n), "acc": np.zeros(n), "sq_g": np.zeros(n), "sq_d": np.zeros(n),
          "m": np.zeros(n), "t": 0}
     lr = spec.learning_rate
@@ -197,24 +198,24 @@ def textbook_rule(spec, n):
         if spec.kind == "sgd":
             return w - lr * g
         if spec.kind == "sgd_momentum":
-            s["v"] = spec.momentum * s["v"] + g
+            s["v"] = 0.9 * s["v"] + g
             return w - lr * s["v"]
         if spec.kind == "adagrad":
             s["acc"] = s["acc"] + g * g
-            return w - lr * g / np.sqrt(s["acc"] + spec.adagrad_eps)
+            return w - lr * g / np.sqrt(s["acc"] + 1e-10)
         if spec.kind == "adadelta":
-            rho, eps = spec.adadelta_rho, spec.adadelta_eps
+            rho, eps = 0.95, 1e-6
             s["sq_g"] = rho * s["sq_g"] + (1.0 - rho) * g * g
             delta = -np.sqrt(s["sq_d"] + eps) / np.sqrt(s["sq_g"] + eps) * g
             s["sq_d"] = rho * s["sq_d"] + (1.0 - rho) * delta * delta
             return w + lr * delta
-        b1, b2 = spec.adam_beta1, spec.adam_beta2
+        b1, b2 = 0.9, 0.999
         s["t"] += 1
         s["m"] = b1 * s["m"] + (1.0 - b1) * g
         s["v"] = b2 * s["v"] + (1.0 - b2) * g * g
         m_hat = s["m"] / (1.0 - b1 ** s["t"])
         v_hat = s["v"] / (1.0 - b2 ** s["t"])
-        return w - lr * m_hat / (np.sqrt(v_hat) + spec.adam_eps)
+        return w - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     return step
 

@@ -1,4 +1,5 @@
 """Optimizer update rules, the training loop, lr search, and the sweep."""
+import dataclasses
 import io
 import math
 import types
@@ -36,6 +37,11 @@ from conftest import random_embedding, synthetic_dataset
 
 
 class TestOptimizerSpec:
+    def test_a_run_is_a_rule_and_a_rate(self):
+        assert [f.name for f in dataclasses.fields(OptimizerSpec)] == ["kind", "learning_rate"]
+        with pytest.raises(TypeError):
+            OptimizerSpec(kind="sgd_momentum", learning_rate=0.1, momentum=0.5)
+
     def test_accepts_every_known_kind(self):
         for kind in OPTIMIZER_KINDS:
             assert OptimizerSpec(kind=kind, learning_rate=0.1).kind == kind
@@ -46,13 +52,6 @@ class TestOptimizerSpec:
         dict(kind="sgd", learning_rate=-1.0),
         dict(kind="sgd", learning_rate=float("inf")),
         dict(kind="sgd", learning_rate=float("nan")),
-        dict(kind="sgd_momentum", learning_rate=0.1, momentum=1.0),
-        dict(kind="sgd_momentum", learning_rate=0.1, momentum=-0.1),
-        dict(kind="adam", learning_rate=0.1, adam_beta1=0.0),
-        dict(kind="adam", learning_rate=0.1, adam_beta2=1.0),
-        dict(kind="adam", learning_rate=0.1, adam_eps=0.0),
-        dict(kind="adadelta", learning_rate=0.1, adadelta_rho=1.0),
-        dict(kind="adagrad", learning_rate=0.1, adagrad_eps=-1e-9),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
@@ -231,7 +230,6 @@ class TestTrain:
         assert a.test_loss == b.test_loss
         assert a.train_accuracy == b.train_accuracy
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_learning_rate_flags_divergence(self, tiny_dataset, tiny_embedding):
         spec = OptimizerSpec(kind="sgd", learning_rate=1e307)
         _, hist = train(tiny_dataset, tiny_embedding, small_config(), spec,
@@ -334,7 +332,6 @@ class TestLrRangeSearch:
         assert best == grid[int(np.argmin(finals))]
         assert all(len(p.epoch_losses) == 2 for p in probes)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_probe_kept_but_not_chosen(self, tiny_dataset, tiny_embedding):
         best, probes = lr_range_search(tiny_dataset, tiny_embedding, small_config(),
                                        "sgd", grid=[1e-3, 1e307], epochs=2,
@@ -343,7 +340,6 @@ class TestLrRangeSearch:
         assert probes[1].diverged and probes[1].final_loss == math.inf
         assert not probes[0].diverged
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_diverged_raises(self, tiny_dataset, tiny_embedding):
         with pytest.raises(AllDivergedError):
             lr_range_search(tiny_dataset, tiny_embedding, small_config(),
@@ -367,7 +363,6 @@ class TestLrRangeSearch:
 
 
 class TestHistoryCsv:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_round_trip_exact(self, tiny_dataset, tiny_embedding):
         config = small_config()
         _, ok = train(tiny_dataset, tiny_embedding, config,
