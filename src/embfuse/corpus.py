@@ -486,17 +486,24 @@ def read_dataset(fh) -> PreparedDataset:
     vocab_size = header["vocab_size"]
     dict_words: Dict[str, int] = {}
     lemma_dict: Dict[str, str] = {}
+    owners: Dict[int, Tuple[str, int]] = {}  # word index -> (its word, its line)
     lines = enumerate(text, 4)
     line_no, line = next(lines, (0, ""))
     while line and not line.startswith("["):
         try:
             token, idx, lemma = line.rstrip("\n").split("\t")
-            dict_words[token] = int(idx)
+            index = int(idx)
         except ValueError:
             raise ValidationError(f"dataset line {line_no}: expected token<TAB>index<TAB>lemma") from None
-        if not 2 <= dict_words[token] < vocab_size:
+        if not 2 <= index < vocab_size:
             raise ValidationError(
                 f"dataset line {line_no}: word index {idx} outside 2..{vocab_size - 1}")
+        if index in owners:
+            owner, owner_line = owners[index]
+            raise ValidationError(f"dataset line {owner_line}: word index {index} of {owner!r} "
+                                  f"is given again on line {line_no}, to {token!r}")
+        owners[index] = (token, line_no)
+        dict_words[token] = index
         lemma_dict[token] = lemma
         line_no, line = next(lines, (0, ""))
     if len(dict_words) + 2 != vocab_size:
@@ -519,6 +526,10 @@ def read_dataset(fh) -> PreparedDataset:
                 raise ValidationError(f"dataset line {line_no}: {exc}") from None
             if len(indices) != header["max_len"]:
                 raise ValidationError("encoded example length differs from max_len")
+            if indices and not 0 <= min(indices) <= max(indices) < vocab_size:
+                bad = next(v for v in indices if not 0 <= v < vocab_size)
+                raise ValidationError(
+                    f"dataset line {line_no}: token index {bad} outside 0..{vocab_size - 1}")
             sections[current].append(EncodedExample(indices=indices, label=label))
     if len(sections["train"]) != header["train"] or len(sections["test"]) != header["test"]:
         raise ValidationError("example counts do not match the dataset header")

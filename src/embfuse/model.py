@@ -15,7 +15,11 @@ padding never changes the output.
 Parameters have one representation: the 14 weight blocks (and the embedding,
 when it is trained) are reshaped views into one contiguous float64 vector,
 ``ModelParameters.flat``, so an optimizer updates every block by writing that
-vector in place. A frozen embedding is held outside it.
+vector in place. A frozen embedding is held outside it. A stack of K runs
+that share one architecture holds a (K, n) ``flat``, one row per run, and
+every block gains a leading axis of K; the kernels broadcast over leading
+axes, so one set of NumPy calls per time step serves every run of a stack,
+and each run's floats are those it gets when trained alone.
 
 Training-mode forward returns a trace for exact backpropagation through time
 (BPTT). For each recurrent direction it holds a store of preallocated
@@ -31,7 +35,9 @@ differences in the test suite.
 """
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 from typing import Dict, Mapping, Optional, Tuple
@@ -122,6 +128,8 @@ class ModelParameters:
     set. ``blocks[name]`` (and then ``embedding``) are reshaped views of it, so
     an update written into ``flat`` is the update of every block. ``blocks``
     refuses rebinding a name: a block is changed by writing into it. A frozen embedding is held outside the buffer.
+    A stack of runs (``stacked``) has a (K, n) ``flat`` and blocks with a
+    leading axis of K; its runs share one frozen embedding.
     """
 
     def __init__(self, blocks: Mapping[str, np.ndarray], embedding: np.ndarray,
@@ -150,26 +158,37 @@ class ModelParameters:
         return self.layout[-1][0] == "embedding"
 
     def split(self, vec: np.ndarray) -> Dict[str, np.ndarray]:
-        """Named reshaped views of a vector laid out like ``flat``."""
+        """Named reshaped views of a vector (or stack of vectors) laid out like ``flat``."""
         if vec.shape != self.flat.shape:
             raise ShapeMismatchError("flat vector length does not match the parameter layout")
         views: Dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in self.layout:
             size = int(np.prod(shape))
-            views[name] = vec[offset:offset + size].reshape(shape)
+            views[name] = vec[..., offset:offset + size].reshape(vec.shape[:-1] + shape)
             offset += size
         return views
 
-    def _over(self, flat: np.ndarray) -> "ModelParameters":
-        """A set with this layout whose trainable weights are flat; a frozen embedding is copied."""
+    def _over(self, flat: np.ndarray, share_embedding: bool = False) -> "ModelParameters":
+        """A set with this layout whose trainable weights are flat; a frozen
+        embedding is copied, or shared with share_embedding."""
         new = ModelParameters.__new__(ModelParameters)
         new.layout = self.layout
-        new._bind(flat, None if self.train_embedding else self.embedding.copy())
+        frozen = None if self.train_embedding else self.embedding
+        new._bind(flat, frozen if share_embedding or frozen is None else frozen.copy())
         return new
 
     def copy(self) -> "ModelParameters":
         return self._over(self.flat.copy())
+
+    def stacked(self, k: int) -> "ModelParameters":
+        """A stack of k runs, each starting from a copy of these weights."""
+        return self._over(np.repeat(self.flat[None], k, axis=0), share_embedding=True)
+
+    def run(self, key) -> "ModelParameters":
+        """Of a stack: run key (an int) as a set viewing its row of ``flat``,
+        or the runs a list of ints picks, copied into a new stack."""
+        return self._over(self.flat[key], share_embedding=True)
 
 
 def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:
@@ -349,62 +368,78 @@ def gru_cell_step(
 # once; its loop keeps only the gradient recurrence through U^T and writes
 # each step's gate gradient over the store. dW, dU, db and dX are then one
 # GEMM or reduction each over all T*B rows.
+#
+# Inputs, weights and stores may carry leading axes, a stack of runs, which
+# broadcast: a (K, D, 4H) W over a shared (B, T, D) input scans K runs, and
+# every product is a stacked np.matmul of the same 2-D GEMMs one run makes
+# alone. Stores keep each run's (T, B, .) block contiguous; the loops index
+# time through _steps views.
 
 def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """(B, T, ...) -> (T, B, ...) view in processing order."""
-    a = a.swapaxes(0, 1)
-    return a[::-1] if reverse else a
+    """(..., B, T, F) -> (..., T, B, F) view in processing order."""
+    a = a.swapaxes(-3, -2)
+    return a[..., ::-1, :, :] if reverse else a
 
 
 def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
     """Inverse of _time_major."""
-    return (a[::-1] if reverse else a).swapaxes(0, 1)
+    return (a[..., ::-1, :, :] if reverse else a).swapaxes(-3, -2)
+
+
+def _steps(a: np.ndarray, axis: int = -3) -> np.ndarray:
+    """(..., T, B, F) -> (T, ..., B, F) view, time moved first from axis:
+    a[s] is step s of every run."""
+    t = a.ndim + axis
+    return a.transpose((t, *range(t), *range(t + 1, a.ndim)))
 
 
 def _scan_rows(X: np.ndarray, reverse: bool) -> np.ndarray:
-    """(B, T, D) -> (T*B, D) rows, time-major in processing order."""
+    """(..., B, T, D) -> (..., T*B, D) rows, time-major in processing order."""
     Xt = _time_major(X, reverse)
-    return Xt.reshape(-1, Xt.shape[2])
+    return Xt.reshape(Xt.shape[:-3] + (-1, Xt.shape[-1]))
 
 
 def _scan_setup(X, mask, W, b, reverse):
-    """Preactivations X W + b as (T, B, K) and the (T, B, 1) step mask."""
+    """Preactivations X W + b as (..., T, B, K) and the (T, B, 1) step mask."""
     B, T = mask.shape
-    xw = (_scan_rows(X, reverse) @ W).reshape(T, B, W.shape[1])
-    xw += b
+    xw = np.matmul(_scan_rows(X, reverse), W)
+    xw = xw.reshape(xw.shape[:-2] + (T, B, W.shape[-1]))
+    xw += b[..., None, None, :]
     return xw, _step_mask(mask, reverse)
 
 
 def _step_mask(mask: np.ndarray, reverse: bool) -> np.ndarray:
     """(B, T) padding mask -> (T, B, 1) booleans, True where a step is real."""
-    return _time_major(mask, reverse)[:, :, None] > 0.0
+    return _time_major(mask[:, :, None], reverse) > 0.0
 
 
 def _lstm_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
-    """One LSTM direction over (B, T, D); returns ((B, T, H) outputs, store).
+    """One LSTM direction over (..., B, T, D); returns ((..., B, T, H) outputs, store).
 
     Padded steps carry h and c through unchanged. store is None unless training.
     """
     gates, valid = _scan_setup(X, mask, W, b, reverse)
-    T, B, _ = gates.shape
-    H = U.shape[0]
-    hs = np.zeros((T + 1, B, H))  # hs[s] is the state entering step s
-    cs = np.zeros((T + 1, B, H)) if training else None
-    tanh_cs = np.empty((T, B, H)) if training else None
-    c = np.zeros((B, H))
+    lead, (T, B) = gates.shape[:-3], valid.shape[:2]
+    H = U.shape[-2]
+    hs = np.zeros(lead + (T + 1, B, H))  # hs[..., s, :, :] is the state entering step s
+    cs = np.zeros(lead + (T + 1, B, H)) if training else None
+    tanh_cs = np.empty(lead + (T, B, H)) if training else None
+    c = np.zeros(lead + (B, H))
+    gates_s, hs_s = _steps(gates), _steps(hs)
+    cs_s, tanh_cs_s = (_steps(cs), _steps(tanh_cs)) if training else (None, None)
     with np.errstate(over="ignore"):
         for s in range(T):
-            a = hs[s] @ U
-            a += gates[s]
-            c_new, tanh_c, h_new = _lstm_cell(a, c, gates[s])
+            a = hs_s[s] @ U
+            a += gates_s[s]
+            c_new, tanh_c, h_new = _lstm_cell(a, c, gates_s[s])
             m = valid[s]
-            hs[s + 1] = np.where(m, h_new, hs[s])
+            hs_s[s + 1] = np.where(m, h_new, hs_s[s])
             c = np.where(m, c_new, c)
             if training:
-                cs[s + 1] = c
-                tanh_cs[s] = tanh_c
+                cs_s[s + 1] = c
+                tanh_cs_s[s] = tanh_c
     store = (gates, hs, cs, tanh_cs) if training else None
-    return _batch_major(hs[1:], reverse), store
+    return _batch_major(hs[..., 1:, :, :], reverse), store
 
 
 def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need_dx: bool = True):
@@ -414,11 +449,11 @@ def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, nee
     Consumes store: the gate array ends up holding the gate gradients.
     """
     gates, hs, cs, tanh_cs = store
-    T, B, H = tanh_cs.shape
+    lead, (T, B, H) = tanh_cs.shape[:-3], tanh_cs.shape[-3:]
     valid = _step_mask(mask, reverse)
     live = valid.astype(np.float64)
-    gates4 = gates.reshape(T, B, 4, H)
-    i, f, g, o = (gates4[:, :, k] for k in range(4))
+    gates4 = gates.reshape(gates.shape[:-1] + (4, H))
+    i, f, g, o = (gates4[..., k, :] for k in range(4))
     # Per-step factors that do not depend on the incoming gradient, for all
     # steps at once and in place over the store. Padded steps get zero
     # factors and a unit carry, so they pass dc through untouched.
@@ -432,7 +467,7 @@ def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, nee
     tanh_cs *= live
     o[...] = do
     # f <- da_f / dc = f (1 - f) c_prev; cs[:-1] <- the carry dc_prev / dc = f
-    carry = cs[:-1]
+    carry = cs[..., :-1, :, :]
     df = f * (1.0 - f)
     df *= carry
     np.copyto(carry, np.where(valid, f, 1.0))
@@ -447,44 +482,51 @@ def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, nee
     del do, df, di
     gates *= live
 
-    dout = _time_major(dout, reverse)
-    UT = U.T
-    dh = np.zeros((B, H))
-    dc = np.zeros((B, H))
+    dout = _steps(_time_major(dout, reverse))
+    gates_s, gates4_s = _steps(gates), _steps(gates4, -4)
+    tanh_cs, carry = _steps(tanh_cs), _steps(carry)
+    UT = U.swapaxes(-1, -2)
+    dh = np.zeros(lead + (B, H))
+    dc = np.zeros(lead + (B, H))
     for s in range(T - 1, -1, -1):
         dh_total = dout[s] + dh
         dc = dc + dh_total * tanh_cs[s]
-        gates4[s, :, :3] *= dc[:, None, :]
-        gates[s, :, 3 * H:] *= dh_total
+        gates4_s[s][..., :3, :] *= dc[..., None, :]
+        gates_s[s][..., 3 * H:] *= dh_total
         dc *= carry[s]
-        dh = np.where(valid[s], gates[s] @ UT, dh_total)
-    da = gates.reshape(T * B, 4 * H)
+        dh = np.where(valid[s], gates_s[s] @ UT, dh_total)
+    da = gates.reshape(lead + (T * B, 4 * H))
     dW, dU, db = out
-    np.matmul(_scan_rows(X, reverse).T, da, out=dW)
-    np.matmul(hs[:-1].reshape(T * B, H).T, da, out=dU)
-    da.sum(axis=0, out=db)
-    return _batch_major((da @ W.T).reshape(T, B, -1), reverse) if need_dx else None
+    np.matmul(_scan_rows(X, reverse).swapaxes(-1, -2), da, out=dW)
+    np.matmul(hs[..., :-1, :, :].reshape(lead + (T * B, H)).swapaxes(-1, -2), da, out=dU)
+    da.sum(axis=-2, out=db)
+    if not need_dx:
+        return None
+    dX = np.matmul(da, W.swapaxes(-1, -2))
+    return _batch_major(dX.reshape(lead + (T, B, -1)), reverse)
 
 
 def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
-    """One GRU direction over (B, T, D); returns ((B, T, G) outputs, store).
+    """One GRU direction over (..., B, T, D); returns ((..., B, T, G) outputs, store).
 
     Padded steps carry h through unchanged. store is None unless training.
     """
     gates, valid = _scan_setup(X, mask, W, b, reverse)
-    T, B, _ = gates.shape
-    G = U.shape[0]
-    hs = np.zeros((T + 1, B, G))  # hs[s] is the state entering step s
-    hus = np.empty((T, B, 3 * G)) if training else None
+    lead, (T, B) = gates.shape[:-3], valid.shape[:2]
+    G = U.shape[-2]
+    hs = np.zeros(lead + (T + 1, B, G))  # hs[..., s, :, :] is the state entering step s
+    hus = np.empty(lead + (T, B, 3 * G)) if training else None
+    gates_s, hs_s = _steps(gates), _steps(hs)
+    hus_s = _steps(hus) if training else None
     with np.errstate(over="ignore"):
         for s in range(T):
-            hu = hs[s] @ U
-            h_new = _gru_cell(gates[s], hu, hs[s], gates[s])
-            hs[s + 1] = np.where(valid[s], h_new, hs[s])
+            hu = hs_s[s] @ U
+            h_new = _gru_cell(gates_s[s], hu, hs_s[s], gates_s[s])
+            hs_s[s + 1] = np.where(valid[s], h_new, hs_s[s])
             if training:
-                hus[s] = hu
+                hus_s[s] = hu
     store = (gates, hs, hus) if training else None
-    return _batch_major(hs[1:], reverse), store
+    return _batch_major(hs[..., 1:, :, :], reverse), store
 
 
 def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out):
@@ -495,11 +537,11 @@ def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out):
     dw_in and the recurrent products hus the recurrent-side gradient du_in.
     """
     gates, hs, hus = store
-    T, B, _ = gates.shape
-    G = U.shape[0]
+    lead, (T, B) = gates.shape[:-3], gates.shape[-3:-1]
+    G = U.shape[-2]
     valid = _step_mask(mask, reverse)
     live = valid.astype(np.float64)
-    z, r, n = (gates[:, :, k * G:(k + 1) * G] for k in range(3))
+    z, r, n = (gates[..., k * G:(k + 1) * G] for k in range(3))
     # Per-step factors taking dh to each gate gradient, for all steps at once
     # and in place: gates becomes [dz, dr, dn] / dh and hus [dz, dr, dhu_n] / dh.
     # keep is the direct path dh_prev / dh. Padded steps get zero factors and
@@ -508,53 +550,56 @@ def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out):
     np.subtract(1.0, dn, out=dn)
     dn *= 1.0 - z
     dn *= live
-    dz = hs[:-1] - n
+    dz = hs[..., :-1, :, :] - n
     dz *= z
     dz *= 1.0 - z
     dz *= live
     keep = np.where(valid, z, 1.0)
-    dr = dn * hus[:, :, 2 * G:]
+    dr = dn * hus[..., 2 * G:]
     dr *= r
     dr *= 1.0 - r
-    np.multiply(dn, r, out=hus[:, :, 2 * G:])
+    np.multiply(dn, r, out=hus[..., 2 * G:])
     z[...] = dz
     r[...] = dr
     n[...] = dn
-    hus[:, :, :2 * G] = gates[:, :, :2 * G]
+    hus[..., :2 * G] = gates[..., :2 * G]
     del dz, dr, dn
 
-    dout = _time_major(dout, reverse)
-    gates3 = gates.reshape(T, B, 3, G)
-    hus3 = hus.reshape(T, B, 3, G)
-    UT = U.T
-    dh = np.zeros((B, G))
+    dout = _steps(_time_major(dout, reverse))
+    gates3 = _steps(gates.reshape(gates.shape[:-1] + (3, G)), -4)
+    hus3 = _steps(hus.reshape(hus.shape[:-1] + (3, G)), -4)
+    hus_s, keep = _steps(hus), _steps(keep)
+    UT = U.swapaxes(-1, -2)
+    dh = np.zeros(lead + (B, G))
     for s in range(T - 1, -1, -1):
         dh_total = dout[s] + dh
-        d = dh_total[:, None, :]
+        d = dh_total[..., None, :]
         gates3[s] *= d
         hus3[s] *= d
-        dh = hus[s] @ UT
+        dh = hus_s[s] @ UT
         dh += dh_total * keep[s]
-    dw_in = gates.reshape(T * B, 3 * G)
+    dw_in = gates.reshape(lead + (T * B, 3 * G))
     dW, dU, db = out
-    np.matmul(_scan_rows(X, reverse).T, dw_in, out=dW)
-    np.matmul(hs[:-1].reshape(T * B, G).T, hus.reshape(T * B, 3 * G), out=dU)
-    dw_in.sum(axis=0, out=db)
-    return _batch_major((dw_in @ W.T).reshape(T, B, -1), reverse)
+    np.matmul(_scan_rows(X, reverse).swapaxes(-1, -2), dw_in, out=dW)
+    np.matmul(hs[..., :-1, :, :].reshape(lead + (T * B, G)).swapaxes(-1, -2),
+              hus.reshape(lead + (T * B, 3 * G)), out=dU)
+    dw_in.sum(axis=-2, out=db)
+    dX = np.matmul(dw_in, W.swapaxes(-1, -2))
+    return _batch_major(dX.reshape(lead + (T, B, -1)), reverse)
 
 
 def masked_max_pool(seq: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-feature max over valid (unmasked) steps.
+    """Per-feature max of a (..., B, T, F) sequence over valid (unmasked) steps.
 
     Returns (pooled, argmax, all_pad); an all-padding sequence pools to the
     zero vector. Ties route to the earliest step.
     """
     masked = np.where(mask[:, :, None] > 0.0, seq, -np.inf)
-    argmax = masked.argmax(axis=1)
-    pooled = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0]
+    argmax = masked.argmax(axis=-2)
+    pooled = np.take_along_axis(masked, argmax[..., None, :], axis=-2)[..., 0, :]
     all_pad = mask.sum(axis=1) == 0
     if all_pad.any():
-        pooled[all_pad] = 0.0
+        pooled[..., all_pad, :] = 0.0
     return pooled, argmax, all_pad
 
 
@@ -562,8 +607,8 @@ def _masked_max_pool_backward(dpool, argmax, all_pad, shape) -> np.ndarray:
     dseq = np.zeros(shape)
     dpool = dpool.copy()
     if all_pad.any():
-        dpool[all_pad] = 0.0
-    np.put_along_axis(dseq, argmax[:, None, :], dpool[:, None, :], axis=1)
+        dpool[..., all_pad, :] = 0.0
+    np.put_along_axis(dseq, argmax[..., None, :], dpool[..., None, :], axis=-2)
     return dseq
 
 
@@ -601,7 +646,7 @@ def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
 
 
 # Weights that diverged carry overflow into inf and nan through every layer
-# and through the optimizer step. train() reads divergence from the loss and
+# and through the optimizer step. train_runs() reads divergence from the loss and
 # the gradient, so the forward pass, the loss, the backward pass and the step
 # run with numpy's overflow and invalid-value reports off.
 _diverging_quietly = np.errstate(over="ignore", invalid="ignore")
@@ -619,28 +664,29 @@ def forward(
 
     Returns (probs, trace); the trace is populated only in training mode.
     Dropout is active only in training mode and draws masks from rng in a
-    fixed order (spatial, after-LSTM, after-GRU).
+    fixed order (spatial, after-LSTM, after-GRU). For a stack of K runs the
+    probabilities are (K, B, 3), and the runs share the dropout masks and,
+    when it is frozen, the embedding gather.
     """
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2:
         raise ShapeMismatchError(f"expected a (batch, time) index array, got shape {x.shape}")
-    if x.size and (x.min() < 0 or x.max() >= params.embedding.shape[0]):
-        raise IndexOutOfRangeError(
-            f"token index outside embedding table of {params.embedding.shape[0]} rows"
-        )
+    rows = params.embedding.shape[-2]
+    if x.size and (x.min() < 0 or x.max() >= rows):
+        raise IndexOutOfRangeError(f"token index outside embedding table of {rows} rows")
     needs_rng = training and (config.spatial_dropout_rate > 0 or config.dropout_rate > 0)
     if needs_rng and rng is None:
         raise ValidationError("training-mode forward with dropout needs an rng")
 
     mask = (x != 0).astype(np.float64)
-    emb_dropped = params.embedding[x]  # a gathered copy, so dropout can scale it in place
+    # a gathered copy, so dropout can scale it in place
+    emb_dropped = np.take(params.embedding, x, axis=-2)
 
     sd_mask = None
     if training and config.spatial_dropout_rate > 0:
-        sd_mask = _dropout_mask(
-            rng, (emb_dropped.shape[0], 1, emb_dropped.shape[2]), config.spatial_dropout_rate)
+        sd_mask = _dropout_mask(rng, (x.shape[0], 1, config.emb_dim), config.spatial_dropout_rate)
         emb_dropped *= sd_mask
 
     p = params.blocks
@@ -648,31 +694,31 @@ def forward(
         emb_dropped, mask, p["lstm_fw_W"], p["lstm_fw_U"], p["lstm_fw_b"], False, training)
     bw_out, bw_store = _lstm_direction_forward(
         emb_dropped, mask, p["lstm_bw_W"], p["lstm_bw_U"], p["lstm_bw_b"], True, training)
-    S_dropped = np.concatenate([fw_out, bw_out], axis=2)
+    S_dropped = np.concatenate([fw_out, bw_out], axis=-1)
 
     do1_mask = None
     if training and config.dropout_rate > 0:
-        do1_mask = _dropout_mask(rng, S_dropped.shape, config.dropout_rate)
+        do1_mask = _dropout_mask(rng, S_dropped.shape[-3:], config.dropout_rate)
         S_dropped *= do1_mask
 
     gfw_out, gfw_store = _gru_direction_forward(
         S_dropped, mask, p["gru_fw_W"], p["gru_fw_U"], p["gru_fw_b"], False, training)
     gbw_out, gbw_store = _gru_direction_forward(
         S_dropped, mask, p["gru_bw_W"], p["gru_bw_U"], p["gru_bw_b"], True, training)
-    G_dropped = np.concatenate([gfw_out, gbw_out], axis=2)
+    G_dropped = np.concatenate([gfw_out, gbw_out], axis=-1)
 
     do2_mask = None
     if training and config.dropout_rate > 0:
-        do2_mask = _dropout_mask(rng, G_dropped.shape, config.dropout_rate)
+        do2_mask = _dropout_mask(rng, G_dropped.shape[-3:], config.dropout_rate)
         G_dropped *= do2_mask
 
     pool1 = masked_max_pool(S_dropped, mask)
     pool2 = masked_max_pool(G_dropped, mask)
-    feats = np.concatenate([pool1[0], pool2[0]], axis=1)
+    feats = np.concatenate([pool1[0], pool2[0]], axis=-1)
 
-    logits = feats @ p["dense_W"] + p["dense_b"]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logits = feats @ p["dense_W"] + p["dense_b"][..., None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_norm
     probs = np.exp(log_probs)
 
@@ -690,9 +736,13 @@ def forward(
 
 
 @_diverging_quietly
-def _loss_from_trace(trace: ForwardTrace, labels: np.ndarray) -> float:
-    B = trace.probs.shape[0]
-    return float(-trace.log_probs[np.arange(B), labels].mean())
+def _loss_from_trace(trace: ForwardTrace, labels: np.ndarray):
+    """Mean cross-entropy over the batch: a float, or a (K,) array for a stack."""
+    B = trace.probs.shape[-2]
+    # copied row-major: a fancy index behind a stack axis leaves the picks
+    # column-major, and each run's mean must sum its losses as a lone run's does
+    picked = np.ascontiguousarray(trace.log_probs[..., np.arange(B), labels])
+    return -picked.mean(axis=-1)
 
 
 @_diverging_quietly
@@ -709,19 +759,19 @@ def _backward(
     """
     p = params.blocks
     g = params.split(grad)
-    B = trace.probs.shape[0]
+    B = trace.probs.shape[-2]
     Hl = config.lstm_units
 
     onehot = np.zeros_like(trace.probs)
-    onehot[np.arange(B), labels] = 1.0
+    onehot[..., np.arange(B), labels] = 1.0
     dlogits = (trace.probs - onehot) / B
 
-    np.matmul(trace.feats.T, dlogits, out=g["dense_W"])
-    dlogits.sum(axis=0, out=g["dense_b"])
-    dfeats = dlogits @ p["dense_W"].T
+    np.matmul(trace.feats.swapaxes(-1, -2), dlogits, out=g["dense_W"])
+    dlogits.sum(axis=-2, out=g["dense_b"])
+    dfeats = dlogits @ p["dense_W"].swapaxes(-1, -2)
 
-    dpool1 = dfeats[:, :2 * Hl]
-    dpool2 = dfeats[:, 2 * Hl:]
+    dpool1 = dfeats[..., :2 * Hl]
+    dpool2 = dfeats[..., 2 * Hl:]
 
     dG = _masked_max_pool_backward(dpool2, trace.pool2[1], trace.pool2[2], trace.G_dropped.shape)
     if trace.do2_mask is not None:
@@ -729,10 +779,10 @@ def _backward(
 
     G_units = config.gru_units
     dS = _gru_direction_backward(
-        dG[:, :, :G_units], trace.S_dropped, trace.mask, p["gru_fw_W"], p["gru_fw_U"],
+        dG[..., :G_units], trace.S_dropped, trace.mask, p["gru_fw_W"], p["gru_fw_U"],
         trace.gru_fw_store, False, (g["gru_fw_W"], g["gru_fw_U"], g["gru_fw_b"]))
     dS += _gru_direction_backward(
-        dG[:, :, G_units:], trace.S_dropped, trace.mask, p["gru_bw_W"], p["gru_bw_U"],
+        dG[..., G_units:], trace.S_dropped, trace.mask, p["gru_bw_W"], p["gru_bw_U"],
         trace.gru_bw_store, True, (g["gru_bw_W"], g["gru_bw_U"], g["gru_bw_b"]))
     del dG  # not needed by the LSTM backward, whose stores are the largest
     dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
@@ -741,10 +791,10 @@ def _backward(
 
     need_dx = config.train_embedding
     dE = _lstm_direction_backward(
-        dS[:, :, :Hl], trace.emb_dropped, trace.mask, p["lstm_fw_W"], p["lstm_fw_U"],
+        dS[..., :Hl], trace.emb_dropped, trace.mask, p["lstm_fw_W"], p["lstm_fw_U"],
         trace.lstm_fw_store, False, (g["lstm_fw_W"], g["lstm_fw_U"], g["lstm_fw_b"]), need_dx)
     dE_bw = _lstm_direction_backward(
-        dS[:, :, Hl:], trace.emb_dropped, trace.mask, p["lstm_bw_W"], p["lstm_bw_U"],
+        dS[..., Hl:], trace.emb_dropped, trace.mask, p["lstm_bw_W"], p["lstm_bw_U"],
         trace.lstm_bw_store, True, (g["lstm_bw_W"], g["lstm_bw_U"], g["lstm_bw_b"]), need_dx)
 
     if need_dx:
@@ -752,7 +802,7 @@ def _backward(
         if trace.sd_mask is not None:
             dE *= trace.sd_mask
         g["embedding"][...] = 0.0
-        np.add.at(g["embedding"], trace.x, dE)
+        np.add.at(g["embedding"], (..., trace.x, slice(None)), dE)
 
 
 def loss_and_grad(
@@ -762,7 +812,10 @@ def loss_and_grad(
     config: ModelConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient, a new vector laid out like params.flat."""
+    """Mean cross-entropy over the batch and its gradient, a new vector laid out like params.flat.
+
+    For a stack of runs both carry the stack axis: a (K,) loss and a (K, n) gradient.
+    """
     loss, _, grad = _loss_probs_grad(x, labels, params, config, rng)
     return loss, grad
 
@@ -795,6 +848,17 @@ def inference_batch_size(config: ModelConfig) -> int:
     """Default rows per inference chunk for ``config`` (at least 1)."""
     row_bytes = config.max_len * 4 * config.lstm_units * 8
     return max(1, _INFER_CHUNK_BYTES // row_bytes)
+
+
+def stack_size(config: ModelConfig, batch_size: int) -> int:
+    """Runs trained together as one stack at this batch size (at least 1).
+
+    As many as whose training stores, the BPTT stores of the four recurrent
+    directions (see the scans), fit in the same budget as an inference chunk.
+    """
+    T, Hl, Hg = config.max_len, config.lstm_units, config.gru_units
+    run_bytes = 2 * 8 * batch_size * (Hl * (7 * T + 2) + Hg * (7 * T + 1))
+    return max(1, _INFER_CHUNK_BYTES // run_bytes)
 
 
 def predict_proba(
@@ -882,12 +946,22 @@ def save_checkpoint(fh, params: ModelParameters, config: ModelConfig) -> None:
 
 
 def load_checkpoint(fh) -> Tuple[ModelParameters, ModelConfig]:
-    """Read a checkpoint written by save_checkpoint, validating the layout."""
-    def read_exact(n: int) -> bytes:
-        data = fh.read(n)
-        if len(data) != n:
-            raise ValidationError("checkpoint file is truncated")
-        return data
+    """Read a checkpoint written by save_checkpoint from a seekable binary
+    file, validating the layout.
+
+    No read asks for more bytes than the file has left, so a corrupted
+    shape fails before anything is allocated for it.
+    """
+    start = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(start)
+
+    def read_exact(n: int, what: str = "header") -> bytes:
+        left = end - fh.tell()
+        if n > left:
+            raise ValidationError(
+                f"checkpoint file is truncated: {what} needs {n} bytes, {left} remain")
+        return fh.read(n)
 
     if read_exact(8) != _CKPT_MAGIC:
         raise ValidationError("not a model checkpoint file")
@@ -913,9 +987,11 @@ def load_checkpoint(fh) -> Tuple[ModelParameters, ModelConfig]:
         name = read_exact(name_len).decode("utf-8", "replace")
         (ndim,) = struct.unpack("<B", read_exact(1))
         shape = tuple(struct.unpack("<Q", read_exact(8))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(read_exact(count * 8), dtype="<f8").reshape(shape)
-        arrays[name] = arr.astype(np.float64)
+        data = read_exact(math.prod(shape) * 8, f"block {name!r} of shape {shape}")
+        try:  # an empty block may still declare a dimension numpy cannot index
+            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise ValidationError(f"checkpoint block {name!r} has shape {shape}: {exc}") from None
     if "embedding" not in arrays:
         raise ValidationError("checkpoint is missing the embedding block")
     embedding = arrays.pop("embedding")

@@ -8,10 +8,12 @@ training loop steps ``params.flat`` in place, so the block views of the
 model's parameters see each update with no copying; the optimizer's state
 vectors are allocated once, and only the step's temporaries are transient.
 
-On top of the rules sit the epoch loop with per-epoch metrics, a
-learning-rate range search over a log grid, and an optimizer-by-embedding
-sweep that trains one run per (pair, optimizer) cell, one after another, and
-collects their histories.
+On top of the rules sits one epoch loop with per-epoch metrics,
+``train_runs``, which trains a stack of runs that differ only in update rule
+and rate, one optimizer per run, with one forward and backward pass per
+batch for the whole stack. A single run (``train``), a learning-rate range
+search over a log grid (its probes stacked) and an optimizer-by-embedding
+sweep (the cells of each pair stacked) all go through it.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from .model import (  # noqa: F401  from_flat and to_flat are re-exported helper
     evaluate,
     from_flat,
     init_parameters,
+    stack_size,
     to_flat,
 )
 from .seeding import derive_rng
@@ -239,6 +242,104 @@ class TrainingHistory:
         return list(range(1, len(self.train_loss) + 1))
 
 
+def _check_loop(data: SplitDataset, epochs: int, batch_size: int) -> None:
+    if data.train_x.shape[0] == 0:
+        raise EmptyDatasetError("training split is empty")
+    if epochs < 1 or batch_size < 1:
+        raise ValidationError("epochs and batch_size must be positive")
+
+
+def _stepped(stepper: _Stepper, w: np.ndarray, g: np.ndarray, loss: float) -> bool:
+    """Step w in place unless the loss or the gradient is non-finite; whether it stepped."""
+    if not math.isfinite(loss):
+        return False
+    try:
+        stepper.step(w, g, out=w)
+    except NonFiniteGradientError:
+        return False
+    return True
+
+
+def train_runs(
+    data: SplitDataset,
+    embedding: np.ndarray,
+    config: ModelConfig,
+    specs: Sequence[OptimizerSpec],
+    epochs: int = 20,
+    batch_size: int = 32,
+    seed: int = 7,
+    pair_id: str = "",
+) -> Tuple[ModelParameters, List[TrainingHistory]]:
+    """Mini-batch training of one run per spec, as one stack.
+
+    The runs share the init, the per-epoch shuffle and the dropout draws, and
+    differ only in update rule and rate, so each batch's forward and backward
+    pass serve the whole stack. Returns the stacked parameters, row k trained
+    by specs[k], and one history per spec; each run's weights and history
+    are those it gets when trained alone. Callers keep len(specs) within
+    ``stack_size(config, batch_size)``.
+
+    Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
+    aggregates training-mode predictions, test metrics are inference-mode over
+    the whole test split. A run whose loss or gradient goes non-finite leaves
+    the stack, marked diverged, with its recorded epochs, which stay finite,
+    and its weights from before that batch; the others go on.
+    """
+    _check_loop(data, epochs, batch_size)
+    if not specs:
+        raise ValidationError("train_runs needs at least one optimizer spec")
+    params = init_parameters(config, embedding, derive_rng(seed, "init")).stacked(len(specs))
+    steppers = [make_optimizer(spec, params.flat.shape[1]) for spec in specs]
+    histories = [TrainingHistory(pair=pair_id, optimizer=spec.kind,
+                                 learning_rate=spec.learning_rate, seed=seed) for spec in specs]
+    dropout = config.spatial_dropout_rate > 0 or config.dropout_rate > 0
+    n = data.train_x.shape[0]
+    starts = range(0, n, batch_size)
+    live = list(range(len(specs)))  # the runs still training: rows of params
+    stack = params  # their weights, one row each; a copy once a run has left
+    for epoch in range(1, epochs + 1):
+        started = time.perf_counter()
+        order = derive_rng(seed, "shuffle", epoch).permutation(n)
+        batch_losses = np.empty((len(specs), len(starts)))
+        correct = np.zeros(len(specs), dtype=np.int64)
+        for bi, start in enumerate(starts):
+            idx = order[start:start + batch_size]
+            xb = data.train_x[idx]
+            yb = data.train_y[idx]
+            rng = derive_rng(seed, "dropout", epoch, bi) if dropout else None
+            losses, probs, grad = _loss_probs_grad(xb, yb, stack, config, rng)
+            stepped = [_stepped(steppers[k], w, g, loss)
+                       for k, w, g, loss in zip(live, stack.flat, grad, losses)]
+            batch_losses[live, bi] = losses
+            correct[live] += (probs.argmax(axis=-1) == yb).sum(axis=-1)
+            if all(stepped):
+                continue
+            # the diverged leave the stack with their weights from before this batch
+            if stack is not params:
+                params.flat[live] = stack.flat
+            for k, ok in zip(live, stepped):
+                if not ok:
+                    histories[k].diverged = True
+                    histories[k].diverged_epoch = epoch
+            live = [k for k, ok in zip(live, stepped) if ok]
+            stack = params.run(live)
+            if not live:
+                break
+        for j, k in enumerate(live):  # every run still live stepped every batch
+            test_loss, test_acc = evaluate(data.test_x, data.test_y, stack.run(j), config)
+            history = histories[k]
+            history.train_loss.append(float(np.mean(batch_losses[k])))
+            history.train_accuracy.append(int(correct[k]) / n)
+            history.test_loss.append(test_loss)
+            history.test_accuracy.append(test_acc)
+            history.epoch_seconds.append(time.perf_counter() - started)
+        if not live:
+            break
+    if stack is not params:
+        params.flat[live] = stack.flat
+    return params, histories
+
+
 def train(
     data: SplitDataset,
     embedding: np.ndarray,
@@ -249,58 +350,31 @@ def train(
     seed: int = 7,
     pair_id: str = "",
 ) -> Tuple[ModelParameters, TrainingHistory]:
-    """Mini-batch training with per-epoch shuffling and test evaluation.
+    """One run: ``train_runs`` with a single spec."""
+    params, (history,) = train_runs(data, embedding, config, [spec],
+                                    epochs, batch_size, seed, pair_id)
+    return params.run(0), history
 
-    Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
-    aggregates training-mode predictions, test metrics are inference-mode over
-    the whole test split. The first non-finite loss or gradient stops the run
-    and marks it diverged; recorded epochs stay finite.
-    """
-    if data.train_x.shape[0] == 0:
-        raise EmptyDatasetError("training split is empty")
-    if epochs < 1 or batch_size < 1:
-        raise ValidationError("epochs and batch_size must be positive")
-    params = init_parameters(config, embedding, derive_rng(seed, "init"))
-    stepper = make_optimizer(spec, params.flat.size)
-    dropout = config.spatial_dropout_rate > 0 or config.dropout_rate > 0
-    history = TrainingHistory(
-        pair=pair_id, optimizer=spec.kind, learning_rate=spec.learning_rate, seed=seed,
-    )
-    n = data.train_x.shape[0]
-    for epoch in range(1, epochs + 1):
-        started = time.perf_counter()
-        order = derive_rng(seed, "shuffle", epoch).permutation(n)
-        batch_losses: List[float] = []
-        correct = 0
-        seen = 0
-        for bi, start in enumerate(range(0, n, batch_size)):
-            idx = order[start:start + batch_size]
-            xb = data.train_x[idx]
-            yb = data.train_y[idx]
-            rng = derive_rng(seed, "dropout", epoch, bi) if dropout else None
-            loss, probs, grad = _loss_probs_grad(xb, yb, params, config, rng)
-            if not math.isfinite(loss):
-                break
-            batch_losses.append(loss)
-            correct += int((probs.argmax(axis=1) == yb).sum())
-            seen += len(yb)
-            try:
-                stepper.step(params.flat, grad, out=params.flat)
-            except NonFiniteGradientError:
-                break
-        else:  # every batch stepped: record the epoch
-            test_loss, test_acc = evaluate(data.test_x, data.test_y, params, config)
-            history.train_loss.append(float(np.mean(batch_losses)))
-            history.train_accuracy.append(correct / seen)
-            history.test_loss.append(test_loss)
-            history.test_accuracy.append(test_acc)
-            history.epoch_seconds.append(time.perf_counter() - started)
-            continue
-        # a non-finite loss or gradient broke the epoch off
-        history.diverged = True
-        history.diverged_epoch = epoch
-        break
-    return params, history
+
+def _stacked_histories(
+    data: SplitDataset,
+    embedding: np.ndarray,
+    config: ModelConfig,
+    specs: Sequence[OptimizerSpec],
+    epochs: int,
+    batch_size: int,
+    seed: int,
+    pair_id: str = "",
+) -> List[TrainingHistory]:
+    """The histories of specs, trained in order as stacks of ``stack_size`` runs."""
+    _check_loop(data, epochs, batch_size)
+    k = stack_size(config, batch_size)
+    histories: List[TrainingHistory] = []
+    for start in range(0, len(specs), k):
+        # bind no name to a stack's parameters, so they are freed before the next stack
+        histories += train_runs(data, embedding, config, specs[start:start + k],
+                                epochs, batch_size, seed, pair_id)[1]
+    return histories
 
 
 # --- learning-rate range search ---
@@ -351,15 +425,10 @@ def lr_range_search(
     rates = [float(r) for r in (grid if grid is not None else parse_lr_grid(DEFAULT_LR_GRID))]
     if not rates:
         raise ValidationError("learning-rate grid is empty")
-    probes: List[LrProbe] = []
-    for lr in rates:
-        spec = OptimizerSpec(kind=optimizer_kind, learning_rate=lr)
-        _, hist = train(
-            data, embedding, config, spec,
-            epochs=epochs, batch_size=batch_size, seed=seed,
-        )
-        final = math.inf if hist.diverged else hist.train_loss[-1]
-        probes.append(LrProbe(lr, list(hist.train_loss), final, hist.diverged))
+    specs = [OptimizerSpec(kind=optimizer_kind, learning_rate=lr) for lr in rates]
+    probes = [LrProbe(h.learning_rate, list(h.train_loss),
+                      math.inf if h.diverged else h.train_loss[-1], h.diverged)
+              for h in _stacked_histories(data, embedding, config, specs, epochs, batch_size, seed)]
     best: Optional[LrProbe] = None
     for probe in probes:
         if probe.diverged:
@@ -401,16 +470,9 @@ def optimizer_sweep(
     """
     if not pairs:
         raise ValidationError("sweep needs at least one embedding pair")
-    histories: List[TrainingHistory] = []
-    for pair_id, emb in pairs:
-        for kind in kinds:
-            spec = OptimizerSpec(kind=kind, learning_rate=learning_rate)
-            # bind no name to the trained parameters, so they are freed before the next cell
-            histories.append(train(
-                data, emb, config, spec,
-                epochs=epochs, batch_size=batch_size, seed=seed, pair_id=pair_id,
-            )[1])
-    return histories
+    specs = [OptimizerSpec(kind=kind, learning_rate=learning_rate) for kind in kinds]
+    return [h for pair_id, emb in pairs
+            for h in _stacked_histories(data, emb, config, specs, epochs, batch_size, seed, pair_id)]
 
 
 _HISTORY_COLUMNS = [

@@ -597,6 +597,40 @@ class TestPreparedPipeline:
         assert code == 1
         assert err == f"ERROR invalid: dataset line {at + 1}: word index 9999 outside 2..60\n"
 
+    def test_fuse_rejects_repeated_word_index(self, capsys, pipeline_dir, tmp_path):
+        with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        at = lines.index("visit\t3\tvisit")
+        other = next(i for i, line in enumerate(lines) if line.split("\t")[1:2] == ["4"])
+        lines[at] = "visit\t4\tvisit"
+        bad = tmp_path / "bad.ds"
+        bad.write_text("\n".join(lines), encoding="utf-8", newline="")
+        code, out, err = run(capsys, "fuse", "--emb1", glove_a() + ":glove",
+                             "--emb2", fasttext_b() + ":fasttext",
+                             "--dataset", str(bad), "--out", str(tmp_path / "f.bin"))
+        assert code == 1
+        first, second = sorted((at, other))
+        words = [lines[i].split("\t")[0] for i in (first, second)]
+        assert err == (f"ERROR invalid: dataset line {first + 1}: word index 4 of {words[0]!r} "
+                       f"is given again on line {second + 1}, to {words[1]!r}\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_example_index_outside_vocab_names_its_line(self, capsys, pipeline_dir, tmp_path,
+                                                        command):
+        with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        at = lines.index("[train]") + 1
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " 9999"
+        bad = tmp_path / "bad.ds"
+        bad.write_text("\n".join(lines), encoding="utf-8", newline="")
+        ckpt = str(tmp_path / "m.ckpt")
+        argv = {"train": ["train", "--dataset", str(bad), "--fused", pipeline_dir["fused"],
+                          "--optimizer", "sgd", "--epochs", "1", "--out", ckpt, *TINY_MODEL],
+                "eval": ["eval", "--dataset", str(bad), "--ckpt", ckpt, "--split", "train"]}
+        code, out, err = run(capsys, *argv[command])
+        assert code == 1
+        assert err == f"ERROR invalid: dataset line {at + 1}: token index 9999 outside 0..60\n"
+
     def test_lr_find_skips_chart_with_one_surviving_probe(self, capsys, pipeline_dir, tmp_path):
         table, svg = tmp_path / "lr.csv", tmp_path / "lr.svg"
         code, out, err = run_without_warnings(

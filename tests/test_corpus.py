@@ -346,8 +346,12 @@ class TestDatasetFile:
         ("word", "a\t9999\ta", "line 4: word index 9999 outside 2..2"),
         ("word", "a\t1\ta", "line 4: word index 1 outside 2..2"),
         ("word", "a\t-1\ta", "line 4: word index -1 outside 2..2"),
+        ("word", "a\t2\ta\nb\t2\tb", "line 4: word index 2 of 'a' is given again on line 5, to 'b'"),
+        ("example", "0\t0 3", "line 6: token index 3 outside 0..2"),
+        ("example", "0\t-1 2", "line 6: token index -1 outside 0..2"),
     ], ids=["header-not-int", "word-without-tabs", "unknown-label",
-            "word-index-past-vocab", "word-index-unknown-slot", "word-index-negative"])
+            "word-index-past-vocab", "word-index-unknown-slot", "word-index-negative",
+            "word-index-repeated", "token-index-past-vocab", "token-index-negative"])
     def test_rejects_malformed_line(self, field, value, message):
         lines = {"header": "vocab_size=3 max_len=2 train=1 test=0",
                  "word": "a\t2\ta", "example": "0\t0 2"}

@@ -1,8 +1,10 @@
-"""Seeded corruption of the CLI's text inputs: every run exits 0 or prints one ERROR line.
+"""Seeded corruption of the CLI's inputs: every run exits 0 or prints one ERROR line.
 
-A prepared dataset, a history CSV, a config file, a pair manifest and a
-review CSV each get truncations, byte flips, non-UTF-8 bytes, wrong field
-counts and non-numeric fields, drawn from one seeded generator per case.
+A prepared dataset, a history CSV, a config file, a pair manifest, a review
+CSV, the glove and fasttext embedding fixtures and a fused w2v-bin table
+each get truncations, byte flips, non-UTF-8 bytes, wrong field counts and
+non-numeric fields; a trained checkpoint gets the byte-level corruptions
+only. Each case draws from one seeded generator.
 Each corrupted file goes through ``cli.dispatch`` in-process, in the command that reads it.
 A run must exit 0 with nothing on stderr, or print exactly one
 ``ERROR <code>: <message>`` line; it must never raise or warn.
@@ -81,7 +83,8 @@ def non_numeric(data, rng, seps):
     return data[:m.start()] + text + data[m.end():]
 
 
-CORRUPTIONS = [truncate, flip_byte, insert_non_utf8, drop_field, repeat_field, non_numeric]
+BYTE_CORRUPTIONS = [truncate, flip_byte, insert_non_utf8]
+CORRUPTIONS = BYTE_CORRUPTIONS + [drop_field, repeat_field, non_numeric]
 
 
 @pytest.fixture(scope="module")
@@ -96,17 +99,20 @@ def inputs(tmp_path_factory):
     assert dispatch(["train", "--dataset", dataset, "--fused", fused, "--optimizer", "sgd",
                      "--lr", "0.05", "--epochs", "1", "--batch", "8", "--out", ckpt,
                      *TINY_MODEL]) == 0
-    with open(dataset, "rb") as fh:
-        dataset_bytes = fh.read()
-    with open(os.path.join(FIXTURES, "reviews_50.csv"), "rb") as fh:
-        reviews_bytes = fh.read()
+    def read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
     manifest = f"pair,path\nglove+fasttext,{fused}\nagain,{fused}\n".encode()
     return {"dataset": dataset, "ckpt": ckpt, "bytes": {
-        "dataset": dataset_bytes, "history": HISTORY.encode(), "config": CONFIG.encode(),
-        "manifest": manifest, "reviews": reviews_bytes}}
+        "dataset": read(dataset), "history": HISTORY.encode(), "config": CONFIG.encode(),
+        "manifest": manifest, "reviews": read(os.path.join(FIXTURES, "reviews_50.csv")),
+        "glove": read(GLOVE), "fasttext": read(FASTTEXT), "fused": read(fused),
+        "ckpt": read(ckpt)}}
 
 
-# (input, separators of its fields, argv for the corrupted file at path, scratch dir out)
+# (input, separators of its fields or None for byte-level corruptions only,
+#  argv for the corrupted file at path, scratch dir out)
 TARGETS = {
     "dataset-fuse": ("dataset", (b"\t", b" "), lambda inp, path, out: [
         "fuse", "--emb1", GLOVE + ":glove", "--emb2", FASTTEXT + ":fasttext",
@@ -122,18 +128,32 @@ TARGETS = {
     "manifest-sweep": ("manifest", (b",",), lambda inp, path, out: [
         "sweep", "--dataset", inp["dataset"], "--pairs", path, "--optimizers", "sgd",
         "--lr", "0.05", "--epochs", "1", "--batch", "8", "--out-dir", out, *TINY_MODEL]),
+    "glove-inspect": ("glove", (b" ",), lambda inp, path, out: [
+        "inspect", path, "--format", "glove"]),
+    "fasttext-inspect": ("fasttext", (b" ",), lambda inp, path, out: [
+        "inspect", path, "--format", "fasttext"]),
+    "fused-inspect": ("fused", (b" ",), lambda inp, path, out: [
+        "inspect", path, "--format", "w2v-bin"]),
+    "fused-train": ("fused", (b" ",), lambda inp, path, out: [
+        "train", "--dataset", inp["dataset"], "--fused", path, "--optimizer", "sgd",
+        "--lr", "0.05", "--epochs", "1", "--batch", "8", "--out", os.path.join(out, "m.ckpt"),
+        *TINY_MODEL]),
+    "ckpt-eval": ("ckpt", None, lambda inp, path, out: [
+        "eval", "--dataset", inp["dataset"], "--ckpt", path]),
 }
+CASES = [(target, corrupt) for target in sorted(TARGETS)
+         for corrupt in (CORRUPTIONS if TARGETS[target][1] else BYTE_CORRUPTIONS)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("target,corrupt", CASES, ids=[f"{t}-{c.__name__}" for t, c in CASES])
 def test_corrupted_input_ends_in_exit_0_or_one_error_line(
         capsys, tmp_path, inputs, target, corrupt, seed):
     kind, seps, argv = TARGETS[target]
     rng = derive_rng(seed, "corruption", target, corrupt.__name__)
     path = tmp_path / f"corrupt.{kind}"
     path.write_bytes(corrupt(inputs["bytes"][kind], rng, seps))
+    (tmp_path / "out").mkdir()
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -10,7 +10,9 @@ a mismatch.
 
 The last bits of a GEMM depend on the BLAS build and its kernels, so the
 pinned values hold only for the build they came from (``PINNED_BLAS``,
-x86-64); elsewhere that test is skipped. The update rules themselves are
+x86-64); elsewhere those tests are skipped. The cases of each (dropout,
+train_embedding) group are also trained as one stack of runs, and every
+run of the stack must match its pinned values. The update rules themselves are
 checked on every platform against their out-of-place textbook formulas,
 computed in the same process.
 """
@@ -22,7 +24,9 @@ import numpy as np
 import pytest
 
 from embfuse.model import ModelConfig, save_checkpoint, to_flat
-from embfuse.optim import DEFAULT_LR, OPTIMIZER_KINDS, OptimizerSpec, make_optimizer, train
+from embfuse.optim import (
+    DEFAULT_LR, OPTIMIZER_KINDS, OptimizerSpec, make_optimizer, train, train_runs,
+)
 from embfuse.seeding import derive_rng
 
 from conftest import random_embedding, synthetic_dataset
@@ -38,14 +42,24 @@ def blas_build():
 DROPOUT = dict(spatial_dropout_rate=0.2, dropout_rate=0.3)
 
 
+def case_config(dropout, train_embedding):
+    rates = DROPOUT if dropout else dict(spatial_dropout_rate=0.0, dropout_rate=0.0)
+    return ModelConfig(max_len=12, emb_dim=10, lstm_units=4, gru_units=3, seed=3,
+                       train_embedding=train_embedding, **rates)
+
+
+TRAINING = dict(epochs=2, batch_size=16, seed=5)
+
+
 def run_case(kind, lr, dropout=False, train_embedding=False):
     """Train one case and return its history, weights and checkpoint fingerprint."""
-    rates = DROPOUT if dropout else dict(spatial_dropout_rate=0.0, dropout_rate=0.0)
-    config = ModelConfig(max_len=12, emb_dim=10, lstm_units=4, gru_units=3, seed=3,
-                         train_embedding=train_embedding, **rates)
+    config = case_config(dropout, train_embedding)
     params, hist = train(synthetic_dataset(n=120, seed=3), random_embedding(seed=3),
-                         config, OptimizerSpec(kind=kind, learning_rate=lr),
-                         epochs=2, batch_size=16, seed=5)
+                         config, OptimizerSpec(kind=kind, learning_rate=lr), **TRAINING)
+    return fingerprint(params, hist, config)
+
+
+def fingerprint(params, hist, config):
     ckpt = io.BytesIO()
     save_checkpoint(ckpt, params, config)
     return {
@@ -182,6 +196,20 @@ GOLDEN = {
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-lr{c[1]}-do{int(c[2])}-emb{int(c[3])}")
 def test_history_weights_and_checkpoint_match_golden(case):
     assert run_case(*case) == GOLDEN[case]
+
+
+@pytest.mark.skipif(blas_build() != PINNED_BLAS,
+                    reason="golden values pin one BLAS build's GEMM rounding")
+@pytest.mark.parametrize("group", sorted({case[2:] for case in CASES}),
+                         ids=lambda g: f"do{int(g[0])}-emb{int(g[1])}")
+def test_each_group_trained_as_one_stack_matches_golden(group):
+    cases = [case for case in CASES if case[2:] == group]
+    config = case_config(*group)
+    params, histories = train_runs(
+        synthetic_dataset(n=120, seed=3), random_embedding(seed=3), config,
+        [OptimizerSpec(kind=kind, learning_rate=lr) for kind, lr, _, _ in cases], **TRAINING)
+    for k, case in enumerate(cases):
+        assert fingerprint(params.run(k), histories[k], config) == GOLDEN[case]
 
 
 def textbook_rule(spec, n):

@@ -640,6 +640,21 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="dense_b"):
             load_checkpoint(io.BytesIO(bad))
 
+    @pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (0, 2 ** 63), (2 ** 64 - 1,)])
+    def test_rejects_block_shape_past_the_end_before_reading(self, dims):
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        buf = io.BytesIO()
+        save_checkpoint(buf, init_parameters(config, emb), config)
+        data = buf.getvalue()
+        at = data.index(b"dense_b") + len(b"dense_b")  # its ndim byte, then its shape
+        shape = struct.pack("<B", len(dims)) + b"".join(struct.pack("<Q", d) for d in dims)
+        bad = data[:at] + shape + data[at + 1 + 8:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="dense_b"):
+                load_checkpoint(io.BytesIO(bad))
+
     def test_rejects_truncated_stream(self):
         config = tiny_config()
         _, _, emb = tiny_batch(config)

@@ -15,7 +15,7 @@ from embfuse.errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from embfuse.model import ModelConfig, load_checkpoint, save_checkpoint
+from embfuse.model import ModelConfig, load_checkpoint, save_checkpoint, stack_size
 from embfuse.optim import (
     DEFAULT_LR,
     DEFAULT_LR_GRID,
@@ -28,6 +28,7 @@ from embfuse.optim import (
     parse_lr_grid,
     read_history_csv,
     train,
+    train_runs,
     write_history_csv,
     write_lr_table,
 )
@@ -260,6 +261,64 @@ class TestTrain:
         assert math.isnan(hist.test_loss[0]) and math.isnan(hist.test_accuracy[0])
 
 
+def untimed(history):
+    """A history's fields without its wall times."""
+    return {k: v for k, v in dataclasses.asdict(history).items() if k != "epoch_seconds"}
+
+
+# (config overrides, specs as (kind, rate), batch size, training examples kept)
+STACKS = {
+    "mixed-kinds-and-rates": ({}, [("sgd", 0.1), ("sgd_momentum", 0.05), ("adagrad", 0.5),
+                                   ("adadelta", 1.0), ("adam", 0.1), ("adam", 0.01)], 16, None),
+    "dropout": (dict(spatial_dropout_rate=0.2, dropout_rate=0.3),
+                [("sgd", 0.1), ("adam", 0.01), ("adagrad", 0.5)], 16, None),
+    "trained-embedding": (dict(train_embedding=True, spatial_dropout_rate=0.2),
+                          [("adam", 0.01), ("adadelta", 1.0), ("sgd_momentum", 0.05)], 16, None),
+    "batch-1": ({}, [("sgd_momentum", 1e-4), ("sgd_momentum", 1e-3), ("sgd_momentum", 1e-2)],
+                1, 20),
+    "batch-8-ragged": (dict(dropout_rate=0.3), [("sgd", 0.1), ("adam", 0.1)], 8, None),
+    "diverging-member": ({}, [("sgd", 0.1), ("sgd", 1e307), ("adam", 0.01)], 16, None),
+}
+
+
+class TestTrainRuns:
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_stack_equals_separate_runs(self, tiny_dataset, tiny_embedding, case):
+        overrides, pairs, batch_size, keep = STACKS[case]
+        data = tiny_dataset
+        if keep is not None:
+            data = SplitDataset(data.train_x[:keep], data.train_y[:keep], data.test_x, data.test_y)
+        assert batch_size == 1 or len(data.train_y) % batch_size  # a ragged last batch
+        config = small_config(**overrides)
+        specs = [OptimizerSpec(kind=kind, learning_rate=lr) for kind, lr in pairs]
+        params, histories = train_runs(data, tiny_embedding, config, specs,
+                                       epochs=2, batch_size=batch_size, seed=5)
+        assert params.flat.shape[0] == len(specs)
+        for k, spec in enumerate(specs):
+            alone, history = train(data, tiny_embedding, config, spec,
+                                   epochs=2, batch_size=batch_size, seed=5)
+            assert np.array_equal(params.run(k).flat, alone.flat)
+            assert untimed(histories[k]) == untimed(history)
+            for name in ("train_loss", "train_accuracy", "test_loss", "test_accuracy"):
+                assert np.array_equal(getattr(histories[k], name), getattr(history, name))
+        if case == "diverging-member":
+            assert [h.diverged for h in histories] == [False, True, False]
+            assert histories[1].diverged_epoch == 1 and histories[1].train_loss == []
+            assert np.isfinite(params.run(1).flat).all()  # its weights from before that batch
+            assert all(len(histories[k].train_loss) == 2 for k in (0, 2))
+
+    def test_needs_a_spec(self, tiny_dataset, tiny_embedding):
+        with pytest.raises(ValidationError):
+            train_runs(tiny_dataset, tiny_embedding, small_config(), [])
+
+    def test_stack_size_rule(self):
+        # the paper model at batch 32 needs about 165 MB of training stores per run
+        assert stack_size(ModelConfig(), 32) == 1
+        tiny = ModelConfig(max_len=12, emb_dim=10, lstm_units=8, gru_units=6)
+        assert stack_size(tiny, 1) >= 7
+        assert stack_size(tiny, 1) > stack_size(tiny, 8) > stack_size(tiny, 64)
+
+
 class TestTrainParameterBuffer:
     @pytest.mark.parametrize("train_embedding", [False, True])
     def test_blocks_stay_views_of_the_flat_buffer(self, tiny_dataset, tiny_embedding,
@@ -418,20 +477,21 @@ class TestOptimizerSweep:
     def test_cell_parameters_freed_before_next_cell(self, tiny_dataset, tiny_embedding,
                                                      monkeypatch):
         from embfuse import optim
-        real_train = optim.train
+        real_train_runs = optim.train_runs
         trained = []
 
-        def tracking_train(*args, **kwargs):
+        def tracking_train_runs(*args, **kwargs):
             assert all(ref() is None for ref in trained)
-            params, hist = real_train(*args, **kwargs)
+            params, histories = real_train_runs(*args, **kwargs)
             trained.append(weakref.ref(params))
-            return params, hist
+            return params, histories
 
-        monkeypatch.setattr(optim, "train", tracking_train)
-        optimizer_sweep(tiny_dataset, small_config(), [("p", tiny_embedding)],
+        monkeypatch.setattr(optim, "train_runs", tracking_train_runs)
+        optimizer_sweep(tiny_dataset, small_config(),
+                        [("p", tiny_embedding), ("q", tiny_embedding)],
                         learning_rate=0.05, kinds=("sgd", "adam", "adagrad"),
                         epochs=1, batch_size=16, seed=6)
-        assert len(trained) == 3
+        assert len(trained) == 2  # one stack of three cells per pair
 
     def test_no_pairs_rejected(self, tiny_dataset):
         with pytest.raises(ValidationError):
