@@ -21,7 +21,7 @@ import numpy as np
 
 from . import charts, corpus, fusion, model, optim
 from .embedding_io import FORMATS, csv_rows, decode_line, parse_embedding, write_word2vec_binary
-from .errors import EmbfuseError, EmptySeriesError, ValidationError
+from .errors import AllDivergedError, EmbfuseError, EmptySeriesError, ValidationError
 
 
 class UsageError(ValidationError):
@@ -359,16 +359,21 @@ def _run_lr_find(opts: Dict[str, Any]) -> int:
     data = _split_dataset(ds)
     config = _model_config(opts, ds.max_len, matrix.shape[1], opts["seed"])
     grid = optim.parse_lr_grid(opts["grid"])
-    best, probes = optim.lr_range_search(
-        data, matrix, config, opts["optimizer"],
-        grid=grid, epochs=opts["epochs"], batch_size=opts["batch"], seed=opts["seed"],
-    )
+    failure = None
+    try:
+        best, probes = optim.lr_range_search(
+            data, matrix, config, opts["optimizer"],
+            grid=grid, epochs=opts["epochs"], batch_size=opts["batch"], seed=opts["seed"],
+        )
+    except AllDivergedError as exc:  # still report the table, then fail
+        failure, probes = exc, exc.probes
     for probe in probes:
         if probe.diverged:
             print(f"lr={probe.learning_rate:.3e} diverged")
         else:
             print(f"lr={probe.learning_rate:.3e} final_train_loss={probe.final_loss:.6f}")
-    print(f"best_lr={best!r}")
+    if failure is None:
+        print(f"best_lr={best!r}")
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
             optim.write_lr_table(probes, fh)
@@ -376,6 +381,8 @@ def _run_lr_find(opts: Dict[str, Any]) -> int:
         _write_chart(opts["svg"],
                      lambda: charts.lr_chart(probes, f"{opts['optimizer']} learning-rate search"),
                      "fewer than 2 learning rates completed without diverging")
+    if failure is not None:
+        raise failure
     return 0
 
 

@@ -410,6 +410,8 @@ def prepare_corpus(
     Title and review text are joined with one space before tokenization
     unless include_title is false.
     """
+    if max_len < 1:
+        raise ValidationError(f"max_len must be at least 1, got {max_len}")
     kept, filt = filter_dominant_place(records)
     token_lists: List[List[str]] = []
     labels: List[SentimentLabel] = []
@@ -481,6 +483,8 @@ def read_dataset(fh) -> PreparedDataset:
     for key in ("vocab_size", "max_len", "train", "test"):
         if key not in header:
             raise ValidationError(f"dataset header missing {key}")
+    if header["max_len"] < 1:
+        raise ValidationError(f"dataset line 2: max_len must be at least 1, got {header['max_len']}")
     if next(text, "").strip() != "[words]":
         raise ValidationError("expected [words] section")
     vocab_size = header["vocab_size"]
@@ -525,7 +529,8 @@ def read_dataset(fh) -> PreparedDataset:
             except ValueError as exc:
                 raise ValidationError(f"dataset line {line_no}: {exc}") from None
             if len(indices) != header["max_len"]:
-                raise ValidationError("encoded example length differs from max_len")
+                raise ValidationError(f"dataset line {line_no}: encoded example length "
+                                      f"{len(indices)} differs from max_len={header['max_len']}")
             if indices and not 0 <= min(indices) <= max(indices) < vocab_size:
                 bad = next(v for v in indices if not 0 <= v < vocab_size)
                 raise ValidationError(

@@ -123,7 +123,13 @@ class EmptyDatasetError(EmbfuseError):
 
 
 class AllDivergedError(EmbfuseError):
+    """Every probe of a learning-rate search diverged; ``probes`` keeps its table."""
+
     code = "all-diverged"
+
+    def __init__(self, message, probes=()):
+        super().__init__(message)
+        self.probes = list(probes)
 
 
 # --- charts ---

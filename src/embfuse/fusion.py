@@ -138,6 +138,8 @@ def build_fused_matrix(
     decides the branch. Branch counts over dictionary words sum to
     vocab_size - 2 (padding and unknown rows are synthetic).
     """
+    if not np.isfinite(unknown_fill):
+        raise ValidationError(f"unknown_fill must be finite, got {unknown_fill}")
     if not dicts.dict_words:
         raise EmptyDictionariesError("corpus dictionary has no words")
     if emb1.dim != emb2.dim:

@@ -40,6 +40,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, asdict
+from itertools import accumulate
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -96,13 +97,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # parameter blocks in a fixed order; flat vectors concatenate these
-_BLOCK_ORDER = (
-    "lstm_fw_W", "lstm_fw_U", "lstm_fw_b",
-    "lstm_bw_W", "lstm_bw_U", "lstm_bw_b",
-    "gru_fw_W", "gru_fw_U", "gru_fw_b",
-    "gru_bw_W", "gru_bw_U", "gru_bw_b",
-    "dense_W", "dense_b",
-)
+_BLOCK_ORDER = tuple(f"{layer}_{d}_{w}" for layer in ("lstm", "gru") for d in ("fw", "bw")
+                     for w in "WUb") + ("dense_W", "dense_b")
 
 
 class _BlockViews(dict):
@@ -144,7 +140,9 @@ class ModelParameters:
         names = _BLOCK_ORDER + (("embedding",) if train_embedding else ())
         arrays = [embedding if name == "embedding" else np.asarray(blocks[name], dtype=np.float64)
                   for name in names]
-        self.layout = tuple((name, a.shape) for name, a in zip(names, arrays))  # buffer order
+        # buffer order: each block's name, its span of the last axis of flat, its shape
+        self.layout = tuple((name, slice(end - a.size, end), a.shape) for name, a, end
+                            in zip(names, arrays, accumulate(a.size for a in arrays)))
         self._bind(np.concatenate([a.ravel() for a in arrays]), embedding)
 
     def _bind(self, flat: np.ndarray, embedding: Optional[np.ndarray]) -> None:
@@ -161,13 +159,8 @@ class ModelParameters:
         """Named reshaped views of a vector (or stack of vectors) laid out like ``flat``."""
         if vec.shape != self.flat.shape:
             raise ShapeMismatchError("flat vector length does not match the parameter layout")
-        views: Dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in self.layout:
-            size = int(np.prod(shape))
-            views[name] = vec[..., offset:offset + size].reshape(vec.shape[:-1] + shape)
-            offset += size
-        return views
+        return {name: vec[..., span].reshape(vec.shape[:-1] + shape)
+                for name, span, shape in self.layout}
 
     def _over(self, flat: np.ndarray, share_embedding: bool = False) -> "ModelParameters":
         """A set with this layout whose trainable weights are flat; a frozen
@@ -442,7 +435,7 @@ def _lstm_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = Fa
     return _batch_major(hs[..., 1:, :, :], reverse), store
 
 
-def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need_dx: bool = True):
+def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need_dx: bool):
     """BPTT through one LSTM direction; writes (dW, dU, db) into the arrays
     out and returns dX, or None unless need_dx.
 
@@ -495,15 +488,7 @@ def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, nee
         gates_s[s][..., 3 * H:] *= dh_total
         dc *= carry[s]
         dh = np.where(valid[s], gates_s[s] @ UT, dh_total)
-    da = gates.reshape(lead + (T * B, 4 * H))
-    dW, dU, db = out
-    np.matmul(_scan_rows(X, reverse).swapaxes(-1, -2), da, out=dW)
-    np.matmul(hs[..., :-1, :, :].reshape(lead + (T * B, H)).swapaxes(-1, -2), da, out=dU)
-    da.sum(axis=-2, out=db)
-    if not need_dx:
-        return None
-    dX = np.matmul(da, W.swapaxes(-1, -2))
-    return _batch_major(dX.reshape(lead + (T, B, -1)), reverse)
+    return _weight_grads(X, hs, gates, gates, W, reverse, out, need_dx)
 
 
 def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
@@ -529,9 +514,9 @@ def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = Fal
     return _batch_major(hs[..., 1:, :, :], reverse), store
 
 
-def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out):
+def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need_dx: bool):
     """BPTT through one GRU direction; writes (dW, dU, db) into the arrays
-    out and returns dX.
+    out and returns dX, or None unless need_dx.
 
     Consumes store: the gate array ends up holding the input-side gradient
     dw_in and the recurrent products hus the recurrent-side gradient du_in.
@@ -578,14 +563,56 @@ def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out):
         hus3[s] *= d
         dh = hus_s[s] @ UT
         dh += dh_total * keep[s]
-    dw_in = gates.reshape(lead + (T * B, 3 * G))
+    return _weight_grads(X, hs, gates, hus, W, reverse, out, need_dx)
+
+
+def _weight_grads(X, hs, dw_in, du_in, W, reverse: bool, out, need_dx: bool):
+    """The tail of a direction's backward, one GEMM or sum over all T*B rows each.
+
+    dw_in and du_in are the (..., T, B, K) input-side and recurrent-side gate
+    gradients (one array for the LSTM). Writes dW = X^T dw_in, dU = h_prev^T
+    du_in and db = sum dw_in into out; returns dX = dw_in W^T, or None unless need_dx.
+    """
+    lead, (T, B, K) = dw_in.shape[:-3], dw_in.shape[-3:]
+    dw_in = dw_in.reshape(lead + (T * B, K))
     dW, dU, db = out
     np.matmul(_scan_rows(X, reverse).swapaxes(-1, -2), dw_in, out=dW)
-    np.matmul(hs[..., :-1, :, :].reshape(lead + (T * B, G)).swapaxes(-1, -2),
-              hus.reshape(lead + (T * B, 3 * G)), out=dU)
+    np.matmul(hs[..., :-1, :, :].reshape(lead + (T * B, -1)).swapaxes(-1, -2),
+              du_in.reshape(lead + (T * B, K)), out=dU)
     dw_in.sum(axis=-2, out=db)
+    if not need_dx:
+        return None
     dX = np.matmul(dw_in, W.swapaxes(-1, -2))
     return _batch_major(dX.reshape(lead + (T, B, -1)), reverse)
+
+
+def _blocks(p: Mapping[str, np.ndarray], layer: str, d: str):
+    """The (W, U, b) blocks of direction d ("fw" or "bw") of a layer in p."""
+    return tuple(p[f"{layer}_{d}_{w}"] for w in "WUb")
+
+
+def _bidirectional(direction, X, mask, p, layer: str, training: bool):
+    """One bidirectional layer: the direction kernel run forward and then
+    reversed over (..., B, T, D), with the layer's fw and bw blocks of p.
+
+    Returns the (..., B, T, 2H) concatenated output and the (fw, bw) stores.
+    """
+    outs, stores = zip(*(direction(X, mask, *_blocks(p, layer, d), d == "bw", training)
+                         for d in ("fw", "bw")))
+    return np.concatenate(outs, axis=-1), stores
+
+
+def _bidirectional_backward(direction, dout, X, mask, p, g, layer: str, stores, need_dx: bool):
+    """Backward of _bidirectional: writes each direction's (dW, dU, db) into
+    its views of g and returns dX summed over fw and bw, or None unless need_dx.
+    """
+    H = dout.shape[-1] // 2
+    dX, dX_bw = (direction(dout[..., k * H:(k + 1) * H], X, mask, *_blocks(p, layer, d)[:2],
+                           stores[k], d == "bw", _blocks(g, layer, d), need_dx)
+                 for k, d in enumerate(("fw", "bw")))
+    if need_dx:
+        dX += dX_bw
+    return dX
 
 
 def masked_max_pool(seq: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -617,20 +644,18 @@ class ForwardTrace:
     """The intermediates the exact backward pass reads, and nothing more.
 
     Dropout scales each layer's output in place, so only the dropped-out
-    arrays are kept. The backward pass consumes the four recurrent stores, so
-    a trace is backpropagated at most once.
+    arrays are kept. Each recurrent layer keeps its (fw, bw) stores; the
+    backward pass consumes them, so a trace is backpropagated at most once.
     """
 
     x: np.ndarray
     mask: np.ndarray
     sd_mask: Optional[np.ndarray]
     emb_dropped: np.ndarray
-    lstm_fw_store: tuple
-    lstm_bw_store: tuple
+    lstm_stores: tuple
     do1_mask: Optional[np.ndarray]
     S_dropped: np.ndarray
-    gru_fw_store: tuple
-    gru_bw_store: tuple
+    gru_stores: tuple
     do2_mask: Optional[np.ndarray]
     G_dropped: np.ndarray
     pool1: Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -640,9 +665,15 @@ class ForwardTrace:
     log_probs: np.ndarray
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+def _dropout(a: np.ndarray, rng: np.random.Generator, shape, rate: float) -> Optional[np.ndarray]:
+    """Scale a in place by a fresh inverted-dropout mask of shape; returns the
+    mask, or None (drawing nothing) when rate is 0."""
+    if rate == 0:
+        return None
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    mask = (rng.random(shape) < keep).astype(np.float64) / keep
+    a *= mask
+    return mask
 
 
 # Weights that diverged carry overflow into inf and nan through every layer
@@ -676,41 +707,24 @@ def forward(
     rows = params.embedding.shape[-2]
     if x.size and (x.min() < 0 or x.max() >= rows):
         raise IndexOutOfRangeError(f"token index outside embedding table of {rows} rows")
-    needs_rng = training and (config.spatial_dropout_rate > 0 or config.dropout_rate > 0)
-    if needs_rng and rng is None:
+    sd_rate, rate = (config.spatial_dropout_rate, config.dropout_rate) if training else (0, 0)
+    if (sd_rate > 0 or rate > 0) and rng is None:
         raise ValidationError("training-mode forward with dropout needs an rng")
 
     mask = (x != 0).astype(np.float64)
     # a gathered copy, so dropout can scale it in place
     emb_dropped = np.take(params.embedding, x, axis=-2)
 
-    sd_mask = None
-    if training and config.spatial_dropout_rate > 0:
-        sd_mask = _dropout_mask(rng, (x.shape[0], 1, config.emb_dim), config.spatial_dropout_rate)
-        emb_dropped *= sd_mask
+    sd_mask = _dropout(emb_dropped, rng, (x.shape[0], 1, config.emb_dim), sd_rate)
 
     p = params.blocks
-    fw_out, fw_store = _lstm_direction_forward(
-        emb_dropped, mask, p["lstm_fw_W"], p["lstm_fw_U"], p["lstm_fw_b"], False, training)
-    bw_out, bw_store = _lstm_direction_forward(
-        emb_dropped, mask, p["lstm_bw_W"], p["lstm_bw_U"], p["lstm_bw_b"], True, training)
-    S_dropped = np.concatenate([fw_out, bw_out], axis=-1)
+    S_dropped, lstm_stores = _bidirectional(
+        _lstm_direction_forward, emb_dropped, mask, p, "lstm", training)
+    do1_mask = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
 
-    do1_mask = None
-    if training and config.dropout_rate > 0:
-        do1_mask = _dropout_mask(rng, S_dropped.shape[-3:], config.dropout_rate)
-        S_dropped *= do1_mask
-
-    gfw_out, gfw_store = _gru_direction_forward(
-        S_dropped, mask, p["gru_fw_W"], p["gru_fw_U"], p["gru_fw_b"], False, training)
-    gbw_out, gbw_store = _gru_direction_forward(
-        S_dropped, mask, p["gru_bw_W"], p["gru_bw_U"], p["gru_bw_b"], True, training)
-    G_dropped = np.concatenate([gfw_out, gbw_out], axis=-1)
-
-    do2_mask = None
-    if training and config.dropout_rate > 0:
-        do2_mask = _dropout_mask(rng, G_dropped.shape[-3:], config.dropout_rate)
-        G_dropped *= do2_mask
+    G_dropped, gru_stores = _bidirectional(
+        _gru_direction_forward, S_dropped, mask, p, "gru", training)
+    do2_mask = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
 
     pool1 = masked_max_pool(S_dropped, mask)
     pool2 = masked_max_pool(G_dropped, mask)
@@ -726,9 +740,7 @@ def forward(
         return probs, None
     trace = ForwardTrace(
         x=x, mask=mask, sd_mask=sd_mask, emb_dropped=emb_dropped,
-        lstm_fw_store=fw_store, lstm_bw_store=bw_store,
-        do1_mask=do1_mask, S_dropped=S_dropped,
-        gru_fw_store=gfw_store, gru_bw_store=gbw_store,
+        lstm_stores=lstm_stores, do1_mask=do1_mask, S_dropped=S_dropped, gru_stores=gru_stores,
         do2_mask=do2_mask, G_dropped=G_dropped,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
     )
@@ -760,7 +772,6 @@ def _backward(
     p = params.blocks
     g = params.split(grad)
     B = trace.probs.shape[-2]
-    Hl = config.lstm_units
 
     onehot = np.zeros_like(trace.probs)
     onehot[..., np.arange(B), labels] = 1.0
@@ -770,35 +781,22 @@ def _backward(
     dlogits.sum(axis=-2, out=g["dense_b"])
     dfeats = dlogits @ p["dense_W"].swapaxes(-1, -2)
 
-    dpool1 = dfeats[..., :2 * Hl]
-    dpool2 = dfeats[..., 2 * Hl:]
+    dpool1, dpool2 = np.split(dfeats, [2 * config.lstm_units], axis=-1)
 
     dG = _masked_max_pool_backward(dpool2, trace.pool2[1], trace.pool2[2], trace.G_dropped.shape)
     if trace.do2_mask is not None:
         dG *= trace.do2_mask
 
-    G_units = config.gru_units
-    dS = _gru_direction_backward(
-        dG[..., :G_units], trace.S_dropped, trace.mask, p["gru_fw_W"], p["gru_fw_U"],
-        trace.gru_fw_store, False, (g["gru_fw_W"], g["gru_fw_U"], g["gru_fw_b"]))
-    dS += _gru_direction_backward(
-        dG[..., G_units:], trace.S_dropped, trace.mask, p["gru_bw_W"], p["gru_bw_U"],
-        trace.gru_bw_store, True, (g["gru_bw_W"], g["gru_bw_U"], g["gru_bw_b"]))
+    dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.mask,
+                                 p, g, "gru", trace.gru_stores, True)
     del dG  # not needed by the LSTM backward, whose stores are the largest
     dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
     if trace.do1_mask is not None:
         dS *= trace.do1_mask
 
-    need_dx = config.train_embedding
-    dE = _lstm_direction_backward(
-        dS[..., :Hl], trace.emb_dropped, trace.mask, p["lstm_fw_W"], p["lstm_fw_U"],
-        trace.lstm_fw_store, False, (g["lstm_fw_W"], g["lstm_fw_U"], g["lstm_fw_b"]), need_dx)
-    dE_bw = _lstm_direction_backward(
-        dS[..., Hl:], trace.emb_dropped, trace.mask, p["lstm_bw_W"], p["lstm_bw_U"],
-        trace.lstm_bw_store, True, (g["lstm_bw_W"], g["lstm_bw_U"], g["lstm_bw_b"]), need_dx)
-
-    if need_dx:
-        dE += dE_bw
+    dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.mask,
+                                 p, g, "lstm", trace.lstm_stores, config.train_embedding)
+    if dE is not None:
         if trace.sd_mask is not None:
             dE *= trace.sd_mask
         g["embedding"][...] = 0.0
@@ -845,7 +843,7 @@ _INFER_CHUNK_BYTES = 64 << 20
 
 
 def inference_batch_size(config: ModelConfig) -> int:
-    """Default rows per inference chunk for ``config`` (at least 1)."""
+    """Rows per inference chunk for ``config`` (at least 1)."""
     row_bytes = config.max_len * 4 * config.lstm_units * 8
     return max(1, _INFER_CHUNK_BYTES // row_bytes)
 
@@ -861,17 +859,13 @@ def stack_size(config: ModelConfig, batch_size: int) -> int:
     return max(1, _INFER_CHUNK_BYTES // run_bytes)
 
 
-def predict_proba(
-    x: np.ndarray,
-    params: ModelParameters,
-    config: ModelConfig,
-    batch_size: Optional[int] = None,
-) -> np.ndarray:
-    """Inference-mode class probabilities for an index batch, computed in chunks."""
+def predict_proba(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.ndarray:
+    """Inference-mode class probabilities for an index batch, computed in
+    chunks of ``inference_batch_size(config)`` rows."""
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
-    step = batch_size or inference_batch_size(config)
+    step = inference_batch_size(config)
     out = [forward(x[start:start + step], params, config, training=False)[0]
            for start in range(0, len(x), step)]
     return np.concatenate(out) if out else np.zeros((0, config.num_classes))
@@ -897,20 +891,14 @@ def evaluate(
     labels: np.ndarray,
     params: ModelParameters,
     config: ModelConfig,
-    batch_size: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Inference-mode (loss, accuracy) over a full set, computed in chunks."""
-    return loss_accuracy(predict_proba(x, params, config, batch_size), labels)
+    return loss_accuracy(predict_proba(x, params, config), labels)
 
 
-def predict(
-    x: np.ndarray,
-    params: ModelParameters,
-    config: ModelConfig,
-    batch_size: Optional[int] = None,
-) -> np.ndarray:
+def predict(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.ndarray:
     """Inference-mode class predictions for an index batch."""
-    return classify(predict_proba(x, params, config, batch_size))
+    return classify(predict_proba(x, params, config))
 
 
 def confusion_matrix(pred: np.ndarray, labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:

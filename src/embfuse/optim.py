@@ -393,8 +393,9 @@ def parse_lr_grid(text: str) -> List[float]:
         count = int(parts[2][3:])
     except ValueError:
         raise ValidationError(f"bad learning-rate grid {text!r}") from None
-    if not (0 < lo < hi) or count < 2:
-        raise ValidationError(f"bad learning-rate grid {text!r}; need 0 < lo < hi and N >= 2")
+    if not (0 < lo < hi < math.inf) or count < 2:
+        raise ValidationError(
+            f"bad learning-rate grid {text!r}; need finite 0 < lo < hi and N >= 2")
     return [float(v) for v in np.logspace(np.log10(lo), np.log10(hi), count)]
 
 
@@ -420,7 +421,8 @@ def lr_range_search(
 
     Every probe starts from the same seed so only the learning rate varies.
     Diverged probes are kept in the table but excluded from the argmin; ties
-    resolve to the smaller rate. Raises if every probe diverged.
+    resolve to the smaller rate. Raises AllDivergedError, carrying the
+    probes, if every probe diverged.
     """
     rates = [float(r) for r in (grid if grid is not None else parse_lr_grid(DEFAULT_LR_GRID))]
     if not rates:
@@ -436,7 +438,7 @@ def lr_range_search(
         if best is None or probe.final_loss < best.final_loss:
             best = probe
     if best is None:
-        raise AllDivergedError("every learning rate in the grid diverged")
+        raise AllDivergedError("every learning rate in the grid diverged", probes)
     return best.learning_rate, probes
 
 
@@ -470,6 +472,11 @@ def optimizer_sweep(
     """
     if not pairs:
         raise ValidationError("sweep needs at least one embedding pair")
+    # a repeated cell would write two runs under one key, which read back as one
+    for what, names in (("optimizer", list(kinds)), ("pair", [p for p, _ in pairs])):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"sweep lists {what} {name!r} more than once")
     specs = [OptimizerSpec(kind=kind, learning_rate=learning_rate) for kind in kinds]
     return [h for pair_id, emb in pairs
             for h in _stacked_histories(data, emb, config, specs, epochs, batch_size, seed, pair_id)]
@@ -510,8 +517,8 @@ def read_history_csv(fh) -> List[TrainingHistory]:
     if header != _HISTORY_COLUMNS:
         raise ValidationError("unrecognized history CSV header")
     out: List[TrainingHistory] = []
-    current: Optional[TrainingHistory] = None
     last_key: Optional[Tuple[str, str, str, str]] = None
+    last_epoch = 0
     for line_no, row in rows:
         if not row:
             continue
@@ -524,10 +531,16 @@ def read_history_csv(fh) -> List[TrainingHistory]:
         except ValueError as exc:
             raise ValidationError(f"history CSV line {line_no}: {exc}") from None
         key = tuple(row[:4])
-        if current is None or key != last_key:
+        if key != last_key:
+            if epoch not in (0, 1):
+                raise ValidationError(
+                    f"history CSV line {line_no}: a run starts at epoch 0 or 1, not {epoch}")
             current = TrainingHistory(pair=row[0], optimizer=row[1], learning_rate=lr, seed=seed)
-            last_key = key
             out.append(current)
+        elif last_epoch == 0 or epoch != last_epoch + 1:
+            raise ValidationError(f"history CSV line {line_no}: epoch {epoch} does not "
+                                  f"follow epoch {last_epoch} of the same run")
+        last_key, last_epoch = key, epoch
         diverged = row[9] == "1"
         if diverged:
             current.diverged = True

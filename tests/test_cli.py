@@ -682,3 +682,110 @@ class TestPreparedPipeline:
                              "--out", str(tmp_path / "f.bin"))
         assert code == 1
         assert "PATH:FORMAT" in err
+
+
+class TestDegenerateValues:
+    """Out-of-range flag values end in one ERROR line, and a degenerate run still reports."""
+
+    def argv(self, command, pipeline_dir, tmp_path):
+        ds, fused = pipeline_dir["dataset"], pipeline_dir["fused"]
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_text(f"pair,path\na,{fused}\n")
+        return {
+            "prepare": ["prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                        "--out", str(tmp_path / "d.ds"), "--max-len", "16"],
+            "train": ["train", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
+                      "--epochs", "1", "--batch", "8", "--out", str(tmp_path / "m.ckpt"),
+                      *TINY_MODEL],
+            "lr-find": ["lr-find", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
+                        "--grid", "1e-3:1e-2:log2", "--epochs", "1", "--batch", "8",
+                        *TINY_MODEL],
+            "sweep": ["sweep", "--dataset", ds, "--pairs", str(manifest), "--optimizers", "sgd",
+                      "--epochs", "1", "--batch", "8", "--out-dir", str(tmp_path / "o"),
+                      *TINY_MODEL],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "lr-find", "sweep"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_negative_seed_rejected(self, capsys, pipeline_dir, tmp_path, command, route):
+        argv = self.argv(command, pipeline_dir, tmp_path)
+        if route == "flag":
+            argv += ["--seed", "-1"]
+            seed = -1
+        else:
+            config = tmp_path / "c.json"
+            config.write_text('{"seed": -3}')
+            argv += ["--config", str(config)]
+            seed = -3
+        code, out, err = run_without_warnings(capsys, *argv)
+        assert code == 1
+        assert err == f"ERROR invalid: seed must be a non-negative integer, got {seed}\n"
+
+    @pytest.mark.parametrize("grid", ["1e-3:inf:log3", "1e-3:nan:log3"])
+    def test_lr_find_rejects_non_finite_grid_bound(self, capsys, pipeline_dir, tmp_path, grid):
+        argv = self.argv("lr-find", pipeline_dir, tmp_path) + ["--grid", grid]
+        code, out, err = run_without_warnings(capsys, *argv)
+        assert code == 1
+        assert err == (f"ERROR invalid: bad learning-rate grid {grid!r}; "
+                       "need finite 0 < lo < hi and N >= 2\n")
+
+    @pytest.mark.parametrize("max_len", ["-3", "0"])
+    def test_prepare_rejects_max_len_below_one(self, capsys, tmp_path, max_len):
+        out_path = tmp_path / "d.ds"
+        code, out, err = run(capsys, "prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                             "--out", str(out_path), "--max-len", max_len)
+        assert code == 1
+        assert err == f"ERROR invalid: max_len must be at least 1, got {max_len}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fill", ["nan", "inf"])
+    def test_fuse_rejects_non_finite_unknown_fill(self, capsys, pipeline_dir, tmp_path, fill):
+        out_path = tmp_path / "f.bin"
+        code, out, err = run(capsys, "fuse", "--emb1", glove_a() + ":glove",
+                             "--emb2", fasttext_b() + ":fasttext",
+                             "--dataset", pipeline_dir["dataset"], "--out", str(out_path),
+                             "--unknown-fill", fill)
+        assert code == 1
+        assert err == f"ERROR invalid: unknown_fill must be finite, got {fill}\n"
+        assert not out_path.exists()
+
+    def test_sweep_rejects_repeated_optimizer(self, capsys, pipeline_dir, tmp_path):
+        argv = self.argv("sweep", pipeline_dir, tmp_path) + ["--optimizers", "sgd,sgd",
+                                                             "--lr", "0.05"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "ERROR invalid: sweep lists optimizer 'sgd' more than once\n"
+
+    def test_sweep_rejects_repeated_pair(self, capsys, pipeline_dir, tmp_path):
+        argv = self.argv("sweep", pipeline_dir, tmp_path) + ["--lr", "0.05"]
+        (tmp_path / "pairs.csv").write_text(
+            f"pair,path\na,{pipeline_dir['fused']}\nb,{pipeline_dir['fused']}\n"
+            f"a,{pipeline_dir['fused']}\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "ERROR invalid: sweep lists pair 'a' more than once\n"
+
+    def test_report_rejects_a_run_written_twice(self, capsys, tmp_path):
+        history = tmp_path / "h.csv"
+        history.write_text(TestMalformedHistory.HEADER + "".join(
+            f"a,sgd,0.05,7,{epoch},1.0,0.5,1.0,0.5,0\n" for epoch in (1, 2, 1, 2)))
+        code, out, err = run(capsys, "report", "--history", str(history),
+                             "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert err == ("ERROR invalid: history CSV line 4: "
+                       "epoch 1 does not follow epoch 2 of the same run\n")
+
+    def test_lr_find_all_diverged_still_reports_its_table(self, capsys, pipeline_dir, tmp_path):
+        table, svg = tmp_path / "lr.csv", tmp_path / "lr.svg"
+        argv = self.argv("lr-find", pipeline_dir, tmp_path) + [
+            "--grid", "5e306:1e307:log2", "--out", str(table), "--svg", str(svg)]
+        code, out, err = run_without_warnings(capsys, *argv)
+        assert code == 2
+        assert out.splitlines() == [
+            "lr=5.000e+306 diverged", "lr=1.000e+307 diverged",
+            f"skipped chart {svg}: fewer than 2 learning rates completed without diverging"]
+        assert err == "ERROR all-diverged: every learning rate in the grid diverged\n"
+        lines = table.read_text().splitlines()
+        assert lines[0] == "learning_rate,final_train_loss,diverged,epochs_completed"
+        assert [line.split(",", 1)[1] for line in lines[1:]] == [",1,0", ",1,0"]
+        assert not svg.exists()

@@ -301,6 +301,11 @@ class TestPrepare:
         ds, _ = prepare_corpus(self.records(), max_len=8, seed=0)
         assert all(len(ex.indices) == 8 for ex in ds.train + ds.test)
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_max_len_below_one_rejected(self, max_len):
+        with pytest.raises(ValidationError, match=f"max_len must be at least 1, got {max_len}"):
+            prepare_corpus(self.records(), max_len=max_len, seed=0)
+
 
 class TestDatasetFile:
     def test_round_trip_preserves_everything(self, tmp_path):
@@ -358,5 +363,17 @@ class TestDatasetFile:
         lines[field] = value
         text = ("embfuse-dataset 1\n{header}\n[words]\n{word}\n"
                 "[train]\n{example}\n[test]\n").format(**lines)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("header, example, message", [
+        ("max_len=0", "0\t", "line 2: max_len must be at least 1, got 0"),
+        ("max_len=-3", "0\t0 2", "line 2: max_len must be at least 1, got -3"),
+        ("max_len=2", "0\t2", "line 6: encoded example length 1 differs from max_len=2"),
+        ("max_len=2", "0\t0 0 2", "line 6: encoded example length 3 differs from max_len=2"),
+    ], ids=["zero", "negative", "short-example", "long-example"])
+    def test_rejects_bad_max_len(self, header, example, message):
+        text = (f"embfuse-dataset 1\nvocab_size=3 {header} train=1 test=0\n[words]\na\t2\ta\n"
+                f"[train]\n{example}\n[test]\n")
         with pytest.raises(ValidationError, match=re.escape(message)):
             read_dataset(io.StringIO(text))

@@ -1,21 +1,26 @@
 """Seeded corruption of the CLI's inputs: every run exits 0 or prints one ERROR line.
 
 A prepared dataset, a history CSV, a config file, a pair manifest, a review
-CSV, the glove and fasttext embedding fixtures and a fused w2v-bin table
-each get truncations, byte flips, non-UTF-8 bytes, wrong field counts and
-non-numeric fields; a trained checkpoint gets the byte-level corruptions
-only. Each case draws from one seeded generator.
+CSV, a lemma table, the glove and fasttext embedding fixtures and a fused
+w2v-bin table each get truncations, byte flips, non-UTF-8 bytes, wrong field
+counts and non-numeric fields; a trained checkpoint gets the byte-level
+corruptions only. Each case draws from one seeded generator.
 Each corrupted file goes through ``cli.dispatch`` in-process, in the command that reads it.
+Every numeric flag of prepare, fuse, lr-find, train and sweep (and the
+bounds of lr-find's grid) also takes each of -1, 0, nan and inf, on the
+command line and through --config.
 A run must exit 0 with nothing on stderr, or print exactly one
 ``ERROR <code>: <message>`` line; it must never raise or warn.
 """
+import json
+import math
 import os
 import re
 import warnings
 
 import pytest
 
-from embfuse.cli import dispatch
+from embfuse.cli import _COMMAND_OPTS, dispatch
 from embfuse.seeding import derive_rng
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -38,6 +43,7 @@ HISTORY = (
 )
 CONFIG = ('{"format": "glove", "seed": 3, "max_len": 16, "no_title": false,\n'
           ' "lr": 0.05, "grid": "1e-4:1e-2:log3"}\n')
+LEMMAS = "rooms\troom\nvisited\tvisit\n2nd\tsecond\nwas\tbe\n"
 
 
 # --- corruptions: each maps (data, rng, separators) to corrupted bytes ---
@@ -107,6 +113,7 @@ def inputs(tmp_path_factory):
     return {"dataset": dataset, "ckpt": ckpt, "bytes": {
         "dataset": read(dataset), "history": HISTORY.encode(), "config": CONFIG.encode(),
         "manifest": manifest, "reviews": read(os.path.join(FIXTURES, "reviews_50.csv")),
+        "lemmas": LEMMAS.encode(),
         "glove": read(GLOVE), "fasttext": read(FASTTEXT), "fused": read(fused),
         "ckpt": read(ckpt)}}
 
@@ -125,6 +132,9 @@ TARGETS = {
         "inspect", GLOVE, "--config", path]),
     "reviews-prepare": ("reviews", (b",",), lambda inp, path, out: [
         "prepare", "--csv", path, "--out", os.path.join(out, "d.ds"), "--max-len", "16"]),
+    "lemmas-prepare": ("lemmas", (b"\t",), lambda inp, path, out: [
+        "prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv"), "--lemma-table", path,
+        "--out", os.path.join(out, "d.ds"), "--max-len", "16"]),
     "manifest-sweep": ("manifest", (b",",), lambda inp, path, out: [
         "sweep", "--dataset", inp["dataset"], "--pairs", path, "--optimizers", "sgd",
         "--lr", "0.05", "--epochs", "1", "--batch", "8", "--out-dir", out, *TINY_MODEL]),
@@ -158,6 +168,83 @@ def test_corrupted_input_ends_in_exit_0_or_one_error_line(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = dispatch(argv(inputs, str(path), str(tmp_path / "out")))
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert ERROR_LINE.fullmatch(err), err
+
+
+# --- out-of-range flag values ---
+
+def flag_argv(command, inp, out):
+    """A small valid invocation of command whose outputs go to out."""
+    fit = ["--epochs", "1", "--batch", "8", "--seed", "3", *TINY_MODEL]
+    return {
+        "prepare": ["prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                    "--out", os.path.join(out, "d.ds"), "--max-len", "16", "--seed", "3",
+                    "--train-fraction", "0.9"],
+        "fuse": ["fuse", "--emb1", GLOVE + ":glove", "--emb2", FASTTEXT + ":fasttext",
+                 "--dataset", inp["dataset"], "--out", os.path.join(out, "f.bin"),
+                 "--unknown-fill", "0.5"],
+        "lr-find": ["lr-find", "--dataset", inp["dataset"], "--fused", inp["fused"],
+                    "--optimizer", "sgd", "--grid", "1e-3:1e-2:log2", *fit],
+        "train": ["train", "--dataset", inp["dataset"], "--fused", inp["fused"],
+                  "--optimizer", "sgd", "--lr", "0.05", "--out", os.path.join(out, "m.ckpt"),
+                  *fit],
+        "sweep": ["sweep", "--dataset", inp["dataset"], "--pairs", inp["manifest"],
+                  "--optimizers", "sgd", "--lr", "0.05", "--out-dir", out, *fit],
+    }[command]
+
+
+FLAG_VALUES = {"-1": -1, "0": 0, "nan": math.nan, "inf": math.inf}  # text -> JSON value
+GRID_WITH = {"-1": "-1:1e-2:log3", "0": "0:1e-2:log3",
+             "nan": "1e-3:nan:log3", "inf": "1e-3:inf:log3"}
+FLAGS = [(command, opt) for command in ("prepare", "fuse", "lr-find", "train", "sweep")
+         for opt in _COMMAND_OPTS[command] if opt.type in (int, float) or opt.dest == "grid"]
+FLAG_CASES = [(command, opt, value, route) for command, opt in FLAGS
+              for value in FLAG_VALUES for route in ("flag", "config")]
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(inputs, tmp_path_factory):
+    """inputs plus the fused table and a one-pair manifest the training commands read."""
+    root = tmp_path_factory.mktemp("flags")
+    fused, manifest = root / "f.bin", root / "pairs.csv"
+    fused.write_bytes(inputs["bytes"]["fused"])
+    manifest.write_text(f"pair,path\na,{fused}\n")
+    return {**inputs, "fused": str(fused), "manifest": str(manifest)}
+
+
+@pytest.mark.parametrize("command", sorted({command for command, _ in FLAGS}))
+def test_flag_invocation_is_valid_as_given(capsys, tmp_path, flag_inputs, command):
+    """Each case below changes one flag of an invocation that succeeds."""
+    assert dispatch(flag_argv(command, flag_inputs, str(tmp_path))) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command,opt,value,route", FLAG_CASES, ids=[
+    f"{command}{opt.flags[0]}={value}-{route}" for command, opt, value, route in FLAG_CASES])
+def test_out_of_range_flag_value_ends_in_exit_0_or_one_error_line(
+        capsys, tmp_path, flag_inputs, command, opt, value, route):
+    flag = opt.flags[0]
+    argv = flag_argv(command, flag_inputs, str(tmp_path))
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    grid = opt.dest == "grid"
+    if route == "flag":
+        argv.append(f"{flag}={GRID_WITH[value] if grid else value}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({opt.dest: GRID_WITH[value] if grid else FLAG_VALUES[value]}))
+        argv += ["--config", str(config)]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
     err = capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
     if code == 0:

@@ -271,6 +271,12 @@ class TestBuildFusedMatrix:
         with pytest.raises(EmptyDictionariesError):
             build_fused_matrix(CorpusDictionaries({}, {}, 2), t, t)
 
+    @pytest.mark.parametrize("fill", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_unknown_fill_rejected(self, fill):
+        t = make_table(["a"], [[1.0]])
+        with pytest.raises(ValidationError, match=f"unknown_fill must be finite, got {fill}"):
+            build_fused_matrix(dicts_for(["a", "b"]), t, t, unknown_fill=fill)
+
 
 class TestReportAndTable:
     def build(self):

@@ -505,15 +505,24 @@ class TestFlatPacking:
         assert np.array_equal(to_flat(params, config)[-3:], np.ones(3))
 
 
+def set_inference_chunk(monkeypatch, config, rows):
+    """Make inference over config run in chunks of rows, through the chunk's byte budget."""
+    import embfuse.model as model_module
+    row_bytes = config.max_len * 4 * config.lstm_units * 8
+    monkeypatch.setattr(model_module, "_INFER_CHUNK_BYTES", rows * row_bytes)
+    assert inference_batch_size(config) == rows
+
+
 class TestEvaluatePredict:
-    def test_evaluate_matches_direct_computation(self):
+    def test_evaluate_matches_direct_computation(self, monkeypatch):
         config = tiny_config()
         x, labels, emb = tiny_batch(config, batch=6)
         params = init_parameters(config, emb)
         probs, _ = forward(x, params, config)
         want_loss = float(-np.log(probs[np.arange(6), labels]).mean())
         want_acc = float((probs.argmax(axis=1) == labels).mean())
-        loss, acc = evaluate(x, labels, params, config, batch_size=4)
+        set_inference_chunk(monkeypatch, config, 4)
+        loss, acc = evaluate(x, labels, params, config)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert acc == pytest.approx(want_acc)
 
@@ -525,26 +534,29 @@ class TestEvaluatePredict:
                              params, config)
         assert math.isnan(loss) and math.isnan(acc)
 
-    def test_predict_shapes_and_chunking(self):
+    def test_predict_shapes_and_chunking(self, monkeypatch):
         config = tiny_config()
         x, _, emb = tiny_batch(config, batch=7)
         params = init_parameters(config, emb)
         pred_whole = predict(x, params, config)
-        pred_chunks = predict(x, params, config, batch_size=2)
+        set_inference_chunk(monkeypatch, config, 2)
+        pred_chunks = predict(x, params, config)
         assert np.array_equal(pred_whole, pred_chunks)
         assert pred_whole.shape == (7,)
 
-    def test_chunked_inference_matches_one_chunk(self):
+    def test_chunked_inference_matches_one_chunk(self, monkeypatch):
         config = tiny_config()
         x, labels, emb = tiny_batch(config, batch=11)
         params = init_parameters(config, emb)
-        one_loss, one_acc = evaluate(x, labels, params, config, batch_size=11)
-        one_pred = predict(x, params, config, batch_size=11)
+        set_inference_chunk(monkeypatch, config, 11)
+        one_loss, one_acc = evaluate(x, labels, params, config)
+        one_pred = predict(x, params, config)
         for size in (1, 3, 4, 10):
-            loss, acc = evaluate(x, labels, params, config, batch_size=size)
+            set_inference_chunk(monkeypatch, config, size)
+            loss, acc = evaluate(x, labels, params, config)
             assert abs(loss - one_loss) <= 1e-12
             assert acc == one_acc
-            assert np.array_equal(predict(x, params, config, batch_size=size), one_pred)
+            assert np.array_equal(predict(x, params, config), one_pred)
 
     def test_default_chunk_bounds_the_lstm_preactivation(self, monkeypatch):
         paper = ModelConfig()
@@ -571,7 +583,8 @@ class TestEvaluatePredict:
         monkeypatch.setattr(model_module, "forward", recording_forward)
         loss, _ = evaluate(x, labels, params, config)
         assert sizes == [3, 3, 3, 2]
-        assert abs(loss - evaluate(x, labels, params, config, batch_size=11)[0]) <= 1e-12
+        set_inference_chunk(monkeypatch, config, 11)
+        assert abs(loss - evaluate(x, labels, params, config)[0]) <= 1e-12
 
     def test_label_guards(self):
         config = tiny_config()

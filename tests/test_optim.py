@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -200,6 +201,20 @@ class TestParseLrGrid:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValidationError):
             parse_lr_grid(text)
+
+    @pytest.mark.parametrize("text", ["1e-3:inf:log3", "1e-3:nan:log3", "nan:1e-2:log3"])
+    def test_rejects_non_finite_bound_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="need finite 0 < lo < hi"):
+                parse_lr_grid(text)
+
+
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_derive_rng_rejects_negative_seed(seed):
+    with pytest.raises(ValidationError,
+                       match=f"seed must be a non-negative integer, got {seed}$"):
+        derive_rng(seed, "init")
 
 
 def small_config(seed=3, **kw):
@@ -404,6 +419,14 @@ class TestLrRangeSearch:
             lr_range_search(tiny_dataset, tiny_embedding, small_config(),
                             "sgd", grid=[1e307, 1e308], epochs=1, batch_size=16, seed=5)
 
+    def test_all_diverged_error_carries_the_probes(self, tiny_dataset, tiny_embedding):
+        with pytest.raises(AllDivergedError) as caught:
+            lr_range_search(tiny_dataset, tiny_embedding, small_config(),
+                            "sgd", grid=[1e307, 1e308], epochs=1, batch_size=16, seed=5)
+        probes = caught.value.probes
+        assert [p.learning_rate for p in probes] == [1e307, 1e308]
+        assert all(p.diverged and p.final_loss == math.inf for p in probes)
+
     def test_empty_grid_rejected(self, tiny_dataset, tiny_embedding):
         with pytest.raises(ValidationError):
             lr_range_search(tiny_dataset, tiny_embedding, small_config(),
@@ -458,6 +481,20 @@ class TestHistoryCsv:
         with pytest.raises(ValidationError):
             read_history_csv(io.StringIO("nope,nope\n1,2\n"))
 
+    @pytest.mark.parametrize("epochs, message", [
+        ((-7, 5), "line 2: a run starts at epoch 0 or 1, not -7"),
+        ((2,), "line 2: a run starts at epoch 0 or 1, not 2"),
+        ((1, 3), "line 3: epoch 3 does not follow epoch 1 of the same run"),
+        ((1, 2, 1, 2), "line 4: epoch 1 does not follow epoch 2 of the same run"),
+        ((0, 1), "line 3: epoch 1 does not follow epoch 0 of the same run"),
+    ], ids=["negative-start", "late-start", "gap", "repeated-run", "after-epoch-0"])
+    def test_epoch_must_follow_the_previous_row_of_its_run(self, epochs, message):
+        header = ("pair,optimizer,learning_rate,seed,epoch,"
+                  "train_loss,train_accuracy,test_loss,test_accuracy,run_diverged\n")
+        rows = "".join(f"p,sgd,0.05,7,{e},1.0,0.5,1.0,0.5,0\n" for e in epochs)
+        with pytest.raises(ValidationError, match=f"history CSV {message}$"):
+            read_history_csv(io.StringIO(header + rows))
+
 
 class TestOptimizerSweep:
     def test_cells_are_pair_major_with_shared_lr(self, tiny_dataset):
@@ -496,6 +533,16 @@ class TestOptimizerSweep:
     def test_no_pairs_rejected(self, tiny_dataset):
         with pytest.raises(ValidationError):
             optimizer_sweep(tiny_dataset, small_config(), [], learning_rate=0.1)
+
+    @pytest.mark.parametrize("pairs, kinds, message", [
+        (["p"], ("sgd", "adam", "sgd"), "optimizer 'sgd'"),
+        (["p", "q", "p"], ("sgd",), "pair 'p'"),
+    ], ids=["kind", "pair"])
+    def test_repeated_cell_rejected(self, tiny_dataset, tiny_embedding, pairs, kinds, message):
+        with pytest.raises(ValidationError, match=f"sweep lists {message} more than once"):
+            optimizer_sweep(tiny_dataset, small_config(),
+                            [(p, tiny_embedding) for p in pairs],
+                            learning_rate=0.05, kinds=kinds, epochs=1, batch_size=16)
 
     def test_rerun_is_identical(self, tiny_dataset, tiny_embedding):
         kwargs = dict(learning_rate=0.05, kinds=("sgd", "adagrad"),
