@@ -14,7 +14,6 @@ The package splits into six modules:
 from .embedding_io import (
     EmbeddingTable,
     FORMATS,
-    mean_vector,
     parse_embedding,
     parse_fasttext_text,
     parse_glove_text,
@@ -42,7 +41,6 @@ from .fusion import (
     build_fused_matrix,
     fuse_both,
     fuse_second_only,
-    fusion_report,
 )
 from .model import (
     ModelConfig,

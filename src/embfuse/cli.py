@@ -50,6 +50,32 @@ class _Opt:
     positional: bool = False
 
 
+def _split_emb_arg(text: str) -> Tuple[str, str]:
+    """``PATH:FORMAT`` as (path, format); the file must exist."""
+    path, sep, fmt = text.rpartition(":")
+    if not sep or fmt not in FORMATS:
+        raise UsageError(
+            f"expected PATH:FORMAT with format one of {', '.join(FORMATS)}, got {text!r}"
+        )
+    return _require_file(path, "embedding file"), fmt
+
+
+def _names(text: str) -> Tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _stage_list(text: str) -> Tuple[str, ...]:
+    order = _names(text)
+    fusion.candidate_keys("", None, order)  # rejects an unknown stage
+    return order
+
+
+def _kind_list(text: str) -> Tuple[str, ...]:
+    kinds = _names(text)
+    optim.check_sweep_cells(kinds)
+    return kinds
+
+
 _MODEL_OPTS = [
     _Opt("lstm_units", ("--lstm-units",), int, 512, "units per LSTM direction"),
     _Opt("gru_units", ("--gru-units",), int, 256, "units per GRU direction"),
@@ -75,26 +101,27 @@ _COMMAND_OPTS: Dict[str, List[_Opt]] = {
         _Opt("csv", ("--csv",), str, help="review CSV to ingest", required=True),
         _Opt("out", ("--out",), str, help="dataset file to write", required=True),
         _Opt("seed", ("--seed",), int, 0, "seed for the train/test split"),
-        _Opt("buckets", ("--buckets",), str, "1-2/3/4-5", "star buckets as bad/neutral/good"),
+        _Opt("buckets", ("--buckets",), corpus.parse_buckets, corpus.DEFAULT_BUCKETS,
+             "star buckets as bad/neutral/good"),
         _Opt("no_title", ("--no-title",), help="ignore the review title column", is_flag=True),
         _Opt("max_len", ("--max-len",), int, 60, "encoded sequence length"),
         _Opt("train_fraction", ("--train-fraction",), float, 0.9, "share of examples in train"),
         _Opt("lemma_table", ("--lemma-table",), str, help="token<TAB>lemma file replacing the built-in lemmatizer"),
     ],
     "fuse": [
-        _Opt("emb1", ("--emb1",), str, help="first table as PATH:FORMAT", required=True),
-        _Opt("emb2", ("--emb2",), str, help="second table as PATH:FORMAT", required=True),
+        _Opt("emb1", ("--emb1",), _split_emb_arg, help="first table as PATH:FORMAT", required=True),
+        _Opt("emb2", ("--emb2",), _split_emb_arg, help="second table as PATH:FORMAT", required=True),
         _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
         _Opt("out", ("--out",), str, help="fused embedding file to write", required=True),
         _Opt("report", ("--report",), str, help="branch-count CSV to write"),
         _Opt("unknown_fill", ("--unknown-fill",), float, 0.0, "value for rows of unknown words"),
-        _Opt("fallback_order", ("--fallback-order",), str, ",".join(fusion.FALLBACK_STAGES),
+        _Opt("fallback_order", ("--fallback-order",), _stage_list, fusion.FALLBACK_STAGES,
              "comma-separated key fallback stages"),
     ],
     "lr-find": _TRAIN_COMMON + _MODEL_OPTS + [
         _Opt("optimizer", ("--optimizer",), str, "adam", "update rule to probe",
              choices=optim.OPTIMIZER_KINDS),
-        _Opt("grid", ("--grid",), str, optim.DEFAULT_LR_GRID, "learning-rate grid lo:hi:logN"),
+        _Opt("grid", ("--grid",), optim.parse_lr_grid, help="learning-rate grid lo:hi:logN"),
         _Opt("epochs", ("--epochs",), int, 3, "epochs per probe"),
         _Opt("out", ("--out",), str, help="loss-per-rate CSV to write"),
         _Opt("svg", ("--svg",), str, help="loss-versus-rate chart to write"),
@@ -110,7 +137,7 @@ _COMMAND_OPTS: Dict[str, List[_Opt]] = {
     "sweep": [
         _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
         _Opt("pairs", ("--pairs",), str, help="manifest CSV with pair,path rows", required=True),
-        _Opt("optimizers", ("--optimizers",), str, ",".join(optim.OPTIMIZER_KINDS),
+        _Opt("optimizers", ("--optimizers",), _kind_list, optim.OPTIMIZER_KINDS,
              "comma-separated update rules"),
         _Opt("lr", ("--lr",), float,
              help="learning rate shared by every cell (default: sgd range search)"),
@@ -196,7 +223,8 @@ def _config_value(opt: _Opt, value: Any) -> Any:
             return opt.type(str(value))
         except ValueError:
             pass
-    raise ValidationError(f"config key {opt.dest!r} expects {opt.type.__name__}, got {value!r}")
+    expects = opt.type.__name__ if opt.type in (int, float) else "str"
+    raise ValidationError(f"config key {opt.dest!r} expects {expects}, got {value!r}")
 
 
 def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
@@ -226,15 +254,6 @@ def _require_file(path: str, what: str) -> str:
 def _write_text(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(content)
-
-
-def _split_emb_arg(text: str) -> Tuple[str, str]:
-    path, sep, fmt = text.rpartition(":")
-    if not sep or fmt not in FORMATS:
-        raise UsageError(
-            f"expected PATH:FORMAT with format one of {', '.join(FORMATS)}, got {text!r}"
-        )
-    return path, fmt
 
 
 def _read_dataset(path: str) -> corpus.PreparedDataset:
@@ -284,7 +303,6 @@ def _run_inspect(opts: Dict[str, Any]) -> int:
 
 def _run_prepare(opts: Dict[str, Any]) -> int:
     _require_file(opts["csv"], "review CSV")
-    buckets = corpus.parse_buckets(opts["buckets"])
     lemmatizer = None
     if opts["lemma_table"]:
         _require_file(opts["lemma_table"], "lemma table")
@@ -296,7 +314,7 @@ def _run_prepare(opts: Dict[str, Any]) -> int:
         records,
         loaded=len(records) + dropped,
         dropped=dropped,
-        buckets=buckets,
+        buckets=opts["buckets"],
         include_title=not opts["no_title"],
         max_len=opts["max_len"],
         train_fraction=opts["train_fraction"],
@@ -314,9 +332,7 @@ def _run_prepare(opts: Dict[str, Any]) -> int:
 def _run_fuse(opts: Dict[str, Any]) -> int:
     ds = _read_dataset(opts["dataset"])
     tables = []
-    for arg in (opts["emb1"], opts["emb2"]):
-        path, fmt = _split_emb_arg(arg)
-        _require_file(path, "embedding file")
+    for path, fmt in (opts["emb1"], opts["emb2"]):
         with open(path, "rb") as fh:
             tables.append(parse_embedding(fh, fmt, name=os.path.basename(path)))
     emb1, emb2 = tables
@@ -328,23 +344,21 @@ def _run_fuse(opts: Dict[str, Any]) -> int:
             f"WARNING: second table ({len(emb2)} words) is larger than the first "
             f"({len(emb1)} words); the first table is treated as the primary space"
         )
-    order = tuple(s.strip() for s in opts["fallback_order"].split(",") if s.strip())
     fused = fusion.build_fused_matrix(
         ds.dicts, emb1, emb2,
         unknown_fill=opts["unknown_fill"],
-        fallback_order=order,
+        fallback_order=opts["fallback_order"],
     )
     payload = write_word2vec_binary(fusion.fused_to_table(fused, ds.dicts))
     with open(opts["out"], "wb") as fh:
         fh.write(payload)
-    report = fusion.fusion_report(fused, ds.dicts)
-    for line in report.lines():
+    for line in fused.lines():
         print(line)
     if opts["report"]:
         with open(opts["report"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["key", "value"])
-            writer.writerows(report.rows())
+            writer.writerows(fused.rows())
     print(f"wrote {opts['out']}")
     return 0
 
@@ -358,12 +372,11 @@ def _run_lr_find(opts: Dict[str, Any]) -> int:
     matrix = _load_fused_matrix(opts["fused"], ds.dicts)
     data = _split_dataset(ds)
     config = _model_config(opts, ds.max_len, matrix.shape[1], opts["seed"])
-    grid = optim.parse_lr_grid(opts["grid"])
     failure = None
     try:
         best, probes = optim.lr_range_search(
             data, matrix, config, opts["optimizer"],
-            grid=grid, epochs=opts["epochs"], batch_size=opts["batch"], seed=opts["seed"],
+            grid=opts["grid"], epochs=opts["epochs"], batch_size=opts["batch"], seed=opts["seed"],
         )
     except AllDivergedError as exc:  # still report the table, then fail
         failure, probes = exc, exc.probes
@@ -387,12 +400,12 @@ def _run_lr_find(opts: Dict[str, Any]) -> int:
 
 
 def _run_train(opts: Dict[str, Any]) -> int:
+    lr = opts["lr"] if opts["lr"] is not None else optim.DEFAULT_LR[opts["optimizer"]]
+    spec = optim.OptimizerSpec(kind=opts["optimizer"], learning_rate=lr)
     ds = _read_dataset(opts["dataset"])
     matrix = _load_fused_matrix(opts["fused"], ds.dicts)
     data = _split_dataset(ds)
     config = _model_config(opts, ds.max_len, matrix.shape[1], opts["seed"])
-    lr = opts["lr"] if opts["lr"] is not None else optim.DEFAULT_LR[opts["optimizer"]]
-    spec = optim.OptimizerSpec(kind=opts["optimizer"], learning_rate=lr)
     params, hist = optim.train(
         data, matrix, config, spec,
         epochs=opts["epochs"], batch_size=opts["batch"], seed=opts["seed"],
@@ -414,14 +427,15 @@ def _run_train(opts: Dict[str, Any]) -> int:
     return 0
 
 
-def _load_pairs(path: str, dicts: corpus.CorpusDictionaries) -> List[Tuple[str, np.ndarray]]:
+def _read_manifest(path: str) -> List[Tuple[str, str]]:
+    """The (pair id, fused table path) rows of a pair manifest."""
     _require_file(path, "pair manifest")
     rows = csv_rows(_read_lines(path, "pair manifest"), "pair manifest line")
     _, header = next(rows, (0, None))
     if header is None or [h.strip().lower() for h in header[:2]] != ["pair", "path"]:
         raise ValidationError("pair manifest must start with a 'pair,path' header")
     base = os.path.dirname(os.path.abspath(path))
-    pairs: List[Tuple[str, np.ndarray]] = []
+    pairs: List[Tuple[str, str]] = []
     for _, row in rows:
         if not row or not any(cell.strip() for cell in row):
             continue
@@ -431,7 +445,7 @@ def _load_pairs(path: str, dicts: corpus.CorpusDictionaries) -> List[Tuple[str, 
         emb_path = row[1].strip()
         if not os.path.isabs(emb_path):
             emb_path = os.path.join(base, emb_path)
-        pairs.append((pair_id, _load_fused_matrix(emb_path, dicts)))
+        pairs.append((pair_id, emb_path))
     if not pairs:
         raise ValidationError("pair manifest lists no pairs")
     return pairs
@@ -462,13 +476,10 @@ def _write_history_chart(histories, pair_id: str, out_dir: str) -> None:
 def _run_sweep(opts: Dict[str, Any]) -> int:
     ds = _read_dataset(opts["dataset"])
     data = _split_dataset(ds)
-    pairs = _load_pairs(opts["pairs"], ds.dicts)
-    kinds = tuple(k.strip() for k in opts["optimizers"].split(",") if k.strip())
-    for kind in kinds:
-        if kind not in optim.OPTIMIZER_KINDS:
-            raise UsageError(f"unknown optimizer {kind!r} in --optimizers")
-    if not kinds:
-        raise UsageError("--optimizers lists no update rules")
+    manifest = _read_manifest(opts["pairs"])
+    kinds = opts["optimizers"]
+    optim.check_sweep_cells(kinds, [pair_id for pair_id, _ in manifest])
+    pairs = [(pair_id, _load_fused_matrix(path, ds.dicts)) for pair_id, path in manifest]
     emb_dim = pairs[0][1].shape[1]
     for pair_id, matrix in pairs:
         if matrix.shape[1] != emb_dim:

@@ -28,19 +28,13 @@ UNK_INDEX = 1
 
 MAX_LEN = 60
 
-# Canonical column names as they appear in the collected review CSV,
-# matched case- and whitespace-insensitively.
+# The collected review CSV's columns by their display names, each matched
+# case- and whitespace-insensitively, and the record field each fills.
 _COLUMNS = {
-    "name of the shop place": "place_name",
-    "title of the review": "title",
-    "review": "review_text",
-    "rate": "rate",
-}
-_DISPLAY = {
-    "place_name": "Name of the shop place",
-    "title": "Title of the review",
-    "review_text": "Review",
-    "rate": "Rate",
+    "Name of the shop place": "place_name",
+    "Title of the review": "title",
+    "Review": "review_text",
+    "Rate": "rate",
 }
 
 
@@ -105,14 +99,15 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
         _, header = next(rows)
     except StopIteration:
         raise EmptyFileError("CSV has no header row") from None
-    positions: Dict[str, int] = {}
+    found: Dict[str, int] = {}
     for i, name in enumerate(header):
-        key = _COLUMNS.get(_normalize_header(name))
-        if key is not None and key not in positions:
-            positions[key] = i
-    for key in ("place_name", "title", "review_text", "rate"):
-        if key not in positions:
-            raise MissingColumnError(_DISPLAY[key])
+        found.setdefault(_normalize_header(name), i)
+    positions: Dict[str, int] = {}
+    for display, key in _COLUMNS.items():
+        at = found.get(_normalize_header(display))
+        if at is None:
+            raise MissingColumnError(display)
+        positions[key] = at
 
     records: List[ReviewRecord] = []
     dropped = 0
@@ -173,15 +168,8 @@ def filter_dominant_place(records: Sequence[ReviewRecord]) -> Tuple[List[ReviewR
     return kept, report
 
 
-@dataclass(frozen=True)
-class RateBuckets:
-    """Mapping from 1..5 stars to the three sentiment classes."""
-
-    by_star: Tuple[SentimentLabel, ...]
-
-    def __post_init__(self):
-        if len(self.by_star) != 5:
-            raise ValidationError("rate buckets must cover stars 1..5")
+# The sentiment class of each star, 1..5 in order.
+RateBuckets = Tuple[SentimentLabel, ...]
 
 
 def parse_buckets(text: str) -> RateBuckets:
@@ -206,25 +194,17 @@ def parse_buckets(text: str) -> RateBuckets:
             by_star[star] = label
     if len(by_star) != 5:
         raise ValidationError(f"bucket spec {text!r} does not cover stars 1..5 exactly once")
-    return RateBuckets(by_star=tuple(by_star[s] for s in range(1, 6)))
+    return tuple(by_star[s] for s in range(1, 6))
 
 
-DEFAULT_BUCKETS = RateBuckets(
-    by_star=(
-        SentimentLabel.bad,
-        SentimentLabel.bad,
-        SentimentLabel.neutral,
-        SentimentLabel.good,
-        SentimentLabel.good,
-    )
-)
+DEFAULT_BUCKETS = parse_buckets("1-2/3/4-5")
 
 
 def rate_to_label(rate: int, buckets: RateBuckets = DEFAULT_BUCKETS) -> SentimentLabel:
     """Map a star rating to its sentiment class (default buckets 1-2/3/4-5)."""
     if not isinstance(rate, int) or not 1 <= rate <= 5:
         raise OutOfRangeError(f"rate {rate!r} outside 1..5")
-    return buckets.by_star[rate - 1]
+    return buckets[rate - 1]
 
 
 _TOKEN_RE = re.compile(r"\w+(?:['’]\w+)*")

@@ -10,12 +10,13 @@ Three on-disk formats are supported and normalized into one in-memory
   newline may follow each record's floats and is consumed if present.
 
 Values are widened to float64 internally regardless of the storage width.
-Parsing is streaming: sources may be binary file objects or iterables of
-bytes chunks. Besides the output table, a parser holds one input chunk (or
-the one line or record that spans chunks, if longer) and the rows decoded so
-far, in blocks of up to ``_BLOCK_ROWS`` rows: float32 for ``w2v-bin``,
-float64 for text. The blocks are copied into the float64 matrix once, at the
-end, and each is freed as soon as it is copied.
+Parsing streams from a binary file object; a bytes object or an iterable of
+bytes chunks is also accepted. Text formats are read as the file's own lines
+and w2v-bin in chunks. Besides the output table, a parser holds one line or
+input chunk (or the one record that spans chunks, if longer) and the rows
+decoded so far, in blocks of up to ``_BLOCK_ROWS`` rows: float32 for
+``w2v-bin``, float64 for text. The blocks are copied into the float64 matrix
+once, at the end, and each is freed as soon as it is copied.
 
 Decoding is done a block at a time. A w2v-bin record's float bytes are
 appended to a float32 block and checked for non-finite values when the block
@@ -28,6 +29,7 @@ the line-by-line parser.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -38,14 +40,11 @@ from .errors import (
     BadHeaderError,
     DimMismatchError,
     EmptyInputError,
-    EmptyTableError,
     InvalidUtf8Error,
     ParseFloatError,
     TruncatedRecordError,
     ValidationError,
 )
-
-FORMATS = ("glove", "w2v-bin", "fasttext")
 
 _CHUNK = 1 << 16
 _BLOCK_ROWS = 4096
@@ -73,26 +72,14 @@ def _refill(chunks: Iterator[bytes], tail: bytes, need: int) -> Tuple[bytes, boo
 
 
 def iter_lines(source) -> Iterator[bytes]:
-    """Yield the lines of a byte source, each with its trailing newline where present.
+    """The lines of a byte source, each with its trailing newline where present.
 
-    Lines are split on ``b"\\n"`` before anything is decoded, so a chunk edge
-    never splits a UTF-8 character.
+    A binary file object is iterated as it is; lines end at ``b"\\n"`` only,
+    so no UTF-8 character is ever split.
     """
-    pending: List[bytes] = []
-    for chunk in _chunks(source):
-        cut = chunk.rfind(b"\n") + 1
-        if not cut:
-            pending.append(chunk)
-            continue
-        pending.append(chunk[:cut])
-        lines = b"".join(pending).split(b"\n")
-        lines.pop()
-        for line in lines:
-            yield line + b"\n"
-        pending = [chunk[cut:]]
-    tail = b"".join(pending)
-    if tail:
-        yield tail
+    if hasattr(source, "read"):
+        return iter(source)
+    return iter(io.BytesIO(b"".join(_chunks(source))))
 
 
 def decode_line(raw: bytes, line_no: int, what: str = "line") -> str:
@@ -306,6 +293,20 @@ def parse_glove_text(stream, name: str = "glove") -> EmbeddingTable:
     return _finish_table(name, rows.dim, rows.vocab, rows.blocks, warnings)
 
 
+def _header(line: bytes) -> Tuple[int, int]:
+    """The ``vocab_size dim`` header line shared by fasttext and w2v-bin."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise BadHeaderError(f"expected 'vocab_size dim' header, got {line!r}")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise BadHeaderError(f"non-integer header fields in {line!r}") from None
+    if count < 0 or dim < 1:
+        raise BadHeaderError(f"invalid header values {count} {dim}")
+    return count, dim
+
+
 def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
     """Parse text with a leading ``vocab_size dim`` header (fastText .vec layout).
 
@@ -317,15 +318,7 @@ def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
     header = next(lines, b"")
     if not header:
         raise EmptyInputError("no lines in input")
-    parts = header.split()
-    if len(parts) != 2:
-        raise BadHeaderError(f"expected 'vocab_size dim' header, got {header!r}")
-    try:
-        declared, dim = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise BadHeaderError(f"non-integer header fields in {header!r}") from None
-    if declared < 0 or dim < 1:
-        raise BadHeaderError(f"invalid header values {declared} {dim}")
+    declared, dim = _header(header)
     warnings: List[str] = []
     rows = _parse_text_lines(lines, dim, 2, warnings)
     if rows.n_data == 0:
@@ -362,16 +355,7 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
         buf, eof = _refill(chunks, buf, 2 * len(buf) + 1)
     if nl < 0:
         raise BadHeaderError("missing header line")
-    header = buf[:nl + 1]
-    parts = header.split()
-    if len(parts) != 2:
-        raise BadHeaderError(f"expected 'vocab_size dim' header, got {header!r}")
-    try:
-        count, dim = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise BadHeaderError(f"non-integer header fields in {header!r}") from None
-    if count < 0 or dim < 1:
-        raise BadHeaderError(f"invalid header values {count} {dim}")
+    count, dim = _header(buf[:nl + 1])
 
     vocab: Dict[str, int] = {}
     warnings: List[str] = []
@@ -436,19 +420,16 @@ def write_word2vec_binary(table: EmbeddingTable) -> bytes:
     return bytes(out)
 
 
-def mean_vector(table: EmbeddingTable) -> np.ndarray:
-    """Component-wise arithmetic mean over all rows of the table (a copy of ``table.mean``)."""
-    if len(table.vocab) == 0:
-        raise EmptyTableError("cannot take the mean of an empty table")
-    return table.mean.copy()
+_PARSERS = {
+    "glove": parse_glove_text,
+    "w2v-bin": parse_word2vec_binary,
+    "fasttext": parse_fasttext_text,
+}
+FORMATS = tuple(_PARSERS)
 
 
 def parse_embedding(stream, fmt: str, name: str = "") -> EmbeddingTable:
     """Dispatch to the parser for ``fmt`` (one of FORMATS)."""
-    if fmt == "glove":
-        return parse_glove_text(stream, name or fmt)
-    if fmt == "w2v-bin":
-        return parse_word2vec_binary(stream, name or fmt)
-    if fmt == "fasttext":
-        return parse_fasttext_text(stream, name or fmt)
-    raise ValidationError(f"unknown embedding format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    if fmt not in _PARSERS:
+        raise ValidationError(f"unknown embedding format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    return _PARSERS[fmt](stream, name or fmt)

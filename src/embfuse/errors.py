@@ -70,10 +70,6 @@ class TruncatedRecordError(EmbfuseError):
         self.record_no = record_no
 
 
-class EmptyTableError(EmbfuseError):
-    code = "empty-table"
-
-
 # --- corpus ---
 
 class MissingColumnError(EmbfuseError):

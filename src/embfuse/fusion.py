@@ -16,7 +16,7 @@ and keeps the rest as written ("iPHONE" -> "IPHONE"), unlike str.capitalize().
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,31 +97,39 @@ class BranchCounts:
         return self.both + self.first_only + self.second_only + self.unknown
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "both": self.both,
-            "first_only": self.first_only,
-            "second_only": self.second_only,
-            "unknown": self.unknown,
-            "case_hits": self.case_hits,
-            "lemma_hits": self.lemma_hits,
-        }
+        return asdict(self)
 
 
 @dataclass
 class FusedMatrix:
-    """Dense fused embedding, row w for dictionary index w.
+    """Dense fused embedding, row w for dictionary index w, and its branch counts.
 
     Row 0 (padding) is all zeros; row 1 (unknown) is the fill row.
     """
 
     matrix: np.ndarray
-    dim: int
     branch_counts: BranchCounts
-    unknown_row: np.ndarray
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.unknown_row = np.asarray(self.unknown_row, dtype=np.float64)
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def rows(self) -> List[Tuple[str, str]]:
+        """(key, value) report rows: dim, words, each branch's count and share, fallback hits."""
+        counts = self.branch_counts
+        total = counts.total()
+        out = [("dim", str(self.dim)), ("words", str(total))]
+        for branch in ("both", "first_only", "second_only", "unknown"):
+            n = getattr(counts, branch)
+            share = n / total if total else 0.0
+            out.append((branch, f"{n}"))
+            out.append((branch + "_share", f"{share:.6f}"))
+        out.append(("case_hits", str(counts.case_hits)))
+        out.append(("lemma_hits", str(counts.lemma_hits)))
+        return out
+
+    def lines(self) -> List[str]:
+        return [f"{key}: {value}" for key, value in self.rows()]
 
 
 def build_fused_matrix(
@@ -146,8 +154,7 @@ def build_fused_matrix(
         raise DimMismatchError(f"table dims differ: {emb1.dim} vs {emb2.dim}")
     dim = emb1.dim
     matrix = np.zeros((dicts.vocab_size, dim), dtype=np.float64)
-    unknown_row = np.full(dim, float(unknown_fill), dtype=np.float64)
-    matrix[UNK_INDEX] = unknown_row
+    matrix[UNK_INDEX] = unknown_fill
     counts = BranchCounts()
     # dictionary row and table rows of each word, per branch
     both: List[Tuple[int, int, int]] = []
@@ -184,42 +191,11 @@ def build_fused_matrix(
     matrix[w] = emb1.matrix[i1]
     w, i2 = np.array(second_only, dtype=np.intp).reshape(-1, 2).T
     matrix[w] = fuse_second_only(emb2.matrix[i2], emb1.mean, emb2.mean)
-    matrix[unknown] = unknown_row
+    matrix[unknown] = unknown_fill
     counts.both, counts.first_only = len(both), len(first_only)
     counts.second_only, counts.unknown = len(second_only), len(unknown)
 
-    return FusedMatrix(matrix=matrix, dim=dim, branch_counts=counts, unknown_row=unknown_row)
-
-
-@dataclass
-class FusionReport:
-    dim: int
-    vocab_size: int
-    counts: BranchCounts
-
-    @property
-    def unknown_rate(self) -> float:
-        total = self.counts.total()
-        return self.counts.unknown / total if total else 0.0
-
-    def rows(self) -> List[Tuple[str, str]]:
-        total = self.counts.total()
-        out = [("dim", str(self.dim)), ("words", str(total))]
-        for branch in ("both", "first_only", "second_only", "unknown"):
-            n = getattr(self.counts, branch)
-            share = n / total if total else 0.0
-            out.append((branch, f"{n}"))
-            out.append((branch + "_share", f"{share:.6f}"))
-        out.append(("case_hits", str(self.counts.case_hits)))
-        out.append(("lemma_hits", str(self.counts.lemma_hits)))
-        return out
-
-    def lines(self) -> List[str]:
-        return [f"{key}: {value}" for key, value in self.rows()]
-
-
-def fusion_report(fused: FusedMatrix, dicts: CorpusDictionaries) -> FusionReport:
-    return FusionReport(dim=fused.dim, vocab_size=dicts.vocab_size, counts=fused.branch_counts)
+    return FusedMatrix(matrix=matrix, branch_counts=counts)
 
 
 PAD_TOKEN = "<pad>"

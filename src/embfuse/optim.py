@@ -62,16 +62,19 @@ ADADELTA_RHO, ADADELTA_EPS = 0.95, 1e-6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in OPTIMIZER_KINDS:
+        raise ValidationError(
+            f"unknown optimizer {kind!r}; expected one of {', '.join(OPTIMIZER_KINDS)}")
+
+
 @dataclass
 class OptimizerSpec:
     kind: str
     learning_rate: float
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValidationError(
-                f"unknown optimizer {self.kind!r}; expected one of {', '.join(OPTIMIZER_KINDS)}"
-            )
+        _check_kind(self.kind)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
 
@@ -452,6 +455,22 @@ def write_lr_table(probes: Sequence[LrProbe], fh) -> None:
 
 # --- optimizer-by-embedding sweep ---
 
+def check_sweep_cells(kinds: Sequence[str], pair_ids: Sequence[str] = ()) -> None:
+    """Reject a sweep whose update rules are unknown or none, or that repeats a cell.
+
+    A repeated optimizer or pair would write two runs under one key, which
+    read back as one.
+    """
+    for kind in kinds:
+        _check_kind(kind)
+    if not kinds:
+        raise ValidationError("sweep lists no update rules")
+    for what, names in (("optimizer", list(kinds)), ("pair", list(pair_ids))):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"sweep lists {what} {name!r} more than once")
+
+
 def optimizer_sweep(
     data: SplitDataset,
     config: ModelConfig,
@@ -472,11 +491,7 @@ def optimizer_sweep(
     """
     if not pairs:
         raise ValidationError("sweep needs at least one embedding pair")
-    # a repeated cell would write two runs under one key, which read back as one
-    for what, names in (("optimizer", list(kinds)), ("pair", [p for p, _ in pairs])):
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ValidationError(f"sweep lists {what} {name!r} more than once")
+    check_sweep_cells(kinds, [pair_id for pair_id, _ in pairs])
     specs = [OptimizerSpec(kind=kind, learning_rate=learning_rate) for kind in kinds]
     return [h for pair_id, emb in pairs
             for h in _stacked_histories(data, emb, config, specs, epochs, batch_size, seed, pair_id)]

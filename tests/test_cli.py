@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from embfuse import cli, optim
 from embfuse.cli import dispatch
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -337,6 +338,29 @@ class TestPreparedPipeline:
         assert int(rows["unknown"]) > 0
         total = sum(int(rows[k]) for k in ("both", "first_only", "second_only", "unknown"))
         assert total == int(rows["words"])
+
+    # the fixture pair's fusion report, as stdout and as the --report CSV
+    FUSE_REPORT = [("dim", "4"), ("words", "59"),
+                   ("both", "11"), ("both_share", "0.186441"),
+                   ("first_only", "5"), ("first_only_share", "0.084746"),
+                   ("second_only", "6"), ("second_only_share", "0.101695"),
+                   ("unknown", "37"), ("unknown_share", "0.627119"),
+                   ("case_hits", "6"), ("lemma_hits", "1")]
+
+    def test_fuse_stdout_and_report_bytes_are_pinned(self, capsys, pipeline_dir, tmp_path):
+        out_path, report = tmp_path / "f.bin", tmp_path / "report.csv"
+        code, out, err = run(capsys, "fuse", "--emb1", glove_a() + ":glove",
+                             "--emb2", fasttext_b() + ":fasttext",
+                             "--dataset", pipeline_dir["dataset"], "--out", str(out_path),
+                             "--report", str(report))
+        assert (code, err) == (0, "")
+        assert out == (
+            "WARNING: second table (13 words) is larger than the first (12 words); "
+            "the first table is treated as the primary space\n"
+            + "".join(f"{key}: {value}\n" for key, value in self.FUSE_REPORT)
+            + f"wrote {out_path}\n")
+        assert report.read_bytes() == "".join(
+            f"{key},{value}\n" for key, value in [("key", "value")] + self.FUSE_REPORT).encode()
 
     def test_lr_find_emits_table_and_chart(self, capsys, pipeline_dir):
         root = pipeline_dir["root"]
@@ -682,6 +706,67 @@ class TestPreparedPipeline:
                              "--out", str(tmp_path / "f.bin"))
         assert code == 1
         assert "PATH:FORMAT" in err
+
+
+class TestFlagsBeforeTables:
+    """A bad flag value ends the run before any embedding table is parsed or lr searched."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = {"parse_embedding": 0, "lr_range_search": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counted[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_embedding", counting("parse_embedding", cli.parse_embedding))
+        monkeypatch.setattr(optim, "lr_range_search",
+                            counting("lr_range_search", optim.lr_range_search))
+        return counted
+
+    def argv(self, case, pipeline_dir, tmp_path):
+        ds, fused = pipeline_dir["dataset"], pipeline_dir["fused"]
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_text(f"pair,path\na,{fused}\n")
+        fuse = ["fuse", "--emb1", glove_a() + ":glove", "--dataset", ds,
+                "--out", str(tmp_path / "f.bin")]
+        sweep = ["sweep", "--dataset", ds, "--pairs", str(manifest), "--epochs", "1",
+                 "--batch", "8", "--out-dir", str(tmp_path / "o"), *TINY_MODEL]
+        return {
+            "fuse-format": fuse + ["--emb2", fasttext_b() + ":bogus"],
+            "fuse-stage": fuse + ["--emb2", fasttext_b() + ":fasttext",
+                                  "--fallback-order", "exact,bogus"],
+            "lr-find-grid": ["lr-find", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
+                             "--grid", "1e-3:1e-1:log1", "--epochs", "1", "--batch", "8",
+                             *TINY_MODEL],
+            "sweep-unknown": sweep + ["--optimizers", "sgd,bogus"],
+            "sweep-repeated": sweep + ["--optimizers", "sgd,sgd"],
+            "train-lr": ["train", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
+                         "--lr", "-1", "--epochs", "1", "--batch", "8",
+                         "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL],
+        }[case]
+
+    @pytest.mark.parametrize("case", ["fuse-format", "fuse-stage", "lr-find-grid",
+                                      "sweep-unknown", "sweep-repeated", "train-lr"])
+    def test_bad_flag_fails_before_any_table_parse(self, capsys, calls, pipeline_dir, tmp_path,
+                                                   case):
+        code, out, err = run_without_warnings(capsys, *self.argv(case, pipeline_dir, tmp_path))
+        assert code == 1
+        assert err.startswith("ERROR ") and err.count("\n") == 1
+        assert out == ""
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+
+    def test_sweep_repeated_pair_fails_before_any_table_parse(self, capsys, calls, pipeline_dir,
+                                                              tmp_path):
+        argv = self.argv("sweep-unknown", pipeline_dir, tmp_path)[:-2]
+        (tmp_path / "pairs.csv").write_text(
+            f"pair,path\na,{pipeline_dir['fused']}\na,{pipeline_dir['fused']}\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "ERROR invalid: sweep lists pair 'a' more than once\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
 
 
 class TestDegenerateValues:

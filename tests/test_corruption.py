@@ -8,7 +8,10 @@ corruptions only. Each case draws from one seeded generator.
 Each corrupted file goes through ``cli.dispatch`` in-process, in the command that reads it.
 Every numeric flag of prepare, fuse, lr-find, train and sweep (and the
 bounds of lr-find's grid) also takes each of -1, 0, nan and inf, on the
-command line and through --config.
+command line and through --config. Every text flag that names things (update
+rules, fallback stages, tables, star buckets, a split) takes an empty value,
+an unknown name, a repeated name and, for a table, a missing ``:FORMAT``, by
+both routes; a run with such a value that fails parses no embedding table.
 A run must exit 0 with nothing on stderr, or print exactly one
 ``ERROR <code>: <message>`` line; it must never raise or warn.
 """
@@ -20,6 +23,7 @@ import warnings
 
 import pytest
 
+from embfuse import cli
 from embfuse.cli import _COMMAND_OPTS, dispatch
 from embfuse.seeding import derive_rng
 
@@ -196,6 +200,7 @@ def flag_argv(command, inp, out):
                   *fit],
         "sweep": ["sweep", "--dataset", inp["dataset"], "--pairs", inp["manifest"],
                   "--optimizers", "sgd", "--lr", "0.05", "--out-dir", out, *fit],
+        "eval": ["eval", "--dataset", inp["dataset"], "--ckpt", inp["ckpt"], "--split", "test"],
     }[command]
 
 
@@ -218,7 +223,35 @@ def flag_inputs(inputs, tmp_path_factory):
     return {**inputs, "fused": str(fused), "manifest": str(manifest)}
 
 
-@pytest.mark.parametrize("command", sorted({command for command, _ in FLAGS}))
+# text flags: (command, flag, a valid value, the separator between its names)
+TEXT_FLAGS = [
+    ("sweep", "--optimizers", "sgd", ","),
+    ("lr-find", "--optimizer", "sgd", ","),
+    ("train", "--optimizer", "sgd", ","),
+    ("fuse", "--fallback-order", "exact,lower", ","),
+    ("fuse", "--emb1", GLOVE + ":glove", ":"),
+    ("fuse", "--emb2", FASTTEXT + ":fasttext", ":"),
+    ("prepare", "--buckets", "1-2/3/4-5", "/"),
+    ("eval", "--split", "test", ","),
+]
+
+
+def text_values(valid, sep):
+    """An empty value, an unknown last name, a repeated last name and, for PATH:FORMAT, no format."""
+    names = valid.split(sep)
+    values = {"empty": "", "unknown": sep.join(names[:-1] + ["bogus"]),
+              "repeated": sep.join(names + names[-1:])}
+    if sep == ":":
+        values["no-format"] = sep.join(names[:-1])
+    return values
+
+
+TEXT_CASES = [(command, flag, value, text, route) for command, flag, valid, sep in TEXT_FLAGS
+              for value, text in text_values(valid, sep).items() for route in ("flag", "config")]
+
+
+@pytest.mark.parametrize("command", sorted({command for command, _ in FLAGS}
+                                           | {command for command, *_ in TEXT_FLAGS}))
 def test_flag_invocation_is_valid_as_given(capsys, tmp_path, flag_inputs, command):
     """Each case below changes one flag of an invocation that succeeds."""
     assert dispatch(flag_argv(command, flag_inputs, str(tmp_path))) == 0
@@ -252,3 +285,40 @@ def test_out_of_range_flag_value_ends_in_exit_0_or_one_error_line(
     else:
         assert code in (1, 2)
         assert ERROR_LINE.fullmatch(err), err
+
+
+@pytest.mark.parametrize("command,flag,value,text,route", TEXT_CASES, ids=[
+    f"{command}{flag}={value}-{route}" for command, flag, value, _, route in TEXT_CASES])
+def test_bad_text_flag_fails_before_any_table_parse(
+        capsys, monkeypatch, tmp_path, flag_inputs, command, flag, value, text, route):
+    parsed = []
+    parse = cli.parse_embedding
+
+    def counting_parse(*args, **kwargs):
+        parsed.append(args[1])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_embedding", counting_parse)
+    argv = flag_argv(command, flag_inputs, str(tmp_path))
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    if route == "flag":
+        argv.append(f"{flag}={text}")
+    else:
+        dest = next(opt.dest for opt in _COMMAND_OPTS[command] if flag in opt.flags)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({dest: text}))
+        argv += ["--config", str(config)]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert ERROR_LINE.fullmatch(err), err
+        assert parsed == []

@@ -11,7 +11,6 @@ from embfuse import embedding_io
 from embfuse.embedding_io import (
     EmbeddingTable,
     FORMATS,
-    mean_vector,
     parse_embedding,
     parse_fasttext_text,
     parse_glove_text,
@@ -22,7 +21,6 @@ from embfuse.errors import (
     BadHeaderError,
     DimMismatchError,
     EmptyInputError,
-    EmptyTableError,
     ParseFloatError,
     TruncatedRecordError,
     ValidationError,
@@ -230,15 +228,7 @@ class TestTableOps:
         expected = np.array(
             [math.fsum(table.matrix[:, d]) / 17 for d in range(6)]
         )
-        assert np.allclose(mean_vector(table), expected, rtol=0, atol=1e-12)
         assert np.allclose(table.mean, expected, rtol=0, atol=1e-12)
-
-    def test_mean_of_empty_table_rejected(self):
-        empty = EmbeddingTable(
-            name="e", dim=3, vocab={}, matrix=np.zeros((0, 3)), mean=np.zeros(3)
-        )
-        with pytest.raises(EmptyTableError):
-            mean_vector(empty)
 
     def test_contains_len_vector(self):
         table = make_table(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])

@@ -17,7 +17,6 @@ from embfuse.fusion import (
     fuse_both,
     fuse_second_only,
     fused_to_table,
-    fusion_report,
     matrix_from_table,
 )
 from embfuse.seeding import derive_rng
@@ -287,11 +286,10 @@ class TestReportAndTable:
 
     def test_report_rates_and_rows(self):
         dicts, fused = self.build()
-        report = fusion_report(fused, dicts)
-        assert report.unknown_rate == pytest.approx(0.25)
-        keys = [k for k, _ in report.rows()]
+        assert dict(fused.rows())["unknown_share"] == "0.250000"
+        keys = [k for k, _ in fused.rows()]
         assert "both" in keys and "unknown" in keys
-        assert len(report.lines()) == len(report.rows())
+        assert len(fused.lines()) == len(fused.rows())
 
     def test_round_trip_through_embedding_table(self):
         dicts, fused = self.build()
