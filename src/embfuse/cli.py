@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,15 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Opt:
+    """One option; a name with no leading dash is positional, and a bool one is a switch."""
     dest: str
     flags: Tuple[str, ...]
     type: Callable[[str], Any] = str
     default: Any = None
     help: str = ""
     required: bool = False
-    is_flag: bool = False
     choices: Optional[Tuple[str, ...]] = None
-    positional: bool = False
 
 
 def _split_emb_arg(text: str) -> Tuple[str, str]:
@@ -76,6 +75,22 @@ def _kind_list(text: str) -> Tuple[str, ...]:
     return kinds
 
 
+def _out_path(path: str) -> str:
+    """A file to write; its directory must exist."""
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise ValidationError(f"output directory not found: {directory}")
+    return path
+
+
+@dataclass
+class _Command:
+    """One subcommand: its --help line, its options and the function that runs it."""
+    help: str
+    opts: List[_Opt]
+    run: Callable[[Dict[str, Any]], int]
+
+
 _MODEL_OPTS = [
     _Opt("lstm_units", ("--lstm-units",), int, 512, "units per LSTM direction"),
     _Opt("gru_units", ("--gru-units",), int, 256, "units per GRU direction"),
@@ -90,97 +105,14 @@ _TRAIN_COMMON = [
     _Opt("seed", ("--seed",), int, 7, "seed for init, shuffling and dropout"),
 ]
 
-_COMMAND_OPTS: Dict[str, List[_Opt]] = {
-    "inspect": [
-        _Opt("file", ("file",), str, help="embedding file to inspect", required=True,
-             positional=True),
-        _Opt("format", ("--format",), str, help="file format", required=True,
-             choices=FORMATS),
-    ],
-    "prepare": [
-        _Opt("csv", ("--csv",), str, help="review CSV to ingest", required=True),
-        _Opt("out", ("--out",), str, help="dataset file to write", required=True),
-        _Opt("seed", ("--seed",), int, 0, "seed for the train/test split"),
-        _Opt("buckets", ("--buckets",), corpus.parse_buckets, corpus.DEFAULT_BUCKETS,
-             "star buckets as bad/neutral/good"),
-        _Opt("no_title", ("--no-title",), help="ignore the review title column", is_flag=True),
-        _Opt("max_len", ("--max-len",), int, 60, "encoded sequence length"),
-        _Opt("train_fraction", ("--train-fraction",), float, 0.9, "share of examples in train"),
-        _Opt("lemma_table", ("--lemma-table",), str, help="token<TAB>lemma file replacing the built-in lemmatizer"),
-    ],
-    "fuse": [
-        _Opt("emb1", ("--emb1",), _split_emb_arg, help="first table as PATH:FORMAT", required=True),
-        _Opt("emb2", ("--emb2",), _split_emb_arg, help="second table as PATH:FORMAT", required=True),
-        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
-        _Opt("out", ("--out",), str, help="fused embedding file to write", required=True),
-        _Opt("report", ("--report",), str, help="branch-count CSV to write"),
-        _Opt("unknown_fill", ("--unknown-fill",), float, 0.0, "value for rows of unknown words"),
-        _Opt("fallback_order", ("--fallback-order",), _stage_list, fusion.FALLBACK_STAGES,
-             "comma-separated key fallback stages"),
-    ],
-    "lr-find": _TRAIN_COMMON + _MODEL_OPTS + [
-        _Opt("optimizer", ("--optimizer",), str, "adam", "update rule to probe",
-             choices=optim.OPTIMIZER_KINDS),
-        _Opt("grid", ("--grid",), optim.parse_lr_grid, help="learning-rate grid lo:hi:logN"),
-        _Opt("epochs", ("--epochs",), int, 3, "epochs per probe"),
-        _Opt("out", ("--out",), str, help="loss-per-rate CSV to write"),
-        _Opt("svg", ("--svg",), str, help="loss-versus-rate chart to write"),
-    ],
-    "train": _TRAIN_COMMON + _MODEL_OPTS + [
-        _Opt("optimizer", ("--optimizer",), str, help="update rule", required=True,
-             choices=optim.OPTIMIZER_KINDS),
-        _Opt("lr", ("--lr",), float, help="learning rate (default: per-optimizer)"),
-        _Opt("epochs", ("--epochs",), int, 20, "training epochs"),
-        _Opt("out", ("--out",), str, help="checkpoint file to write", required=True),
-        _Opt("history", ("--history",), str, help="per-epoch metrics CSV to write"),
-    ],
-    "sweep": [
-        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
-        _Opt("pairs", ("--pairs",), str, help="manifest CSV with pair,path rows", required=True),
-        _Opt("optimizers", ("--optimizers",), _kind_list, optim.OPTIMIZER_KINDS,
-             "comma-separated update rules"),
-        _Opt("lr", ("--lr",), float,
-             help="learning rate shared by every cell (default: sgd range search)"),
-        _Opt("epochs", ("--epochs",), int, 20, "training epochs per cell"),
-        _Opt("batch", ("--batch",), int, 32, "mini-batch size"),
-        _Opt("seed", ("--seed",), int, 7, "seed shared by every cell"),
-        _Opt("out_dir", ("--out-dir",), str, help="directory for histories.csv and charts",
-             required=True),
-    ] + _MODEL_OPTS,
-    "eval": [
-        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
-        _Opt("ckpt", ("--ckpt",), str, help="checkpoint to evaluate", required=True),
-        _Opt("split", ("--split",), str, "test", "which split to score", choices=("train", "test")),
-    ],
-    "report": [
-        _Opt("history", ("--history",), str, help="history CSV from train or sweep", required=True),
-        _Opt("out_dir", ("--out-dir",), str, help="directory for charts and summary.csv",
-             required=True),
-    ],
-}
-
-_COMMAND_HELP = {
-    "inspect": "parse an embedding file and print its stats",
-    "prepare": "build an encoded dataset from a review CSV",
-    "fuse": "fuse two embedding tables over a dataset vocabulary",
-    "lr-find": "search a learning-rate grid with short training runs",
-    "train": "train the classifier and save a checkpoint",
-    "sweep": "train every optimizer on every embedding pair",
-    "eval": "score a checkpoint on a dataset split",
-    "report": "re-render charts and summaries from a history CSV",
-}
-
-# every key a config file may define
-_ALL_KEYS = sorted({opt.dest for opts in _COMMAND_OPTS.values() for opt in opts})
-
 
 def _build_parser(command: str) -> _Parser:
-    parser = _Parser(prog=f"embfuse {command}", description=_COMMAND_HELP[command],
+    parser = _Parser(prog=f"embfuse {command}", description=_COMMANDS[command].help,
                      add_help=True)
-    for opt in _COMMAND_OPTS[command]:
-        if opt.positional:
+    for opt in _COMMANDS[command].opts:
+        if not opt.flags[0].startswith("-"):
             parser.add_argument(opt.dest, nargs="?", default=None, help=opt.help)
-        elif opt.is_flag:
+        elif opt.type is bool:
             parser.add_argument(*opt.flags, dest=opt.dest, action="store_const",
                                 const=True, default=None, help=opt.help)
         else:
@@ -204,8 +136,9 @@ def _load_config(path: str) -> Dict[str, Any]:
         raise ValidationError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValidationError("config file must hold a JSON object")
+    keys = {opt.dest for command in _COMMANDS.values() for opt in command.opts}
     for key in loaded:
-        if key not in _ALL_KEYS:
+        if key not in keys:
             raise ValidationError(f"unknown config key {key!r}")
     return loaded
 
@@ -214,7 +147,7 @@ def _config_value(opt: _Opt, value: Any) -> Any:
     """A config file's value for opt, converted as argparse converts the flag's text."""
     if value is None:
         return value
-    if opt.is_flag:
+    if opt.type is bool:
         if type(value) is bool:
             return value
         raise ValidationError(f"config key {opt.dest!r} expects a boolean, got {value!r}")
@@ -230,15 +163,14 @@ def _config_value(opt: _Opt, value: Any) -> Any:
 def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
     config = _load_config(ns.config) if ns.config else {}
     merged: Dict[str, Any] = {}
-    for opt in _COMMAND_OPTS[command]:
+    for opt in _COMMANDS[command].opts:
         value = getattr(ns, opt.dest)
         if value is None and opt.dest in config:
             value = _config_value(opt, config[opt.dest])
         if value is None:
-            value = opt.default if not opt.is_flag else False
+            value = opt.default
         if value is None and opt.required:
-            flag = opt.dest if opt.positional else opt.flags[0]
-            raise UsageError(f"missing required option {flag}")
+            raise UsageError(f"missing required option {opt.flags[0]}")
         if opt.choices and value is not None and value not in opt.choices:
             raise UsageError(f"{opt.flags[0]} must be one of {', '.join(opt.choices)}")
         merged[opt.dest] = value
@@ -268,21 +200,50 @@ def _load_fused_matrix(path: str, dicts: corpus.CorpusDictionaries) -> np.ndarra
     return fusion.matrix_from_table(table, dicts)
 
 
-def _model_config(opts: Dict[str, Any], max_len: int, emb_dim: int, seed: int) -> model.ModelConfig:
-    return model.ModelConfig(
-        max_len=max_len,
-        emb_dim=emb_dim,
+def _training_inputs(
+    opts: Dict[str, Any], paths: Sequence[Tuple[str, str]],
+) -> Tuple[optim.SplitDataset, model.ModelConfig, List[Tuple[str, np.ndarray]]]:
+    """The split, the model config and each (pair id, fused table path)'s matrix.
+
+    Every flag rule runs, through the library's own check, before any table
+    is parsed; the tables must then agree on their dim.
+    """
+    ds = _read_dataset(opts["dataset"])
+    data = optim.SplitDataset.from_examples(ds.train, ds.test)
+    optim.check_loop(data, opts["epochs"], opts["batch"], opts["seed"])
+    config = model.ModelConfig(
+        max_len=ds.max_len,
         lstm_units=opts["lstm_units"],
         gru_units=opts["gru_units"],
         spatial_dropout_rate=opts["spatial_dropout"],
         dropout_rate=opts["dropout"],
-        seed=seed,
+        seed=opts["seed"],
     )
+    if opts.get("lr") is not None:  # the rate rule is the same for every kind
+        optim.OptimizerSpec(kind=opts.get("optimizer", "sgd"), learning_rate=opts["lr"])
+    pairs = [(pair_id, _load_fused_matrix(path, ds.dicts)) for pair_id, path in paths]
+    emb_dim = pairs[0][1].shape[1]
+    for pair_id, matrix in pairs:
+        if matrix.shape[1] != emb_dim:
+            raise ValidationError(f"pair {pair_id!r} has dim {matrix.shape[1]}, expected {emb_dim}")
+    return data, replace(config, emb_dim=emb_dim), pairs
 
 
 def _safe_name(text: str) -> str:
     cleaned = re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_")
     return cleaned or "pair"
+
+
+def _chart_paths(pair_ids: Sequence[str], out_dir: str) -> Dict[str, str]:
+    """Each pair's chart file in out_dir; two pairs may not share one."""
+    owners: Dict[str, str] = {}  # chart file name -> pair id
+    for pair_id in pair_ids:
+        name = f"{_safe_name(pair_id)}.svg"
+        if name in owners:
+            raise ValidationError(
+                f"pairs {owners[name]!r} and {pair_id!r} would share the chart file {name}")
+        owners[name] = pair_id
+    return {pair_id: os.path.join(out_dir, name) for name, pair_id in owners.items()}
 
 
 # --- command implementations ---
@@ -330,6 +291,7 @@ def _run_prepare(opts: Dict[str, Any]) -> int:
 
 
 def _run_fuse(opts: Dict[str, Any]) -> int:
+    fusion.check_unknown_fill(opts["unknown_fill"])
     ds = _read_dataset(opts["dataset"])
     tables = []
     for path, fmt in (opts["emb1"], opts["emb2"]):
@@ -363,15 +325,8 @@ def _run_fuse(opts: Dict[str, Any]) -> int:
     return 0
 
 
-def _split_dataset(ds: corpus.PreparedDataset) -> optim.SplitDataset:
-    return optim.SplitDataset.from_examples(ds.train, ds.test)
-
-
 def _run_lr_find(opts: Dict[str, Any]) -> int:
-    ds = _read_dataset(opts["dataset"])
-    matrix = _load_fused_matrix(opts["fused"], ds.dicts)
-    data = _split_dataset(ds)
-    config = _model_config(opts, ds.max_len, matrix.shape[1], opts["seed"])
+    data, config, [(_, matrix)] = _training_inputs(opts, [("", opts["fused"])])
     failure = None
     try:
         best, probes = optim.lr_range_search(
@@ -400,12 +355,9 @@ def _run_lr_find(opts: Dict[str, Any]) -> int:
 
 
 def _run_train(opts: Dict[str, Any]) -> int:
+    data, config, [(_, matrix)] = _training_inputs(opts, [("", opts["fused"])])
     lr = opts["lr"] if opts["lr"] is not None else optim.DEFAULT_LR[opts["optimizer"]]
     spec = optim.OptimizerSpec(kind=opts["optimizer"], learning_rate=lr)
-    ds = _read_dataset(opts["dataset"])
-    matrix = _load_fused_matrix(opts["fused"], ds.dicts)
-    data = _split_dataset(ds)
-    config = _model_config(opts, ds.max_len, matrix.shape[1], opts["seed"])
     params, hist = optim.train(
         data, matrix, config, spec,
         epochs=opts["epochs"], batch_size=opts["batch"], seed=opts["seed"],
@@ -436,11 +388,12 @@ def _read_manifest(path: str) -> List[Tuple[str, str]]:
         raise ValidationError("pair manifest must start with a 'pair,path' header")
     base = os.path.dirname(os.path.abspath(path))
     pairs: List[Tuple[str, str]] = []
-    for _, row in rows:
+    for line_no, row in rows:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) < 2:
-            raise ValidationError(f"bad manifest row: {row!r}")
+            raise ValidationError(
+                f"pair manifest line {line_no}: expected 2 fields (pair,path), got {len(row)}")
         pair_id = row[0].strip()
         emb_path = row[1].strip()
         if not os.path.isabs(emb_path):
@@ -464,27 +417,22 @@ def _write_chart(svg_path: str, render: Callable[[], str], why: str) -> None:
     _write_text(svg_path, svg)
 
 
-def _write_history_chart(histories, pair_id: str, out_dir: str) -> None:
+def _write_history_chart(histories, pair_id: str, svg_path: str) -> None:
     """The per-pair loss chart; it needs some run of the pair with two or more epochs."""
     group = [h for h in histories if h.pair == pair_id]
     shown = pair_id or "(unnamed)"
-    _write_chart(os.path.join(out_dir, f"{_safe_name(pair_id)}.svg"),
+    _write_chart(svg_path,
                  lambda: charts.history_chart(group, f"train loss by optimizer: {shown}"),
                  f"no run of {shown} recorded 2 or more epochs")
 
 
 def _run_sweep(opts: Dict[str, Any]) -> int:
-    ds = _read_dataset(opts["dataset"])
-    data = _split_dataset(ds)
     manifest = _read_manifest(opts["pairs"])
+    pair_ids = [pair_id for pair_id, _ in manifest]
     kinds = opts["optimizers"]
-    optim.check_sweep_cells(kinds, [pair_id for pair_id, _ in manifest])
-    pairs = [(pair_id, _load_fused_matrix(path, ds.dicts)) for pair_id, path in manifest]
-    emb_dim = pairs[0][1].shape[1]
-    for pair_id, matrix in pairs:
-        if matrix.shape[1] != emb_dim:
-            raise ValidationError(f"pair {pair_id!r} has dim {matrix.shape[1]}, expected {emb_dim}")
-    config = _model_config(opts, ds.max_len, emb_dim, opts["seed"])
+    optim.check_sweep_cells(kinds, pair_ids)
+    svgs = _chart_paths(pair_ids, opts["out_dir"])
+    data, config, pairs = _training_inputs(opts, manifest)
     lr = opts["lr"]
     if lr is None:
         lr, _ = optim.lr_range_search(
@@ -501,8 +449,8 @@ def _run_sweep(opts: Dict[str, Any]) -> int:
     csv_path = os.path.join(opts["out_dir"], "histories.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         optim.write_history_csv(histories, fh)
-    for pair_id, _ in pairs:
-        _write_history_chart(histories, pair_id, opts["out_dir"])
+    for pair_id, svg_path in svgs.items():
+        _write_history_chart(histories, pair_id, svg_path)
     for h in histories:
         if h.diverged:
             print(f"{h.pair} {h.optimizer}: diverged at epoch {h.diverged_epoch}")
@@ -520,7 +468,7 @@ def _run_eval(opts: Dict[str, Any]) -> int:
     _require_file(opts["ckpt"], "checkpoint")
     with open(opts["ckpt"], "rb") as fh:
         params, config = model.load_checkpoint(fh)
-    data = _split_dataset(ds)
+    data = optim.SplitDataset.from_examples(ds.train, ds.test)
     x, y = (data.train_x, data.train_y) if opts["split"] == "train" else (data.test_x, data.test_y)
     probs = model.predict_proba(x, params, config)
     loss, acc = model.loss_accuracy(probs, y)
@@ -537,13 +485,11 @@ def _run_report(opts: Dict[str, Any]) -> int:
     histories = optim.read_history_csv(_read_lines(opts["history"], "history CSV"))
     if not histories:
         raise ValidationError("history CSV holds no runs")
+    pair_ids = list(dict.fromkeys(h.pair for h in histories))
+    svgs = _chart_paths(pair_ids, opts["out_dir"])
     os.makedirs(opts["out_dir"], exist_ok=True)
-    pair_ids: List[str] = []
-    for h in histories:
-        if h.pair not in pair_ids:
-            pair_ids.append(h.pair)
-    for pair_id in pair_ids:
-        _write_history_chart(histories, pair_id, opts["out_dir"])
+    for pair_id, svg_path in svgs.items():
+        _write_history_chart(histories, pair_id, svg_path)
     summary_path = os.path.join(opts["out_dir"], "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -570,22 +516,81 @@ def _run_report(opts: Dict[str, Any]) -> int:
     return 0
 
 
-_RUNNERS = {
-    "inspect": _run_inspect,
-    "prepare": _run_prepare,
-    "fuse": _run_fuse,
-    "lr-find": _run_lr_find,
-    "train": _run_train,
-    "sweep": _run_sweep,
-    "eval": _run_eval,
-    "report": _run_report,
+# every command, in the order --help lists them
+_COMMANDS: Dict[str, _Command] = {
+    "inspect": _Command("parse an embedding file and print its stats", [
+        _Opt("file", ("file",), str, help="embedding file to inspect", required=True),
+        _Opt("format", ("--format",), str, help="file format", required=True,
+             choices=FORMATS),
+    ], _run_inspect),
+    "prepare": _Command("build an encoded dataset from a review CSV", [
+        _Opt("csv", ("--csv",), str, help="review CSV to ingest", required=True),
+        _Opt("out", ("--out",), _out_path, help="dataset file to write", required=True),
+        _Opt("seed", ("--seed",), int, 0, "seed for the train/test split"),
+        _Opt("buckets", ("--buckets",), corpus.parse_buckets, corpus.DEFAULT_BUCKETS,
+             "star buckets as bad/neutral/good"),
+        _Opt("no_title", ("--no-title",), bool, False, "ignore the review title column"),
+        _Opt("max_len", ("--max-len",), int, 60, "encoded sequence length"),
+        _Opt("train_fraction", ("--train-fraction",), float, 0.9, "share of examples in train"),
+        _Opt("lemma_table", ("--lemma-table",), str, help="token<TAB>lemma file replacing the built-in lemmatizer"),
+    ], _run_prepare),
+    "fuse": _Command("fuse two embedding tables over a dataset vocabulary", [
+        _Opt("emb1", ("--emb1",), _split_emb_arg, help="first table as PATH:FORMAT", required=True),
+        _Opt("emb2", ("--emb2",), _split_emb_arg, help="second table as PATH:FORMAT", required=True),
+        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
+        _Opt("out", ("--out",), _out_path, help="fused embedding file to write", required=True),
+        _Opt("report", ("--report",), _out_path, help="branch-count CSV to write"),
+        _Opt("unknown_fill", ("--unknown-fill",), float, 0.0, "value for rows of unknown words"),
+        _Opt("fallback_order", ("--fallback-order",), _stage_list, fusion.FALLBACK_STAGES,
+             "comma-separated key fallback stages"),
+    ], _run_fuse),
+    "lr-find": _Command("search a learning-rate grid with short training runs",
+                        _TRAIN_COMMON + _MODEL_OPTS + [
+        _Opt("optimizer", ("--optimizer",), str, "adam", "update rule to probe",
+             choices=optim.OPTIMIZER_KINDS),
+        _Opt("grid", ("--grid",), optim.parse_lr_grid, help="learning-rate grid lo:hi:logN"),
+        _Opt("epochs", ("--epochs",), int, 3, "epochs per probe"),
+        _Opt("out", ("--out",), _out_path, help="loss-per-rate CSV to write"),
+        _Opt("svg", ("--svg",), _out_path, help="loss-versus-rate chart to write"),
+    ], _run_lr_find),
+    "train": _Command("train the classifier and save a checkpoint", _TRAIN_COMMON + _MODEL_OPTS + [
+        _Opt("optimizer", ("--optimizer",), str, help="update rule", required=True,
+             choices=optim.OPTIMIZER_KINDS),
+        _Opt("lr", ("--lr",), float, help="learning rate (default: per-optimizer)"),
+        _Opt("epochs", ("--epochs",), int, 20, "training epochs"),
+        _Opt("out", ("--out",), _out_path, help="checkpoint file to write", required=True),
+        _Opt("history", ("--history",), _out_path, help="per-epoch metrics CSV to write"),
+    ], _run_train),
+    "sweep": _Command("train every optimizer on every embedding pair", [
+        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
+        _Opt("pairs", ("--pairs",), str, help="manifest CSV with pair,path rows", required=True),
+        _Opt("optimizers", ("--optimizers",), _kind_list, optim.OPTIMIZER_KINDS,
+             "comma-separated update rules"),
+        _Opt("lr", ("--lr",), float,
+             help="learning rate shared by every cell (default: sgd range search)"),
+        _Opt("epochs", ("--epochs",), int, 20, "training epochs per cell"),
+        _Opt("batch", ("--batch",), int, 32, "mini-batch size"),
+        _Opt("seed", ("--seed",), int, 7, "seed shared by every cell"),
+        _Opt("out_dir", ("--out-dir",), str, help="directory for histories.csv and charts",
+             required=True),
+    ] + _MODEL_OPTS, _run_sweep),
+    "eval": _Command("score a checkpoint on a dataset split", [
+        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
+        _Opt("ckpt", ("--ckpt",), str, help="checkpoint to evaluate", required=True),
+        _Opt("split", ("--split",), str, "test", "which split to score", choices=("train", "test")),
+    ], _run_eval),
+    "report": _Command("re-render charts and summaries from a history CSV", [
+        _Opt("history", ("--history",), str, help="history CSV from train or sweep", required=True),
+        _Opt("out_dir", ("--out-dir",), str, help="directory for charts and summary.csv",
+             required=True),
+    ], _run_report),
 }
 
 
 def _usage() -> str:
     lines = ["usage: embfuse <command> [options]", "", "commands:"]
-    for name in _RUNNERS:
-        lines.append(f"  {name:<10} {_COMMAND_HELP[name]}")
+    for name, command in _COMMANDS.items():
+        lines.append(f"  {name:<10} {command.help}")
     lines.append("")
     lines.append("run 'embfuse <command> --help' for the command's options")
     return "\n".join(lines)
@@ -601,12 +606,12 @@ def dispatch(argv: Sequence[str]) -> int:
             print(_usage())
             return 0
         command = argv[0]
-        if command not in _RUNNERS:
+        if command not in _COMMANDS:
             raise UnknownCommandError(f"unknown command {command!r}; see 'embfuse --help'")
         parser = _build_parser(command)
         ns = parser.parse_args(list(argv[1:]))
         opts = _merge(command, ns)
-        return _RUNNERS[command](opts)
+        return _COMMANDS[command].run(opts)
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if code else 0

@@ -132,6 +132,12 @@ class FusedMatrix:
         return [f"{key}: {value}" for key, value in self.rows()]
 
 
+def check_unknown_fill(unknown_fill: float) -> None:
+    """Reject a non-finite fill for the unknown-word rows."""
+    if not np.isfinite(unknown_fill):
+        raise ValidationError(f"unknown_fill must be finite, got {unknown_fill}")
+
+
 def build_fused_matrix(
     dicts: CorpusDictionaries,
     emb1: EmbeddingTable,
@@ -146,8 +152,7 @@ def build_fused_matrix(
     decides the branch. Branch counts over dictionary words sum to
     vocab_size - 2 (padding and unknown rows are synthetic).
     """
-    if not np.isfinite(unknown_fill):
-        raise ValidationError(f"unknown_fill must be finite, got {unknown_fill}")
+    check_unknown_fill(unknown_fill)
     if not dicts.dict_words:
         raise EmptyDictionariesError("corpus dictionary has no words")
     if emb1.dim != emb2.dim:

@@ -44,7 +44,7 @@ from .model import (  # noqa: F401  from_flat and to_flat are re-exported helper
     stack_size,
     to_flat,
 )
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 DEFAULT_LR = {
     "sgd": 0.1,
@@ -245,11 +245,13 @@ class TrainingHistory:
         return list(range(1, len(self.train_loss) + 1))
 
 
-def _check_loop(data: SplitDataset, epochs: int, batch_size: int) -> None:
+def check_loop(data: SplitDataset, epochs: int, batch_size: int, seed: int) -> None:
+    """Reject a training loop with no examples, no epochs, no batch or a bad seed."""
     if data.train_x.shape[0] == 0:
         raise EmptyDatasetError("training split is empty")
     if epochs < 1 or batch_size < 1:
         raise ValidationError("epochs and batch_size must be positive")
+    check_seed(seed)
 
 
 def _stepped(stepper: _Stepper, w: np.ndarray, g: np.ndarray, loss: float) -> bool:
@@ -288,7 +290,7 @@ def train_runs(
     the stack, marked diverged, with its recorded epochs, which stay finite,
     and its weights from before that batch; the others go on.
     """
-    _check_loop(data, epochs, batch_size)
+    check_loop(data, epochs, batch_size, seed)
     if not specs:
         raise ValidationError("train_runs needs at least one optimizer spec")
     params = init_parameters(config, embedding, derive_rng(seed, "init")).stacked(len(specs))
@@ -370,7 +372,7 @@ def _stacked_histories(
     pair_id: str = "",
 ) -> List[TrainingHistory]:
     """The histories of specs, trained in order as stacks of ``stack_size`` runs."""
-    _check_loop(data, epochs, batch_size)
+    check_loop(data, epochs, batch_size, seed)
     k = stack_size(config, batch_size)
     histories: List[TrainingHistory] = []
     for start in range(0, len(specs), k):

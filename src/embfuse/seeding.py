@@ -14,14 +14,19 @@ import numpy as np
 from .errors import ValidationError
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which SeedSequence cannot take."""
+    if int(seed) < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
 def derive_rng(seed: int, *path) -> np.random.Generator:
     """Return a Generator keyed by ``seed`` plus a derivation path.
 
     Path components may be ints or short strings; identical (seed, path)
     always yields the same stream. A negative seed raises ValidationError.
     """
-    if int(seed) < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
     key = tuple(
         zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else int(p)
         for p in path

@@ -50,6 +50,41 @@ class TestDispatchBasics:
         code, out, err = run(capsys, "train", "--help")
         assert code == 0
 
+    def test_help_text_is_pinned(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out == (
+            "usage: embfuse <command> [options]\n"
+            "\n"
+            "commands:\n"
+            "  inspect    parse an embedding file and print its stats\n"
+            "  prepare    build an encoded dataset from a review CSV\n"
+            "  fuse       fuse two embedding tables over a dataset vocabulary\n"
+            "  lr-find    search a learning-rate grid with short training runs\n"
+            "  train      train the classifier and save a checkpoint\n"
+            "  sweep      train every optimizer on every embedding pair\n"
+            "  eval       score a checkpoint on a dataset split\n"
+            "  report     re-render charts and summaries from a history CSV\n"
+            "\n"
+            "run 'embfuse <command> --help' for the command's options\n"
+        )
+
+    @pytest.mark.parametrize("command,description", [
+        ("inspect", "parse an embedding file and print its stats"),
+        ("prepare", "build an encoded dataset from a review CSV"),
+        ("fuse", "fuse two embedding tables over a dataset vocabulary"),
+        ("lr-find", "search a learning-rate grid with short training runs"),
+        ("train", "train the classifier and save a checkpoint"),
+        ("sweep", "train every optimizer on every embedding pair"),
+        ("eval", "score a checkpoint on a dataset split"),
+        ("report", "re-render charts and summaries from a history CSV"),
+    ])
+    def test_command_help_shows_its_description(self, capsys, command, description):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: embfuse {command} [-h]")
+        assert out.split("\n\n")[1] == description
+
     def test_unknown_command(self, capsys):
         code, out, err = run(capsys, "frobnicate")
         assert code == 1
@@ -545,6 +580,15 @@ class TestPreparedPipeline:
         assert code == 1
         assert "pair,path" in err
 
+    def test_short_manifest_row_names_its_line(self, capsys, pipeline_dir, tmp_path):
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_text(f"pair,path\na,{pipeline_dir['fused']}\n\nb\n")
+        code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
+                             "--pairs", str(manifest), "--lr", "0.05",
+                             "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == "ERROR invalid: pair manifest line 4: expected 2 fields (pair,path), got 1\n"
+
     def test_sweep_manifest_not_utf8(self, capsys, pipeline_dir, tmp_path):
         manifest = tmp_path / "pairs.csv"
         manifest.write_bytes(b"pair,path\nglove\xff," + pipeline_dir["fused"].encode() + b"\n")
@@ -732,24 +776,42 @@ class TestFlagsBeforeTables:
         manifest.write_text(f"pair,path\na,{fused}\n")
         fuse = ["fuse", "--emb1", glove_a() + ":glove", "--dataset", ds,
                 "--out", str(tmp_path / "f.bin")]
+        fuse_ok = fuse + ["--emb2", fasttext_b() + ":fasttext"]
+        lr_find = ["lr-find", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
+                   "--grid", "1e-3:1e-1:log3", "--epochs", "1", "--batch", "8", *TINY_MODEL]
+        train = ["train", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
+                 "--lr", "0.05", "--epochs", "1", "--batch", "8",
+                 "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL]
         sweep = ["sweep", "--dataset", ds, "--pairs", str(manifest), "--epochs", "1",
                  "--batch", "8", "--out-dir", str(tmp_path / "o"), *TINY_MODEL]
+        nodir = str(tmp_path / "nodir" / "file")
         return {
             "fuse-format": fuse + ["--emb2", fasttext_b() + ":bogus"],
-            "fuse-stage": fuse + ["--emb2", fasttext_b() + ":fasttext",
-                                  "--fallback-order", "exact,bogus"],
-            "lr-find-grid": ["lr-find", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
-                             "--grid", "1e-3:1e-1:log1", "--epochs", "1", "--batch", "8",
-                             *TINY_MODEL],
+            "fuse-stage": fuse_ok + ["--fallback-order", "exact,bogus"],
+            "fuse-fill": fuse_ok + ["--unknown-fill", "nan"],
+            "fuse-out-dir": fuse_ok + ["--out", nodir],
+            "fuse-report-dir": fuse_ok + ["--report", nodir],
+            "lr-find-grid": lr_find + ["--grid", "1e-3:1e-1:log1"],
+            "lr-find-epochs": lr_find + ["--epochs", "0"],
+            "lr-find-out-dir": lr_find + ["--out", nodir],
+            "lr-find-svg-dir": lr_find + ["--svg", nodir],
             "sweep-unknown": sweep + ["--optimizers", "sgd,bogus"],
             "sweep-repeated": sweep + ["--optimizers", "sgd,sgd"],
-            "train-lr": ["train", "--dataset", ds, "--fused", fused, "--optimizer", "sgd",
-                         "--lr", "-1", "--epochs", "1", "--batch", "8",
-                         "--out", str(tmp_path / "m.ckpt"), *TINY_MODEL],
+            "sweep-lr": sweep + ["--optimizers", "sgd", "--lr", "-1"],
+            "train-lr": train + ["--lr", "-1"],
+            "train-dropout": train + ["--dropout", "1.5"],
+            "train-seed": train + ["--seed", "-1"],
+            "train-batch": train + ["--batch", "0"],
+            "train-out-dir": train + ["--out", nodir],
+            "train-history-dir": train + ["--history", nodir],
         }[case]
 
-    @pytest.mark.parametrize("case", ["fuse-format", "fuse-stage", "lr-find-grid",
-                                      "sweep-unknown", "sweep-repeated", "train-lr"])
+    @pytest.mark.parametrize("case", [
+        "fuse-format", "fuse-stage", "fuse-fill", "fuse-out-dir", "fuse-report-dir",
+        "lr-find-grid", "lr-find-epochs", "lr-find-out-dir", "lr-find-svg-dir",
+        "sweep-unknown", "sweep-repeated", "sweep-lr",
+        "train-lr", "train-dropout", "train-seed", "train-batch", "train-out-dir",
+        "train-history-dir"])
     def test_bad_flag_fails_before_any_table_parse(self, capsys, calls, pipeline_dir, tmp_path,
                                                    case):
         code, out, err = run_without_warnings(capsys, *self.argv(case, pipeline_dir, tmp_path))
@@ -757,6 +819,14 @@ class TestFlagsBeforeTables:
         assert err.startswith("ERROR ") and err.count("\n") == 1
         assert out == ""
         assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+
+    @pytest.mark.parametrize("case", ["fuse-out-dir", "lr-find-svg-dir", "train-history-dir"])
+    def test_missing_output_directory_is_named(self, capsys, calls, pipeline_dir, tmp_path,
+                                               case):
+        code, out, err = run(capsys, *self.argv(case, pipeline_dir, tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"ERROR invalid: output directory not found: {tmp_path / 'nodir'}\n"
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_sweep_repeated_pair_fails_before_any_table_parse(self, capsys, calls, pipeline_dir,
                                                               tmp_path):
@@ -767,6 +837,41 @@ class TestFlagsBeforeTables:
         assert (code, out) == (1, "")
         assert err == "ERROR invalid: sweep lists pair 'a' more than once\n"
         assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+
+
+class TestChartNames:
+    """Two pairs whose names clean to one chart file are refused before any work."""
+
+    @pytest.mark.parametrize("first,second,name", [
+        ("a b", "a_b", "a_b.svg"), ("", "pair", "pair.svg"), ("x/y", "x:y", "x_y.svg")])
+    def test_sweep_refuses_pairs_sharing_a_chart(self, capsys, monkeypatch, pipeline_dir,
+                                                 tmp_path, first, second, name):
+        parsed = []
+        monkeypatch.setattr(cli, "parse_embedding",
+                            lambda *args, **kwargs: parsed.append(args) or None)
+        fused = pipeline_dir["fused"]
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_text(f"pair,path\n\"{first}\",{fused}\n\"{second}\",{fused}\n")
+        code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],
+                             "--pairs", str(manifest), "--optimizers", "sgd", "--lr", "0.05",
+                             "--epochs", "1", "--batch", "8", "--out-dir", str(tmp_path / "o"),
+                             *TINY_MODEL)
+        assert (code, out) == (1, "")
+        assert err == (f"ERROR invalid: pairs {first!r} and {second!r} "
+                       f"would share the chart file {name}\n")
+        assert parsed == []
+        assert not (tmp_path / "o").exists()
+
+    def test_report_refuses_pairs_sharing_a_chart(self, capsys, tmp_path):
+        history = tmp_path / "h.csv"
+        history.write_text(TestMalformedHistory.HEADER + "".join(
+            f"{pair},sgd,0.05,7,{epoch},1.0,0.5,1.0,0.5,0\n"
+            for pair in ("a b", "a_b") for epoch in (1, 2)))
+        code, out, err = run(capsys, "report", "--history", str(history),
+                             "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == "ERROR invalid: pairs 'a b' and 'a_b' would share the chart file a_b.svg\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestDegenerateValues:

@@ -11,7 +11,8 @@ bounds of lr-find's grid) also takes each of -1, 0, nan and inf, on the
 command line and through --config. Every text flag that names things (update
 rules, fallback stages, tables, star buckets, a split) takes an empty value,
 an unknown name, a repeated name and, for a table, a missing ``:FORMAT``, by
-both routes; a run with such a value that fails parses no embedding table.
+both routes. A run with a bad flag value that fails parses no embedding table
+and starts no learning-rate search.
 A run must exit 0 with nothing on stderr, or print exactly one
 ``ERROR <code>: <message>`` line; it must never raise or warn.
 """
@@ -23,8 +24,8 @@ import warnings
 
 import pytest
 
-from embfuse import cli
-from embfuse.cli import _COMMAND_OPTS, dispatch
+from embfuse import cli, optim
+from embfuse.cli import _COMMANDS, dispatch
 from embfuse.seeding import derive_rng
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -208,9 +209,25 @@ FLAG_VALUES = {"-1": -1, "0": 0, "nan": math.nan, "inf": math.inf}  # text -> JS
 GRID_WITH = {"-1": "-1:1e-2:log3", "0": "0:1e-2:log3",
              "nan": "1e-3:nan:log3", "inf": "1e-3:inf:log3"}
 FLAGS = [(command, opt) for command in ("prepare", "fuse", "lr-find", "train", "sweep")
-         for opt in _COMMAND_OPTS[command] if opt.type in (int, float) or opt.dest == "grid"]
+         for opt in _COMMANDS[command].opts if opt.type in (int, float) or opt.dest == "grid"]
 FLAG_CASES = [(command, opt, value, route) for command, opt in FLAGS
               for value in FLAG_VALUES for route in ("flag", "config")]
+
+
+@pytest.fixture
+def heavy_calls(monkeypatch):
+    """The embedding tables parsed and the learning-rate searches started, in order."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_embedding", counting(cli.parse_embedding))
+    monkeypatch.setattr(optim, "lr_range_search", counting(optim.lr_range_search))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +278,7 @@ def test_flag_invocation_is_valid_as_given(capsys, tmp_path, flag_inputs, comman
 @pytest.mark.parametrize("command,opt,value,route", FLAG_CASES, ids=[
     f"{command}{opt.flags[0]}={value}-{route}" for command, opt, value, route in FLAG_CASES])
 def test_out_of_range_flag_value_ends_in_exit_0_or_one_error_line(
-        capsys, tmp_path, flag_inputs, command, opt, value, route):
+        capsys, tmp_path, heavy_calls, flag_inputs, command, opt, value, route):
     flag = opt.flags[0]
     argv = flag_argv(command, flag_inputs, str(tmp_path))
     if flag in argv:
@@ -285,20 +302,13 @@ def test_out_of_range_flag_value_ends_in_exit_0_or_one_error_line(
     else:
         assert code in (1, 2)
         assert ERROR_LINE.fullmatch(err), err
+        assert heavy_calls == []
 
 
 @pytest.mark.parametrize("command,flag,value,text,route", TEXT_CASES, ids=[
     f"{command}{flag}={value}-{route}" for command, flag, value, _, route in TEXT_CASES])
 def test_bad_text_flag_fails_before_any_table_parse(
-        capsys, monkeypatch, tmp_path, flag_inputs, command, flag, value, text, route):
-    parsed = []
-    parse = cli.parse_embedding
-
-    def counting_parse(*args, **kwargs):
-        parsed.append(args[1])
-        return parse(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "parse_embedding", counting_parse)
+        capsys, tmp_path, heavy_calls, flag_inputs, command, flag, value, text, route):
     argv = flag_argv(command, flag_inputs, str(tmp_path))
     if flag in argv:
         at = argv.index(flag)
@@ -306,7 +316,7 @@ def test_bad_text_flag_fails_before_any_table_parse(
     if route == "flag":
         argv.append(f"{flag}={text}")
     else:
-        dest = next(opt.dest for opt in _COMMAND_OPTS[command] if flag in opt.flags)
+        dest = next(opt.dest for opt in _COMMANDS[command].opts if flag in opt.flags)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({dest: text}))
         argv += ["--config", str(config)]
@@ -321,4 +331,4 @@ def test_bad_text_flag_fails_before_any_table_parse(
     else:
         assert code in (1, 2)
         assert ERROR_LINE.fullmatch(err), err
-        assert parsed == []
+        assert heavy_calls == []
