@@ -76,10 +76,22 @@ def _kind_list(text: str) -> Tuple[str, ...]:
 
 
 def _out_path(path: str) -> str:
-    """A file to write; its directory must exist."""
+    """A file to write; its directory must exist, and it may not be a directory."""
     directory = os.path.dirname(path)
     if directory and not os.path.isdir(directory):
         raise ValidationError(f"output directory not found: {directory}")
+    if os.path.isdir(path):
+        raise ValidationError(f"output file is a directory: {path}")
+    return path
+
+
+def _out_dir(path: str) -> str:
+    """A directory to write into, made when missing; what exists of it must be a directory."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ValidationError(f"output directory is not a directory: {existing}")
     return path
 
 
@@ -571,7 +583,7 @@ _COMMANDS: Dict[str, _Command] = {
         _Opt("epochs", ("--epochs",), int, 20, "training epochs per cell"),
         _Opt("batch", ("--batch",), int, 32, "mini-batch size"),
         _Opt("seed", ("--seed",), int, 7, "seed shared by every cell"),
-        _Opt("out_dir", ("--out-dir",), str, help="directory for histories.csv and charts",
+        _Opt("out_dir", ("--out-dir",), _out_dir, help="directory for histories.csv and charts",
              required=True),
     ] + _MODEL_OPTS, _run_sweep),
     "eval": _Command("score a checkpoint on a dataset split", [
@@ -581,7 +593,7 @@ _COMMANDS: Dict[str, _Command] = {
     ], _run_eval),
     "report": _Command("re-render charts and summaries from a history CSV", [
         _Opt("history", ("--history",), str, help="history CSV from train or sweep", required=True),
-        _Opt("out_dir", ("--out-dir",), str, help="directory for charts and summary.csv",
+        _Opt("out_dir", ("--out-dir",), _out_dir, help="directory for charts and summary.csv",
              required=True),
     ], _run_report),
 }

@@ -19,16 +19,17 @@ vector in place. A frozen embedding is held outside it. A stack of K runs
 that share one architecture holds a (K, n) ``flat``, one row per run, and
 every block gains a leading axis of K; the kernels broadcast over leading
 axes, so one set of NumPy calls per time step serves every run of a stack,
-and each run's floats are those it gets when trained alone.
+and each run's floats are those it gets when trained alone. Direction, fw
+and bw, is one more leading axis, so each recurrent layer is one kernel call.
 
 Training-mode forward returns a trace for exact backpropagation through time
-(BPTT). For each recurrent direction it holds a store of preallocated
-(T, B, .) arrays filled step by step: the gate activations, the hidden states
-(and for the LSTM the cell states and tanh of the new cell state), and for
-the GRU the recurrent products h U. The backward pass consumes the store,
-overwriting the gate arrays with the gate gradients, and writes each block's
-gradient straight into its view of one flat gradient vector laid out like
-``flat``. Inference-mode forward keeps no store: each direction holds only
+(BPTT). For each recurrent layer it holds a store of preallocated
+(2, T, B, .) arrays filled step by step: the gate activations, the hidden
+states (and for the LSTM the cell states and tanh of the new cell state),
+and for the GRU the recurrent products h U. The backward pass consumes the
+store, overwriting the gate arrays with the gate gradients, and writes each
+block's gradient straight into its view of one flat gradient vector laid out
+like ``flat``. Inference-mode forward keeps no store: each layer holds only
 its output sequence and its input preactivations, which the gate activations
 overwrite step by step. Gradients are checked against central finite
 differences in the test suite.
@@ -161,6 +162,16 @@ class ModelParameters:
             raise ShapeMismatchError("flat vector length does not match the parameter layout")
         return {name: vec[..., span].reshape(vec.shape[:-1] + shape)
                 for name, span, shape in self.layout}
+
+    def pairs(self, vec: np.ndarray, layer: str) -> Tuple[np.ndarray, ...]:
+        """The (W, U, b) of recurrent layer ("lstm" or "gru") as (..., 2, .)
+        views of vec, laid out like ``flat``: the layer's span, [fw W U b |
+        bw W U b], reshaped to (..., 2, s) and sliced."""
+        fw = [(span, shape) for name, span, shape in self.layout if name.startswith(f"{layer}_fw_")]
+        start, s = fw[0][0].start, fw[-1][0].stop - fw[0][0].start
+        both = vec[..., start:start + 2 * s].reshape(vec.shape[:-1] + (2, s))
+        return tuple(both[..., span.start - start:span.stop - start].reshape(both.shape[:-1] + shape)
+                     for span, shape in fw)
 
     def _over(self, flat: np.ndarray, share_embedding: bool = False) -> "ModelParameters":
         """A set with this layout whose trainable weights are flat; a frozen
@@ -353,72 +364,60 @@ def gru_cell_step(
 
 # --- masked bidirectional scans ---
 #
-# A scan runs time-major in processing order: step s of the reverse direction
-# is time T-1-s. The input GEMM X W + b over all T*B rows runs once, before
-# the loop, so the forward loop keeps only the recurrent product h U and the
-# cell math. The backward scan first turns the stored activations into the
-# factors taking the incoming gradient to each gate gradient, for all steps at
-# once; its loop keeps only the gradient recurrence through U^T and writes
-# each step's gate gradient over the store. dW, dU, db and dX are then one
-# GEMM or reduction each over all T*B rows.
+# A layer's scan runs both directions over a leading axis of 2, fw then bw,
+# time-major in processing order: the bw half holds the input flipped in
+# time, so its step s is time T-1-s. The input GEMM X W + b over all T*B
+# rows runs once, before the loop, so the forward loop keeps only the
+# recurrent product h U and the cell math. The backward scan first turns the
+# stored activations into the factors taking the incoming gradient to each
+# gate gradient, for all steps at once; its loop keeps only the gradient
+# recurrence through U^T and writes each step's gate gradient over the
+# store. dW, dU, db and dX are then one GEMM or reduction each over all T*B
+# rows.
 #
-# Inputs, weights and stores may carry leading axes, a stack of runs, which
-# broadcast: a (K, D, 4H) W over a shared (B, T, D) input scans K runs, and
-# every product is a stacked np.matmul of the same 2-D GEMMs one run makes
-# alone. Stores keep each run's (T, B, .) block contiguous; the loops index
-# time through _steps views.
+# Further leading axes, a stack of runs, broadcast: a (K, 2, D, 4H) W over
+# the (2, T*B, D) rows of a shared (B, T, D) input scans K runs, and every
+# product is a stacked np.matmul of the same 2-D GEMMs one direction of one
+# run makes alone. Stores keep each (T, B, .) block contiguous; the loops
+# index time through _steps views.
 
-def _time_major(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """(..., B, T, F) -> (..., T, B, F) view in processing order."""
-    a = a.swapaxes(-3, -2)
-    return a[..., ::-1, :, :] if reverse else a
+def _pair(fw: np.ndarray, bw: Optional[np.ndarray] = None) -> np.ndarray:
+    """(..., B, T, F) fw and bw halves (bw defaults to fw) -> one time-major
+    (..., 2, T, B, F) array in processing order."""
+    bw = fw if bw is None else bw
+    return np.stack([fw.swapaxes(-3, -2), bw[..., ::-1, :].swapaxes(-3, -2)], axis=-4)
 
 
-def _batch_major(a: np.ndarray, reverse: bool) -> np.ndarray:
-    """Inverse of _time_major."""
-    return (a[..., ::-1, :, :] if reverse else a).swapaxes(-3, -2)
+def _unpair(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of _pair: the fw and bw halves as (..., B, T, F) views."""
+    return a[..., 0, :, :, :].swapaxes(-3, -2), a[..., 1, ::-1, :, :].swapaxes(-3, -2)
 
 
 def _steps(a: np.ndarray, axis: int = -3) -> np.ndarray:
     """(..., T, B, F) -> (T, ..., B, F) view, time moved first from axis:
-    a[s] is step s of every run."""
+    a[s] is step s of every run and direction."""
     t = a.ndim + axis
     return a.transpose((t, *range(t), *range(t + 1, a.ndim)))
 
 
-def _scan_rows(X: np.ndarray, reverse: bool) -> np.ndarray:
-    """(..., B, T, D) -> (..., T*B, D) rows, time-major in processing order."""
-    Xt = _time_major(X, reverse)
-    return Xt.reshape(Xt.shape[:-3] + (-1, Xt.shape[-1]))
+def _scan_rows(X: np.ndarray) -> np.ndarray:
+    """(..., B, T, D) -> (..., 2, T*B, D) rows of both directions in processing order."""
+    rows = _pair(X)
+    return rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
 
 
-def _scan_setup(X, mask, W, b, reverse):
-    """Preactivations X W + b as (..., T, B, K) and the (T, B, 1) step mask."""
-    B, T = mask.shape
-    xw = np.matmul(_scan_rows(X, reverse), W)
-    xw = xw.reshape(xw.shape[:-2] + (T, B, W.shape[-1]))
-    xw += b[..., None, None, :]
-    return xw, _step_mask(mask, reverse)
-
-
-def _step_mask(mask: np.ndarray, reverse: bool) -> np.ndarray:
-    """(B, T) padding mask -> (T, B, 1) booleans, True where a step is real."""
-    return _time_major(mask[:, :, None], reverse) > 0.0
-
-
-def _lstm_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
-    """One LSTM direction over (..., B, T, D); returns ((..., B, T, H) outputs, store).
+def _lstm_direction_forward(gates, valid, U, training: bool = False):
+    """The LSTM scan over (..., 2, T, B, 4H) preactivations X W + b, which
+    become the gate activations; returns ((..., 2, T, B, H) outputs, store).
 
     Padded steps carry h and c through unchanged. store is None unless training.
     """
-    gates, valid = _scan_setup(X, mask, W, b, reverse)
-    lead, (T, B) = gates.shape[:-3], valid.shape[:2]
-    H = U.shape[-2]
+    lead, (T, B), H = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
     hs = np.zeros(lead + (T + 1, B, H))  # hs[..., s, :, :] is the state entering step s
     cs = np.zeros(lead + (T + 1, B, H)) if training else None
     tanh_cs = np.empty(lead + (T, B, H)) if training else None
     c = np.zeros(lead + (B, H))
-    gates_s, hs_s = _steps(gates), _steps(hs)
+    gates_s, hs_s, valid = _steps(gates), _steps(hs), _steps(valid)
     cs_s, tanh_cs_s = (_steps(cs), _steps(tanh_cs)) if training else (None, None)
     with np.errstate(over="ignore"):
         for s in range(T):
@@ -432,50 +431,54 @@ def _lstm_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = Fa
                 cs_s[s + 1] = c
                 tanh_cs_s[s] = tanh_c
     store = (gates, hs, cs, tanh_cs) if training else None
-    return _batch_major(hs[..., 1:, :, :], reverse), store
+    return hs[..., 1:, :, :], store
 
 
-def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need_dx: bool):
-    """BPTT through one LSTM direction; writes (dW, dU, db) into the arrays
-    out and returns dX, or None unless need_dx.
+def _lstm_direction_backward(dout, valid, U, store):
+    """BPTT through the LSTM scan from its (..., 2, T, B, H) output gradient;
+    returns hs and the gate gradients (dw_in, du_in).
 
     Consumes store: the gate array ends up holding the gate gradients.
     """
     gates, hs, cs, tanh_cs = store
     lead, (T, B, H) = tanh_cs.shape[:-3], tanh_cs.shape[-3:]
-    valid = _step_mask(mask, reverse)
     live = valid.astype(np.float64)
     gates4 = gates.reshape(gates.shape[:-1] + (4, H))
     i, f, g, o = (gates4[..., k, :] for k in range(4))
     # Per-step factors that do not depend on the incoming gradient, for all
-    # steps at once and in place over the store. Padded steps get zero
-    # factors and a unit carry, so they pass dc through untouched.
+    # steps at once and in place over the store, with one temporary at a time.
+    # Padded steps get zero factors and a unit carry, so they pass dc through
+    # untouched.
     # o <- da_o / dh = o (1 - o) tanh(c)
     # tanh_cs <- (dc from dh) / dh = o (1 - tanh(c)^2)
-    do = o * (1.0 - o)
-    do *= tanh_cs
+    d = 1.0 - o
+    d *= o
+    d *= tanh_cs
     np.multiply(tanh_cs, tanh_cs, out=tanh_cs)
     np.subtract(1.0, tanh_cs, out=tanh_cs)
     tanh_cs *= o
     tanh_cs *= live
-    o[...] = do
+    o[...] = d
     # f <- da_f / dc = f (1 - f) c_prev; cs[:-1] <- the carry dc_prev / dc = f
     carry = cs[..., :-1, :, :]
-    df = f * (1.0 - f)
-    df *= carry
-    np.copyto(carry, np.where(valid, f, 1.0))
-    f[...] = df
+    np.subtract(1.0, f, out=d)
+    d *= f
+    d *= carry
+    carry[...] = 1.0
+    np.copyto(carry, f, where=valid)
+    f[...] = d
     # i <- da_i / dc = i (1 - i) g; g <- da_g / dc = (1 - g^2) i
-    di = i * (1.0 - i)
-    di *= g
+    np.subtract(1.0, i, out=d)
+    d *= i
+    d *= g
     np.multiply(g, g, out=g)
     np.subtract(1.0, g, out=g)
     g *= i
-    i[...] = di
-    del do, df, di
+    i[...] = d
+    del d
     gates *= live
 
-    dout = _steps(_time_major(dout, reverse))
+    dout, valid = _steps(dout), _steps(valid)
     gates_s, gates4_s = _steps(gates), _steps(gates4, -4)
     tanh_cs, carry = _steps(tanh_cs), _steps(carry)
     UT = U.swapaxes(-1, -2)
@@ -488,20 +491,19 @@ def _lstm_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, nee
         gates_s[s][..., 3 * H:] *= dh_total
         dc *= carry[s]
         dh = np.where(valid[s], gates_s[s] @ UT, dh_total)
-    return _weight_grads(X, hs, gates, gates, W, reverse, out, need_dx)
+    return hs, gates, gates
 
 
-def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = False):
-    """One GRU direction over (..., B, T, D); returns ((..., B, T, G) outputs, store).
+def _gru_direction_forward(gates, valid, U, training: bool = False):
+    """The GRU scan over (..., 2, T, B, 3G) preactivations X W + b, which
+    become the gate activations; returns ((..., 2, T, B, G) outputs, store).
 
     Padded steps carry h through unchanged. store is None unless training.
     """
-    gates, valid = _scan_setup(X, mask, W, b, reverse)
-    lead, (T, B) = gates.shape[:-3], valid.shape[:2]
-    G = U.shape[-2]
+    lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
     hs = np.zeros(lead + (T + 1, B, G))  # hs[..., s, :, :] is the state entering step s
     hus = np.empty(lead + (T, B, 3 * G)) if training else None
-    gates_s, hs_s = _steps(gates), _steps(hs)
+    gates_s, hs_s, valid = _steps(gates), _steps(hs), _steps(valid)
     hus_s = _steps(hus) if training else None
     with np.errstate(over="ignore"):
         for s in range(T):
@@ -511,20 +513,18 @@ def _gru_direction_forward(X, mask, W, U, b, reverse: bool, training: bool = Fal
             if training:
                 hus_s[s] = hu
     store = (gates, hs, hus) if training else None
-    return _batch_major(hs[..., 1:, :, :], reverse), store
+    return hs[..., 1:, :, :], store
 
 
-def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need_dx: bool):
-    """BPTT through one GRU direction; writes (dW, dU, db) into the arrays
-    out and returns dX, or None unless need_dx.
+def _gru_direction_backward(dout, valid, U, store):
+    """BPTT through the GRU scan from its (..., 2, T, B, G) output gradient;
+    returns hs and the gate gradients (dw_in, du_in).
 
     Consumes store: the gate array ends up holding the input-side gradient
     dw_in and the recurrent products hus the recurrent-side gradient du_in.
     """
     gates, hs, hus = store
-    lead, (T, B) = gates.shape[:-3], gates.shape[-3:-1]
-    G = U.shape[-2]
-    valid = _step_mask(mask, reverse)
+    lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
     live = valid.astype(np.float64)
     z, r, n = (gates[..., k * G:(k + 1) * G] for k in range(3))
     # Per-step factors taking dh to each gate gradient, for all steps at once
@@ -550,10 +550,9 @@ def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need
     hus[..., :2 * G] = gates[..., :2 * G]
     del dz, dr, dn
 
-    dout = _steps(_time_major(dout, reverse))
+    dout, keep, hus_s = _steps(dout), _steps(keep), _steps(hus)
     gates3 = _steps(gates.reshape(gates.shape[:-1] + (3, G)), -4)
     hus3 = _steps(hus.reshape(hus.shape[:-1] + (3, G)), -4)
-    hus_s, keep = _steps(hus), _steps(keep)
     UT = U.swapaxes(-1, -2)
     dh = np.zeros(lead + (B, G))
     for s in range(T - 1, -1, -1):
@@ -563,56 +562,50 @@ def _gru_direction_backward(dout, X, mask, W, U, store, reverse: bool, out, need
         hus3[s] *= d
         dh = hus_s[s] @ UT
         dh += dh_total * keep[s]
-    return _weight_grads(X, hs, gates, hus, W, reverse, out, need_dx)
+    return hs, gates, hus
 
 
-def _weight_grads(X, hs, dw_in, du_in, W, reverse: bool, out, need_dx: bool):
-    """The tail of a direction's backward, one GEMM or sum over all T*B rows each.
+def _bidirectional(direction, X, mask, weights, training: bool):
+    """One bidirectional layer over (..., B, T, D) with weights, the layer's
+    (W, U, b) pair views: one call of the direction kernel.
 
-    dw_in and du_in are the (..., T, B, K) input-side and recurrent-side gate
-    gradients (one array for the LSTM). Writes dW = X^T dw_in, dU = h_prev^T
-    du_in and db = sum dw_in into out; returns dX = dw_in W^T, or None unless need_dx.
+    Returns the (..., B, T, 2H) output, fw features then bw, and the store.
     """
+    W, U, b = weights
+    B, T = mask.shape
+    xw = np.matmul(_scan_rows(X), W)
+    xw = xw.reshape(xw.shape[:-2] + (T, B, W.shape[-1]))
+    xw += b[..., None, None, :]
+    valid = _pair(mask[:, :, None] > 0.0)  # (2, T, B, 1), True where a step is real
+    out, store = direction(xw, valid, U, training)
+    del xw  # inference keeps no store, so this frees the gate activations
+    return np.concatenate(_unpair(out), axis=-1), store
+
+
+def _bidirectional_backward(direction, dout, X, mask, weights, grads, store, need_dx: bool):
+    """Backward of _bidirectional: writes the (dW, dU, db) of both directions
+    into grads, the layer's pair views of the gradient, and returns dX summed
+    over fw and bw, or None unless need_dx.
+
+    One weight-gradient tail serves both cells. The kernel returns the states
+    hs and the (..., 2, T, B, K) input-side and recurrent-side gate gradients
+    (one array for the LSTM); dW = X^T dw_in, dU = h_prev^T du_in, db = sum
+    dw_in and dX = dw_in W^T are one GEMM or sum each over all T*B rows.
+    """
+    (W, U, _), (dW, dU, db) = weights, grads
+    H = dout.shape[-1] // 2
+    valid = _pair(mask[:, :, None] > 0.0)
+    hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:]), valid, U, store)
     lead, (T, B, K) = dw_in.shape[:-3], dw_in.shape[-3:]
     dw_in = dw_in.reshape(lead + (T * B, K))
-    dW, dU, db = out
-    np.matmul(_scan_rows(X, reverse).swapaxes(-1, -2), dw_in, out=dW)
+    np.matmul(_scan_rows(X).swapaxes(-1, -2), dw_in, out=dW)
     np.matmul(hs[..., :-1, :, :].reshape(lead + (T * B, -1)).swapaxes(-1, -2),
               du_in.reshape(lead + (T * B, K)), out=dU)
     dw_in.sum(axis=-2, out=db)
     if not need_dx:
         return None
-    dX = np.matmul(dw_in, W.swapaxes(-1, -2))
-    return _batch_major(dX.reshape(lead + (T, B, -1)), reverse)
-
-
-def _blocks(p: Mapping[str, np.ndarray], layer: str, d: str):
-    """The (W, U, b) blocks of direction d ("fw" or "bw") of a layer in p."""
-    return tuple(p[f"{layer}_{d}_{w}"] for w in "WUb")
-
-
-def _bidirectional(direction, X, mask, p, layer: str, training: bool):
-    """One bidirectional layer: the direction kernel run forward and then
-    reversed over (..., B, T, D), with the layer's fw and bw blocks of p.
-
-    Returns the (..., B, T, 2H) concatenated output and the (fw, bw) stores.
-    """
-    outs, stores = zip(*(direction(X, mask, *_blocks(p, layer, d), d == "bw", training)
-                         for d in ("fw", "bw")))
-    return np.concatenate(outs, axis=-1), stores
-
-
-def _bidirectional_backward(direction, dout, X, mask, p, g, layer: str, stores, need_dx: bool):
-    """Backward of _bidirectional: writes each direction's (dW, dU, db) into
-    its views of g and returns dX summed over fw and bw, or None unless need_dx.
-    """
-    H = dout.shape[-1] // 2
-    dX, dX_bw = (direction(dout[..., k * H:(k + 1) * H], X, mask, *_blocks(p, layer, d)[:2],
-                           stores[k], d == "bw", _blocks(g, layer, d), need_dx)
-                 for k, d in enumerate(("fw", "bw")))
-    if need_dx:
-        dX += dX_bw
-    return dX
+    fw, bw = _unpair(np.matmul(dw_in, W.swapaxes(-1, -2)).reshape(lead + (T, B, -1)))
+    return fw + bw
 
 
 def masked_max_pool(seq: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -644,18 +637,19 @@ class ForwardTrace:
     """The intermediates the exact backward pass reads, and nothing more.
 
     Dropout scales each layer's output in place, so only the dropped-out
-    arrays are kept. Each recurrent layer keeps its (fw, bw) stores; the
-    backward pass consumes them, so a trace is backpropagated at most once.
+    arrays are kept. Each recurrent layer keeps the store of its scan, both
+    directions in one; the backward pass consumes the stores, so a trace is
+    backpropagated at most once.
     """
 
     x: np.ndarray
     mask: np.ndarray
     sd_mask: Optional[np.ndarray]
     emb_dropped: np.ndarray
-    lstm_stores: tuple
+    lstm_store: tuple
     do1_mask: Optional[np.ndarray]
     S_dropped: np.ndarray
-    gru_stores: tuple
+    gru_store: tuple
     do2_mask: Optional[np.ndarray]
     G_dropped: np.ndarray
     pool1: Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -718,12 +712,12 @@ def forward(
     sd_mask = _dropout(emb_dropped, rng, (x.shape[0], 1, config.emb_dim), sd_rate)
 
     p = params.blocks
-    S_dropped, lstm_stores = _bidirectional(
-        _lstm_direction_forward, emb_dropped, mask, p, "lstm", training)
+    S_dropped, lstm_store = _bidirectional(
+        _lstm_direction_forward, emb_dropped, mask, params.pairs(params.flat, "lstm"), training)
     do1_mask = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
 
-    G_dropped, gru_stores = _bidirectional(
-        _gru_direction_forward, S_dropped, mask, p, "gru", training)
+    G_dropped, gru_store = _bidirectional(
+        _gru_direction_forward, S_dropped, mask, params.pairs(params.flat, "gru"), training)
     do2_mask = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
 
     pool1 = masked_max_pool(S_dropped, mask)
@@ -740,7 +734,7 @@ def forward(
         return probs, None
     trace = ForwardTrace(
         x=x, mask=mask, sd_mask=sd_mask, emb_dropped=emb_dropped,
-        lstm_stores=lstm_stores, do1_mask=do1_mask, S_dropped=S_dropped, gru_stores=gru_stores,
+        lstm_store=lstm_store, do1_mask=do1_mask, S_dropped=S_dropped, gru_store=gru_store,
         do2_mask=do2_mask, G_dropped=G_dropped,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
     )
@@ -788,14 +782,16 @@ def _backward(
         dG *= trace.do2_mask
 
     dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.mask,
-                                 p, g, "gru", trace.gru_stores, True)
-    del dG  # not needed by the LSTM backward, whose stores are the largest
+                                 params.pairs(params.flat, "gru"), params.pairs(grad, "gru"),
+                                 trace.gru_store, True)
+    del dG  # not needed by the LSTM backward, whose store is the largest
     dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
     if trace.do1_mask is not None:
         dS *= trace.do1_mask
 
     dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.mask,
-                                 p, g, "lstm", trace.lstm_stores, config.train_embedding)
+                                 params.pairs(params.flat, "lstm"), params.pairs(grad, "lstm"),
+                                 trace.lstm_store, config.train_embedding)
     if dE is not None:
         if trace.sd_mask is not None:
             dE *= trace.sd_mask
@@ -836,9 +832,10 @@ def _loss_probs_grad(x, labels, params, config, rng):
     return loss, probs, grad
 
 
-# Inference runs in chunks of rows sized so that one chunk's LSTM
-# preactivation, a (max_len, rows, 4 * lstm_units) float64 array, stays
-# within this many bytes.
+# Inference runs in chunks of rows sized so that one direction's LSTM
+# preactivation over a chunk, a (max_len, rows, 4 * lstm_units) float64
+# array, stays within this many bytes; the layer's scan holds both
+# directions' at once, twice that.
 _INFER_CHUNK_BYTES = 64 << 20
 
 

@@ -330,14 +330,16 @@ def train_runs(
             stack = params.run(live)
             if not live:
                 break
+        trained = time.perf_counter() - started  # shared by the stack
         for j, k in enumerate(live):  # every run still live stepped every batch
+            evaluated = time.perf_counter()
             test_loss, test_acc = evaluate(data.test_x, data.test_y, stack.run(j), config)
             history = histories[k]
             history.train_loss.append(float(np.mean(batch_losses[k])))
             history.train_accuracy.append(int(correct[k]) / n)
             history.test_loss.append(test_loss)
             history.test_accuracy.append(test_acc)
-            history.epoch_seconds.append(time.perf_counter() - started)
+            history.epoch_seconds.append(trained + time.perf_counter() - evaluated)
         if not live:
             break
     if stack is not params:

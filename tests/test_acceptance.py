@@ -46,7 +46,7 @@ from embfuse.optim import (
 )
 from embfuse.seeding import derive_rng
 
-from conftest import FILLER_START, SIGNAL_TOKENS, random_embedding, synthetic_dataset
+from synthetic import FILLER_START, SIGNAL_TOKENS, random_embedding, synthetic_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

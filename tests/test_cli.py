@@ -828,6 +828,33 @@ class TestFlagsBeforeTables:
         assert err == f"ERROR invalid: output directory not found: {tmp_path / 'nodir'}\n"
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("case,flag,kind", [
+        ("train", "--out", "dir"), ("train", "--history", "dir"),
+        ("sweep", "--out-dir", "file"), ("sweep", "--out-dir", "under-file"),
+        ("report", "--out-dir", "file")])
+    def test_output_of_the_wrong_kind_fails_before_training(self, capsys, calls, monkeypatch,
+                                                            pipeline_dir, tmp_path, case, flag,
+                                                            kind):
+        trained = []
+        real = optim.train_runs
+        monkeypatch.setattr(optim, "train_runs", lambda *a, **k: trained.append(1) or real(*a, **k))
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        path = {"dir": tmp_path / "adir", "file": tmp_path / "afile",
+                "under-file": tmp_path / "afile" / "sub"}[kind]
+        argv = {
+            "train": self.argv("train-lr", pipeline_dir, tmp_path)[:-2],
+            "sweep": self.argv("sweep-unknown", pipeline_dir, tmp_path)[:-2]
+            + ["--optimizers", "sgd", "--lr", "0.05"],
+            "report": ["report", "--history", str(tmp_path / "h.csv")],
+        }[case]
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out) == (1, "")
+        what = "output file is a directory" if kind == "dir" else "output directory is not a directory"
+        assert err == f"ERROR invalid: {what}: {tmp_path / ('adir' if kind == 'dir' else 'afile')}\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+        assert trained == []
+
     def test_sweep_repeated_pair_fails_before_any_table_parse(self, capsys, calls, pipeline_dir,
                                                               tmp_path):
         argv = self.argv("sweep-unknown", pipeline_dir, tmp_path)[:-2]

@@ -29,7 +29,7 @@ from embfuse.optim import (
 )
 from embfuse.seeding import derive_rng
 
-from conftest import random_embedding, synthetic_dataset
+from synthetic import random_embedding, synthetic_dataset
 
 PINNED_BLAS = ("scipy-openblas", "0.3.31.188.0", "x86_64")
 

@@ -33,7 +33,7 @@ from embfuse.model import (
     to_flat,
     trainable_block_names,
 )
-from embfuse.model import _gru_direction_forward, _lstm_direction_forward
+from embfuse.model import _bidirectional, _gru_direction_forward, _lstm_direction_forward
 from embfuse.seeding import derive_rng
 
 
@@ -163,7 +163,7 @@ class TestCellOracles:
 
 
 class TestDirectionLayers:
-    """Full-sequence scans against manual per-step loops over the cell ops."""
+    """Bidirectional layers against manual per-step loops over the cell ops."""
 
     @staticmethod
     def _inputs(seed):
@@ -174,61 +174,81 @@ class TestDirectionLayers:
         mask[0] = 1.0  # keep one fully valid row
         return X, mask, rng, H
 
-    def test_lstm_layer_matches_cell_loop(self):
-        for reverse in (False, True):
-            X, mask, rng, H = self._inputs(41 + reverse)
-            D = X.shape[2]
-            W = rng.normal(size=(D, 4 * H))
-            U = rng.normal(size=(H, 4 * H))
-            b = rng.normal(size=4 * H)
-            out, _ = _lstm_direction_forward(X, mask, W, U, b, reverse=reverse)
+    @staticmethod
+    def _cell_loop(step, X, mask, state):
+        """Outputs of step(x_t, state) -> (h, state) over time, carrying the
+        state through padded steps."""
+        ref = np.empty(X.shape[:2] + state[0].shape[-1:])
+        for t in range(X.shape[1]):
+            m = mask[:, t:t + 1]
+            new = step(X[:, t], state)
+            state = tuple(m * a + (1.0 - m) * b for a, b in zip(new, state))
+            ref[:, t] = state[0]
+        return ref
 
-            Xs = X[:, ::-1] if reverse else X
-            ms = mask[:, ::-1] if reverse else mask
-            h = np.zeros((X.shape[0], H))
-            c = np.zeros((X.shape[0], H))
-            ref = np.empty((X.shape[0], X.shape[1], H))
-            for t in range(X.shape[1]):
-                h_new, c_new = lstm_cell_step(Xs[:, t], h, c, (W, U, b))
-                m = ms[:, t:t + 1]
-                h = m * h_new + (1.0 - m) * h
-                c = m * c_new + (1.0 - m) * c
-                ref[:, t] = h
-            if reverse:
-                ref = ref[:, ::-1]
-            assert np.max(np.abs(out - ref)) < 1e-12
+    def _check_both_halves(self, direction, X, mask, weights, step, state):
+        """fw half = the cell loop with the fw blocks; bw half = the cell loop
+        with the bw blocks over the reversed input, flipped back."""
+        out, store = _bidirectional(direction, X, mask, weights, training=False)
+        assert store is None
+        H = out.shape[-1] // 2
+        for d, half in enumerate((out[..., :H], out[..., H:])):
+            blocks = tuple(w[d] for w in weights)
+            order = slice(None, None, 1 - 2 * d)  # time reversed for bw
+            ref = self._cell_loop(lambda x, s: step(x, s, blocks),
+                                  X[:, order], mask[:, order], state)[:, order]
+            assert np.max(np.abs(half - ref)) < 1e-12
+
+    def test_lstm_layer_matches_cell_loop(self):
+        X, mask, rng, H = self._inputs(41)
+        D = X.shape[2]
+        weights = (rng.normal(size=(2, D, 4 * H)), rng.normal(size=(2, H, 4 * H)),
+                   rng.normal(size=(2, 4 * H)))
+        zeros = np.zeros((X.shape[0], H))
+        self._check_both_halves(
+            _lstm_direction_forward, X, mask, weights,
+            lambda x, s, blocks: lstm_cell_step(x, *s, blocks), (zeros, zeros))
 
     def test_gru_layer_matches_cell_loop(self):
-        for reverse in (False, True):
-            X, mask, rng, H = self._inputs(43 + reverse)
-            D = X.shape[2]
-            W = rng.normal(size=(D, 3 * H))
-            U = rng.normal(size=(H, 3 * H))
-            b = rng.normal(size=3 * H)
-            out, _ = _gru_direction_forward(X, mask, W, U, b, reverse=reverse)
-
-            Xs = X[:, ::-1] if reverse else X
-            ms = mask[:, ::-1] if reverse else mask
-            h = np.zeros((X.shape[0], H))
-            ref = np.empty((X.shape[0], X.shape[1], H))
-            for t in range(X.shape[1]):
-                h_new = gru_cell_step(Xs[:, t], h, (W, U, b))
-                m = ms[:, t:t + 1]
-                h = m * h_new + (1.0 - m) * h
-                ref[:, t] = h
-            if reverse:
-                ref = ref[:, ::-1]
-            assert np.max(np.abs(out - ref)) < 1e-12
+        X, mask, rng, H = self._inputs(43)
+        D = X.shape[2]
+        weights = (rng.normal(size=(2, D, 3 * H)), rng.normal(size=(2, H, 3 * H)),
+                   rng.normal(size=(2, 3 * H)))
+        self._check_both_halves(
+            _gru_direction_forward, X, mask, weights,
+            lambda x, s, blocks: (gru_cell_step(x, s[0], blocks),), (np.zeros((X.shape[0], H)),))
 
     def test_padding_steps_freeze_state(self):
         X, mask, rng, H = self._inputs(45)
         mask[1, 2] = 0.0
-        W = rng.normal(size=(X.shape[2], 4 * H))
-        U = rng.normal(size=(H, 4 * H))
-        b = rng.normal(size=4 * H)
-        out, _ = _lstm_direction_forward(X, mask, W, U, b, reverse=False)
-        assert np.array_equal(out[1, 2], out[1, 1])
+        mask[1, 1] = mask[1, 3] = 1.0
+        weights = (rng.normal(size=(2, X.shape[2], 4 * H)), rng.normal(size=(2, H, 4 * H)),
+                   rng.normal(size=(2, 4 * H)))
+        out, _ = _bidirectional(_lstm_direction_forward, X, mask, weights, training=False)
+        # fw carries the state of step 1 through step 2, bw the state of step 3
+        assert np.array_equal(out[1, 2, :H], out[1, 1, :H])
+        assert np.array_equal(out[1, 2, H:], out[1, 3, H:])
 
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_pair_views_share_memory_with_the_vectors(self, runs):
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        if runs is not None:
+            params = params.stacked(runs)
+        grad = np.arange(params.flat.size, dtype=np.float64).reshape(params.flat.shape)
+        for layer in ("lstm", "gru"):
+            for vec, blocks in ((params.flat, params.blocks), (grad, params.split(grad))):
+                pair = params.pairs(vec, layer)
+                for w, view in zip("WUb", pair):
+                    assert view.shape[:params.flat.ndim] == params.flat.shape[:-1] + (2,)
+                    assert np.shares_memory(view, vec)
+                    for d, name in enumerate(("fw", "bw")):
+                        block = blocks[f"{layer}_{name}_{w}"]
+                        half = view[(slice(None),) * (params.flat.ndim - 1) + (d,)]
+                        assert half.shape == block.shape
+                        assert np.shares_memory(half, block)
+                        assert np.array_equal(half, block)
 
 class TestMaskedMaxPool:
     def test_hand_case_with_padding(self):

@@ -35,7 +35,7 @@ from embfuse.optim import (
 )
 from embfuse.seeding import derive_rng
 
-from conftest import random_embedding, synthetic_dataset
+from synthetic import random_embedding, synthetic_dataset
 
 
 class TestOptimizerSpec:
@@ -325,6 +325,29 @@ class TestTrainRuns:
     def test_needs_a_spec(self, tiny_dataset, tiny_embedding):
         with pytest.raises(ValidationError):
             train_runs(tiny_dataset, tiny_embedding, small_config(), [])
+
+    def test_each_run_times_the_shared_training_and_its_own_evaluation(
+            self, tiny_dataset, tiny_embedding, monkeypatch):
+        from embfuse import optim
+        clock = [0.0]
+        real_loss_probs_grad = optim._loss_probs_grad
+
+        def one_second_per_batch(*args):
+            clock[0] += 1.0
+            return real_loss_probs_grad(*args)
+
+        def ten_seconds_per_evaluation(*args):
+            clock[0] += 10.0
+            return 0.5, 0.5
+
+        monkeypatch.setattr(optim.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(optim, "_loss_probs_grad", one_second_per_batch)
+        monkeypatch.setattr(optim, "evaluate", ten_seconds_per_evaluation)
+        specs = [OptimizerSpec(kind="sgd", learning_rate=lr) for lr in (0.1, 0.05, 0.01)]
+        _, histories = train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
+                                  epochs=2, batch_size=16, seed=5)
+        batches = math.ceil(len(tiny_dataset.train_y) / 16)
+        assert [h.epoch_seconds for h in histories] == [[batches + 10.0] * 2] * 3
 
     def test_stack_size_rule(self):
         # the paper model at batch 32 needs about 165 MB of training stores per run
