@@ -3,8 +3,10 @@
 Eight subcommands cover the pipeline from raw files to charts: inspect,
 prepare, fuse, lr-find, train, sweep, eval, report. Every flag can also be
 supplied through a JSON config file (--config); explicit flags win. All
-failures print one ``ERROR <code>: <message>`` line to stderr and exit 1
-for bad invocations or input validation, 2 for runtime failures.
+failures print one ``ERROR <code>: <message>`` line to stderr. The exit code
+is 1 for any bad input (a flag, a config key, a file's content), whatever its
+code; 2 only for ``all-diverged`` (an lr search in which every probe diverged)
+and ``io`` (a read or write the operating system refused).
 """
 from __future__ import annotations
 
@@ -24,17 +26,9 @@ from .embedding_io import FORMATS, csv_rows, decode_line, parse_embedding, write
 from .errors import AllDivergedError, EmbfuseError, EmptySeriesError, ValidationError
 
 
-class UsageError(ValidationError):
-    code = "usage"
-
-
-class UnknownCommandError(ValidationError):
-    code = "unknown-command"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValidationError(message, "usage")
 
 
 @dataclass
@@ -53,9 +47,8 @@ def _split_emb_arg(text: str) -> Tuple[str, str]:
     """``PATH:FORMAT`` as (path, format); the file must exist."""
     path, sep, fmt = text.rpartition(":")
     if not sep or fmt not in FORMATS:
-        raise UsageError(
-            f"expected PATH:FORMAT with format one of {', '.join(FORMATS)}, got {text!r}"
-        )
+        raise ValidationError(
+            f"expected PATH:FORMAT with format one of {', '.join(FORMATS)}, got {text!r}", "usage")
     return _require_file(path, "embedding file"), fmt
 
 
@@ -142,8 +135,9 @@ def _read_lines(path: str, what: str) -> List[str]:
 
 
 def _load_config(path: str) -> Dict[str, Any]:
+    lines = _read_lines(_require_file(path, "config file"), "config file")
     try:
-        loaded = json.loads("".join(_read_lines(path, "config file")))
+        loaded = json.loads("".join(lines))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
@@ -182,9 +176,10 @@ def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
         if value is None:
             value = opt.default
         if value is None and opt.required:
-            raise UsageError(f"missing required option {opt.flags[0]}")
+            raise ValidationError(f"missing required option {opt.flags[0]}", "usage")
         if opt.choices and value is not None and value not in opt.choices:
-            raise UsageError(f"{opt.flags[0]} must be one of {', '.join(opt.choices)}")
+            raise ValidationError(f"{opt.flags[0]} must be one of {', '.join(opt.choices)}",
+                                  "usage")
         merged[opt.dest] = value
     return merged
 
@@ -613,13 +608,14 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         if not argv:
             print(_usage(), file=sys.stderr)
-            raise UsageError("missing command")
+            raise ValidationError("missing command", "usage")
         if argv[0] in ("-h", "--help"):
             print(_usage())
             return 0
         command = argv[0]
         if command not in _COMMANDS:
-            raise UnknownCommandError(f"unknown command {command!r}; see 'embfuse --help'")
+            raise ValidationError(f"unknown command {command!r}; see 'embfuse --help'",
+                                  "unknown-command")
         parser = _build_parser(command)
         ns = parser.parse_args(list(argv[1:]))
         opts = _merge(command, ns)

@@ -13,14 +13,7 @@ from enum import IntEnum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .embedding_io import csv_rows, decode_line, iter_lines
-from .errors import (
-    EmptyFileError,
-    EmptyInputError,
-    MissingColumnError,
-    OutOfRangeError,
-    TooFewExamplesError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .seeding import derive_rng
 
 PAD_INDEX = 0
@@ -98,7 +91,7 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
     try:
         _, header = next(rows)
     except StopIteration:
-        raise EmptyFileError("CSV has no header row") from None
+        raise ValidationError("CSV has no header row", "empty-file") from None
     found: Dict[str, int] = {}
     for i, name in enumerate(header):
         found.setdefault(_normalize_header(name), i)
@@ -106,7 +99,7 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
     for display, key in _COLUMNS.items():
         at = found.get(_normalize_header(display))
         if at is None:
-            raise MissingColumnError(display)
+            raise ValidationError(f"required column not found: {display!r}", "missing-column")
         positions[key] = at
 
     records: List[ReviewRecord] = []
@@ -149,7 +142,7 @@ def filter_dominant_place(records: Sequence[ReviewRecord]) -> Tuple[List[ReviewR
     modal count keeps the lexicographically smallest name and flags the tie.
     """
     if not records:
-        raise EmptyInputError("no records to filter")
+        raise ValidationError("no records to filter", "empty-input")
     counts: Dict[str, int] = {}
     for rec in records:
         name = rec.place_name.strip()
@@ -203,7 +196,7 @@ DEFAULT_BUCKETS = parse_buckets("1-2/3/4-5")
 def rate_to_label(rate: int, buckets: RateBuckets = DEFAULT_BUCKETS) -> SentimentLabel:
     """Map a star rating to its sentiment class (default buckets 1-2/3/4-5)."""
     if not isinstance(rate, int) or not 1 <= rate <= 5:
-        raise OutOfRangeError(f"rate {rate!r} outside 1..5")
+        raise ValidationError(f"rate {rate!r} outside 1..5", "out-of-range")
     return buckets[rate - 1]
 
 
@@ -317,7 +310,7 @@ def split_train_test(
 ) -> Tuple[List[EncodedExample], List[EncodedExample]]:
     """Deterministic stratified split: per label, round(n * fraction) to train."""
     if len(examples) < 10:
-        raise TooFewExamplesError(f"need at least 10 examples, got {len(examples)}")
+        raise ValidationError(f"need at least 10 examples, got {len(examples)}", "too-few-examples")
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError("train_fraction must be in (0, 1)")
     rng = derive_rng(seed, "split")

@@ -23,7 +23,7 @@ appended to a float32 block and checked for non-finite values when the block
 is full. A block of text lines has its components decoded by one
 ``np.loadtxt`` call, which rounds exactly as ``float()`` does; a block it
 cannot decode exactly is re-read line by line with ``float()``, so the
-accepted syntax and every error (type, message, line number) are those of
+accepted syntax and every error (code, message, line number) are those of
 the line-by-line parser.
 """
 from __future__ import annotations
@@ -36,15 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    BadHeaderError,
-    DimMismatchError,
-    EmptyInputError,
-    InvalidUtf8Error,
-    ParseFloatError,
-    TruncatedRecordError,
-    ValidationError,
-)
+from .errors import InvalidUtf8Error, ValidationError
 
 _CHUNK = 1 << 16
 _BLOCK_ROWS = 4096
@@ -141,13 +133,12 @@ class EmbeddingTable:
         """Check the structural invariants, raising on violation."""
         n = len(self.vocab)
         if self.matrix.shape != (n, self.dim):
-            raise DimMismatchError(
-                f"matrix shape {self.matrix.shape} != ({n}, {self.dim})"
-            )
+            raise ValidationError(f"matrix shape {self.matrix.shape} != ({n}, {self.dim})",
+                                  "dim-mismatch")
         if sorted(self.vocab.values()) != list(range(n)):
-            raise DimMismatchError("vocab indices are not a permutation of 0..n-1")
+            raise ValidationError("vocab indices are not a permutation of 0..n-1", "dim-mismatch")
         if n and not np.isfinite(self.matrix).all():
-            raise ParseFloatError("matrix contains non-finite entries")
+            raise ValidationError("matrix contains non-finite entries", "parse-float")
 
 
 def _admit(vocab: Dict[str, int], warnings: List[str], token: str, unit: str, no: int) -> bool:
@@ -181,13 +172,10 @@ def _parse_component(text: str, line_no: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseFloatError(
-            f"line {line_no}: cannot parse {text!r} as a float", line_no
-        ) from None
+        raise ValidationError(f"line {line_no}: cannot parse {text!r} as a float",
+                              "parse-float") from None
     if not math.isfinite(value):
-        raise ParseFloatError(
-            f"line {line_no}: non-finite component {text!r}", line_no
-        )
+        raise ValidationError(f"line {line_no}: non-finite component {text!r}", "parse-float")
     return value
 
 
@@ -248,15 +236,13 @@ class _TextRows:
             if self.dim is None:
                 self.dim = len(parts) - 1
                 if self.dim < 1:
-                    raise DimMismatchError(
+                    raise ValidationError(
                         f"line {line_no}: expected a token and at least one component",
-                        line_no,
-                    )
+                        "dim-mismatch")
             if len(parts) - 1 != self.dim:
-                raise DimMismatchError(
+                raise ValidationError(
                     f"line {line_no}: {len(parts) - 1} components, expected {self.dim}",
-                    line_no,
-                )
+                    "dim-mismatch")
             if _admit(self.vocab, self.warnings, parts[0], "line", line_no):
                 rows.append([_parse_component(p, line_no) for p in parts[1:]])
         if rows:
@@ -282,14 +268,15 @@ def parse_glove_text(stream, name: str = "glove") -> EmbeddingTable:
     """Parse headerless ``token c1 ... cd`` text (the GloVe distribution layout).
 
     The vector length is fixed by the first line; duplicate tokens keep their
-    first occurrence. Raises EmptyInputError on a zero-line stream,
-    DimMismatchError when a line's component count differs from the first
-    line's, and ParseFloatError on unparseable or non-finite components.
+    first occurrence. Raises ValidationError with code ``empty-input`` on a
+    zero-line stream, ``dim-mismatch`` when a line's component count differs
+    from the first line's, and ``parse-float`` on unparseable or non-finite
+    components.
     """
     warnings: List[str] = []
     rows = _parse_text_lines(iter_lines(stream), None, 1, warnings)
     if rows.n_data == 0:
-        raise EmptyInputError("no lines in input")
+        raise ValidationError("no lines in input", "empty-input")
     return _finish_table(name, rows.dim, rows.vocab, rows.blocks, warnings)
 
 
@@ -297,13 +284,13 @@ def _header(line: bytes) -> Tuple[int, int]:
     """The ``vocab_size dim`` header line shared by fasttext and w2v-bin."""
     parts = line.split()
     if len(parts) != 2:
-        raise BadHeaderError(f"expected 'vocab_size dim' header, got {line!r}")
+        raise ValidationError(f"expected 'vocab_size dim' header, got {line!r}", "bad-header")
     try:
         count, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise BadHeaderError(f"non-integer header fields in {line!r}") from None
+        raise ValidationError(f"non-integer header fields in {line!r}", "bad-header") from None
     if count < 0 or dim < 1:
-        raise BadHeaderError(f"invalid header values {count} {dim}")
+        raise ValidationError(f"invalid header values {count} {dim}", "bad-header")
     return count, dim
 
 
@@ -317,12 +304,12 @@ def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
     lines = iter_lines(stream)
     header = next(lines, b"")
     if not header:
-        raise EmptyInputError("no lines in input")
+        raise ValidationError("no lines in input", "empty-input")
     declared, dim = _header(header)
     warnings: List[str] = []
     rows = _parse_text_lines(lines, dim, 2, warnings)
     if rows.n_data == 0:
-        raise EmptyInputError("header but no vector lines")
+        raise ValidationError("header but no vector lines", "empty-input")
     if rows.n_data != declared:
         warnings.append(f"count mismatch: header declares {declared}, found {rows.n_data} lines")
     return _finish_table(name, dim, rows.vocab, rows.blocks, warnings)
@@ -333,7 +320,8 @@ def _float32_block(data: bytearray, dim: int, first_rec: int, dups: List[int]) -
     rows = np.frombuffer(data, dtype="<f4").reshape(-1, dim)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise ParseFloatError(f"record {first_rec + int(np.argmin(finite))}: non-finite component")
+        raise ValidationError(f"record {first_rec + int(np.argmin(finite))}: non-finite component",
+                              "parse-float")
     return np.delete(rows, dups, axis=0) if dups else rows
 
 
@@ -354,7 +342,7 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
             break
         buf, eof = _refill(chunks, buf, 2 * len(buf) + 1)
     if nl < 0:
-        raise BadHeaderError("missing header line")
+        raise ValidationError("missing header line", "bad-header")
     count, dim = _header(buf[:nl + 1])
 
     vocab: Dict[str, int] = {}
@@ -376,10 +364,10 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
             continue
         rec += 1
         if sp <= pos:
-            error = TruncatedRecordError(f"record {rec}: stream ended in token", rec)
+            error = ValidationError(f"record {rec}: stream ended in token", "truncated-record")
             break
         if end > len(buf):
-            error = TruncatedRecordError(f"record {rec}: stream ended in floats", rec)
+            error = ValidationError(f"record {rec}: stream ended in floats", "truncated-record")
             break
         try:
             token = buf[pos:sp].decode("utf-8")

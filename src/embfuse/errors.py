@@ -1,21 +1,35 @@
 """Exception hierarchy shared by all embfuse modules.
 
 Every error carries a short machine-greppable ``code`` so the CLI can print
-``ERROR <code>: <message>`` lines. Validation errors (bad inputs, bad flags)
-map to exit code 1, runtime errors to exit code 2.
+``ERROR <code>: <message>`` lines. A bad input (a file, a flag, a config key,
+a checkpoint) is a :class:`ValidationError` and exits 1, whatever its code.
+Exit 2 is left for the outcomes of valid input: ``all-diverged`` here and
+the CLI's ``io`` for a failing read or write.
+
+A class exists only where a caller tells it apart: ``InvalidUtf8Error`` is
+also a ``UnicodeDecodeError``, ``NonFiniteGradientError`` and
+``EmptySeriesError`` are caught by name, and ``AllDivergedError`` carries its
+probe table. Any other fault is ``ValidationError(message, code)``.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 
 class EmbfuseError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``code`` overrides the class's."""
 
     code = "error"
     exit_code = 2
 
+    def __init__(self, message: str, code: Optional[str] = None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code
+
 
 class ValidationError(EmbfuseError):
-    """Bad user input detected before any heavy work starts."""
+    """Bad user input, named by its ``code`` (``invalid`` unless given)."""
 
     code = "invalid"
     exit_code = 1
@@ -36,86 +50,16 @@ class InvalidUtf8Error(ValidationError, UnicodeDecodeError):
         return self.message
 
 
-# --- embedding_io ---
+class NonFiniteGradientError(ValidationError):
+    """A gradient holding nan or inf; the training loop records the run as diverged."""
 
-class EmptyInputError(EmbfuseError):
-    code = "empty-input"
-
-
-class DimMismatchError(EmbfuseError):
-    code = "dim-mismatch"
-
-    def __init__(self, message, line_no=None):
-        super().__init__(message)
-        self.line_no = line_no
-
-
-class ParseFloatError(EmbfuseError):
-    code = "parse-float"
-
-    def __init__(self, message, line_no=None):
-        super().__init__(message)
-        self.line_no = line_no
-
-
-class BadHeaderError(EmbfuseError):
-    code = "bad-header"
-
-
-class TruncatedRecordError(EmbfuseError):
-    code = "truncated-record"
-
-    def __init__(self, message, record_no=None):
-        super().__init__(message)
-        self.record_no = record_no
-
-
-# --- corpus ---
-
-class MissingColumnError(EmbfuseError):
-    code = "missing-column"
-
-    def __init__(self, name):
-        super().__init__(f"required column not found: {name!r}")
-        self.name = name
-
-
-class EmptyFileError(EmbfuseError):
-    code = "empty-file"
-
-
-class OutOfRangeError(EmbfuseError):
-    code = "out-of-range"
-
-
-class TooFewExamplesError(EmbfuseError):
-    code = "too-few-examples"
-
-
-# --- fusion ---
-
-class EmptyDictionariesError(EmbfuseError):
-    code = "empty-dictionaries"
-
-
-# --- model ---
-
-class ShapeMismatchError(EmbfuseError):
-    code = "shape-mismatch"
-
-
-class IndexOutOfRangeError(EmbfuseError):
-    code = "index-out-of-range"
-
-
-# --- optim ---
-
-class NonFiniteGradientError(EmbfuseError):
     code = "non-finite-gradient"
 
 
-class EmptyDatasetError(EmbfuseError):
-    code = "empty-dataset"
+class EmptySeriesError(ValidationError):
+    """Too few points to draw; the CLI skips that chart."""
+
+    code = "empty-series"
 
 
 class AllDivergedError(EmbfuseError):
@@ -126,9 +70,3 @@ class AllDivergedError(EmbfuseError):
     def __init__(self, message, probes=()):
         super().__init__(message)
         self.probes = list(probes)
-
-
-# --- charts ---
-
-class EmptySeriesError(EmbfuseError):
-    code = "empty-series"

@@ -23,11 +23,7 @@ import numpy as np
 
 from .corpus import CorpusDictionaries, PAD_INDEX, UNK_INDEX
 from .embedding_io import EmbeddingTable
-from .errors import (
-    DimMismatchError,
-    EmptyDictionariesError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 FALLBACK_STAGES = ("exact", "lower", "capital", "lemma")
 
@@ -40,7 +36,7 @@ def fuse_both(v1: np.ndarray, v2: np.ndarray, mean1: np.ndarray, mean2: np.ndarr
     v1 = np.asarray(v1, dtype=np.float64)
     shifted = fuse_second_only(v2, mean1, mean2)
     if v1.shape != shifted.shape:
-        raise DimMismatchError(f"vector dims differ: {v1.shape} {shifted.shape}")
+        raise ValidationError(f"vector dims differ: {v1.shape} {shifted.shape}", "dim-mismatch")
     return (v1 + shifted) / 2.0
 
 
@@ -48,7 +44,8 @@ def fuse_second_only(v2: np.ndarray, mean1: np.ndarray, mean2: np.ndarray) -> np
     """Shift a second-table vector (or a stack of rows) into the first table's coordinate frame."""
     v2, mean1, mean2 = (np.asarray(a, dtype=np.float64) for a in (v2, mean1, mean2))
     if not (v2.shape[-1:] == mean1.shape == mean2.shape):
-        raise DimMismatchError(f"vector dims differ: {v2.shape} {mean1.shape} {mean2.shape}")
+        raise ValidationError(f"vector dims differ: {v2.shape} {mean1.shape} {mean2.shape}",
+                              "dim-mismatch")
     return v2 + (mean1 - mean2)
 
 
@@ -154,9 +151,9 @@ def build_fused_matrix(
     """
     check_unknown_fill(unknown_fill)
     if not dicts.dict_words:
-        raise EmptyDictionariesError("corpus dictionary has no words")
+        raise ValidationError("corpus dictionary has no words", "empty-dictionaries")
     if emb1.dim != emb2.dim:
-        raise DimMismatchError(f"table dims differ: {emb1.dim} vs {emb2.dim}")
+        raise ValidationError(f"table dims differ: {emb1.dim} vs {emb2.dim}", "dim-mismatch")
     dim = emb1.dim
     matrix = np.zeros((dicts.vocab_size, dim), dtype=np.float64)
     matrix[UNK_INDEX] = unknown_fill

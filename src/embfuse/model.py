@@ -46,11 +46,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .seeding import derive_rng
 
 NUM_CLASSES = 3
@@ -159,7 +155,8 @@ class ModelParameters:
     def split(self, vec: np.ndarray) -> Dict[str, np.ndarray]:
         """Named reshaped views of a vector (or stack of vectors) laid out like ``flat``."""
         if vec.shape != self.flat.shape:
-            raise ShapeMismatchError("flat vector length does not match the parameter layout")
+            raise ValidationError("flat vector length does not match the parameter layout",
+                                  "shape-mismatch")
         return {name: vec[..., span].reshape(vec.shape[:-1] + shape)
                 for name, span, shape in self.layout}
 
@@ -204,7 +201,8 @@ def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:
 
 def _check_layout(params: ModelParameters, config: ModelConfig) -> None:
     if params.train_embedding != config.train_embedding:
-        raise ShapeMismatchError("parameter layout does not match config.train_embedding")
+        raise ValidationError("parameter layout does not match config.train_embedding",
+                              "shape-mismatch")
 
 
 def to_flat(params: ModelParameters, config: ModelConfig) -> np.ndarray:
@@ -218,7 +216,8 @@ def from_flat(params: ModelParameters, config: ModelConfig, flat: np.ndarray) ->
     _check_layout(params, config)
     flat = np.array(flat, dtype=np.float64)
     if flat.shape != params.flat.shape:
-        raise ShapeMismatchError("flat vector length does not match the parameter layout")
+        raise ValidationError("flat vector length does not match the parameter layout",
+                              "shape-mismatch")
     return params._over(flat)
 
 
@@ -229,6 +228,18 @@ def grads_to_flat(grads: Mapping[str, np.ndarray], config: ModelConfig) -> np.nd
     backpropagation writes its gradient into a flat vector to begin with.
     """
     return np.concatenate([np.ravel(grads[name]) for name in trainable_block_names(config)])
+
+
+def _block_shapes(config: ModelConfig, embedding: np.ndarray) -> Dict[str, Tuple[int, ...]]:
+    """The shape each block must have under config: the embedding (its row
+    count taken as given) and then the blocks of _BLOCK_ORDER."""
+    Hl, Hg, D, C = config.lstm_units, config.gru_units, config.emb_dim, config.num_classes
+    by_layer = {"lstm": {"W": (D, 4 * Hl), "U": (Hl, 4 * Hl), "b": (4 * Hl,)},
+                "gru": {"W": (2 * Hl, 3 * Hg), "U": (Hg, 3 * Hg), "b": (3 * Hg,)},
+                "dense": {"W": (2 * Hl + 2 * Hg, C), "b": (C,)}}
+    shapes = {"embedding": embedding.shape[:1] + (D,)}
+    shapes.update((name, by_layer[name.split("_")[0]][name[-1]]) for name in _BLOCK_ORDER)
+    return shapes
 
 
 def init_parameters(
@@ -242,36 +253,26 @@ def init_parameters(
     Draw order over blocks is fixed so a seed pins every weight.
     """
     embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.ndim != 2 or embedding.shape[1] != config.emb_dim:
-        raise ShapeMismatchError(
-            f"embedding shape {embedding.shape} does not match emb_dim={config.emb_dim}"
-        )
+    shapes = _block_shapes(config, embedding)
+    if embedding.shape != shapes.pop("embedding"):
+        raise ValidationError(
+            f"embedding shape {embedding.shape} does not match emb_dim={config.emb_dim}",
+            "shape-mismatch")
     if rng is None:
         rng = derive_rng(config.seed, "init")
-    Hl, Hg, D, C = config.lstm_units, config.gru_units, config.emb_dim, config.num_classes
-
-    def glorot(fan_in: int, fan_out: int, shape: Tuple[int, ...]) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    def recurrent(units: int, shape: Tuple[int, ...]) -> np.ndarray:
-        limit = 1.0 / np.sqrt(units)
-        return rng.uniform(-limit, limit, size=shape)
-
+    gates = {"lstm": 4, "gru": 3, "dense": 1}
     blocks: Dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():  # in _BLOCK_ORDER, which fixes the draws
+        if name.endswith("_b"):
+            blocks[name] = np.zeros(shape)
+        elif name.endswith("_U"):  # scaled uniform over the recurrent units
+            limit = 1.0 / np.sqrt(shape[0])
+            blocks[name] = rng.uniform(-limit, limit, size=shape)
+        else:  # Glorot uniform over fan-in and the units of one gate
+            limit = np.sqrt(6.0 / (shape[0] + shape[1] // gates[name.split("_")[0]]))
+            blocks[name] = rng.uniform(-limit, limit, size=shape)
     for d in ("fw", "bw"):
-        blocks[f"lstm_{d}_W"] = glorot(D, Hl, (D, 4 * Hl))
-        blocks[f"lstm_{d}_U"] = recurrent(Hl, (Hl, 4 * Hl))
-        b = np.zeros(4 * Hl)
-        b[Hl:2 * Hl] = 1.0
-        blocks[f"lstm_{d}_b"] = b
-    for d in ("fw", "bw"):
-        blocks[f"gru_{d}_W"] = glorot(2 * Hl, Hg, (2 * Hl, 3 * Hg))
-        blocks[f"gru_{d}_U"] = recurrent(Hg, (Hg, 3 * Hg))
-        blocks[f"gru_{d}_b"] = np.zeros(3 * Hg)
-    feat = 2 * Hl + 2 * Hg
-    blocks["dense_W"] = glorot(feat, C, (feat, C))
-    blocks["dense_b"] = np.zeros(C)
+        blocks[f"lstm_{d}_b"][config.lstm_units:2 * config.lstm_units] = 1.0
     return ModelParameters(blocks, embedding.copy(), config.train_embedding)
 
 
@@ -327,11 +328,11 @@ def lstm_cell_step(
     c_prev = np.asarray(c_prev, dtype=np.float64)
     H = h_prev.shape[-1]
     if W.shape != (x.shape[-1], 4 * H) or U.shape != (H, 4 * H) or b.shape != (4 * H,):
-        raise ShapeMismatchError(
-            f"LSTM shapes inconsistent: x{x.shape} h{h_prev.shape} W{W.shape} U{U.shape} b{b.shape}"
-        )
+        raise ValidationError(
+            f"LSTM shapes inconsistent: x{x.shape} h{h_prev.shape} W{W.shape} U{U.shape} b{b.shape}",
+            "shape-mismatch")
     if c_prev.shape != h_prev.shape:
-        raise ShapeMismatchError("h_prev and c_prev must have the same shape")
+        raise ValidationError("h_prev and c_prev must have the same shape", "shape-mismatch")
     a = h_prev @ U + (x @ W + b)
     with np.errstate(over="ignore"):
         c, _, h = _lstm_cell(a, c_prev, np.empty_like(a))
@@ -353,9 +354,9 @@ def gru_cell_step(
     h_prev = np.asarray(h_prev, dtype=np.float64)
     G = h_prev.shape[-1]
     if W.shape != (x.shape[-1], 3 * G) or U.shape != (G, 3 * G) or b.shape != (3 * G,):
-        raise ShapeMismatchError(
-            f"GRU shapes inconsistent: x{x.shape} h{h_prev.shape} W{W.shape} U{U.shape} b{b.shape}"
-        )
+        raise ValidationError(
+            f"GRU shapes inconsistent: x{x.shape} h{h_prev.shape} W{W.shape} U{U.shape} b{b.shape}",
+            "shape-mismatch")
     xw = x @ W + b
     hu = h_prev @ U
     with np.errstate(over="ignore"):
@@ -697,10 +698,12 @@ def forward(
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2:
-        raise ShapeMismatchError(f"expected a (batch, time) index array, got shape {x.shape}")
+        raise ValidationError(f"expected a (batch, time) index array, got shape {x.shape}",
+                              "shape-mismatch")
     rows = params.embedding.shape[-2]
     if x.size and (x.min() < 0 or x.max() >= rows):
-        raise IndexOutOfRangeError(f"token index outside embedding table of {rows} rows")
+        raise ValidationError(f"token index outside embedding table of {rows} rows",
+                              "index-out-of-range")
     sd_rate, rate = (config.spatial_dropout_rate, config.dropout_rate) if training else (0, 0)
     if (sd_rate > 0 or rate > 0) and rng is None:
         raise ValidationError("training-mode forward with dropout needs an rng")
@@ -821,9 +824,10 @@ def _loss_probs_grad(x, labels, params, config, rng):
     if x.ndim == 1:
         x = x[None, :]
     if labels.shape != (x.shape[0],):
-        raise ShapeMismatchError(f"labels shape {labels.shape} does not match batch {x.shape[0]}")
+        raise ValidationError(f"labels shape {labels.shape} does not match batch {x.shape[0]}",
+                              "shape-mismatch")
     if labels.size and (labels.min() < 0 or labels.max() >= config.num_classes):
-        raise IndexOutOfRangeError("labels must lie in 0..2")
+        raise ValidationError("labels must lie in 0..2", "index-out-of-range")
     _check_layout(params, config)
     probs, trace = forward(x, params, config, training=True, rng=rng)
     loss = _loss_from_trace(trace, labels)
@@ -979,6 +983,10 @@ def load_checkpoint(fh) -> Tuple[ModelParameters, ModelConfig]:
             raise ValidationError(f"checkpoint block {name!r} has shape {shape}: {exc}") from None
     if "embedding" not in arrays:
         raise ValidationError("checkpoint is missing the embedding block")
+    for name, shape in _block_shapes(config, arrays["embedding"]).items():
+        if name in arrays and arrays[name].shape != shape:
+            raise ValidationError(f"checkpoint block {name!r} has shape {arrays[name].shape}, "
+                                  f"but its config needs {shape}")
     embedding = arrays.pop("embedding")
     params = ModelParameters(arrays, embedding, config.train_embedding)
     return params, config

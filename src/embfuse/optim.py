@@ -26,13 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .embedding_io import csv_rows
-from .errors import (
-    AllDivergedError,
-    EmptyDatasetError,
-    NonFiniteGradientError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import AllDivergedError, NonFiniteGradientError, ValidationError
 from .model import (  # noqa: F401  from_flat and to_flat are re-exported helpers
     ModelConfig,
     ModelParameters,
@@ -96,11 +90,11 @@ class _Stepper:
         w = np.asarray(w, dtype=np.float64)
         g = np.asarray(g, dtype=np.float64)
         if w.shape != (self.n,) or g.shape != (self.n,):
-            raise ShapeMismatchError(
-                f"expected flat vectors of length {self.n}, got {w.shape} and {g.shape}"
-            )
+            raise ValidationError(
+                f"expected flat vectors of length {self.n}, got {w.shape} and {g.shape}",
+                "shape-mismatch")
         if out is not None and out is not w:
-            raise ShapeMismatchError("out must be None or w itself")
+            raise ValidationError("out must be None or w itself", "shape-mismatch")
         if not np.isfinite(g).all():
             raise NonFiniteGradientError("gradient contains nan or inf")
         if out is None:
@@ -248,7 +242,7 @@ class TrainingHistory:
 def check_loop(data: SplitDataset, epochs: int, batch_size: int, seed: int) -> None:
     """Reject a training loop with no examples, no epochs, no batch or a bad seed."""
     if data.train_x.shape[0] == 0:
-        raise EmptyDatasetError("training split is empty")
+        raise ValidationError("training split is empty", "empty-dataset")
     if epochs < 1 or batch_size < 1:
         raise ValidationError("epochs and batch_size must be positive")
     check_seed(seed)

@@ -2,11 +2,12 @@
 import csv
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from embfuse import cli, optim
+from embfuse import cli, model, optim
 from embfuse.cli import dispatch
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -142,6 +143,15 @@ class TestConfigFile:
         code, out, err = run(capsys, "inspect", glove_a(), "--config", str(cfg))
         assert code == 1
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_config_path_that_is_not_a_file_rejected(self, capsys, tmp_path, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        code, out, err = run(capsys, "inspect", glove_a(), "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"ERROR invalid: config file not found: {cfg}\n"
 
     def test_non_object_config_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1006,3 +1016,110 @@ class TestDegenerateValues:
         assert lines[0] == "learning_rate,final_train_loss,diverged,epochs_completed"
         assert [line.split(",", 1)[1] for line in lines[1:]] == [",1,0", ",1,0"]
         assert not svg.exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint(pipeline_dir):
+    """A tiny model trained for one epoch on the pipeline's dataset."""
+    path = str(pipeline_dir["root"] / "tiny.ckpt")
+    assert dispatch(["train", "--dataset", pipeline_dir["dataset"],
+                     "--fused", pipeline_dir["fused"], "--optimizer", "sgd",
+                     "--lr", "0.01", "--epochs", "1", "--batch", "8",
+                     "--out", path, *TINY_MODEL]) == 0
+    return path
+
+
+def resave(src, dst, edit=None, **config_changes):
+    """Write the checkpoint src to dst with its blocks passed through edit
+    (a function updating a name -> array dict) and its config changed."""
+    with open(src, "rb") as fh:
+        params, config = model.load_checkpoint(fh)
+    arrays = dict(params.blocks, embedding=params.embedding)
+    if edit is not None:
+        edit(arrays)
+    embedding = arrays.pop("embedding")
+    with open(dst, "wb") as fh:
+        model.save_checkpoint(fh, model.ModelParameters(arrays, embedding, config.train_embedding),
+                              replace(config, **config_changes))
+    return str(dst)
+
+
+class TestBadInputExitsOne:
+    """A fault in an input file exits 1 under its own ERROR code, as a bad flag does."""
+
+    def argv(self, code, pipeline_dir, checkpoint, tmp_path):
+        ds, fused = pipeline_dir["dataset"], pipeline_dir["fused"]
+
+        def write(data):
+            path = tmp_path / "bad"
+            path.write_bytes(data)
+            return str(path)
+
+        def inspect(fmt, data):
+            return ["inspect", write(data), "--format", fmt]
+
+        def prepare(data):
+            return ["prepare", "--csv", write(data), "--out", str(tmp_path / "d.ds")]
+
+        def empty_train_split():
+            empty, fused_empty = str(tmp_path / "empty.ds"), str(tmp_path / "empty.bin")
+            assert dispatch(["prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                             "--out", empty, "--max-len", "16", "--train-fraction", "0.01"]) == 0
+            assert dispatch(["fuse", "--emb1", glove_a() + ":glove", "--emb2",
+                             fasttext_b() + ":fasttext", "--dataset", empty,
+                             "--out", fused_empty]) == 0
+            return ["train", "--dataset", empty, "--fused", fused_empty, "--optimizer", "sgd",
+                    "--lr", "0.01", "--epochs", "1", "--out", str(tmp_path / "m.ckpt"),
+                    *TINY_MODEL]
+
+        def short_embedding():
+            ckpt = resave(checkpoint, tmp_path / "short.ckpt",
+                          lambda a: a.update(embedding=a["embedding"][:3]))
+            return ["eval", "--dataset", ds, "--ckpt", ckpt]
+
+        header = b"Name of the shop place,Title of the review,Review,Rate\n"
+        return {
+            "parse-float": lambda: inspect("glove", b"a 1 2\nb 3 x\n"),
+            "bad-header": lambda: inspect("fasttext", b"x y\na 1 2\n"),
+            "truncated-record": lambda: inspect("w2v-bin", b"1 2\nabc"),
+            "empty-input": lambda: inspect("glove", b""),
+            "dim-mismatch": lambda: ["fuse", "--emb1", glove_a() + ":glove",
+                                     "--emb2", write(b"a 1 2\n") + ":glove",
+                                     "--dataset", ds, "--out", str(tmp_path / "f.bin")],
+            "missing-column": lambda: prepare(b"Name of the shop place,Review,Rate\nS,good,5\n"),
+            "empty-file": lambda: prepare(b""),
+            "too-few-examples": lambda: prepare(header + b"S,T,good stay,5\n" * 3),
+            "empty-dataset": empty_train_split,
+            "index-out-of-range": short_embedding,
+        }[code]()
+
+    @pytest.mark.parametrize("code", [
+        "parse-float", "bad-header", "truncated-record", "empty-input", "dim-mismatch",
+        "missing-column", "empty-file", "too-few-examples", "empty-dataset",
+        "index-out-of-range"])
+    def test_fault_exits_one_under_its_code(self, capsys, pipeline_dir, checkpoint, tmp_path,
+                                            code):
+        argv = self.argv(code, pipeline_dir, checkpoint, tmp_path)
+        capsys.readouterr()
+        exit_code, out, err = run_without_warnings(capsys, *argv)
+        assert exit_code == 1
+        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name,edit,config_changes", [
+        ("dense_b", lambda a: a.update(dense_b=np.zeros(5)), {}),
+        ("lstm_fw_b", lambda a: a.update(lstm_fw_b=a["lstm_fw_b"].reshape(2, -1)), {}),
+        ("embedding", lambda a: a.update(embedding=a["embedding"][0]), {}),
+        ("embedding", lambda a: a.update(embedding=a["embedding"][:, :3]), {}),
+        ("gru_bw_U", lambda a: a.update(gru_bw_U=a["gru_bw_U"][:3, :3]), {}),
+        ("embedding", None, {"emb_dim": 5}),
+        ("gru_fw_W", None, {"gru_units": 5}),
+    ], ids=["dense_b-length", "lstm_fw_b-2d", "embedding-1d", "embedding-width",
+            "gru_bw_U-3x3", "config-emb_dim", "config-gru_units"])
+    def test_checkpoint_block_of_the_wrong_shape_is_named(self, capsys, pipeline_dir, checkpoint,
+                                                          tmp_path, name, edit, config_changes):
+        ckpt = resave(checkpoint, tmp_path / "bad.ckpt", edit, **config_changes)
+        code, out, err = run_without_warnings(capsys, "eval", "--dataset", pipeline_dir["dataset"],
+                                              "--ckpt", ckpt)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"ERROR invalid: checkpoint block {name!r} has shape ")
+        assert err.count("\n") == 1, err

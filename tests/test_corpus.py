@@ -26,14 +26,7 @@ from embfuse.corpus import (
     tokenize,
     write_dataset,
 )
-from embfuse.errors import (
-    EmptyFileError,
-    EmptyInputError,
-    MissingColumnError,
-    OutOfRangeError,
-    TooFewExamplesError,
-    ValidationError,
-)
+from embfuse.errors import ValidationError
 
 HEADER = "Name of the shop place,Title of the review,Review,Rate\n"
 
@@ -76,13 +69,15 @@ class TestCsvLoader:
 
     def test_missing_column_named_in_error(self):
         data = "Name of the shop place,Title of the review,Review\nS,T,R\n".encode()
-        with pytest.raises(MissingColumnError) as exc:
+        with pytest.raises(ValidationError) as exc:
             load_reviews_csv(data)
+        assert exc.value.code == "missing-column"
         assert "Rate" in str(exc.value)
 
     def test_empty_file_rejected(self):
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(ValidationError) as exc:
             load_reviews_csv(b"")
+        assert exc.value.code == "empty-file"
 
     def test_bad_rows_dropped_and_counted(self):
         records, dropped = load_reviews_csv(csv_bytes(
@@ -127,8 +122,9 @@ class TestDominantPlace:
         assert report.place == "A" and report.kept == 2
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValidationError) as exc:
             filter_dominant_place([])
+        assert exc.value.code == "empty-input"
 
 
 class TestBuckets:
@@ -155,8 +151,9 @@ class TestBuckets:
 
     def test_out_of_range_rate_rejected(self):
         for rate in (0, 6, "3"):
-            with pytest.raises(OutOfRangeError):
+            with pytest.raises(ValidationError) as exc:
                 rate_to_label(rate)
+            assert exc.value.code == "out-of-range"
 
 
 class TestTokenizeAndLemma:
@@ -259,8 +256,9 @@ class TestSplit:
         assert [id(e) for e in a[0]] != [id(e) for e in b[0]]
 
     def test_too_few_examples_rejected(self):
-        with pytest.raises(TooFewExamplesError):
+        with pytest.raises(ValidationError) as exc:
             split_train_test(self.examples({0: 9}), 0.9, 0)
+        assert exc.value.code == "too-few-examples"
 
     def test_bad_fraction_rejected(self):
         for frac in (0.0, 1.0, -0.5):

@@ -1,4 +1,4 @@
-"""Seeded corruption of the CLI's inputs: every run exits 0 or prints one ERROR line.
+"""Seeded corruption of the CLI's inputs: every run exits 0, or exits 1 with one ERROR line.
 
 A prepared dataset, a history CSV, a config file, a pair manifest, a review
 CSV, a lemma table, the glove and fasttext embedding fixtures and a fused
@@ -13,7 +13,8 @@ rules, fallback stages, tables, star buckets, a split) takes an empty value,
 an unknown name, a repeated name and, for a table, a missing ``:FORMAT``, by
 both routes. A run with a bad flag value that fails parses no embedding table
 and starts no learning-rate search.
-A run must exit 0 with nothing on stderr, or print exactly one
+A run must exit 0 with nothing on stderr, or exit 1 (the code of every bad
+input, whatever its ``<code>``) and print exactly one
 ``ERROR <code>: <message>`` line; it must never raise or warn.
 """
 import json
@@ -178,7 +179,7 @@ def test_corrupted_input_ends_in_exit_0_or_one_error_line(
     if code == 0:
         assert err == ""
     else:
-        assert code in (1, 2)
+        assert code == 1
         assert ERROR_LINE.fullmatch(err), err
 
 
@@ -300,7 +301,7 @@ def test_out_of_range_flag_value_ends_in_exit_0_or_one_error_line(
     if code == 0:
         assert err == ""
     else:
-        assert code in (1, 2)
+        assert code == 1
         assert ERROR_LINE.fullmatch(err), err
         assert heavy_calls == []
 
@@ -329,6 +330,6 @@ def test_bad_text_flag_fails_before_any_table_parse(
     if code == 0:
         assert err == ""
     else:
-        assert code in (1, 2)
+        assert code == 1
         assert ERROR_LINE.fullmatch(err), err
         assert heavy_calls == []

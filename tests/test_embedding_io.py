@@ -17,14 +17,7 @@ from embfuse.embedding_io import (
     parse_word2vec_binary,
     write_word2vec_binary,
 )
-from embfuse.errors import (
-    BadHeaderError,
-    DimMismatchError,
-    EmptyInputError,
-    ParseFloatError,
-    TruncatedRecordError,
-    ValidationError,
-)
+from embfuse.errors import ValidationError
 from embfuse.seeding import derive_rng
 
 
@@ -75,29 +68,35 @@ class TestGlove:
         assert any("duplicate" in w for w in table.warnings)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(b"")
-        with pytest.raises(EmptyInputError):
+        assert exc.value.code == "empty-input"
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(b"\n\n")
+        assert exc.value.code == "empty-input"
 
     def test_dim_mismatch_reports_line_number(self):
-        with pytest.raises(DimMismatchError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(b"a 1 2\nb 3\n")
-        assert exc.value.line_no == 2
+        assert exc.value.code == "dim-mismatch"
+        assert str(exc.value).startswith("line 2: ")
 
     def test_bad_float_reports_line_number(self):
-        with pytest.raises(ParseFloatError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(b"a 1 2\nb x 4\n")
-        assert exc.value.line_no == 2
+        assert exc.value.code == "parse-float"
+        assert str(exc.value).startswith("line 2: ")
 
     def test_non_finite_component_rejected(self):
         for bad in (b"a inf 2\n", b"a 1 nan\n"):
-            with pytest.raises(ParseFloatError):
+            with pytest.raises(ValidationError) as exc:
                 parse_glove_text(bad)
+            assert exc.value.code == "parse-float"
 
     def test_token_only_line_rejected(self):
-        with pytest.raises((DimMismatchError, ParseFloatError)):
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(b"loneword\n")
+        assert exc.value.code == "dim-mismatch"
 
     def test_accepts_chunked_byte_iterable(self):
         data = b"alpha 1.5 -2.5\nbeta 0.25 8.0\n"
@@ -125,14 +124,17 @@ class TestFasttext:
         assert np.array_equal(table.mean, [2.5, 3.5, 4.5])
 
     def test_bad_header_rejected(self):
-        with pytest.raises(BadHeaderError):
+        with pytest.raises(ValidationError) as exc:
             parse_fasttext_text(b"x y\na 1 2\n")
-        with pytest.raises(BadHeaderError):
+        assert exc.value.code == "bad-header"
+        with pytest.raises(ValidationError) as exc:
             parse_fasttext_text(b"3\na 1 2\n")
+        assert exc.value.code == "bad-header"
 
     def test_header_without_rows_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValidationError) as exc:
             parse_fasttext_text(b"0 300\n")
+        assert exc.value.code == "empty-input"
 
     def test_count_mismatch_warns_but_parses(self):
         table = parse_fasttext_text(b"5 2\na 1 2\nb 3 4\n")
@@ -140,8 +142,9 @@ class TestFasttext:
         assert any("count mismatch" in w for w in table.warnings)
 
     def test_dim_mismatch_against_header(self):
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ValidationError) as exc:
             parse_fasttext_text(b"1 3\na 1 2\n")
+        assert exc.value.code == "dim-mismatch"
 
 
 # --- word2vec binary ---
@@ -184,18 +187,21 @@ class TestWord2vecBinary:
     def test_truncated_floats_reports_record(self):
         row = np.array([0.5, 1.5], dtype="<f4").tobytes()
         data = b"2 2\na " + row + b"b " + row[:5]
-        with pytest.raises(TruncatedRecordError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_word2vec_binary(data)
-        assert exc.value.record_no == 2
+        assert exc.value.code == "truncated-record"
+        assert str(exc.value).startswith("record 2: ")
 
     def test_truncated_token_reports_record(self):
-        with pytest.raises(TruncatedRecordError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_word2vec_binary(b"1 2\nabc")
-        assert exc.value.record_no == 1
+        assert exc.value.code == "truncated-record"
+        assert str(exc.value).startswith("record 1: ")
 
     def test_missing_header_rejected(self):
-        with pytest.raises(BadHeaderError):
+        with pytest.raises(ValidationError) as exc:
             parse_word2vec_binary(b"12 3")
+        assert exc.value.code == "bad-header"
 
     def test_non_utf8_token_replaced_with_warning(self):
         row = np.array([1.0], dtype="<f4").tobytes()
@@ -239,8 +245,9 @@ class TestTableOps:
     def test_validate_catches_bad_indices(self):
         table = make_table(["a", "b"], [[1.0], [2.0]])
         table.vocab["b"] = 5
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ValidationError) as exc:
             table.validate()
+        assert exc.value.code == "dim-mismatch"
 
     def test_dispatch_routes_all_formats(self, tmp_path):
         glove = parse_embedding(b"a 1 2\n", "glove")
@@ -418,32 +425,34 @@ class TestErrorsDeepInFile:
         return ("\n".join(lines) + "\n").encode("ascii")
 
     def test_bad_float_reports_its_line(self):
-        with pytest.raises(ParseFloatError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(self.glove_bytes(5000, "bad 1.5 x"))
-        assert exc.value.line_no == 5000
+        assert exc.value.code == "parse-float"
         assert str(exc.value) == "line 5000: cannot parse 'x' as a float"
 
     def test_non_finite_reports_its_line(self):
-        with pytest.raises(ParseFloatError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(chunked(self.glove_bytes(5001, "bad nan 2"), 4099))
-        assert exc.value.line_no == 5001
+        assert exc.value.code == "parse-float"
         assert str(exc.value) == "line 5001: non-finite component 'nan'"
 
     def test_dim_mismatch_reports_its_line(self):
-        with pytest.raises(DimMismatchError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(self.glove_bytes(4999, "bad 1 2 3"))
-        assert exc.value.line_no == 4999
+        assert exc.value.code == "dim-mismatch"
         assert str(exc.value) == "line 4999: 3 components, expected 2"
         ft = f"{self.N} 2\n".encode("ascii") + self.glove_bytes(4999, "bad 1 2 3")
-        with pytest.raises(DimMismatchError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_fasttext_text(ft)
-        assert exc.value.line_no == 5000
+        assert exc.value.code == "dim-mismatch"
+        assert str(exc.value).startswith("line 5000: ")
 
     def test_width_change_at_a_block_edge_reports_its_line(self):
         lines = [f"w{i} 1 2" if i <= BLOCK_ROWS else f"w{i} 1 2 3" for i in range(1, self.N + 1)]
-        with pytest.raises(DimMismatchError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(("\n".join(lines) + "\n").encode("ascii"))
-        assert exc.value.line_no == BLOCK_ROWS + 1
+        assert exc.value.code == "dim-mismatch"
+        assert str(exc.value).startswith(f"line {BLOCK_ROWS + 1}: ")
 
     def test_first_error_wins_across_a_block(self):
         data = self.glove_bytes(5200, "bad 1 2 3")
@@ -461,23 +470,25 @@ class TestErrorsDeepInFile:
         return bytes(out)
 
     def test_w2v_non_finite_reports_its_record(self):
-        with pytest.raises(ParseFloatError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_word2vec_binary(self.w2v_bytes(nan_record=5000))
+        assert exc.value.code == "parse-float"
         assert str(exc.value) == "record 5000: non-finite component"
 
     def test_w2v_non_finite_before_truncation_wins(self):
         data = self.w2v_bytes(nan_record=4990)
         cut = data.index(b"w5000 ") + 8
-        with pytest.raises(ParseFloatError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_word2vec_binary(data[:cut])
+        assert exc.value.code == "parse-float"
         assert str(exc.value) == "record 4990: non-finite component"
 
     def test_w2v_truncation_reports_its_record(self):
         data = self.w2v_bytes()
         cut = data.index(b"w4999 ") + 8
-        with pytest.raises(TruncatedRecordError) as exc:
+        with pytest.raises(ValidationError) as exc:
             parse_word2vec_binary(chunked(data[:cut], 4099))
-        assert exc.value.record_no == 5000
+        assert exc.value.code == "truncated-record"
         assert str(exc.value) == "record 5000: stream ended in floats"
 
     def test_w2v_huge_declared_count_allocates_nothing_for_it(self):
@@ -485,11 +496,11 @@ class TestErrorsDeepInFile:
         data = b"1000000000 300\nonly " + row
         tracemalloc.start()
         try:
-            with pytest.raises(TruncatedRecordError) as exc:
+            with pytest.raises(ValidationError) as exc:
                 parse_word2vec_binary(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exc.value.record_no == 2
+        assert exc.value.code == "truncated-record"
         assert str(exc.value) == "record 2: stream ended in token"
         assert peak < 1 << 20

@@ -4,11 +4,7 @@ import pytest
 
 from embfuse.corpus import CorpusDictionaries, build_dictionaries
 from embfuse.embedding_io import EmbeddingTable
-from embfuse.errors import (
-    DimMismatchError,
-    EmptyDictionariesError,
-    ValidationError,
-)
+from embfuse.errors import ValidationError
 from embfuse.fusion import (
     FALLBACK_STAGES,
     BranchCounts,
@@ -94,10 +90,12 @@ class TestVectorOps:
         assert np.array_equal(out, [4.0, 8.0])
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ValidationError) as exc:
             fuse_both([1.0], [1.0, 2.0], [0.0], [0.0])
-        with pytest.raises(DimMismatchError):
+        assert exc.value.code == "dim-mismatch"
+        with pytest.raises(ValidationError) as exc:
             fuse_second_only([1.0], [0.0, 1.0], [0.0])
+        assert exc.value.code == "dim-mismatch"
 
 
 class TestCandidateKeys:
@@ -262,13 +260,15 @@ class TestBuildFusedMatrix:
     def test_dim_mismatch_rejected(self):
         t1 = make_table(["a"], [[1.0, 2.0]])
         t2 = make_table(["a"], [[1.0]])
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ValidationError) as exc:
             build_fused_matrix(dicts_for(["a"]), t1, t2)
+        assert exc.value.code == "dim-mismatch"
 
     def test_empty_dictionary_rejected(self):
         t = make_table(["a"], [[1.0]])
-        with pytest.raises(EmptyDictionariesError):
+        with pytest.raises(ValidationError) as exc:
             build_fused_matrix(CorpusDictionaries({}, {}, 2), t, t)
+        assert exc.value.code == "empty-dictionaries"
 
     @pytest.mark.parametrize("fill", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_unknown_fill_rejected(self, fill):

@@ -8,11 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from embfuse.errors import (
-    IndexOutOfRangeError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from embfuse.errors import ValidationError
 from embfuse.model import (
     ModelConfig,
     confusion_matrix,
@@ -154,12 +150,14 @@ class TestCellOracles:
             assert np.allclose(c[row], c1, atol=1e-15, rtol=0)
 
     def test_cell_shape_validation(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError) as exc:
             lstm_cell_step(np.zeros(3), np.zeros(2), np.zeros(2),
                            (np.zeros((3, 9)), np.zeros((2, 8)), np.zeros(8)))
-        with pytest.raises(ShapeMismatchError):
+        assert exc.value.code == "shape-mismatch"
+        with pytest.raises(ValidationError) as exc:
             gru_cell_step(np.zeros(3), np.zeros(2),
                           (np.zeros((3, 6)), np.zeros((2, 7)), np.zeros(6)))
+        assert exc.value.code == "shape-mismatch"
 
 
 class TestDirectionLayers:
@@ -427,8 +425,9 @@ class TestForwardInvariances:
         params = init_parameters(config, emb)
         bad = x.copy()
         bad[0, -1] = emb.shape[0]
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ValidationError) as exc:
             forward(bad, params, config)
+        assert exc.value.code == "index-out-of-range"
 
     def test_training_dropout_requires_rng(self):
         config = tiny_config(dropout_rate=0.5)
@@ -478,8 +477,9 @@ class TestInit:
 
     def test_embedding_shape_checked(self):
         config = tiny_config()
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError) as exc:
             init_parameters(config, np.zeros((4, config.emb_dim + 1)))
+        assert exc.value.code == "shape-mismatch"
 
 
 class TestFlatPacking:
@@ -504,8 +504,9 @@ class TestFlatPacking:
         config = tiny_config()
         _, _, emb = tiny_batch(config)
         params = init_parameters(config, emb)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError) as exc:
             from_flat(params, config, np.zeros(3))
+        assert exc.value.code == "shape-mismatch"
 
     @pytest.mark.parametrize("train_embedding", [False, True])
     def test_grads_to_flat_inverts_split(self, train_embedding):
@@ -610,10 +611,12 @@ class TestEvaluatePredict:
         config = tiny_config()
         x, labels, emb = tiny_batch(config)
         params = init_parameters(config, emb)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError) as exc:
             loss_and_grad(x, labels[:-1], params, config)
-        with pytest.raises(IndexOutOfRangeError):
+        assert exc.value.code == "shape-mismatch"
+        with pytest.raises(ValidationError) as exc:
             loss_and_grad(x, labels * 0 + 3, params, config)
+        assert exc.value.code == "index-out-of-range"
 
     def test_confusion_matrix_counts(self):
         cm = confusion_matrix(np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2]))

@@ -9,13 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from embfuse.errors import (
-    AllDivergedError,
-    EmptyDatasetError,
-    NonFiniteGradientError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from embfuse.errors import AllDivergedError, NonFiniteGradientError, ValidationError
 from embfuse.model import ModelConfig, load_checkpoint, save_checkpoint, stack_size
 from embfuse.optim import (
     DEFAULT_LR,
@@ -130,10 +124,12 @@ class TestStepRules:
 
     def test_step_shape_and_finiteness_guards(self):
         opt = make_optimizer(OptimizerSpec(kind="sgd", learning_rate=0.1), 3)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError) as exc:
             opt.step(np.zeros(4), np.zeros(4))
-        with pytest.raises(ShapeMismatchError):
+        assert exc.value.code == "shape-mismatch"
+        with pytest.raises(ValidationError) as exc:
             opt.step(np.zeros(3), np.zeros(2))
+        assert exc.value.code == "shape-mismatch"
         with pytest.raises(NonFiniteGradientError):
             opt.step(np.zeros(3), np.array([1.0, np.nan, 0.0]))
         with pytest.raises(NonFiniteGradientError):
@@ -161,8 +157,9 @@ class TestInPlaceStep:
     def test_bad_out_rejected_and_state_untouched(self):
         opt = make_optimizer(OptimizerSpec(kind="sgd_momentum", learning_rate=0.1), 4)
         w = np.zeros(4)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValidationError) as exc:
             opt.step(w, np.ones(4), out=w.copy())
+        assert exc.value.code == "shape-mismatch"
         with pytest.raises(NonFiniteGradientError):
             opt.step(w, np.array([1.0, np.nan, 0.0, 0.0]), out=w)
         assert np.array_equal(w, np.zeros(4)) and not opt.velocity.any()
@@ -256,9 +253,10 @@ class TestTrain:
 
     def test_empty_train_split_rejected(self, tiny_embedding):
         empty = SplitDataset(np.zeros((0, 12)), np.zeros(0), np.zeros((0, 12)), np.zeros(0))
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ValidationError) as exc:
             train(empty, tiny_embedding, small_config(),
                   OptimizerSpec(kind="sgd", learning_rate=0.1))
+        assert exc.value.code == "empty-dataset"
 
     def test_bad_loop_arguments_rejected(self, tiny_dataset, tiny_embedding):
         spec = OptimizerSpec(kind="sgd", learning_rate=0.1)
