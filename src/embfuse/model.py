@@ -186,10 +186,9 @@ class ModelParameters:
         """A stack of k runs, each starting from a copy of these weights."""
         return self._over(np.repeat(self.flat[None], k, axis=0), share_embedding=True)
 
-    def run(self, key) -> "ModelParameters":
-        """Of a stack: run key (an int) as a set viewing its row of ``flat``,
-        or the runs a list of ints picks, copied into a new stack."""
-        return self._over(self.flat[key], share_embedding=True)
+    def run(self, k: int) -> "ModelParameters":
+        """Of a stack: run k as a set viewing its row of ``flat``."""
+        return self._over(self.flat[k], share_embedding=True)
 
 
 def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:

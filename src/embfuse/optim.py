@@ -13,7 +13,9 @@ On top of the rules sits one epoch loop with per-epoch metrics,
 and rate, one optimizer per run, with one forward and backward pass per
 batch for the whole stack. A single run (``train``), a learning-rate range
 search over a log grid (its probes stacked) and an optimizer-by-embedding
-sweep (the cells of each pair stacked) all go through it.
+sweep (the cells of each pair stacked) all go through it. A run whose loss or
+gradient goes non-finite is marked diverged and stops stepping in place; its
+row keeps its weights from before that batch, and the other runs go on.
 """
 from __future__ import annotations
 
@@ -232,11 +234,15 @@ class TrainingHistory:
     test_accuracy: List[float] = field(default_factory=list)
     epoch_seconds: List[float] = field(default_factory=list)
     diverged: bool = False
-    diverged_epoch: Optional[int] = None
 
     @property
     def epochs(self) -> List[int]:
         return list(range(1, len(self.train_loss) + 1))
+
+    @property
+    def diverged_epoch(self) -> Optional[int]:
+        """The epoch a diverged run stopped in, the one after its last recorded epoch."""
+        return len(self.train_loss) + 1 if self.diverged else None
 
 
 def check_loop(data: SplitDataset, epochs: int, batch_size: int, seed: int) -> None:
@@ -280,9 +286,11 @@ def train_runs(
 
     Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
     aggregates training-mode predictions, test metrics are inference-mode over
-    the whole test split. A run whose loss or gradient goes non-finite leaves
-    the stack, marked diverged, with its recorded epochs, which stay finite,
-    and its weights from before that batch; the others go on.
+    the whole test split. A run whose loss or gradient goes non-finite is
+    marked diverged, keeps its recorded epochs, which stay finite, and stops
+    stepping in place; its row keeps its weights from before that batch. The
+    row is not evaluated again, but it still costs its share of every later
+    forward and backward pass of the stack. The others go on.
     """
     check_loop(data, epochs, batch_size, seed)
     if not specs:
@@ -294,8 +302,7 @@ def train_runs(
     dropout = config.spatial_dropout_rate > 0 or config.dropout_rate > 0
     n = data.train_x.shape[0]
     starts = range(0, n, batch_size)
-    live = list(range(len(specs)))  # the runs still training: rows of params
-    stack = params  # their weights, one row each; a copy once a run has left
+    live = list(range(len(specs)))  # the runs still stepping: rows of params
     for epoch in range(1, epochs + 1):
         started = time.perf_counter()
         order = derive_rng(seed, "shuffle", epoch).permutation(n)
@@ -306,28 +313,19 @@ def train_runs(
             xb = data.train_x[idx]
             yb = data.train_y[idx]
             rng = derive_rng(seed, "dropout", epoch, bi) if dropout else None
-            losses, probs, grad = _loss_probs_grad(xb, yb, stack, config, rng)
-            stepped = [_stepped(steppers[k], w, g, loss)
-                       for k, w, g, loss in zip(live, stack.flat, grad, losses)]
-            batch_losses[live, bi] = losses
-            correct[live] += (probs.argmax(axis=-1) == yb).sum(axis=-1)
-            if all(stepped):
-                continue
-            # the diverged leave the stack with their weights from before this batch
-            if stack is not params:
-                params.flat[live] = stack.flat
-            for k, ok in zip(live, stepped):
-                if not ok:
+            losses, probs, grad = _loss_probs_grad(xb, yb, params, config, rng)
+            batch_losses[:, bi] = losses
+            correct += (probs.argmax(axis=-1) == yb).sum(axis=-1)
+            for k in live:
+                if not _stepped(steppers[k], params.flat[k], grad[k], losses[k]):
                     histories[k].diverged = True
-                    histories[k].diverged_epoch = epoch
-            live = [k for k, ok in zip(live, stepped) if ok]
-            stack = params.run(live)
+            live = [k for k in live if not histories[k].diverged]
             if not live:
                 break
         trained = time.perf_counter() - started  # shared by the stack
-        for j, k in enumerate(live):  # every run still live stepped every batch
+        for k in live:  # every run still live stepped every batch
             evaluated = time.perf_counter()
-            test_loss, test_acc = evaluate(data.test_x, data.test_y, stack.run(j), config)
+            test_loss, test_acc = evaluate(data.test_x, data.test_y, params.run(k), config)
             history = histories[k]
             history.train_loss.append(float(np.mean(batch_losses[k])))
             history.train_accuracy.append(int(correct[k]) / n)
@@ -336,8 +334,6 @@ def train_runs(
             history.epoch_seconds.append(trained + time.perf_counter() - evaluated)
         if not live:
             break
-    if stack is not params:
-        params.flat[live] = stack.flat
     return params, histories
 
 
@@ -432,12 +428,7 @@ def lr_range_search(
     probes = [LrProbe(h.learning_rate, list(h.train_loss),
                       math.inf if h.diverged else h.train_loss[-1], h.diverged)
               for h in _stacked_histories(data, embedding, config, specs, epochs, batch_size, seed)]
-    best: Optional[LrProbe] = None
-    for probe in probes:
-        if probe.diverged:
-            continue
-        if best is None or probe.final_loss < best.final_loss:
-            best = probe
+    best = min((p for p in probes if not p.diverged), key=lambda p: p.final_loss, default=None)
     if best is None:
         raise AllDivergedError("every learning rate in the grid diverged", probes)
     return best.learning_rate, probes
@@ -524,7 +515,8 @@ def write_history_csv(histories: Sequence[TrainingHistory], fh) -> None:
 
 
 def read_history_csv(fh) -> List[TrainingHistory]:
-    """Rebuild histories from write_history_csv output (wall times excluded)."""
+    """Rebuild histories from write_history_csv output (wall times excluded),
+    refusing any row the writer could not have written."""
     rows = csv_rows(fh, "history CSV line")
     _, header = next(rows, (0, None))
     if header != _HISTORY_COLUMNS:
@@ -541,7 +533,16 @@ def read_history_csv(fh) -> List[TrainingHistory]:
         try:
             lr, seed, epoch = float(row[2]), int(row[3]), int(row[4])
             metrics = [float(v) for v in row[5:9]] if epoch else []
-        except ValueError as exc:
+            OptimizerSpec(row[1], lr)
+            check_seed(seed)
+            if row[9] not in ("0", "1"):
+                raise ValidationError(f"run_diverged must be 0 or 1, not {row[9]!r}")
+            for name, value in zip(_HISTORY_COLUMNS[5:9], metrics):
+                if name.startswith("test") and math.isnan(value):
+                    continue  # an empty test split
+                if not math.isfinite(value) or (name.endswith("accuracy") and not 0 <= value <= 1):
+                    raise ValidationError(f"{name} {value!r} is out of range")
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"history CSV line {line_no}: {exc}") from None
         key = tuple(row[:4])
         if key != last_key:
@@ -554,16 +555,10 @@ def read_history_csv(fh) -> List[TrainingHistory]:
             raise ValidationError(f"history CSV line {line_no}: epoch {epoch} does not "
                                   f"follow epoch {last_epoch} of the same run")
         last_key, last_epoch = key, epoch
-        diverged = row[9] == "1"
-        if diverged:
-            current.diverged = True
-        if epoch == 0:
-            current.diverged_epoch = 1
-            continue
-        current.train_loss.append(metrics[0])
-        current.train_accuracy.append(metrics[1])
-        current.test_loss.append(metrics[2])
-        current.test_accuracy.append(metrics[3])
-        if diverged:
-            current.diverged_epoch = len(current.train_loss) + 1
+        current.diverged |= row[9] == "1"
+        if metrics:
+            current.train_loss.append(metrics[0])
+            current.train_accuracy.append(metrics[1])
+            current.test_loss.append(metrics[2])
+            current.test_accuracy.append(metrics[3])
     return out

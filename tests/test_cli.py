@@ -213,6 +213,34 @@ class TestMalformedHistory:
         assert code == 1
         assert err == f"ERROR invalid: history CSV line 2: {message}\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("run_diverged", "yes", "run_diverged must be 0 or 1, not 'yes'"),
+        ("run_diverged", "x", "run_diverged must be 0 or 1, not 'x'"),
+        ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'; "
+                                 "expected one of sgd, sgd_momentum, adagrad, adadelta, adam"),
+        ("learning_rate", "-0.05", "learning_rate must be positive and finite"),
+        ("seed", "-1", "seed must be a non-negative integer, got -1"),
+        ("train_loss", "inf", "train_loss inf is out of range"),
+        ("train_accuracy", "nan", "train_accuracy nan is out of range"),
+        ("train_accuracy", "1.5", "train_accuracy 1.5 is out of range"),
+        ("test_loss", "inf", "test_loss inf is out of range"),
+        ("test_accuracy", "-2", "test_accuracy -2.0 is out of range"),
+    ], ids=["flag-yes", "flag-x", "optimizer", "negative-rate", "negative-seed",
+            "inf-train-loss", "nan-train-accuracy", "train-accuracy-above-1", "inf-test-loss",
+            "negative-test-accuracy"])
+    def test_report_refuses_a_row_the_writer_cannot_write(self, capsys, tmp_path, field, value,
+                                                          message):
+        good = dict(zip(self.HEADER.strip().split(","),
+                        ["p", "sgd", "0.05", "7", "1", "1.0", "0.5", "1.0", "0.5", "0"]))
+        rows = [dict(good, epoch=str(epoch), **{field: value}) for epoch in (1, 2)]
+        history = tmp_path / "h.csv"
+        history.write_text(self.HEADER + "".join(",".join(row.values()) + "\n" for row in rows))
+        code, out, err = run(capsys, "report", "--history", str(history),
+                             "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"ERROR invalid: history CSV line 2: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestCsvInput:
     """CSV inputs that the csv module cannot split, or whose values are not usable."""

@@ -347,6 +347,26 @@ class TestTrainRuns:
         batches = math.ceil(len(tiny_dataset.train_y) / 16)
         assert [h.epoch_seconds for h in histories] == [[batches + 10.0] * 2] * 3
 
+    def test_diverged_run_stays_in_the_one_stack(self, tiny_dataset, tiny_embedding,
+                                                 monkeypatch):
+        from embfuse import optim
+        real_loss_probs_grad = optim._loss_probs_grad
+        seen = []
+
+        def recording(x, labels, params, config, rng):
+            seen.append(params.flat)
+            return real_loss_probs_grad(x, labels, params, config, rng)
+
+        monkeypatch.setattr(optim, "_loss_probs_grad", recording)
+        overrides, pairs, batch_size, _ = STACKS["diverging-member"]
+        specs = [OptimizerSpec(kind=kind, learning_rate=lr) for kind, lr in pairs]
+        params, histories = train_runs(tiny_dataset, tiny_embedding, small_config(**overrides),
+                                       specs, epochs=2, batch_size=batch_size, seed=5)
+        assert [h.diverged for h in histories] == [False, True, False]
+        assert params.flat.shape[0] == 3 and len(seen) > 1
+        assert all(flat.shape == params.flat.shape and np.shares_memory(flat, params.flat)
+                   for flat in seen)
+
     def test_stack_size_rule(self):
         # the paper model at batch 32 needs about 165 MB of training stores per run
         assert stack_size(ModelConfig(), 32) == 1
@@ -448,6 +468,24 @@ class TestLrRangeSearch:
         assert [p.learning_rate for p in probes] == [1e307, 1e308]
         assert all(p.diverged and p.final_loss == math.inf for p in probes)
 
+    def test_equal_final_losses_pick_the_smaller_rate(self, tiny_dataset, tiny_embedding,
+                                                       monkeypatch):
+        from embfuse import optim
+        from embfuse.optim import TrainingHistory
+        losses = {1e-4: [], 1e-3: [0.9, 0.5], 1e-2: [0.8, 0.5], 1e-1: [0.7, 0.6]}
+
+        def fake_histories(data, embedding, config, specs, epochs, batch_size, seed):
+            return [TrainingHistory(pair="", optimizer=spec.kind, learning_rate=spec.learning_rate,
+                                    seed=seed, train_loss=losses[spec.learning_rate],
+                                    diverged=not losses[spec.learning_rate])
+                    for spec in specs]
+
+        monkeypatch.setattr(optim, "_stacked_histories", fake_histories)
+        best, probes = lr_range_search(tiny_dataset, tiny_embedding, small_config(),
+                                       "sgd", grid=list(losses), epochs=2)
+        assert [p.final_loss for p in probes] == [math.inf, 0.5, 0.5, 0.6]
+        assert best == 1e-3
+
     def test_empty_grid_rejected(self, tiny_dataset, tiny_embedding):
         with pytest.raises(ValidationError):
             lr_range_search(tiny_dataset, tiny_embedding, small_config(),
@@ -489,7 +527,7 @@ class TestHistoryCsv:
     def test_zero_epoch_diverged_row(self):
         from embfuse.optim import TrainingHistory
         hist = TrainingHistory(pair="p", optimizer="sgd", learning_rate=1e300,
-                               seed=1, diverged=True, diverged_epoch=1)
+                               seed=1, diverged=True)
         fh = io.StringIO()
         write_history_csv([hist], fh)
         lines = fh.getvalue().splitlines()
@@ -497,6 +535,32 @@ class TestHistoryCsv:
         assert lines[1] == "p,sgd,1e+300,1,0,,,,,1"
         back = read_history_csv(io.StringIO(fh.getvalue()))
         assert back[0].diverged and back[0].train_loss == []
+
+    @pytest.mark.parametrize("recorded", [0, 2])
+    def test_round_trip_keeps_the_divergence_epoch(self, recorded):
+        from embfuse.optim import TrainingHistory
+        metrics = [[1.0 - 0.1 * e for e in range(recorded)], [0.5] * recorded]
+        hist = TrainingHistory(pair="p", optimizer="sgd", learning_rate=0.5, seed=1,
+                               train_loss=metrics[0], train_accuracy=metrics[1],
+                               test_loss=metrics[0], test_accuracy=metrics[1], diverged=True)
+        assert hist.diverged_epoch == recorded + 1
+        fh = io.StringIO()
+        write_history_csv([hist], fh)
+        (back,) = read_history_csv(io.StringIO(fh.getvalue()))
+        assert back.diverged and back.train_loss == hist.train_loss
+        assert back.diverged_epoch == recorded + 1
+
+    def test_empty_test_split_reads_back(self, tiny_dataset, tiny_embedding):
+        data = SplitDataset(tiny_dataset.train_x, tiny_dataset.train_y,
+                            np.zeros((0, 12)), np.zeros(0))
+        _, hist = train(data, tiny_embedding, small_config(),
+                        OptimizerSpec(kind="sgd", learning_rate=0.1),
+                        epochs=2, batch_size=16, seed=5)
+        fh = io.StringIO()
+        write_history_csv([hist], fh)
+        (back,) = read_history_csv(io.StringIO(fh.getvalue()))
+        assert back.train_loss == hist.train_loss and back.diverged_epoch is None
+        assert all(math.isnan(v) for v in back.test_loss + back.test_accuracy)
 
     def test_header_validated(self):
         with pytest.raises(ValidationError):
