@@ -100,17 +100,24 @@ def emit_svg_linechart(series: Sequence[Series], axes: AxesSpec) -> str:
     def py(v: float) -> float:
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
-    out: List[str] = []
-    out.append(
+    out: List[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+    ]
+
+    def line(x1, y1, x2, y2, stroke: str = "#333333", width: int = 1) -> None:
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                   f'stroke="{stroke}" stroke-width="{width}"/>')
+
+    def text(x, y, size: int, body: str, anchor: str = "middle", transform: str = "") -> None:
+        anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+        transform_attr = f' transform="{transform}"' if transform else ""
+        out.append(f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" '
+                   f'font-size="{size}"{transform_attr}>{body}</text>')
+
     if axes.title:
-        out.append(
-            f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(axes.title)}</text>'
-        )
+        text(_WIDTH // 2, 24, 15, _escape(axes.title))
 
     # frame
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
@@ -125,38 +132,18 @@ def emit_svg_linechart(series: Sequence[Series], axes: AxesSpec) -> str:
     for k in range(n_ticks):
         frac = k / (n_ticks - 1)
         gx = x_lo + frac * (x_hi - x_lo)
-        x_pix = _MARGIN_LEFT + frac * plot_w
-        value = 10.0 ** gx if axes.log_x else gx
-        out.append(
-            f'<line x1="{_fmt(x_pix)}" y1="{y1}" x2="{_fmt(x_pix)}" y2="{y1 + 5}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x_pix)}" y="{y1 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(value)}</text>'
-        )
-        gy = y_lo + frac * (y_hi - y_lo)
+        x_pix = _fmt(_MARGIN_LEFT + frac * plot_w)
+        line(x_pix, y1, x_pix, y1 + 5)
+        text(x_pix, y1 + 18, 11, _tick_label(10.0 ** gx if axes.log_x else gx))
         y_pix = y1 - frac * plot_h
-        out.append(
-            f'<line x1="{x0 - 5}" y1="{_fmt(y_pix)}" x2="{x0}" y2="{_fmt(y_pix)}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x0 - 8}" y="{_fmt(y_pix + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(gy)}</text>'
-        )
+        line(x0 - 5, _fmt(y_pix), x0, _fmt(y_pix))
+        text(x0 - 8, _fmt(y_pix + 4), 11, _tick_label(y_lo + frac * (y_hi - y_lo)), "end")
 
     if axes.x_label:
-        out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w // 2}" y="{_HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(axes.x_label)}</text>'
-        )
+        text(_MARGIN_LEFT + plot_w // 2, _HEIGHT - 14, 12, _escape(axes.x_label))
     if axes.y_label:
-        out.append(
-            f'<text x="16" y="{_MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h // 2})">{_escape(axes.y_label)}</text>'
-        )
+        y_mid = _MARGIN_TOP + plot_h // 2
+        text(16, y_mid, 12, _escape(axes.y_label), transform=f"rotate(-90 16 {y_mid})")
 
     # data series
     for si, s in enumerate(series):
@@ -169,16 +156,9 @@ def emit_svg_linechart(series: Sequence[Series], axes: AxesSpec) -> str:
     # legend, to the right of the plot
     legend_x = x1 + 14
     for si, s in enumerate(series):
-        color = PALETTE[si % len(PALETTE)]
         ly = _MARGIN_TOP + 12 + si * 18
-        out.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 18}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{legend_x + 24}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{_escape(s.label)}</text>'
-        )
+        line(legend_x, ly, legend_x + 18, ly, PALETTE[si % len(PALETTE)], 2)
+        text(legend_x + 24, ly + 4, 11, _escape(s.label), anchor="")
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -187,8 +167,8 @@ def emit_svg_linechart(series: Sequence[Series], axes: AxesSpec) -> str:
 def history_chart(histories, title: str) -> str:
     """Training-loss-per-epoch chart, one series per optimizer run.
 
-    Runs with fewer than two recorded epochs are left out; raises if that
-    leaves nothing to plot.
+    Runs with fewer than two recorded epochs are left out; emit_svg_linechart
+    raises EmptySeriesError if that leaves nothing to plot.
     """
     series = [
         Series(label=h.optimizer, xs=[float(e) for e in h.epochs],
@@ -196,20 +176,17 @@ def history_chart(histories, title: str) -> str:
         for h in histories
         if len(h.train_loss) >= 2
     ]
-    if not series:
-        raise EmptySeriesError("no run recorded two or more epochs")
     return emit_svg_linechart(series, AxesSpec(title=title, x_label="epoch", y_label="train loss"))
 
 
 def lr_chart(probes, title: str) -> str:
     """Final-loss-versus-learning-rate chart on a log x axis.
 
-    Diverged probes are excluded; needs at least two surviving points.
+    Diverged probes are excluded; emit_svg_linechart raises EmptySeriesError
+    unless at least two survive.
     """
     xs = [p.learning_rate for p in probes if not p.diverged]
     ys = [p.final_loss for p in probes if not p.diverged]
-    if len(xs) < 2:
-        raise EmptySeriesError("fewer than two non-diverged probes to plot")
     return emit_svg_linechart(
         [Series(label="final train loss", xs=xs, ys=ys)],
         AxesSpec(title=title, x_label="learning rate", y_label="final train loss", log_x=True),

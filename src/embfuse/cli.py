@@ -93,7 +93,7 @@ class _Command:
     """One subcommand: its --help line, its options and the function that runs it."""
     help: str
     opts: List[_Opt]
-    run: Callable[[Dict[str, Any]], int]
+    run: Callable[[Dict[str, Any]], None]
 
 
 _MODEL_OPTS = [
@@ -190,11 +190,6 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-
-
 def _read_dataset(path: str) -> corpus.PreparedDataset:
     _require_file(path, "dataset file")
     return corpus.read_dataset(_read_lines(path, "dataset"))
@@ -255,7 +250,7 @@ def _chart_paths(pair_ids: Sequence[str], out_dir: str) -> Dict[str, str]:
 
 # --- command implementations ---
 
-def _run_inspect(opts: Dict[str, Any]) -> int:
+def _run_inspect(opts: Dict[str, Any]) -> None:
     path = _require_file(opts["file"], "embedding file")
     with open(path, "rb") as fh:
         table = parse_embedding(fh, opts["format"], name=os.path.basename(path))
@@ -266,10 +261,9 @@ def _run_inspect(opts: Dict[str, Any]) -> int:
     print(f"mean_norm={float(np.linalg.norm(table.mean)):.6f}")
     for warning in table.warnings:
         print(f"WARNING: {warning}")
-    return 0
 
 
-def _run_prepare(opts: Dict[str, Any]) -> int:
+def _run_prepare(opts: Dict[str, Any]) -> None:
     _require_file(opts["csv"], "review CSV")
     lemmatizer = None
     if opts["lemma_table"]:
@@ -294,10 +288,9 @@ def _run_prepare(opts: Dict[str, Any]) -> int:
     for line in report.lines():
         print(line)
     print(f"wrote {opts['out']}")
-    return 0
 
 
-def _run_fuse(opts: Dict[str, Any]) -> int:
+def _run_fuse(opts: Dict[str, Any]) -> None:
     fusion.check_unknown_fill(opts["unknown_fill"])
     ds = _read_dataset(opts["dataset"])
     tables = []
@@ -329,10 +322,9 @@ def _run_fuse(opts: Dict[str, Any]) -> int:
             writer.writerow(["key", "value"])
             writer.writerows(fused.rows())
     print(f"wrote {opts['out']}")
-    return 0
 
 
-def _run_lr_find(opts: Dict[str, Any]) -> int:
+def _run_lr_find(opts: Dict[str, Any]) -> None:
     data, config, [(_, matrix)] = _training_inputs(opts, [("", opts["fused"])])
     failure = None
     try:
@@ -358,10 +350,9 @@ def _run_lr_find(opts: Dict[str, Any]) -> int:
                      "fewer than 2 learning rates completed without diverging")
     if failure is not None:
         raise failure
-    return 0
 
 
-def _run_train(opts: Dict[str, Any]) -> int:
+def _run_train(opts: Dict[str, Any]) -> None:
     data, config, [(_, matrix)] = _training_inputs(opts, [("", opts["fused"])])
     lr = opts["lr"] if opts["lr"] is not None else optim.DEFAULT_LR[opts["optimizer"]]
     spec = optim.OptimizerSpec(kind=opts["optimizer"], learning_rate=lr)
@@ -383,11 +374,10 @@ def _run_train(opts: Dict[str, Any]) -> int:
         with open(opts["history"], "w", encoding="utf-8", newline="") as fh:
             optim.write_history_csv([hist], fh)
     print(f"wrote {opts['out']}")
-    return 0
 
 
 def _read_manifest(path: str) -> List[Tuple[str, str]]:
-    """The (pair id, fused table path) rows of a pair manifest."""
+    """The (pair id, fused table path) rows of a pair manifest; each path must exist."""
     _require_file(path, "pair manifest")
     rows = csv_rows(_read_lines(path, "pair manifest"), "pair manifest line")
     _, header = next(rows, (0, None))
@@ -405,7 +395,7 @@ def _read_manifest(path: str) -> List[Tuple[str, str]]:
         emb_path = row[1].strip()
         if not os.path.isabs(emb_path):
             emb_path = os.path.join(base, emb_path)
-        pairs.append((pair_id, emb_path))
+        pairs.append((pair_id, _require_file(emb_path, "fused embedding file")))
     if not pairs:
         raise ValidationError("pair manifest lists no pairs")
     return pairs
@@ -421,7 +411,8 @@ def _write_chart(svg_path: str, render: Callable[[], str], why: str) -> None:
     except EmptySeriesError:
         print(f"skipped chart {svg_path}: {why}")
         return
-    _write_text(svg_path, svg)
+    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(svg)
 
 
 def _write_history_chart(histories, pair_id: str, svg_path: str) -> None:
@@ -433,7 +424,7 @@ def _write_history_chart(histories, pair_id: str, svg_path: str) -> None:
                  f"no run of {shown} recorded 2 or more epochs")
 
 
-def _run_sweep(opts: Dict[str, Any]) -> int:
+def _run_sweep(opts: Dict[str, Any]) -> None:
     manifest = _read_manifest(opts["pairs"])
     pair_ids = [pair_id for pair_id, _ in manifest]
     kinds = opts["optimizers"]
@@ -467,10 +458,9 @@ def _run_sweep(opts: Dict[str, Any]) -> int:
                 f"test_acc={h.test_accuracy[-1]:.4f}"
             )
     print(f"wrote {csv_path}")
-    return 0
 
 
-def _run_eval(opts: Dict[str, Any]) -> int:
+def _run_eval(opts: Dict[str, Any]) -> None:
     ds = _read_dataset(opts["dataset"])
     _require_file(opts["ckpt"], "checkpoint")
     with open(opts["ckpt"], "rb") as fh:
@@ -484,10 +474,9 @@ def _run_eval(opts: Dict[str, Any]) -> int:
     print("confusion (rows=truth bad/neutral/good, cols=predicted):")
     for row in cm:
         print("  " + " ".join(f"{int(v):5d}" for v in row))
-    return 0
 
 
-def _run_report(opts: Dict[str, Any]) -> int:
+def _run_report(opts: Dict[str, Any]) -> None:
     _require_file(opts["history"], "history CSV")
     histories = optim.read_history_csv(_read_lines(opts["history"], "history CSV"))
     if not histories:
@@ -520,7 +509,6 @@ def _run_report(opts: Dict[str, Any]) -> int:
         else:
             print(f"{shown}: no completed runs")
     print(f"wrote {summary_path}")
-    return 0
 
 
 # every command, in the order --help lists them
@@ -619,7 +607,8 @@ def dispatch(argv: Sequence[str]) -> int:
         parser = _build_parser(command)
         ns = parser.parse_args(list(argv[1:]))
         opts = _merge(command, ns)
-        return _COMMANDS[command].run(opts)
+        _COMMANDS[command].run(opts)
+        return 0
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if code else 0

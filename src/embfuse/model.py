@@ -835,16 +835,16 @@ def _loss_probs_grad(x, labels, params, config, rng):
     return loss, probs, grad
 
 
-# Inference runs in chunks of rows sized so that one direction's LSTM
-# preactivation over a chunk, a (max_len, rows, 4 * lstm_units) float64
-# array, stays within this many bytes; the layer's scan holds both
-# directions' at once, twice that.
+# Inference runs in chunks of rows sized so that the LSTM layer's
+# preactivation over a chunk, a (2, max_len, rows, 4 * lstm_units) float64
+# array holding both directions (its one scan holds them at once), stays
+# within this many bytes.
 _INFER_CHUNK_BYTES = 64 << 20
 
 
 def inference_batch_size(config: ModelConfig) -> int:
     """Rows per inference chunk for ``config`` (at least 1)."""
-    row_bytes = config.max_len * 4 * config.lstm_units * 8
+    row_bytes = 2 * config.max_len * 4 * config.lstm_units * 8
     return max(1, _INFER_CHUNK_BYTES // row_bytes)
 
 

@@ -537,6 +537,10 @@ def read_history_csv(fh) -> List[TrainingHistory]:
             check_seed(seed)
             if row[9] not in ("0", "1"):
                 raise ValidationError(f"run_diverged must be 0 or 1, not {row[9]!r}")
+            if not epoch and (any(row[5:9]) or row[9] == "0"):
+                raise ValidationError(
+                    "an epoch-0 row stands for a run diverged in its first epoch: "
+                    "its metrics are empty and run_diverged is 1")
             for name, value in zip(_HISTORY_COLUMNS[5:9], metrics):
                 if name.startswith("test") and math.isnan(value):
                     continue  # an empty test split
@@ -549,13 +553,16 @@ def read_history_csv(fh) -> List[TrainingHistory]:
             if epoch not in (0, 1):
                 raise ValidationError(
                     f"history CSV line {line_no}: a run starts at epoch 0 or 1, not {epoch}")
-            current = TrainingHistory(pair=row[0], optimizer=row[1], learning_rate=lr, seed=seed)
+            current = TrainingHistory(pair=row[0], optimizer=row[1], learning_rate=lr, seed=seed,
+                                      diverged=row[9] == "1")
             out.append(current)
         elif last_epoch == 0 or epoch != last_epoch + 1:
             raise ValidationError(f"history CSV line {line_no}: epoch {epoch} does not "
                                   f"follow epoch {last_epoch} of the same run")
+        elif current.diverged != (row[9] == "1"):
+            raise ValidationError(f"history CSV line {line_no}: run_diverged {row[9]} differs "
+                                  f"from the earlier rows of the same run")
         last_key, last_epoch = key, epoch
-        current.diverged |= row[9] == "1"
         if metrics:
             current.train_loss.append(metrics[0])
             current.train_accuracy.append(metrics[1])

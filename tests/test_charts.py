@@ -1,4 +1,5 @@
-"""SVG chart emission: structure, determinism, validation."""
+"""SVG chart emission: structure, determinism, validation, pinned bytes."""
+import hashlib
 import math
 
 import pytest
@@ -138,3 +139,52 @@ class TestLrChart:
                   LrProbe(1e-2, [], math.inf, True)]
         with pytest.raises(EmptySeriesError):
             lr_chart(probes, title="t")
+
+
+# Each chart's SHA-256, so any change to a byte of the markup fails here: the
+# charts are findings that reruns must reproduce exactly. Together the cases
+# reach every element site: escaped title, labels and legend text, a bare
+# AxesSpec, a constant series, a log x axis and a palette that wraps.
+PINNED = {
+    "history": (
+        lambda: history_chart(
+            [history("sgd", [1.1, 0.7, 0.45]), history("adagrad", [0.9]),  # left out
+             history("adam", [1.0, 0.5, 0.3125])], title="train loss by optimizer: p"),
+        "2bb663c8ab0b497b497bfd87d948b0e748aa7c2b147fe37d82557408fd6cd262"),
+    "lr": (
+        lambda: lr_chart(
+            [LrProbe(1e-4, [1.0, 0.9], 0.9, False), LrProbe(1e-3, [0.9, 0.6], 0.6, False),
+             LrProbe(1e-2, [0.8, 0.3], 0.3, False), LrProbe(1e-1, [], math.inf, True)],
+            title="adam learning-rate search"),
+        "2d211b88cf071437fb57098dceb144ff69a06647d98ddcc5110210686412557c"),
+    "escaped": (
+        lambda: emit_svg_linechart(
+            [Series(label='a<b & "c">', xs=[0.0, 1.0, 2.0], ys=[3.0, 1.5, 0.75])],
+            AxesSpec(title="x < y & z", x_label="<epoch>", y_label='"loss" & more')),
+        "2704efa2808922acd8ac27757bdf3b8459535636ba6dc2734975f415d37c9ff3"),
+    "bare": (
+        lambda: emit_svg_linechart(
+            [Series(label="s", xs=[1.0, 2.0, 3.0], ys=[0.2, 0.1, 0.4])], AxesSpec()),
+        "25ca5ec43d5acb4ea990e04131c01ae1cfe5f3294c7ece43f32b5aefa5dfd91d"),
+    "constant": (
+        lambda: emit_svg_linechart(
+            [Series(label="flat", xs=[1.0, 1.0], ys=[2.0, 2.0])], AxesSpec(title="constant")),
+        "e49558f7fb82e9f76734f5f704c3cbe2359dfea1ff0f4aff007aaea35a9958fd"),
+    "log_x": (
+        lambda: emit_svg_linechart(
+            [Series(label="s", xs=[1e-5, 3e-3, 0.7], ys=[1.2, 0.8, 2.5])],
+            AxesSpec(title="log", x_label="rate", y_label="loss", log_x=True)),
+        "0cc4ff6dba2d4312ee53d4a29fba3c2693e11fcce9429e012e72a975543f821b"),
+    "palette_wraps": (
+        lambda: emit_svg_linechart(
+            [Series(label=f"s{i}", xs=[0.0, 1.0, 2.0], ys=[0.1 * i, 0.5, 1.0 - 0.1 * i])
+             for i in range(len(PALETTE) + 2)],
+            AxesSpec(title="ten series", x_label="x", y_label="y")),
+        "1c1c7c8ce437d645750ac9141935c5576273167c6738b616ead117b96a47b6eb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_chart_bytes_pinned(case):
+    render, digest = PINNED[case]
+    assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest

@@ -241,6 +241,30 @@ class TestMalformedHistory:
         assert err == f"ERROR invalid: history CSV line 2: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    EPOCH_0 = ("an epoch-0 row stands for a run diverged in its first epoch: "
+               "its metrics are empty and run_diverged is 1")
+
+    @pytest.mark.parametrize("rows, line, message", [
+        (["p,sgd,0.05,7,1,1.0,0.5,1.0,0.5,0", "p,sgd,0.05,7,2,1.0,0.5,1.0,0.5,1",
+          "q,sgd,0.05,7,0,3,x,y,z,0"], 3,
+         "run_diverged 1 differs from the earlier rows of the same run"),
+        (["p,sgd,0.05,7,1,1.0,0.5,1.0,0.5,1", "p,sgd,0.05,7,2,1.0,0.5,1.0,0.5,0"], 3,
+         "run_diverged 0 differs from the earlier rows of the same run"),
+        (["p,sgd,0.05,7,1,1.0,0.5,1.0,0.5,0", "q,sgd,0.05,7,0,3,x,y,z,1"], 3, EPOCH_0),
+        (["q,sgd,0.05,7,0,,,,,0"], 2, EPOCH_0),
+        (["q,sgd,0.05,7,0,,,1.0,,1"], 2, EPOCH_0),
+    ], ids=["flag-turns-on", "flag-turns-off", "epoch-0-metrics", "epoch-0-flag-0",
+            "epoch-0-one-metric"])
+    def test_report_refuses_a_run_the_writer_never_writes(self, capsys, tmp_path, rows, line,
+                                                          message):
+        history = tmp_path / "h.csv"
+        history.write_text(self.HEADER + "".join(row + "\n" for row in rows))
+        code, out, err = run(capsys, "report", "--history", str(history),
+                             "--out-dir", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == f"ERROR invalid: history CSV line {line}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestCsvInput:
     """CSV inputs that the csv module cannot split, or whose values are not usable."""
@@ -902,6 +926,17 @@ class TestFlagsBeforeTables:
         assert (code, out) == (1, "")
         assert err == "ERROR invalid: sweep lists pair 'a' more than once\n"
         assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+
+    def test_sweep_missing_table_fails_before_any_table_parse(self, capsys, calls, pipeline_dir,
+                                                              tmp_path):
+        argv = self.argv("sweep-unknown", pipeline_dir, tmp_path)[:-2]
+        (tmp_path / "pairs.csv").write_text(
+            f"pair,path\na,{pipeline_dir['fused']}\nb,missing.bin\n")
+        code, out, err = run(capsys, *argv, "--optimizers", "sgd", "--lr", "0.05")
+        assert (code, out) == (1, "")
+        assert err == f"ERROR invalid: fused embedding file not found: {tmp_path / 'missing.bin'}\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+        assert not (tmp_path / "o").exists()
 
 
 class TestChartNames:

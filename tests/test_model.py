@@ -529,7 +529,7 @@ class TestFlatPacking:
 def set_inference_chunk(monkeypatch, config, rows):
     """Make inference over config run in chunks of rows, through the chunk's byte budget."""
     import embfuse.model as model_module
-    row_bytes = config.max_len * 4 * config.lstm_units * 8
+    row_bytes = 2 * config.max_len * 4 * config.lstm_units * 8
     monkeypatch.setattr(model_module, "_INFER_CHUNK_BYTES", rows * row_bytes)
     assert inference_batch_size(config) == rows
 
@@ -582,17 +582,18 @@ class TestEvaluatePredict:
     def test_default_chunk_bounds_the_lstm_preactivation(self, monkeypatch):
         paper = ModelConfig()
         rows = inference_batch_size(paper)
-        # paper size: a 64-row split is one chunk, and one chunk's
-        # (max_len, rows, 4 * lstm_units) float64 preactivation fits in 64 MiB
-        assert rows >= 64
-        assert paper.max_len * rows * 4 * paper.lstm_units * 8 <= 64 << 20
+        # paper size: one chunk's (2, max_len, rows, 4 * lstm_units) float64
+        # preactivation, both directions, fits in 64 MiB, and one more row does not
+        assert rows == 34
+        assert 2 * paper.max_len * rows * 4 * paper.lstm_units * 8 <= 64 << 20
+        assert 2 * paper.max_len * (rows + 1) * 4 * paper.lstm_units * 8 > 64 << 20
         assert inference_batch_size(ModelConfig(max_len=10 ** 6, lstm_units=10 ** 3)) == 1
 
         import embfuse.model as model_module
         config = tiny_config()
         x, labels, emb = tiny_batch(config, batch=11)
         params = init_parameters(config, emb)
-        row_bytes = config.max_len * 4 * config.lstm_units * 8
+        row_bytes = 2 * config.max_len * 4 * config.lstm_units * 8
         monkeypatch.setattr(model_module, "_INFER_CHUNK_BYTES", 3 * row_bytes)
         sizes = []
         real_forward = model_module.forward

@@ -576,7 +576,9 @@ class TestHistoryCsv:
     def test_epoch_must_follow_the_previous_row_of_its_run(self, epochs, message):
         header = ("pair,optimizer,learning_rate,seed,epoch,"
                   "train_loss,train_accuracy,test_loss,test_accuracy,run_diverged\n")
-        rows = "".join(f"p,sgd,0.05,7,{e},1.0,0.5,1.0,0.5,0\n" for e in epochs)
+        # an epoch-0 row as the writer writes one: empty metrics, diverged
+        rows = "".join("p,sgd,0.05,7,0,,,,,1\n" if e == 0 else
+                       f"p,sgd,0.05,7,{e},1.0,0.5,1.0,0.5,0\n" for e in epochs)
         with pytest.raises(ValidationError, match=f"history CSV {message}$"):
             read_history_csv(io.StringIO(header + rows))
 
