@@ -24,13 +24,15 @@ and bw, is one more leading axis, so each recurrent layer is one kernel call.
 
 Training-mode forward returns a trace for exact backpropagation through time
 (BPTT). For each recurrent layer it holds a store of preallocated
-(2, T, B, .) arrays filled step by step: the gate activations, the hidden
-states (and for the LSTM the cell states and tanh of the new cell state),
-and for the GRU the recurrent products h U. The backward pass consumes the
-store, overwriting the gate arrays with the gate gradients, and writes each
-block's gradient straight into its view of one flat gradient vector laid out
-like ``flat``. Inference-mode forward keeps no store: each layer holds only
-its output sequence and its input preactivations, which the gate activations
+(..., 2, T, B, .) arrays filled step by step: the gate activations, the
+hidden states (and for the LSTM the cell states and tanh of the new cell
+state), and for the GRU the recurrent products h U. Each is a view of a
+time-major (T, B, ..., 2, .) buffer, so one time step of every run and
+direction is one contiguous block. The backward pass consumes the store,
+overwriting the gate arrays with the gate gradients, and writes each block's
+gradient straight into its view of one flat gradient vector laid out like
+``flat``. Inference-mode forward keeps no store: each layer holds only its
+output sequence and its input preactivations, which the gate activations
 overwrite step by step. Gradients are checked against central finite
 differences in the test suite.
 """
@@ -42,7 +44,7 @@ import math
 import struct
 from dataclasses import dataclass, asdict
 from itertools import accumulate
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +115,17 @@ class _BlockViews(dict):
     clear = pop = popitem = setdefault = update = _rebind
 
 
+def _pair_slicing(layout, layer: str):
+    """How ``ModelParameters.pairs`` slices recurrent layer ("lstm" or "gru")
+    out of a vector laid out by layout: the layer's span of the last axis,
+    [fw W U b | bw W U b]; the length s of one direction's half; and each
+    fw block's span within a half, with its shape."""
+    fw = [(span, shape) for name, span, shape in layout if name.startswith(f"{layer}_fw_")]
+    start, s = fw[0][0].start, fw[-1][0].stop - fw[0][0].start
+    return (slice(start, start + 2 * s), s,
+            tuple((slice(span.start - start, span.stop - start), shape) for span, shape in fw))
+
+
 class ModelParameters:
     """All weights plus the embedding matrix, addressable by block name.
 
@@ -140,6 +153,7 @@ class ModelParameters:
         # buffer order: each block's name, its span of the last axis of flat, its shape
         self.layout = tuple((name, slice(end - a.size, end), a.shape) for name, a, end
                             in zip(names, arrays, accumulate(a.size for a in arrays)))
+        self._pair_slices = {layer: _pair_slicing(self.layout, layer) for layer in ("lstm", "gru")}
         self._bind(np.concatenate([a.ravel() for a in arrays]), embedding)
 
     def _bind(self, flat: np.ndarray, embedding: Optional[np.ndarray]) -> None:
@@ -164,17 +178,15 @@ class ModelParameters:
         """The (W, U, b) of recurrent layer ("lstm" or "gru") as (..., 2, .)
         views of vec, laid out like ``flat``: the layer's span, [fw W U b |
         bw W U b], reshaped to (..., 2, s) and sliced."""
-        fw = [(span, shape) for name, span, shape in self.layout if name.startswith(f"{layer}_fw_")]
-        start, s = fw[0][0].start, fw[-1][0].stop - fw[0][0].start
-        both = vec[..., start:start + 2 * s].reshape(vec.shape[:-1] + (2, s))
-        return tuple(both[..., span.start - start:span.stop - start].reshape(both.shape[:-1] + shape)
-                     for span, shape in fw)
+        span, s, blocks = self._pair_slices[layer]
+        both = vec[..., span].reshape(vec.shape[:-1] + (2, s))
+        return tuple(both[..., part].reshape(both.shape[:-1] + shape) for part, shape in blocks)
 
     def _over(self, flat: np.ndarray, share_embedding: bool = False) -> "ModelParameters":
         """A set with this layout whose trainable weights are flat; a frozen
         embedding is copied, or shared with share_embedding."""
         new = ModelParameters.__new__(ModelParameters)
-        new.layout = self.layout
+        new.layout, new._pair_slices = self.layout, self._pair_slices
         frozen = None if self.train_embedding else self.embedding
         new._bind(flat, frozen if share_embedding or frozen is None else frozen.copy())
         return new
@@ -189,6 +201,13 @@ class ModelParameters:
     def run(self, k: int) -> "ModelParameters":
         """Of a stack: run k as a set viewing its row of ``flat``."""
         return self._over(self.flat[k], share_embedding=True)
+
+    def runs(self, ks: Sequence[int]) -> "ModelParameters":
+        """Of a stack: runs ks as a stack, viewing their rows of ``flat`` when
+        ks are consecutive and copying them otherwise."""
+        ks = list(ks)
+        rows = slice(ks[0], ks[-1] + 1) if ks == list(range(ks[0], ks[-1] + 1)) else ks
+        return self._over(self.flat[rows], share_embedding=True)
 
 
 def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:
@@ -378,14 +397,29 @@ def gru_cell_step(
 # Further leading axes, a stack of runs, broadcast: a (K, 2, D, 4H) W over
 # the (2, T*B, D) rows of a shared (B, T, D) input scans K runs, and every
 # product is a stacked np.matmul of the same 2-D GEMMs one direction of one
-# run makes alone. Stores keep each (T, B, .) block contiguous; the loops
-# index time through _steps views.
+# run makes alone. Every array a scan indexes by step is a (..., T, B, F)
+# view of a time-major (T, B, ..., F) buffer (see _store), so the loops'
+# _steps(a)[s] is one contiguous block holding step s of every run and
+# direction, while each run's and direction's T*B rows stay one uniformly
+# strided matrix that the GEMMs read and write in place (see _rows).
+
+def _store(lead: Tuple[int, ...], T: int, B: int, F: int, alloc=np.empty, dtype=np.float64):
+    """A (*lead, T, B, F) view of a new time-major (T, B, *lead, F) buffer
+    made by alloc (np.empty or np.zeros)."""
+    n = len(lead)
+    return alloc((T, B) + lead + (F,), dtype=dtype).transpose(
+        (*range(2, 2 + n), 0, 1, 2 + n))
+
 
 def _pair(fw: np.ndarray, bw: Optional[np.ndarray] = None) -> np.ndarray:
-    """(..., B, T, F) fw and bw halves (bw defaults to fw) -> one time-major
-    (..., 2, T, B, F) array in processing order."""
+    """(..., B, T, F) fw and bw halves of one shape (bw defaults to fw) -> one
+    time-major (..., 2, T, B, F) store in processing order."""
     bw = fw if bw is None else bw
-    return np.stack([fw.swapaxes(-3, -2), bw[..., ::-1, :].swapaxes(-3, -2)], axis=-4)
+    B, T, F = fw.shape[-3:]
+    out = _store(fw.shape[:-3] + (2,), T, B, F, dtype=fw.dtype)
+    out[..., 0, :, :, :] = fw.swapaxes(-3, -2)
+    out[..., 1, :, :, :] = bw[..., ::-1, :].swapaxes(-3, -2)
+    return out
 
 
 def _unpair(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -400,10 +434,14 @@ def _steps(a: np.ndarray, axis: int = -3) -> np.ndarray:
     return a.transpose((t, *range(t), *range(t + 1, a.ndim)))
 
 
-def _scan_rows(X: np.ndarray) -> np.ndarray:
-    """(..., B, T, D) -> (..., 2, T*B, D) rows of both directions in processing order."""
-    rows = _pair(X)
-    return rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(..., T, B, F) -> (..., T*B, F) view of the same memory.
+
+    Raises ValueError where the merge needs a copy: a GEMM written into a
+    copy would leave the store unwritten, and one read from it would pay a
+    copy of every row.
+    """
+    return np.reshape(a, a.shape[:-3] + (-1, a.shape[-1]), copy=False)
 
 
 def _lstm_direction_forward(gates, valid, U, training: bool = False):
@@ -413,9 +451,9 @@ def _lstm_direction_forward(gates, valid, U, training: bool = False):
     Padded steps carry h and c through unchanged. store is None unless training.
     """
     lead, (T, B), H = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
-    hs = np.zeros(lead + (T + 1, B, H))  # hs[..., s, :, :] is the state entering step s
-    cs = np.zeros(lead + (T + 1, B, H)) if training else None
-    tanh_cs = np.empty(lead + (T, B, H)) if training else None
+    hs = _store(lead, T + 1, B, H, np.zeros)  # hs[..., s, :, :] is the state entering step s
+    cs = _store(lead, T + 1, B, H, np.zeros) if training else None
+    tanh_cs = _store(lead, T, B, H) if training else None
     c = np.zeros(lead + (B, H))
     gates_s, hs_s, valid = _steps(gates), _steps(hs), _steps(valid)
     cs_s, tanh_cs_s = (_steps(cs), _steps(tanh_cs)) if training else (None, None)
@@ -443,7 +481,7 @@ def _lstm_direction_backward(dout, valid, U, store):
     gates, hs, cs, tanh_cs = store
     lead, (T, B, H) = tanh_cs.shape[:-3], tanh_cs.shape[-3:]
     live = valid.astype(np.float64)
-    gates4 = gates.reshape(gates.shape[:-1] + (4, H))
+    gates4 = np.reshape(gates, gates.shape[:-1] + (4, H), copy=False)
     i, f, g, o = (gates4[..., k, :] for k in range(4))
     # Per-step factors that do not depend on the incoming gradient, for all
     # steps at once and in place over the store, with one temporary at a time.
@@ -501,8 +539,8 @@ def _gru_direction_forward(gates, valid, U, training: bool = False):
     Padded steps carry h through unchanged. store is None unless training.
     """
     lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
-    hs = np.zeros(lead + (T + 1, B, G))  # hs[..., s, :, :] is the state entering step s
-    hus = np.empty(lead + (T, B, 3 * G)) if training else None
+    hs = _store(lead, T + 1, B, G, np.zeros)  # hs[..., s, :, :] is the state entering step s
+    hus = _store(lead, T, B, 3 * G) if training else None
     gates_s, hs_s, valid = _steps(gates), _steps(hs), _steps(valid)
     hus_s = _steps(hus) if training else None
     with np.errstate(over="ignore"):
@@ -527,32 +565,34 @@ def _gru_direction_backward(dout, valid, U, store):
     lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
     live = valid.astype(np.float64)
     z, r, n = (gates[..., k * G:(k + 1) * G] for k in range(3))
+    hu_z, hu_r, hu_n = (hus[..., k * G:(k + 1) * G] for k in range(3))
     # Per-step factors taking dh to each gate gradient, for all steps at once
     # and in place: gates becomes [dz, dr, dn] / dh and hus [dz, dr, dhu_n] / dh.
-    # keep is the direct path dh_prev / dh. Padded steps get zero factors and
-    # keep = 1, so they pass dh through untouched.
-    dn = n * n
-    np.subtract(1.0, dn, out=dn)
-    dn *= 1.0 - z
-    dn *= live
-    dz = hs[..., :-1, :, :] - n
-    dz *= z
-    dz *= 1.0 - z
-    dz *= live
-    keep = np.where(valid, z, 1.0)
-    dr = dn * hus[..., 2 * G:]
-    dr *= r
-    dr *= 1.0 - r
-    np.multiply(dn, r, out=hus[..., 2 * G:])
-    z[...] = dz
-    r[...] = dr
-    n[...] = dn
+    # hus[..., :2G] is read by nothing, so it holds the temporaries. keep is the
+    # direct path dh_prev / dh. Padded steps get zero factors and keep = 1, so
+    # they pass dh through untouched.
+    keep = np.where(valid, z, 1.0)  # laid out like z, so time-major too
+    np.subtract(1.0, z, out=hu_z)
+    # z <- dz = (h_prev - n) z (1 - z)
+    z *= np.subtract(hs[..., :-1, :, :], n, out=hu_r)
+    z *= hu_z
+    z *= live
+    # n <- dn = (1 - n^2) (1 - z)
+    np.multiply(n, n, out=n)
+    np.subtract(1.0, n, out=n)
+    n *= hu_z
+    n *= live
+    # r <- dr = dn hu_n r (1 - r); hu_n <- dhu_n = dn r
+    np.multiply(n, hu_n, out=hu_z)
+    hu_z *= r
+    hu_z *= np.subtract(1.0, r, out=hu_r)
+    np.multiply(n, r, out=hu_n)
+    r[...] = hu_z
     hus[..., :2 * G] = gates[..., :2 * G]
-    del dz, dr, dn
 
     dout, keep, hus_s = _steps(dout), _steps(keep), _steps(hus)
-    gates3 = _steps(gates.reshape(gates.shape[:-1] + (3, G)), -4)
-    hus3 = _steps(hus.reshape(hus.shape[:-1] + (3, G)), -4)
+    gates3 = _steps(np.reshape(gates, gates.shape[:-1] + (3, G), copy=False), -4)
+    hus3 = _steps(np.reshape(hus, hus.shape[:-1] + (3, G), copy=False), -4)
     UT = U.swapaxes(-1, -2)
     dh = np.zeros(lead + (B, G))
     for s in range(T - 1, -1, -1):
@@ -565,47 +605,60 @@ def _gru_direction_backward(dout, valid, U, store):
     return hs, gates, hus
 
 
-def _bidirectional(direction, X, mask, weights, training: bool):
+def _step_mask(mask: np.ndarray) -> np.ndarray:
+    """The (B, T) padding mask as the scans read it: a (2, T, B, 1) pair, True
+    where a step is real."""
+    return _pair(mask[:, :, None] > 0.0)
+
+
+def _bidirectional(direction, X, mask, weights, training: bool, valid=None):
     """One bidirectional layer over (..., B, T, D) with weights, the layer's
-    (W, U, b) pair views: one call of the direction kernel.
+    (W, U, b) pair views: one call of the direction kernel. valid is
+    _step_mask(mask), when the caller has built it already.
 
     Returns the (..., B, T, 2H) output, fw features then bw, and the store.
     """
     W, U, b = weights
-    B, T = mask.shape
-    xw = np.matmul(_scan_rows(X), W)
-    xw = xw.reshape(xw.shape[:-2] + (T, B, W.shape[-1]))
-    xw += b[..., None, None, :]
-    valid = _pair(mask[:, :, None] > 0.0)  # (2, T, B, 1), True where a step is real
-    out, store = direction(xw, valid, U, training)
-    del xw  # inference keeps no store, so this frees the gate activations
+    if valid is None:
+        valid = _step_mask(mask)
+    rows = _pair(X)
+    T, B = rows.shape[-3:-1]
+    gates = _store(np.broadcast_shapes(rows.shape[:-3], W.shape[:-2]), T, B, W.shape[-1])
+    np.matmul(_rows(rows), W, out=_rows(gates))
+    del rows
+    gates += b[..., None, None, :]
+    out, store = direction(gates, valid, U, training)
+    del gates  # inference keeps no store, so this frees the gate activations
     return np.concatenate(_unpair(out), axis=-1), store
 
 
-def _bidirectional_backward(direction, dout, X, mask, weights, grads, store, need_dx: bool):
-    """Backward of _bidirectional: writes the (dW, dU, db) of both directions
-    into grads, the layer's pair views of the gradient, and returns dX summed
-    over fw and bw, or None unless need_dx.
+def _bidirectional_backward(direction, dout, X, valid, weights, grads, store, need_dx: bool):
+    """Backward of _bidirectional, with valid = _step_mask(mask): writes the
+    (dW, dU, db) of both directions into grads, the layer's pair views of the
+    gradient, and returns dX summed over fw and bw, or None unless need_dx.
 
     One weight-gradient tail serves both cells. The kernel returns the states
     hs and the (..., 2, T, B, K) input-side and recurrent-side gate gradients
     (one array for the LSTM); dW = X^T dw_in, dU = h_prev^T du_in, db = sum
-    dw_in and dX = dw_in W^T are one GEMM or sum each over all T*B rows.
+    dw_in and dX = dw_in W^T are one GEMM or sum each over all T*B rows, read
+    in place from the stores. The two dX halves are separate GEMMs, the bw
+    half summed into the fw half, so dX costs two halves and not three.
     """
     (W, U, _), (dW, dU, db) = weights, grads
     H = dout.shape[-1] // 2
-    valid = _pair(mask[:, :, None] > 0.0)
     hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:]), valid, U, store)
-    lead, (T, B, K) = dw_in.shape[:-3], dw_in.shape[-3:]
-    dw_in = dw_in.reshape(lead + (T * B, K))
-    np.matmul(_scan_rows(X).swapaxes(-1, -2), dw_in, out=dW)
-    np.matmul(hs[..., :-1, :, :].reshape(lead + (T * B, -1)).swapaxes(-1, -2),
-              du_in.reshape(lead + (T * B, K)), out=dU)
+    T, B = dw_in.shape[-3:-1]
+    dw_in = _rows(dw_in)
+    np.matmul(_rows(_pair(X)).swapaxes(-1, -2), dw_in, out=dW)
+    np.matmul(_rows(hs[..., :-1, :, :]).swapaxes(-1, -2), _rows(du_in), out=dU)
     dw_in.sum(axis=-2, out=db)
     if not need_dx:
         return None
-    fw, bw = _unpair(np.matmul(dw_in, W.swapaxes(-1, -2)).reshape(lead + (T, B, -1)))
-    return fw + bw
+    fw, bw = (np.matmul(dw_in[..., d, :, :], W[..., d, :, :].swapaxes(-1, -2))
+              for d in (0, 1))
+    fw = fw.reshape(fw.shape[:-2] + (T, B, -1)).swapaxes(-3, -2)
+    fw += bw.reshape(bw.shape[:-2] + (T, B, -1))[..., ::-1, :, :].swapaxes(-3, -2)
+    return fw
 
 
 def masked_max_pool(seq: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -638,18 +691,19 @@ class ForwardTrace:
 
     Dropout scales each layer's output in place, so only the dropped-out
     arrays are kept. Each recurrent layer keeps the store of its scan, both
-    directions in one; the backward pass consumes the stores, so a trace is
-    backpropagated at most once.
+    directions in one; the backward pass consumes the stores, and drops the
+    GRU store once consumed, so a trace is backpropagated at most once.
     """
 
     x: np.ndarray
     mask: np.ndarray
+    valid: np.ndarray  # _step_mask(mask)
     sd_mask: Optional[np.ndarray]
     emb_dropped: np.ndarray
     lstm_store: tuple
     do1_mask: Optional[np.ndarray]
     S_dropped: np.ndarray
-    gru_store: tuple
+    gru_store: Optional[tuple]
     do2_mask: Optional[np.ndarray]
     G_dropped: np.ndarray
     pool1: Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -708,6 +762,7 @@ def forward(
         raise ValidationError("training-mode forward with dropout needs an rng")
 
     mask = (x != 0).astype(np.float64)
+    valid = _step_mask(mask)  # built once, for both layers and both passes
     # a gathered copy, so dropout can scale it in place
     emb_dropped = np.take(params.embedding, x, axis=-2)
 
@@ -715,11 +770,13 @@ def forward(
 
     p = params.blocks
     S_dropped, lstm_store = _bidirectional(
-        _lstm_direction_forward, emb_dropped, mask, params.pairs(params.flat, "lstm"), training)
+        _lstm_direction_forward, emb_dropped, mask, params.pairs(params.flat, "lstm"), training,
+        valid)
     do1_mask = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
 
     G_dropped, gru_store = _bidirectional(
-        _gru_direction_forward, S_dropped, mask, params.pairs(params.flat, "gru"), training)
+        _gru_direction_forward, S_dropped, mask, params.pairs(params.flat, "gru"), training,
+        valid)
     do2_mask = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
 
     pool1 = masked_max_pool(S_dropped, mask)
@@ -735,7 +792,7 @@ def forward(
     if not training:
         return probs, None
     trace = ForwardTrace(
-        x=x, mask=mask, sd_mask=sd_mask, emb_dropped=emb_dropped,
+        x=x, mask=mask, valid=valid, sd_mask=sd_mask, emb_dropped=emb_dropped,
         lstm_store=lstm_store, do1_mask=do1_mask, S_dropped=S_dropped, gru_store=gru_store,
         do2_mask=do2_mask, G_dropped=G_dropped,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
@@ -783,15 +840,17 @@ def _backward(
     if trace.do2_mask is not None:
         dG *= trace.do2_mask
 
-    dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.mask,
+    dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.valid,
                                  params.pairs(params.flat, "gru"), params.pairs(grad, "gru"),
                                  trace.gru_store, True)
-    del dG  # not needed by the LSTM backward, whose store is the largest
+    # neither is needed by the LSTM backward, whose store is the largest
+    del dG
+    trace.gru_store = None
     dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
     if trace.do1_mask is not None:
         dS *= trace.do1_mask
 
-    dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.mask,
+    dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.valid,
                                  params.pairs(params.flat, "lstm"), params.pairs(grad, "lstm"),
                                  trace.lstm_store, config.train_embedding)
     if dE is not None:
@@ -838,14 +897,19 @@ def _loss_probs_grad(x, labels, params, config, rng):
 # Inference runs in chunks of rows sized so that the LSTM layer's
 # preactivation over a chunk, a (2, max_len, rows, 4 * lstm_units) float64
 # array holding both directions (its one scan holds them at once), stays
-# within this many bytes.
+# within this many bytes; a stacked evaluation (evaluate_runs) groups runs
+# under the same budget.
 _INFER_CHUNK_BYTES = 64 << 20
+
+
+def _row_bytes(config: ModelConfig) -> int:
+    """Bytes of one row's LSTM preactivation in one run's inference forward."""
+    return 2 * config.max_len * 4 * config.lstm_units * 8
 
 
 def inference_batch_size(config: ModelConfig) -> int:
     """Rows per inference chunk for ``config`` (at least 1)."""
-    row_bytes = 2 * config.max_len * 4 * config.lstm_units * 8
-    return max(1, _INFER_CHUNK_BYTES // row_bytes)
+    return max(1, _INFER_CHUNK_BYTES // _row_bytes(config))
 
 
 def stack_size(config: ModelConfig, batch_size: int) -> int:
@@ -861,14 +925,20 @@ def stack_size(config: ModelConfig, batch_size: int) -> int:
 
 def predict_proba(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.ndarray:
     """Inference-mode class probabilities for an index batch, computed in
-    chunks of ``inference_batch_size(config)`` rows."""
+    chunks of ``inference_batch_size(config)`` rows; (K, B, 3) for a stack.
+
+    The chunk's row count is part of the result's bits: the GEMMs of a
+    differently sized chunk may round differently.
+    """
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     step = inference_batch_size(config)
     out = [forward(x[start:start + step], params, config, training=False)[0]
            for start in range(0, len(x), step)]
-    return np.concatenate(out) if out else np.zeros((0, config.num_classes))
+    if not out:
+        return np.zeros(params.flat.shape[:-1] + (0, config.num_classes))
+    return np.concatenate(out, axis=-2)
 
 
 def classify(probs: np.ndarray) -> np.ndarray:
@@ -894,6 +964,29 @@ def evaluate(
 ) -> Tuple[float, float]:
     """Inference-mode (loss, accuracy) over a full set, computed in chunks."""
     return loss_accuracy(predict_proba(x, params, config), labels)
+
+
+def evaluate_runs(
+    x: np.ndarray,
+    labels: np.ndarray,
+    params: ModelParameters,
+    runs: Sequence[int],
+    config: ModelConfig,
+) -> List[Tuple[float, float]]:
+    """Of a stack: ``evaluate`` of each run in runs, bit for bit, from one
+    stacked inference forward per chunk for each group of runs.
+
+    Chunks keep ``inference_batch_size(config)`` rows, so a run's metrics do
+    not depend on which runs share its stack; a group holds as many runs as
+    keep its LSTM preactivation over one chunk within the chunk budget.
+    """
+    rows = min(inference_batch_size(config), max(1, len(x)))
+    size = max(1, _INFER_CHUNK_BYTES // (rows * _row_bytes(config)))
+    out: List[Tuple[float, float]] = []
+    for start in range(0, len(runs), size):
+        probs = predict_proba(x, params.runs(runs[start:start + size]), config)
+        out += [loss_accuracy(p, labels) for p in probs]
+    return out
 
 
 def predict(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.ndarray:

@@ -11,11 +11,12 @@ vectors are allocated once, and only the step's temporaries are transient.
 On top of the rules sits one epoch loop with per-epoch metrics,
 ``train_runs``, which trains a stack of runs that differ only in update rule
 and rate, one optimizer per run, with one forward and backward pass per
-batch for the whole stack. A single run (``train``), a learning-rate range
-search over a log grid (its probes stacked) and an optimizer-by-embedding
-sweep (the cells of each pair stacked) all go through it. A run whose loss or
-gradient goes non-finite is marked diverged and stops stepping in place; its
-row keeps its weights from before that batch, and the other runs go on.
+batch and one stacked test evaluation per epoch for the whole stack. A
+single run (``train``), a learning-rate range search over a log grid (its
+probes stacked) and an optimizer-by-embedding sweep (the cells of each pair
+stacked) all go through it. A run whose loss or gradient goes non-finite is
+marked diverged and stops stepping in place; its row keeps its weights from
+before that batch, and the other runs go on.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .model import (  # noqa: F401  from_flat and to_flat are re-exported helper
     ModelParameters,
     _diverging_quietly,
     _loss_probs_grad,
-    evaluate,
+    evaluate_runs,
     from_flat,
     init_parameters,
     stack_size,
@@ -286,11 +287,14 @@ def train_runs(
 
     Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
     aggregates training-mode predictions, test metrics are inference-mode over
-    the whole test split. A run whose loss or gradient goes non-finite is
-    marked diverged, keeps its recorded epochs, which stay finite, and stops
-    stepping in place; its row keeps its weights from before that batch. The
-    row is not evaluated again, but it still costs its share of every later
-    forward and backward pass of the stack. The others go on.
+    the whole test split, from one stacked evaluation of every live run
+    (``evaluate_runs``), which equals ``evaluate`` of each run bit for bit.
+    epoch_seconds is the stack's training time plus that evaluation's time.
+    A run whose loss or gradient goes non-finite is marked diverged, keeps
+    its recorded epochs, which stay finite, and stops stepping in place; its
+    row keeps its weights from before that batch. The row is not evaluated
+    again, but it still costs its share of every later forward and backward
+    pass of the stack. The others go on.
     """
     check_loop(data, epochs, batch_size, seed)
     if not specs:
@@ -322,18 +326,17 @@ def train_runs(
             live = [k for k in live if not histories[k].diverged]
             if not live:
                 break
-        trained = time.perf_counter() - started  # shared by the stack
-        for k in live:  # every run still live stepped every batch
-            evaluated = time.perf_counter()
-            test_loss, test_acc = evaluate(data.test_x, data.test_y, params.run(k), config)
+        if not live:
+            break
+        test_metrics = evaluate_runs(data.test_x, data.test_y, params, live, config)
+        seconds = time.perf_counter() - started  # the stack's training and evaluation
+        for k, (test_loss, test_acc) in zip(live, test_metrics):  # each stepped every batch
             history = histories[k]
             history.train_loss.append(float(np.mean(batch_losses[k])))
             history.train_accuracy.append(int(correct[k]) / n)
             history.test_loss.append(test_loss)
             history.test_accuracy.append(test_acc)
-            history.epoch_seconds.append(trained + time.perf_counter() - evaluated)
-        if not live:
-            break
+            history.epoch_seconds.append(seconds)
     return params, histories
 
 

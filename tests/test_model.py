@@ -30,6 +30,7 @@ from embfuse.model import (
     trainable_block_names,
 )
 from embfuse.model import _bidirectional, _gru_direction_forward, _lstm_direction_forward
+from embfuse.model import _rows, _steps
 from embfuse.seeding import derive_rng
 
 
@@ -247,6 +248,56 @@ class TestDirectionLayers:
                         assert half.shape == block.shape
                         assert np.shares_memory(half, block)
                         assert np.array_equal(half, block)
+
+
+def one_block(a):
+    """Whether a's elements fill one contiguous span of memory, in any axis order."""
+    span = sum((n - 1) * abs(st) for n, st in zip(a.shape, a.strides)) + a.itemsize
+    return a.size == 0 or span == a.nbytes
+
+
+class TestTimeMajorLayout:
+    """The scan stores of a stack: one contiguous block per step, T*B rows read in place."""
+
+    @staticmethod
+    def _trace(batch):
+        config = tiny_config()
+        x, _, emb = tiny_batch(config, batch=batch)
+        params = init_parameters(config, emb).stacked(3)
+        return config, forward(x, params, config, training=True)[1]
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_each_step_of_every_store_is_one_block(self, batch):
+        config, trace = self._trace(batch)
+        stores = {"lstm": (trace.lstm_store, 4 * config.lstm_units),
+                  "gru": (trace.gru_store, 3 * config.gru_units)}
+        arrays = [trace.valid]
+        for store, gate_width in stores.values():
+            gates = store[0]  # the preactivation, which the scan turned into gate activations
+            assert gates.shape == (3, 2, config.max_len, batch, gate_width)
+            arrays += store
+        for a in arrays:
+            for s in range(a.shape[-3]):
+                step = _steps(a)[s]
+                assert one_block(step)
+                if batch == 1:
+                    assert step.flags.c_contiguous
+
+    def test_row_views_share_memory_with_their_store(self):
+        _, trace = self._trace(3)
+        (gates, hs, cs, tanh_cs), (ggates, ghs, hus) = trace.lstm_store, trace.gru_store
+        for a in (gates, hs[..., :-1, :, :], cs, tanh_cs, ggates, ghs[..., :-1, :, :], hus):
+            rows = _rows(a)
+            assert rows.shape == a.shape[:-3] + (a.shape[-3] * a.shape[-2], a.shape[-1])
+            assert np.shares_memory(rows, a)
+            assert np.array_equal(rows, a.reshape(rows.shape))
+
+    def test_a_merge_that_needs_a_copy_raises(self):
+        batch_major = np.zeros((3, 2, 5, 7, 4))  # (K, 2, B, T, F)
+        with pytest.raises(ValueError):
+            _rows(batch_major.swapaxes(-3, -2))
+        assert _rows(batch_major[:, :, :1].swapaxes(-3, -2)).shape == (3, 2, 7, 4)
+
 
 class TestMaskedMaxPool:
     def test_hand_case_with_padding(self):

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from embfuse.errors import AllDivergedError, NonFiniteGradientError, ValidationError
-from embfuse.model import ModelConfig, load_checkpoint, save_checkpoint, stack_size
+from embfuse.model import (
+    ModelConfig,
+    evaluate,
+    evaluate_runs,
+    load_checkpoint,
+    save_checkpoint,
+    stack_size,
+)
 from embfuse.optim import (
     DEFAULT_LR,
     DEFAULT_LR_GRID,
@@ -30,6 +37,7 @@ from embfuse.optim import (
 from embfuse.seeding import derive_rng
 
 from synthetic import random_embedding, synthetic_dataset
+from test_model import set_inference_chunk
 
 
 class TestOptimizerSpec:
@@ -324,7 +332,7 @@ class TestTrainRuns:
         with pytest.raises(ValidationError):
             train_runs(tiny_dataset, tiny_embedding, small_config(), [])
 
-    def test_each_run_times_the_shared_training_and_its_own_evaluation(
+    def test_each_run_times_the_shared_training_and_the_stack_evaluation(
             self, tiny_dataset, tiny_embedding, monkeypatch):
         from embfuse import optim
         clock = [0.0]
@@ -334,13 +342,13 @@ class TestTrainRuns:
             clock[0] += 1.0
             return real_loss_probs_grad(*args)
 
-        def ten_seconds_per_evaluation(*args):
+        def ten_seconds_per_stack_evaluation(x, labels, params, runs, config):
             clock[0] += 10.0
-            return 0.5, 0.5
+            return [(0.5, 0.5)] * len(runs)
 
         monkeypatch.setattr(optim.time, "perf_counter", lambda: clock[0])
         monkeypatch.setattr(optim, "_loss_probs_grad", one_second_per_batch)
-        monkeypatch.setattr(optim, "evaluate", ten_seconds_per_evaluation)
+        monkeypatch.setattr(optim, "evaluate_runs", ten_seconds_per_stack_evaluation)
         specs = [OptimizerSpec(kind="sgd", learning_rate=lr) for lr in (0.1, 0.05, 0.01)]
         _, histories = train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
                                   epochs=2, batch_size=16, seed=5)
@@ -373,6 +381,78 @@ class TestTrainRuns:
         tiny = ModelConfig(max_len=12, emb_dim=10, lstm_units=8, gru_units=6)
         assert stack_size(tiny, 1) >= 7
         assert stack_size(tiny, 1) > stack_size(tiny, 8) > stack_size(tiny, 64)
+
+
+class TestStackedEvaluation:
+    """evaluate_runs, the one stacked evaluation of train_runs, against
+    evaluate run by run, bit for bit."""
+
+    @staticmethod
+    def _trained(data, embedding, case):
+        overrides, pairs, batch_size, _ = STACKS[case]
+        config = small_config(**overrides)
+        specs = [OptimizerSpec(kind=kind, learning_rate=lr) for kind, lr in pairs]
+        params, histories = train_runs(data, embedding, config, specs,
+                                       epochs=2, batch_size=batch_size, seed=5)
+        return config, params, histories
+
+    @staticmethod
+    def _check(data, config, params, runs):
+        got = evaluate_runs(data.test_x, data.test_y, params, runs, config)
+        want = [evaluate(data.test_x, data.test_y, params.run(k), config) for k in runs]
+        assert len(got) == len(runs)
+        for (loss, acc), (want_loss, want_acc) in zip(got, want):
+            assert np.array_equal(loss, want_loss) and np.array_equal(acc, want_acc)
+        return got
+
+    @staticmethod
+    def _stack_sizes(monkeypatch):
+        """(stack size, rows) of every forward from now on."""
+        import embfuse.model as model_module
+        sizes = []
+        real_forward = model_module.forward
+
+        def recording(x, params, *args, **kwargs):
+            sizes.append((params.flat.shape[0], len(x)))
+            return real_forward(x, params, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "forward", recording)
+        return sizes
+
+    def test_mixed_rules_and_rates(self, tiny_dataset, tiny_embedding, monkeypatch):
+        config, params, histories = self._trained(tiny_dataset, tiny_embedding,
+                                                  "mixed-kinds-and-rates")
+        runs = list(range(len(histories)))
+        sizes = self._stack_sizes(monkeypatch)
+        got = self._check(tiny_dataset, config, params, runs)
+        assert sizes[0] == (len(runs), len(tiny_dataset.test_y))  # one stacked forward
+        assert [(h.test_loss[-1], h.test_accuracy[-1]) for h in histories] == got
+
+    def test_a_test_split_longer_than_one_chunk(self, tiny_dataset, tiny_embedding,
+                                                monkeypatch):
+        config, params, _ = self._trained(tiny_dataset, tiny_embedding, "mixed-kinds-and-rates")
+        set_inference_chunk(monkeypatch, config, 5)
+        assert len(tiny_dataset.test_y) == 12
+        sizes = self._stack_sizes(monkeypatch)
+        self._check(tiny_dataset, config, params, [0, 2, 3])
+        # a chunk fills the budget, so each run is its own group of chunks of 5 rows
+        assert sizes[:9] == [(1, 5), (1, 5), (1, 2)] * 3
+
+    def test_a_stack_with_a_diverged_row(self, tiny_dataset, tiny_embedding):
+        config, params, histories = self._trained(tiny_dataset, tiny_embedding,
+                                                  "diverging-member")
+        assert [h.diverged for h in histories] == [False, True, False]
+        got = self._check(tiny_dataset, config, params, [0, 2])
+        assert [(histories[k].test_loss[-1], histories[k].test_accuracy[-1])
+                for k in (0, 2)] == got
+
+    def test_a_budget_for_fewer_runs_than_are_live(self, tiny_dataset, tiny_embedding,
+                                                   monkeypatch):
+        config, params, _ = self._trained(tiny_dataset, tiny_embedding, "mixed-kinds-and-rates")
+        set_inference_chunk(monkeypatch, config, 2 * len(tiny_dataset.test_y))
+        sizes = self._stack_sizes(monkeypatch)
+        self._check(tiny_dataset, config, params, [0, 1, 2, 3, 5])
+        assert sizes[:3] == [(2, 12), (2, 12), (1, 12)]
 
 
 class TestTrainParameterBuffer:
