@@ -474,6 +474,11 @@ def _run_eval(opts: Dict[str, Any]) -> None:
     print("confusion (rows=truth bad/neutral/good, cols=predicted):")
     for row in cm:
         print("  " + " ".join(f"{int(v):5d}" for v in row))
+    for label in corpus.SentimentLabel:  # nan where a denominator is 0, as loss_accuracy
+        hits, predicted, actual = cm[label, label], cm[:, label].sum(), cm[label].sum()
+        precision = hits / predicted if predicted else float("nan")
+        recall = hits / actual if actual else float("nan")
+        print(f"class={label.name} precision={precision:.6f} recall={recall:.6f}")
 
 
 def _run_report(opts: Dict[str, Any]) -> None:

@@ -27,14 +27,17 @@ Training-mode forward returns a trace for exact backpropagation through time
 (..., 2, T, B, .) arrays filled step by step: the gate activations, the
 hidden states (and for the LSTM the cell states and tanh of the new cell
 state), and for the GRU the recurrent products h U. Each is a view of a
-time-major (T, B, ..., 2, .) buffer, so one time step of every run and
-direction is one contiguous block. The backward pass consumes the store,
-overwriting the gate arrays with the gate gradients, and writes each block's
-gradient straight into its view of one flat gradient vector laid out like
-``flat``. Inference-mode forward keeps no store: each layer holds only its
-output sequence and its input preactivations, which the gate activations
-overwrite step by step. Gradients are checked against central finite
-differences in the test suite.
+time-major (T + p, B, ..., 2, .) buffer, where p counts the batch's leading
+steps that are padding in every row, offset so that one loop slot, fw step
+j and bw step j - p of every run, is one contiguous block. The loops skip
+the p all-pad steps of each direction, and whole-array calls write what
+the loop would have written there, bit for bit. The backward pass consumes
+the store, overwriting the gate arrays with the gate gradients, and writes
+each block's gradient straight into its view of one flat gradient vector
+laid out like ``flat``. Inference-mode forward keeps no store: each layer
+holds only its output sequence and its input preactivations, which the gate
+activations overwrite step by step. Gradients are checked against central
+finite differences in the test suite.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ import math
 import struct
 from dataclasses import dataclass, asdict
 from itertools import accumulate
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -296,36 +299,39 @@ def init_parameters(
 
 # --- cell math: one definition, shared by the single-step cells and the scans ---
 
-def _lstm_cell(a, c_prev, gates):
+def _lstm_cell(a, c_prev, gates, out=(None, None, None)):
     """LSTM cell on the preactivation a = x W + b + h_prev U, packed [i|f|g|o].
 
     Writes the gate activations [i, f, g, o] into gates, which must not alias
-    a, and returns (c, tanh(c), h). Call under np.errstate(over="ignore").
+    a, and returns (c, tanh(c), h), each written into its array of out where
+    one is given. Call under np.errstate(over="ignore").
     """
     H = a.shape[-1] // 4
     _sigmoid(a, gates)
     np.tanh(a[..., 2 * H:3 * H], out=gates[..., 2 * H:3 * H])
     i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
-    c = f * c_prev
+    c = np.multiply(f, c_prev, out=out[0])
     c += i * g
-    tanh_c = np.tanh(c)
-    return c, tanh_c, o * tanh_c
+    tanh_c = np.tanh(c, out=out[1])
+    return c, tanh_c, np.multiply(o, tanh_c, out=out[2])
 
 
-def _gru_cell(xw, hu, h_prev, gates):
+def _gru_cell(xw, hu, h_prev, gates, out=None):
     """GRU cell on xw = x W + b and hu = h_prev U, packed [z|r|n].
 
     The reset gate scales the recurrent term inside the candidate. Writes the
     activations [z, r, n] into gates (which may alias xw) and returns
-    h = (1 - z) * n + z * h_prev. Call under np.errstate(over="ignore").
+    h = (1 - z) * n + z * h_prev, written into out when given. Call under
+    np.errstate(over="ignore").
     """
     G = hu.shape[-1] // 3
-    zr = np.add(xw[..., :2 * G], hu[..., :2 * G], out=gates[..., :2 * G])
+    zr = xw[..., :2 * G] + hu[..., :2 * G]  # a contiguous temporary, cheaper to work on
     _sigmoid(zr, zr)
-    n = np.add(xw[..., 2 * G:], gates[..., G:2 * G] * hu[..., 2 * G:], out=gates[..., 2 * G:])
+    gates[..., :2 * G] = zr
+    n = np.add(xw[..., 2 * G:], zr[..., G:] * hu[..., 2 * G:], out=gates[..., 2 * G:])
     np.tanh(n, out=n)
-    h = h_prev - n
-    h *= gates[..., :G]
+    h = np.subtract(h_prev, n, out=out)
+    h *= zr[..., :G]
     h += n
     return h
 
@@ -394,29 +400,73 @@ def gru_cell_step(
 # store. dW, dU, db and dX are then one GEMM or reduction each over all T*B
 # rows.
 #
+# Left padding makes a batch's first p time steps padding in every row
+# (_step_mask counts them): fw's steps 0..p-1, first in processing order,
+# and bw's steps T-p..T-1, last. The loops skip both. Every array a loop
+# indexes by step is an offset store (see _store), whose slot j holds fw
+# step j and bw step j-p, so the loops run over slots p..T-1 only. The
+# skipped steps are filled with whole-array calls that write what the
+# per-step loop writes, bit for bit. Forward, every skipped step of a
+# direction is entered with the same state (zero for fw, the final state
+# for bw), so their h U is one product of the per-step shape and their cell
+# math one call. Backward, dh and dc pass through them as running sums (see
+# _running_sums). On a loop slot where every row is real, the selects that
+# keep padded rows' states are dropped.
+#
 # Further leading axes, a stack of runs, broadcast: a (K, 2, D, 4H) W over
 # the (2, T*B, D) rows of a shared (B, T, D) input scans K runs, and every
 # product is a stacked np.matmul of the same 2-D GEMMs one direction of one
-# run makes alone. Every array a scan indexes by step is a (..., T, B, F)
-# view of a time-major (T, B, ..., F) buffer (see _store), so the loops'
-# _steps(a)[s] is one contiguous block holding step s of every run and
-# direction, while each run's and direction's T*B rows stay one uniformly
-# strided matrix that the GEMMs read and write in place (see _rows).
+# run makes alone. A loop's slot j is one contiguous block holding that slot
+# of every run and direction (see _slots), while each run's and direction's
+# T*B rows stay one uniformly strided matrix, in time order, that the GEMMs
+# read and write in place (see _rows).
 
-def _store(lead: Tuple[int, ...], T: int, B: int, F: int, alloc=np.empty, dtype=np.float64):
-    """A (*lead, T, B, F) view of a new time-major (T, B, *lead, F) buffer
-    made by alloc (np.empty or np.zeros)."""
-    n = len(lead)
-    return alloc((T, B) + lead + (F,), dtype=dtype).transpose(
-        (*range(2, 2 + n), 0, 1, 2 + n))
+# transposes between a store buffer (S, B, *lead, F) and its views by
+# direction (*lead, S, B, F) and by slot (S, *lead, B, F), by len(lead)
+_STORE_AXES = {n: (*range(2, 2 + n), 0, 1, 2 + n) for n in (1, 2)}
+_SLOT_AXES = {n: (0, *range(2, 2 + n), 1, 2 + n) for n in (1, 2)}
+# and from a slot view split by gate, (S, *lead, B, gate, F), to gate first, by ndim
+_GATE_FIRST = {n: (n - 2, *range(n - 2), n - 1) for n in (5, 6)}
 
 
-def _pair(fw: np.ndarray, bw: Optional[np.ndarray] = None) -> np.ndarray:
+def _view(buf: np.ndarray, n: int, shift: int) -> np.ndarray:
+    """The (*lead, n, B, F) view of n steps of a time-major (S, B, *lead, F)
+    store buffer, lead ending in the direction axis: fw's from slot 0, bw's
+    from slot shift. An offset store is _view(buf, T, p), and its steps that
+    are padding in every row are _view(buf, p, T)."""
+    slot, row, *lead_st, feat = buf.strides
+    lead_st[-1] += shift * slot
+    shape = buf.shape[2:-1] + (n, buf.shape[1], buf.shape[-1])
+    return np.ndarray(shape, buf.dtype, buf, 0, (*lead_st, slot, row, feat))
+
+
+def _store(lead: Tuple[int, ...], T: int, B: int, F: int, p: int = 0, alloc=np.empty,
+           dtype=np.float64):
+    """A new offset store: the (*lead, T, B, F) view, lead ending in the
+    direction axis, of a time-major (T + p, B, *lead, F) buffer, whose slot
+    j holds fw step j and bw step j-p. alloc (np.empty or np.zeros) makes
+    the buffer, and np.zeros whenever p > 0: fw leaves slots T.. unused and
+    bw slots ..p-1, and arithmetic over the whole buffer (see _slots) then
+    reads zeros there."""
+    if p:
+        return _view(np.zeros((T + p, B) + lead + (F,), dtype=dtype), T, p)
+    return alloc((T, B) + lead + (F,), dtype=dtype).transpose(_STORE_AXES[len(lead)])
+
+
+def _slots(a: np.ndarray) -> np.ndarray:
+    """The (T + p, ..., 2, B, F) view of offset store a by slot: its buffer
+    (a.base) with the batch axis moved next to the features. A slot is one
+    contiguous block, and elementwise arithmetic over the whole view runs
+    as over one contiguous array."""
+    return a.base.transpose(_SLOT_AXES[a.base.ndim - 3])
+
+
+def _pair(fw: np.ndarray, bw: Optional[np.ndarray] = None, p: int = 0) -> np.ndarray:
     """(..., B, T, F) fw and bw halves of one shape (bw defaults to fw) -> one
-    time-major (..., 2, T, B, F) store in processing order."""
+    time-major (..., 2, T, B, F) store in processing order, offset by p."""
     bw = fw if bw is None else bw
     B, T, F = fw.shape[-3:]
-    out = _store(fw.shape[:-3] + (2,), T, B, F, dtype=fw.dtype)
+    out = _store(fw.shape[:-3] + (2,), T, B, F, p, dtype=fw.dtype)
     out[..., 0, :, :, :] = fw.swapaxes(-3, -2)
     out[..., 1, :, :, :] = bw[..., ::-1, :].swapaxes(-3, -2)
     return out
@@ -425,13 +475,6 @@ def _pair(fw: np.ndarray, bw: Optional[np.ndarray] = None) -> np.ndarray:
 def _unpair(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of _pair: the fw and bw halves as (..., B, T, F) views."""
     return a[..., 0, :, :, :].swapaxes(-3, -2), a[..., 1, ::-1, :, :].swapaxes(-3, -2)
-
-
-def _steps(a: np.ndarray, axis: int = -3) -> np.ndarray:
-    """(..., T, B, F) -> (T, ..., B, F) view, time moved first from axis:
-    a[s] is step s of every run and direction."""
-    t = a.ndim + axis
-    return a.transpose((t, *range(t), *range(t + 1, a.ndim)))
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -444,196 +487,309 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return np.reshape(a, a.shape[:-3] + (-1, a.shape[-1]), copy=False)
 
 
-def _lstm_direction_forward(gates, valid, U, training: bool = False):
-    """The LSTM scan over (..., 2, T, B, 4H) preactivations X W + b, which
-    become the gate activations; returns ((..., 2, T, B, H) outputs, store).
+class _StepMask(NamedTuple):
+    """The (B, T) padding mask as the scans read it (see _step_mask)."""
+
+    valid: np.ndarray  # a (2, T, B, 1) offset store, True where a step is real
+    p: int  # the leading steps that are padding in every row
+    full: List[bool]  # per loop slot p..T-1, whether every row is real there
+
+
+def _slot_mask(valid: np.ndarray, lead: Tuple[int, ...]) -> np.ndarray:
+    """_slots of a step mask's valid, with an axis for each lead axis before
+    the direction, so it broadcasts against the slots of a store of lead."""
+    return _slots(valid)[(slice(None),) + (None,) * (len(lead) - 1)]
+
+
+def _chunks(n: int, step_bytes: int) -> List[slice]:
+    """Slices of n steps of step_bytes each, a few steps a slice, so that
+    whole-array calls over one slice work on about 1 MiB: at paper size
+    their memory-bound arithmetic then runs in cache (a step or two a
+    slice), and at the tiny shape every step is in one slice."""
+    k = max(1, (1 << 20) // step_bytes)
+    return [slice(s, s + k) for s in range(0, n, k)]
+
+
+def _running_sums(terms: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """For each of the (n, ...) terms, in step order: start plus that step's
+    term and every later one's, added one step at a time from the last step
+    down, in the backward loop's order (and IEEE addition commutes). Each
+    step is one whole-array add: np.add.accumulate along the step axis also
+    adds in order, but runs one strided inner loop per element, 12x slower
+    at paper size."""
+    sums = np.empty(terms.shape)
+    for k in range(len(terms) - 1, -1, -1):
+        start = np.add(terms[k], start, out=sums[k])
+    return sums
+
+
+def _lstm_direction_forward(gates, steps, U, training: bool = False):
+    """The LSTM scan over (..., 2, T, B, 4H) preactivations X W + b, an offset
+    store, which become the gate activations; steps is _step_mask's.
+    Returns ((..., 2, T, B, H) outputs, store).
 
     Padded steps carry h and c through unchanged. store is None unless training.
     """
+    valid, p, full = steps
     lead, (T, B), H = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
-    hs = _store(lead, T + 1, B, H, np.zeros)  # hs[..., s, :, :] is the state entering step s
-    cs = _store(lead, T + 1, B, H, np.zeros) if training else None
-    tanh_cs = _store(lead, T, B, H) if training else None
-    c = np.zeros(lead + (B, H))
-    gates_s, hs_s, valid = _steps(gates), _steps(hs), _steps(valid)
-    cs_s, tanh_cs_s = (_steps(cs), _steps(tanh_cs)) if training else (None, None)
+    hs = _store(lead, T + 1, B, H, p, np.zeros)  # hs[..., s, :, :] is the state entering step s
+    cs = _store(lead, T + 1, B, H, p, np.zeros) if training else None
+    tanh_cs = _store(lead, T, B, H, p) if training else None
+    gates_s, hs_s, pad_s = _slots(gates), _slots(hs), ~_slots(valid)
+    cs_s, tanh_cs_s = (_slots(cs), _slots(tanh_cs)) if training else (None, None)
+    c = cs_s[p] if training else np.zeros(lead + (B, H))
     with np.errstate(over="ignore"):
-        for s in range(T):
-            a = hs_s[s] @ U
-            a += gates_s[s]
-            c_new, tanh_c, h_new = _lstm_cell(a, c, gates_s[s])
-            m = valid[s]
-            hs_s[s + 1] = np.where(m, h_new, hs_s[s])
-            c = np.where(m, c_new, c)
-            if training:
-                cs_s[s + 1] = c
-                tanh_cs_s[s] = tanh_c
+        for j, every in zip(range(p, T), full):
+            g, h_prev, c_prev = gates_s[j], hs_s[j], c
+            a = h_prev @ U
+            a += g
+            h = hs_s[j + 1]
+            c, _, h = _lstm_cell(a, c_prev, g,
+                                 (cs_s[j + 1], tanh_cs_s[j], h) if training else (None, None, h))
+            if not every:  # padded rows keep their state
+                np.copyto(h, h_prev, where=pad_s[j])
+                np.copyto(c, c_prev, where=pad_s[j])
+        if p:  # bw's all-pad steps carry its final state
+            hs[..., 1, T - p + 1:, :, :] = hs[..., 1, T - p, None, :, :]
+        if training and p:
+            cs[..., 1, T - p + 1:, :, :] = cs[..., 1, T - p, None, :, :]
+            # the all-pad steps' gate activations and tanh(c), which the loop
+            # would store, from the state entering them: fw's zero, bw's final
+            pads, pad_tanh = _view(gates.base, p, T), _view(tanh_cs.base, p, T)
+            hU, c_in = _view(hs.base, 1, T) @ U[..., None, :, :], _view(cs.base, 1, T)
+            for k in _chunks(p, pads[..., 0, :, :].nbytes):
+                a = hU + pads[..., k, :, :]
+                act = np.empty_like(a)
+                _lstm_cell(a, c_in, act, (None, pad_tanh[..., k, :, :], None))
+                pads[..., k, :, :] = act
     store = (gates, hs, cs, tanh_cs) if training else None
     return hs[..., 1:, :, :], store
 
 
-def _lstm_direction_backward(dout, valid, U, store):
-    """BPTT through the LSTM scan from its (..., 2, T, B, H) output gradient;
-    returns hs and the gate gradients (dw_in, du_in).
+def _lstm_direction_backward(dout, steps, U, store):
+    """BPTT through the LSTM scan from its (..., 2, T, B, H) output gradient,
+    an offset store; returns hs and the gate gradients (dw_in, du_in).
 
     Consumes store: the gate array ends up holding the gate gradients.
     """
-    gates, hs, cs, tanh_cs = store
+    (gates, hs, cs, tanh_cs), (valid, p, full) = store, steps
     lead, (T, B, H) = tanh_cs.shape[:-3], tanh_cs.shape[-3:]
-    live = valid.astype(np.float64)
-    gates4 = np.reshape(gates, gates.shape[:-1] + (4, H), copy=False)
-    i, f, g, o = (gates4[..., k, :] for k in range(4))
+    valid_s, gates_s, tanh_cs_s = _slot_mask(valid, lead), _slots(gates), _slots(tanh_cs)
+    gates4 = np.reshape(gates_s, gates_s.shape[:-1] + (4, H), copy=False)
+    carry = _slots(cs)[:-1]
     # Per-step factors that do not depend on the incoming gradient, for all
-    # steps at once and in place over the store, with one temporary at a time.
-    # Padded steps get zero factors and a unit carry, so they pass dc through
-    # untouched.
-    # o <- da_o / dh = o (1 - o) tanh(c)
-    # tanh_cs <- (dc from dh) / dh = o (1 - tanh(c)^2)
-    d = 1.0 - o
-    d *= o
-    d *= tanh_cs
-    np.multiply(tanh_cs, tanh_cs, out=tanh_cs)
-    np.subtract(1.0, tanh_cs, out=tanh_cs)
-    tanh_cs *= o
-    tanh_cs *= live
-    o[...] = d
-    # f <- da_f / dc = f (1 - f) c_prev; cs[:-1] <- the carry dc_prev / dc = f
-    carry = cs[..., :-1, :, :]
-    np.subtract(1.0, f, out=d)
-    d *= f
-    d *= carry
-    carry[...] = 1.0
-    np.copyto(carry, f, where=valid)
-    f[...] = d
-    # i <- da_i / dc = i (1 - i) g; g <- da_g / dc = (1 - g^2) i
-    np.subtract(1.0, i, out=d)
-    d *= i
-    d *= g
-    np.multiply(g, g, out=g)
-    np.subtract(1.0, g, out=g)
-    g *= i
-    i[...] = d
-    del d
-    gates *= live
+    # steps at once and in place over the store, by chunks of slots, each
+    # chunk's gates on a contiguous copy (a strided 8-wide gate costs each
+    # call several times more at the tiny shape). Padded steps get zero
+    # factors and a unit carry, so they pass dc through untouched.
+    for sl in _chunks(len(gates_s), gates_s[0].nbytes):
+        m, tc, cr = valid_s[sl], tanh_cs_s[sl], carry[sl]
+        live = m.astype(np.float64)
+        ifgo = gates4[sl].transpose(_GATE_FIRST[gates4.ndim]).copy()
+        i, f, g, o = ifgo
+        # o <- da_o / dh = o (1 - o) tanh(c)
+        # tanh_cs <- (dc from dh) / dh = o (1 - tanh(c)^2)
+        d = 1.0 - o
+        d *= o
+        d *= tc
+        np.multiply(tc, tc, out=tc)
+        np.subtract(1.0, tc, out=tc)
+        tc *= o
+        tc *= live
+        o[...] = d
+        # f <- da_f / dc = f (1 - f) c_prev; cs[:-1] <- the carry dc_prev / dc = f
+        np.subtract(1.0, f, out=d)
+        d *= f
+        d *= cr
+        cr[...] = 1.0
+        np.copyto(cr, f, where=m)
+        f[...] = d
+        # i <- da_i / dc = i (1 - i) g; g <- da_g / dc = (1 - g^2) i
+        np.subtract(1.0, i, out=d)
+        d *= i
+        d *= g
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= i
+        i[...] = d
+        ifgo *= live
+        gates4[sl].transpose(_GATE_FIRST[gates4.ndim])[...] = ifgo
 
-    dout, valid = _steps(dout), _steps(valid)
-    gates_s, gates4_s = _steps(gates), _steps(gates4, -4)
-    tanh_cs, carry = _steps(tanh_cs), _steps(carry)
+    dout_s = _slots(dout)
     UT = U.swapaxes(-1, -2)
     dh = np.zeros(lead + (B, H))
     dc = np.zeros(lead + (B, H))
-    for s in range(T - 1, -1, -1):
-        dh_total = dout[s] + dh
-        dc = dc + dh_total * tanh_cs[s]
-        gates4_s[s][..., :3, :] *= dc[..., None, :]
-        gates_s[s][..., 3 * H:] *= dh_total
-        dc *= carry[s]
-        dh = np.where(valid[s], gates_s[s] @ UT, dh_total)
+
+    def all_pad(half, slots):
+        # one direction's all-pad steps have a unit carry and pass dh_total
+        # on, so dh and dc run through them as sums
+        dh_total = _running_sums(dout_s[slots, ..., half, :, :], dh[..., half, :, :])
+        dcs = _running_sums(dh_total * tanh_cs_s[slots, ..., half, :, :], dc[..., half, :, :])
+        gates4[slots, ..., half, :, :3, :] *= dcs[..., None, :]
+        gates4[slots, ..., half, :, 3, :] *= dh_total
+        return dh_total[0], dcs[0]
+
+    if p:  # bw's all-pad steps come first in processing order, fw's last
+        dh[..., 1, :, :], dc[..., 1, :, :] = all_pad(1, slice(T, T + p))
+    ifg, o = gates4[..., :3, :], gates4[..., 3, :]
+    for j, every in zip(range(T - 1, p - 1, -1), full[::-1]):
+        dh_total = dout_s[j] + dh
+        dc = dc + dh_total * tanh_cs_s[j]
+        ifg[j] *= dc[..., None, :]
+        o[j] *= dh_total
+        dc *= carry[j]
+        dh = gates_s[j] @ UT
+        if not every:
+            dh = np.where(valid_s[j], dh, dh_total)
+    if p:
+        all_pad(0, slice(0, p))
     return hs, gates, gates
 
 
-def _gru_direction_forward(gates, valid, U, training: bool = False):
-    """The GRU scan over (..., 2, T, B, 3G) preactivations X W + b, which
-    become the gate activations; returns ((..., 2, T, B, G) outputs, store).
+def _gru_direction_forward(gates, steps, U, training: bool = False):
+    """The GRU scan over (..., 2, T, B, 3G) preactivations X W + b, an offset
+    store, which become the gate activations; steps is _step_mask's.
+    Returns ((..., 2, T, B, G) outputs, store).
 
     Padded steps carry h through unchanged. store is None unless training.
     """
+    valid, p, full = steps
     lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
-    hs = _store(lead, T + 1, B, G, np.zeros)  # hs[..., s, :, :] is the state entering step s
-    hus = _store(lead, T, B, 3 * G) if training else None
-    gates_s, hs_s, valid = _steps(gates), _steps(hs), _steps(valid)
-    hus_s = _steps(hus) if training else None
+    hs = _store(lead, T + 1, B, G, p, np.zeros)  # hs[..., s, :, :] is the state entering step s
+    hus = _store(lead, T, B, 3 * G, p) if training else None
+    gates_s, hs_s, pad_s = _slots(gates), _slots(hs), ~_slots(valid)
+    hus_s = _slots(hus) if training else None
     with np.errstate(over="ignore"):
-        for s in range(T):
-            hu = hs_s[s] @ U
-            h_new = _gru_cell(gates_s[s], hu, hs_s[s], gates_s[s])
-            hs_s[s + 1] = np.where(valid[s], h_new, hs_s[s])
-            if training:
-                hus_s[s] = hu
+        for j, every in zip(range(p, T), full):
+            h_prev, g = hs_s[j], gates_s[j]
+            hu = np.matmul(h_prev, U, out=hus_s[j]) if training else h_prev @ U
+            h = _gru_cell(g, hu, h_prev, g, hs_s[j + 1])
+            if not every:  # padded rows keep their state
+                np.copyto(h, h_prev, where=pad_s[j])
+        if p:  # bw's all-pad steps carry its final state
+            hs[..., 1, T - p + 1:, :, :] = hs[..., 1, T - p, None, :, :]
+        if training and p:
+            # the all-pad steps' gate activations and h U, which the loop
+            # would store, from the state entering them: fw's zero, bw's final
+            h = _view(hs.base, 1, T)
+            hu = h @ U[..., None, :, :]
+            _view(hus.base, p, T)[...] = hu
+            pads = _view(gates.base, p, T)
+            for k in _chunks(p, pads[..., 0, :, :].nbytes):
+                act = pads[..., k, :, :].copy()
+                _gru_cell(act, hu, h, act)
+                pads[..., k, :, :] = act
     store = (gates, hs, hus) if training else None
     return hs[..., 1:, :, :], store
 
 
-def _gru_direction_backward(dout, valid, U, store):
-    """BPTT through the GRU scan from its (..., 2, T, B, G) output gradient;
-    returns hs and the gate gradients (dw_in, du_in).
+def _gru_direction_backward(dout, steps, U, store):
+    """BPTT through the GRU scan from its (..., 2, T, B, G) output gradient,
+    an offset store; returns hs and the gate gradients (dw_in, du_in).
 
     Consumes store: the gate array ends up holding the input-side gradient
     dw_in and the recurrent products hus the recurrent-side gradient du_in.
     """
-    gates, hs, hus = store
+    (gates, hs, hus), (valid, p, _) = store, steps
     lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
-    live = valid.astype(np.float64)
-    z, r, n = (gates[..., k * G:(k + 1) * G] for k in range(3))
-    hu_z, hu_r, hu_n = (hus[..., k * G:(k + 1) * G] for k in range(3))
+    valid_s, gates_s, hus_s = _slot_mask(valid, lead), _slots(gates), _slots(hus)
+    gates3, hus3 = (np.reshape(a, a.shape[:-1] + (3, G), copy=False) for a in (gates_s, hus_s))
+    hs_s = _slots(hs)[:-1]
+    keep = np.empty(hus_s.shape[:-1] + (G,))
     # Per-step factors taking dh to each gate gradient, for all steps at once
-    # and in place: gates becomes [dz, dr, dn] / dh and hus [dz, dr, dhu_n] / dh.
-    # hus[..., :2G] is read by nothing, so it holds the temporaries. keep is the
-    # direct path dh_prev / dh. Padded steps get zero factors and keep = 1, so
-    # they pass dh through untouched.
-    keep = np.where(valid, z, 1.0)  # laid out like z, so time-major too
-    np.subtract(1.0, z, out=hu_z)
-    # z <- dz = (h_prev - n) z (1 - z)
-    z *= np.subtract(hs[..., :-1, :, :], n, out=hu_r)
-    z *= hu_z
-    z *= live
-    # n <- dn = (1 - n^2) (1 - z)
-    np.multiply(n, n, out=n)
-    np.subtract(1.0, n, out=n)
-    n *= hu_z
-    n *= live
-    # r <- dr = dn hu_n r (1 - r); hu_n <- dhu_n = dn r
-    np.multiply(n, hu_n, out=hu_z)
-    hu_z *= r
-    hu_z *= np.subtract(1.0, r, out=hu_r)
-    np.multiply(n, r, out=hu_n)
-    r[...] = hu_z
-    hus[..., :2 * G] = gates[..., :2 * G]
+    # and in place, by chunks of slots, as in the LSTM: gates becomes [dz, dr,
+    # dn] / dh and hus [dz, dr, dhu_n] / dh. keep is the direct path dh_prev /
+    # dh. Padded steps get zero factors and keep = 1, so they pass dh through
+    # untouched.
+    for sl in _chunks(len(gates_s), gates_s[0].nbytes):
+        m = valid_s[sl]
+        live = m.astype(np.float64)
+        zrn = gates3[sl].transpose(_GATE_FIRST[gates3.ndim]).copy()
+        hu3 = hus3[sl].transpose(_GATE_FIRST[hus3.ndim])
+        z, r, n = zrn
+        keep[sl] = np.where(m, z, 1.0)
+        one_z = 1.0 - z
+        # z <- dz = (h_prev - n) z (1 - z)
+        z *= hs_s[sl] - n
+        z *= one_z
+        z *= live
+        # n <- dn = (1 - n^2) (1 - z)
+        np.multiply(n, n, out=n)
+        np.subtract(1.0, n, out=n)
+        n *= one_z
+        n *= live
+        # r <- dr = dn hu_n r (1 - r); hu_n <- dhu_n = dn r
+        dr = n * hu3[2]
+        dr *= r
+        dr *= 1.0 - r
+        np.multiply(n, r, out=hu3[2])
+        r[...] = dr
+        gates3[sl].transpose(_GATE_FIRST[gates3.ndim])[...] = zrn
+        hu3[:2] = zrn[:2]
 
-    dout, keep, hus_s = _steps(dout), _steps(keep), _steps(hus)
-    gates3 = _steps(np.reshape(gates, gates.shape[:-1] + (3, G), copy=False), -4)
-    hus3 = _steps(np.reshape(hus, hus.shape[:-1] + (3, G), copy=False), -4)
+    dout_s = _slots(dout)
     UT = U.swapaxes(-1, -2)
     dh = np.zeros(lead + (B, G))
-    for s in range(T - 1, -1, -1):
-        dh_total = dout[s] + dh
+
+    def all_pad(half, slots):
+        # one direction's all-pad steps have keep = 1 and signed-zero factors,
+        # so hus @ U^T adds a signed zero to dh_total, which leaves it as it
+        # is: it is never -0 there, as dh enters bw's all-pad steps as +0 and
+        # dout is +0 on them (pooling routes no gradient to padding)
+        dh_total = _running_sums(dout_s[slots, ..., half, :, :], dh[..., half, :, :])
+        gates3[slots, ..., half, :, :, :] *= dh_total[..., None, :]
+        hus3[slots, ..., half, :, :, :] *= dh_total[..., None, :]
+        return dh_total[0]
+
+    if p:  # bw's all-pad steps come first in processing order, fw's last
+        dh[..., 1, :, :] = all_pad(1, slice(T, T + p))
+    for j in range(T - 1, p - 1, -1):
+        dh_total = dout_s[j] + dh
         d = dh_total[..., None, :]
-        gates3[s] *= d
-        hus3[s] *= d
-        dh = hus_s[s] @ UT
-        dh += dh_total * keep[s]
+        gates3[j] *= d
+        hus3[j] *= d
+        dh = hus_s[j] @ UT
+        dh += dh_total * keep[j]
+    if p:
+        all_pad(0, slice(0, p))
     return hs, gates, hus
 
 
-def _step_mask(mask: np.ndarray) -> np.ndarray:
-    """The (B, T) padding mask as the scans read it: a (2, T, B, 1) pair, True
-    where a step is real."""
-    return _pair(mask[:, :, None] > 0.0)
+def _step_mask(mask: np.ndarray) -> _StepMask:
+    """The (B, T) padding mask as the scans read it. p counts the leading
+    steps that are padding in every row; an index 0 may sit inside a row, so
+    it is not T minus the longest row. Loop slot j is full when fw step j,
+    time j, and bw step j-p, time T-1-j+p, are real in every row."""
+    real = mask > 0.0
+    some = real.any(axis=0)
+    p = int(some.argmax()) if some.any() else mask.shape[1]
+    every = real[:, p:].all(axis=0)
+    return _StepMask(_pair(real[:, :, None], p=p), p, (every & every[::-1]).tolist())
 
 
-def _bidirectional(direction, X, mask, weights, training: bool, valid=None):
+def _bidirectional(direction, X, mask, weights, training: bool, steps=None):
     """One bidirectional layer over (..., B, T, D) with weights, the layer's
-    (W, U, b) pair views: one call of the direction kernel. valid is
+    (W, U, b) pair views: one call of the direction kernel. steps is
     _step_mask(mask), when the caller has built it already.
 
     Returns the (..., B, T, 2H) output, fw features then bw, and the store.
     """
     W, U, b = weights
-    if valid is None:
-        valid = _step_mask(mask)
+    steps = _step_mask(mask) if steps is None else steps
     rows = _pair(X)
     T, B = rows.shape[-3:-1]
-    gates = _store(np.broadcast_shapes(rows.shape[:-3], W.shape[:-2]), T, B, W.shape[-1])
+    gates = _store(np.broadcast_shapes(rows.shape[:-3], W.shape[:-2]), T, B, W.shape[-1],
+                   steps.p)
     np.matmul(_rows(rows), W, out=_rows(gates))
     del rows
-    gates += b[..., None, None, :]
-    out, store = direction(gates, valid, U, training)
+    _slots(gates)[...] += b[..., None, :]
+    out, store = direction(gates, steps, U, training)
     del gates  # inference keeps no store, so this frees the gate activations
     return np.concatenate(_unpair(out), axis=-1), store
 
 
-def _bidirectional_backward(direction, dout, X, valid, weights, grads, store, need_dx: bool):
-    """Backward of _bidirectional, with valid = _step_mask(mask): writes the
+def _bidirectional_backward(direction, dout, X, steps, weights, grads, store, need_dx: bool):
+    """Backward of _bidirectional, with steps = _step_mask(mask): writes the
     (dW, dU, db) of both directions into grads, the layer's pair views of the
     gradient, and returns dX summed over fw and bw, or None unless need_dx.
 
@@ -646,7 +802,7 @@ def _bidirectional_backward(direction, dout, X, valid, weights, grads, store, ne
     """
     (W, U, _), (dW, dU, db) = weights, grads
     H = dout.shape[-1] // 2
-    hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:]), valid, U, store)
+    hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:], steps.p), steps, U, store)
     T, B = dw_in.shape[-3:-1]
     dw_in = _rows(dw_in)
     np.matmul(_rows(_pair(X)).swapaxes(-1, -2), dw_in, out=dW)
@@ -697,7 +853,7 @@ class ForwardTrace:
 
     x: np.ndarray
     mask: np.ndarray
-    valid: np.ndarray  # _step_mask(mask)
+    steps: _StepMask  # _step_mask(mask); steps.p counts the leading all-pad steps
     sd_mask: Optional[np.ndarray]
     emb_dropped: np.ndarray
     lstm_store: tuple
@@ -762,7 +918,7 @@ def forward(
         raise ValidationError("training-mode forward with dropout needs an rng")
 
     mask = (x != 0).astype(np.float64)
-    valid = _step_mask(mask)  # built once, for both layers and both passes
+    steps = _step_mask(mask)  # built once, for both layers and both passes
     # a gathered copy, so dropout can scale it in place
     emb_dropped = np.take(params.embedding, x, axis=-2)
 
@@ -771,12 +927,12 @@ def forward(
     p = params.blocks
     S_dropped, lstm_store = _bidirectional(
         _lstm_direction_forward, emb_dropped, mask, params.pairs(params.flat, "lstm"), training,
-        valid)
+        steps)
     do1_mask = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
 
     G_dropped, gru_store = _bidirectional(
         _gru_direction_forward, S_dropped, mask, params.pairs(params.flat, "gru"), training,
-        valid)
+        steps)
     do2_mask = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
 
     pool1 = masked_max_pool(S_dropped, mask)
@@ -792,7 +948,7 @@ def forward(
     if not training:
         return probs, None
     trace = ForwardTrace(
-        x=x, mask=mask, valid=valid, sd_mask=sd_mask, emb_dropped=emb_dropped,
+        x=x, mask=mask, steps=steps, sd_mask=sd_mask, emb_dropped=emb_dropped,
         lstm_store=lstm_store, do1_mask=do1_mask, S_dropped=S_dropped, gru_store=gru_store,
         do2_mask=do2_mask, G_dropped=G_dropped,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
@@ -840,7 +996,7 @@ def _backward(
     if trace.do2_mask is not None:
         dG *= trace.do2_mask
 
-    dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.valid,
+    dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.steps,
                                  params.pairs(params.flat, "gru"), params.pairs(grad, "gru"),
                                  trace.gru_store, True)
     # neither is needed by the LSTM backward, whose store is the largest
@@ -850,7 +1006,7 @@ def _backward(
     if trace.do1_mask is not None:
         dS *= trace.do1_mask
 
-    dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.valid,
+    dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.steps,
                                  params.pairs(params.flat, "lstm"), params.pairs(grad, "lstm"),
                                  trace.lstm_store, config.train_embedding)
     if dE is not None:
@@ -903,7 +1059,10 @@ _INFER_CHUNK_BYTES = 64 << 20
 
 
 def _row_bytes(config: ModelConfig) -> int:
-    """Bytes of one row's LSTM preactivation in one run's inference forward."""
+    """Bytes of one row's LSTM preactivation in one run's inference forward,
+    counting max_len steps: a chunk whose first p steps are padding in every
+    row holds max_len + p slots (see the scans), which the budget does not
+    count."""
     return 2 * config.max_len * 4 * config.lstm_units * 8
 
 
@@ -917,6 +1076,9 @@ def stack_size(config: ModelConfig, batch_size: int) -> int:
 
     As many as whose training stores, the BPTT stores of the four recurrent
     directions (see the scans), fit in the same budget as an inference chunk.
+    The stores are counted at max_len steps; a batch whose first p steps are
+    padding in every row makes them p / max_len larger, which the budget does
+    not count.
     """
     T, Hl, Hg = config.max_len, config.lstm_units, config.gru_units
     run_bytes = 2 * 8 * batch_size * (Hl * (7 * T + 2) + Hg * (7 * T + 1))
@@ -995,9 +1157,9 @@ def predict(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.n
 
 
 def confusion_matrix(pred: np.ndarray, labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
+    """Counts of each (true class, predicted class) pair; rows are the truth."""
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for p_, y_ in zip(pred, labels):
-        cm[int(y_), int(p_)] += 1
+    np.add.at(cm, (np.asarray(labels, dtype=np.int64), np.asarray(pred, dtype=np.int64)), 1)
     return cm
 
 

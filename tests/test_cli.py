@@ -612,6 +612,11 @@ class TestPreparedPipeline:
         want = [f"split=train examples={len(y)} loss={loss:.6f} accuracy={acc:.6f}",
                 "confusion (rows=truth bad/neutral/good, cols=predicted):"]
         want += ["  " + " ".join(f"{int(v):5d}" for v in row) for row in cm]
+        for k, name in enumerate(("bad", "neutral", "good")):
+            predicted, actual = cm[:, k].sum(), cm[k].sum()
+            precision = cm[k, k] / predicted if predicted else float("nan")
+            recall = cm[k, k] / actual if actual else float("nan")
+            want.append(f"class={name} precision={precision:.6f} recall={recall:.6f}")
 
         calls = []
         real_forward = model.forward
@@ -626,6 +631,31 @@ class TestPreparedPipeline:
         assert code == 0, err
         assert calls == [len(y)]
         assert out == "\n".join(want) + "\n"
+
+    def test_eval_precision_is_nan_for_a_class_never_predicted(self, capsys, pipeline_dir,
+                                                                 tmp_path):
+        from embfuse import corpus, model
+        ckpt = tmp_path / "m.ckpt"
+        assert dispatch(["train", "--dataset", pipeline_dir["dataset"],
+                         "--fused", pipeline_dir["fused"], "--optimizer", "sgd",
+                         "--lr", "0.05", "--epochs", "1", "--batch", "8", "--seed", "4",
+                         "--out", str(ckpt), *TINY_MODEL]) == 0
+        with open(ckpt, "rb") as fh:
+            params, config = model.load_checkpoint(fh)
+        params.blocks["dense_b"][...] = [0.0, 0.0, 1e3]  # every review predicted good
+        with open(ckpt, "wb") as fh:
+            model.save_checkpoint(fh, params, config)
+        with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
+            labels = [int(ex.label) for ex in corpus.read_dataset(fh).train]
+        assert 0 < labels.count(2) < len(labels) and labels.count(0) and labels.count(1)
+        capsys.readouterr()
+        code, out, err = run(capsys, "eval", "--dataset", pipeline_dir["dataset"],
+                             "--ckpt", str(ckpt), "--split", "train")
+        assert code == 0, err
+        assert out.splitlines()[-3:] == [
+            "class=bad precision=nan recall=0.000000",
+            "class=neutral precision=nan recall=0.000000",
+            f"class=good precision={labels.count(2) / len(labels):.6f} recall=1.000000"]
 
     def test_sweep_rejects_unknown_optimizer(self, capsys, pipeline_dir):
         code, out, err = run(capsys, "sweep", "--dataset", pipeline_dir["dataset"],

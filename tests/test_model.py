@@ -1,4 +1,5 @@
 """Network tests: scalar cell oracles, gradient checking, invariances."""
+import hashlib
 import io
 import json
 import math
@@ -24,14 +25,18 @@ from embfuse.model import (
     lstm_cell_step,
     masked_max_pool,
     predict,
+    predict_proba,
     save_checkpoint,
     sigmoid,
     to_flat,
     trainable_block_names,
 )
 from embfuse.model import _bidirectional, _gru_direction_forward, _lstm_direction_forward
-from embfuse.model import _rows, _steps
+from embfuse.model import _loss_probs_grad, _step_mask
+from embfuse.model import _rows, _slots
 from embfuse.seeding import derive_rng
+
+from test_golden import PINNED_BLAS, blas_build
 
 
 def scalar_sigmoid(v):
@@ -257,39 +262,53 @@ def one_block(a):
 
 
 class TestTimeMajorLayout:
-    """The scan stores of a stack: one contiguous block per step, T*B rows read in place."""
+    """The scan stores of a stack, offset by the p leading all-pad steps: one
+    contiguous block per loop slot, each direction's T*B rows read in place."""
 
     @staticmethod
-    def _trace(batch):
+    def _trace(batch, p):
         config = tiny_config()
         x, _, emb = tiny_batch(config, batch=batch)
+        if p == 0:
+            x[0, 0] = 3  # a token on the first step
         params = init_parameters(config, emb).stacked(3)
-        return config, forward(x, params, config, training=True)[1]
+        trace = forward(x, params, config, training=True)[1]
+        assert trace.steps.p == p
+        return config, trace
 
+    @pytest.mark.parametrize("p", [0, 2])
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_each_step_of_every_store_is_one_block(self, batch):
-        config, trace = self._trace(batch)
+    def test_each_loop_slot_of_every_store_is_one_block(self, batch, p):
+        config, trace = self._trace(batch, p)
         stores = {"lstm": (trace.lstm_store, 4 * config.lstm_units),
                   "gru": (trace.gru_store, 3 * config.gru_units)}
-        arrays = [trace.valid]
+        arrays = [trace.steps.valid]
         for store, gate_width in stores.values():
             gates = store[0]  # the preactivation, which the scan turned into gate activations
             assert gates.shape == (3, 2, config.max_len, batch, gate_width)
             arrays += store
         for a in arrays:
-            for s in range(a.shape[-3]):
-                step = _steps(a)[s]
-                assert one_block(step)
+            slots = _slots(a)
+            assert slots.shape == (a.shape[-3] + p,) + a.shape[:-3] + a.shape[-2:]
+            for j in range(p, a.shape[-3]):  # the loops' slots; hs and cs have T + 1
+                slot = slots[j]
+                assert np.shares_memory(slot, a)
+                assert np.array_equal(slot[..., 0, :, :], a[..., 0, j, :, :])
+                assert np.array_equal(slot[..., 1, :, :], a[..., 1, j - p, :, :])
+                assert one_block(slot)
                 if batch == 1:
-                    assert step.flags.c_contiguous
+                    assert slot.flags.c_contiguous
 
-    def test_row_views_share_memory_with_their_store(self):
-        _, trace = self._trace(3)
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_row_views_share_memory_with_their_store(self, p):
+        _, trace = self._trace(3, p)
         (gates, hs, cs, tanh_cs), (ggates, ghs, hus) = trace.lstm_store, trace.gru_store
         for a in (gates, hs[..., :-1, :, :], cs, tanh_cs, ggates, ghs[..., :-1, :, :], hus):
             rows = _rows(a)
             assert rows.shape == a.shape[:-3] + (a.shape[-3] * a.shape[-2], a.shape[-1])
-            assert np.shares_memory(rows, a)
+            for d in (0, 1):
+                assert np.shares_memory(rows[..., d, :, :], a[..., d, :, :, :])
+            assert not np.shares_memory(rows[..., 0, :, :], rows[..., 1, :, :])
             assert np.array_equal(rows, a.reshape(rows.shape))
 
     def test_a_merge_that_needs_a_copy_raises(self):
@@ -297,6 +316,40 @@ class TestTimeMajorLayout:
         with pytest.raises(ValueError):
             _rows(batch_major.swapaxes(-3, -2))
         assert _rows(batch_major[:, :, :1].swapaxes(-3, -2)).shape == (3, 2, 7, 4)
+
+
+class TestAllPadSteps:
+    """The scans leave the steps that are padding in every row to whole-array calls."""
+
+    def test_step_mask_counts_leading_all_pad_steps(self):
+        mask = np.array([[0, 0, 1, 1, 0, 1, 1], [0, 0, 1, 1, 1, 0, 1]], dtype=np.float64)
+        valid, p, full = _step_mask(mask)
+        assert p == 2  # not T minus the longest row's 4 real steps: an index 0 inside a row
+        # slot j holds fw step j (time j) and bw step j - p (time T - 1 - j + p)
+        assert full == [True, False, False, False, True]
+        assert np.array_equal(valid[0, :, :, 0].T, mask > 0)
+        assert np.array_equal(valid[1, :, :, 0].T, mask[:, ::-1] > 0)
+        assert _step_mask(np.zeros((2, 5))).p == 5
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("pad", [0, 4, 7])
+    def test_loops_run_over_the_other_steps_only(self, monkeypatch, training, pad):
+        import embfuse.model as model_module
+        config = tiny_config()
+        x, _, emb = tiny_batch(config)
+        x[:, :pad] = 0
+        if pad < config.max_len:
+            x[:, pad] = 5
+        params = init_parameters(config, emb)
+        calls = []
+        for name in ("_lstm_cell", "_gru_cell"):
+            cell = getattr(model_module, name)
+            monkeypatch.setattr(model_module, name,
+                                lambda *a, _cell=cell, _name=name: calls.append(_name) or _cell(*a))
+        forward(x, params, config, training=training)
+        steps = config.max_len - pad
+        region = int(training and pad > 0)  # one call fills both directions' all-pad steps
+        assert calls.count("_lstm_cell") == calls.count("_gru_cell") == steps + region
 
 
 class TestMaskedMaxPool:
@@ -397,6 +450,17 @@ class TestForwardInvariances:
         probs_wide, _ = forward(x_wide, params, wide)
         assert np.array_equal(probs, probs_wide)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_extra_left_padding_does_not_change_training_probs(self, batch):
+        config = tiny_config()
+        x, _, emb = tiny_batch(config, batch=batch)
+        params = init_parameters(config, emb).stacked(2)
+        probs, _ = forward(x, params, config, training=True)
+        wide = ModelConfig(**{**config.__dict__, "max_len": config.max_len + 4})
+        x_wide = np.concatenate([np.zeros((x.shape[0], 4), dtype=x.dtype), x], axis=1)
+        probs_wide, _ = forward(x_wide, params, wide, training=True)
+        assert np.array_equal(probs, probs_wide)
+
     def test_time_reversal_with_swapped_direction_blocks(self):
         # Reversing the input and swapping every fw/bw block (with the
         # matching input-row and feature permutations) must reproduce the
@@ -495,6 +559,83 @@ class TestForwardInvariances:
         l2, g2 = loss_and_grad(x, labels, params, config, rng=derive_rng(9, "d"))
         assert l1 == l2
         assert np.array_equal(g1, g2)
+
+
+def padded_case(batch, pad, dropout, train_embedding, runs):
+    """A T=9 batch whose first pad steps are padding in every row (pad = T
+    leaves no token at all), with a later row padded further and index 0
+    also inside rows, and a stack of runs whose weights differ."""
+    rates = dict(spatial_dropout_rate=0.2, dropout_rate=0.3) if dropout else {}
+    config = tiny_config(max_len=9, train_embedding=train_embedding, **rates)
+    x, labels, emb = tiny_batch(config, batch=batch, seed=7)
+    x[:, :pad] = 0
+    if pad < config.max_len:
+        x[0, pad] = 5
+    x[1:, :pad + 2] = 0
+    params = init_parameters(config, emb).stacked(runs)
+    params.flat[...] += derive_rng(8, "padded-case").normal(scale=0.05, size=params.flat.shape)
+    if runs == 1:
+        params = params.run(0)
+    return x, labels, params, config
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# (batch, leading all-pad steps of T=9, dropout, train_embedding, runs) ->
+# digests of the training probs, the loss, the gradient and predict_proba
+PADDED_DIGESTS = {
+    (1, 0, False, False, 1):
+        ['e4a6ed9e666f5ee6', 'e2b924081820827d', '63b01ec5736bb2db', 'e4a6ed9e666f5ee6'],
+    (1, 4, False, False, 1):
+        ['678debe7d9c1b528', '39ac65f1e882cf65', '585e4b1614d8612e', '678debe7d9c1b528'],
+    (1, 8, False, False, 1):
+        ['68bf43280466f17e', '59d75831dbd8b7cf', '00a3cba77d22c491', '68bf43280466f17e'],
+    (1, 9, False, False, 1):
+        ['1855a9836fde8e6b', 'c4e32ff7accc160b', 'e2ceddfb0888bab1', '1855a9836fde8e6b'],
+    (3, 0, False, False, 1):
+        ['cfb5ab9740909742', 'df28b6aff2f10e7a', 'bb9d97e85182e365', 'cfb5ab9740909742'],
+    (3, 4, False, False, 1):
+        ['77db0ed4bbbaf552', '81aba1cb8a30e29e', 'aafe25b5cebfd7c6', '77db0ed4bbbaf552'],
+    (3, 8, False, False, 1):
+        ['2baa47c1e5319483', 'a721f2996146c468', '6d1292b296d47cf6', '2baa47c1e5319483'],
+    (3, 9, False, False, 1):
+        ['84a6bb2673c3821c', 'a38d34ccd94cdb24', '58c9c25d54daddba', '84a6bb2673c3821c'],
+    (1, 4, True, False, 1):
+        ['955896723b53af09', '75e65541590f39a1', '19f1b818e58fcf5f', '678debe7d9c1b528'],
+    (3, 4, True, False, 1):
+        ['a1d59606e3ac5f4d', '6a41fa319a168cf0', '0ff77e36cc5e1d06', '77db0ed4bbbaf552'],
+    (1, 4, False, True, 1):
+        ['9743f4837a579e1d', '5c355fae0f30526d', 'ce5d9fff2546ade8', '9743f4837a579e1d'],
+    (3, 9, False, True, 1):
+        ['84a6bb2673c3821c', 'a38d34ccd94cdb24', '836b7693abe5b0fb', '84a6bb2673c3821c'],
+    (3, 4, True, True, 1):
+        ['a752b8f9234e209c', 'a42be88678daa0f7', '71f8f20d93c6f7b3', '3c00cc273498edeb'],
+    (1, 4, False, False, 3):
+        ['6f60b3152a159b8b', '4518b28cfdf9c1c7', '559c78cfbfd7edfa', '6f60b3152a159b8b'],
+    (3, 8, True, True, 3):
+        ['692beb8ecf97bc9f', '8fefa437a9af69cf', 'ebd4f458071b7cf0', '6085a9121873ac27'],
+    (1, 9, True, True, 3):
+        ['05cbb65ac4fdc5dd', '1835afeda5ce1069', '26e67c86a46cfec7', '05cbb65ac4fdc5dd'],
+    (3, 0, True, True, 3):
+        ['10410410d859ee84', '36349271bf612b6e', '88447cc4b81eafba', '87b5bda14fbd0d67'],
+}
+
+
+class TestPaddedBits:
+    """Training and inference outputs pinned byte for byte, signed zeros
+    included, over batches with every count of all-pad leading steps."""
+
+    @pytest.mark.skipif(blas_build() != PINNED_BLAS,
+                        reason="pinned digests hold for one BLAS build's GEMM rounding")
+    @pytest.mark.parametrize("case", sorted(PADDED_DIGESTS),
+                             ids=lambda c: "b{}-p{}-do{:d}-emb{:d}-k{}".format(*c))
+    def test_outputs_match_pinned_digests(self, case):
+        x, labels, params, config = padded_case(*case)
+        loss, probs, grad = _loss_probs_grad(x, labels, params, config, derive_rng(9, "padded"))
+        got = [digest(a) for a in (probs, np.asarray(loss), grad, predict_proba(x, params, config))]
+        assert got == PADDED_DIGESTS[case]
 
 
 class TestInit:
