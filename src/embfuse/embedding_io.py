@@ -9,14 +9,17 @@ Three on-disk formats are supported and normalized into one in-memory
   token bytes, one space, and ``dim`` little-endian float32 values; a single
   newline may follow each record's floats and is consumed if present.
 
-Values are widened to float64 internally regardless of the storage width.
+A table's matrix keeps the width its values were decoded at: float32 for
+``w2v-bin``, whose records store float32, and float64 for the text formats,
+which are parsed from decimal text. Its column mean is float64 for every
+format. Consumers widen a row to float64 before doing arithmetic on it.
 Parsing streams from a binary file object; a bytes object or an iterable of
 bytes chunks is also accepted. Text formats are read as the file's own lines
 and w2v-bin in chunks. Besides the output table, a parser holds one line or
 input chunk (or the one record that spans chunks, if longer) and the rows
 decoded so far, in blocks of up to ``_BLOCK_ROWS`` rows: float32 for
-``w2v-bin``, float64 for text. The blocks are copied into the float64 matrix
-once, at the end, and each is freed as soon as it is copied.
+``w2v-bin``, float64 for text. The blocks are copied into a matrix of their
+own dtype once, at the end, and each is freed as soon as it is copied.
 
 Decoding is done a block at a time. A w2v-bin record's float bytes are
 appended to a float32 block and checked for non-finite values when the block
@@ -104,9 +107,11 @@ def csv_rows(lines: Iterable[str], what: str = "line") -> Iterator[Tuple[int, Li
 class EmbeddingTable:
     """A parsed embedding: vocabulary, dense matrix, and cached column mean.
 
-    ``vocab`` maps each token to its row index in ``matrix``; ``mean`` is the
-    arithmetic mean over all rows (zeros for an empty table). ``warnings``
-    collects non-fatal parse diagnostics such as duplicate tokens.
+    ``vocab`` maps each token to its row index in ``matrix``. A float32
+    matrix (as parsed from ``w2v-bin``) stays float32; any other is stored as
+    float64. ``mean`` is always float64: the arithmetic mean over all rows,
+    accumulated in float64 (zeros for an empty table). ``warnings`` collects
+    non-fatal parse diagnostics such as duplicate tokens.
     """
 
     name: str
@@ -117,7 +122,10 @@ class EmbeddingTable:
     warnings: List[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64).reshape(len(self.vocab), self.dim)
+        matrix = np.asarray(self.matrix)
+        if matrix.dtype != np.float32:
+            matrix = matrix.astype(np.float64, copy=False)
+        self.matrix = matrix.reshape(len(self.vocab), self.dim)
         self.mean = np.asarray(self.mean, dtype=np.float64).reshape(self.dim)
 
     def __len__(self) -> int:
@@ -152,20 +160,23 @@ def _admit(vocab: Dict[str, int], warnings: List[str], token: str, unit: str, no
 
 def _finish_table(name: str, dim: int, vocab: Dict[str, int], blocks: List[np.ndarray],
                   warnings: List[str]) -> EmbeddingTable:
-    """Stack the row blocks (emptying ``blocks``) into one float64 matrix."""
-    if len(blocks) == 1 and blocks[0].dtype == np.float64:
+    """Stack the row blocks (at least one, emptying ``blocks``) into one matrix of their dtype.
+
+    The float64 mean of a float32 matrix is bit-identical to the mean of its
+    float64 widening; per-block partial means would not be.
+    """
+    if len(blocks) == 1:
         matrix = blocks.pop()
     else:
-        matrix = np.empty((len(vocab), dim))
+        matrix = np.empty((len(vocab), dim), dtype=blocks[0].dtype)
         row = 0
         blocks.reverse()
         while blocks:
             block = blocks.pop()
             matrix[row:row + len(block)] = block
             row += len(block)
-    mean = matrix.mean(axis=0) if len(vocab) else np.zeros(dim)
     return EmbeddingTable(name=name, dim=dim, vocab=vocab, matrix=matrix,
-                          mean=mean, warnings=warnings)
+                          mean=matrix.mean(axis=0, dtype=np.float64), warnings=warnings)
 
 
 def _parse_component(text: str, line_no: int) -> float:
@@ -330,9 +341,13 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
 
     Header is ASCII ``vocab_size dim\\n``; each record is the token bytes, a
     single space, then dim little-endian float32 values, optionally followed
-    by one newline. Floats are widened to float64. Duplicate tokens keep the
-    first occurrence and record a warning. The declared vocab_size bounds the
-    number of records read but sizes no allocation.
+    by one newline. The matrix holds the float32 values as stored; the mean
+    is float64 and exact, the same bits as the mean of the widened rows.
+    Duplicate tokens keep the first occurrence and record a warning. The
+    declared vocab_size bounds the number of records read but sizes no
+    allocation: a header declaring 0 records raises ``empty-input``, and bytes
+    after the last declared record are not read but warned of as a count
+    mismatch.
     """
     chunks = _chunks(stream)
     buf, eof = b"", False
@@ -344,6 +359,8 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
     if nl < 0:
         raise ValidationError("missing header line", "bad-header")
     count, dim = _header(buf[:nl + 1])
+    if count == 0:
+        raise ValidationError("header declares no records", "empty-input")
 
     vocab: Dict[str, int] = {}
     warnings: List[str] = []
@@ -385,6 +402,8 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
         blocks.append(_float32_block(block, dim, block_first, dups))
     if error is not None:
         raise error
+    if pos < len(buf) or _refill(chunks, b"", 1)[0]:
+        warnings.append(f"count mismatch: header declares {count}, bytes follow record {count}")
     return _finish_table(name, dim, vocab, blocks, warnings)
 
 
@@ -397,6 +416,7 @@ def write_word2vec_binary(table: EmbeddingTable) -> bytes:
     table.validate()
     out = bytearray()
     out += f"{len(table.vocab)} {table.dim}\n".encode("ascii")
+    rows = table.matrix.astype("<f4", copy=False)
     by_row = sorted(table.vocab.items(), key=lambda kv: kv[1])
     for token, row in by_row:
         data = token.encode("utf-8")
@@ -404,7 +424,7 @@ def write_word2vec_binary(table: EmbeddingTable) -> bytes:
             raise ValidationError(f"token {token!r} contains whitespace, not writable")
         out += data
         out += b" "
-        out += table.matrix[row].astype("<f4").tobytes()
+        out += rows[row].tobytes()
     return bytes(out)
 
 

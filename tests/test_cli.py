@@ -322,6 +322,23 @@ class TestInspect:
         assert "vocab=12" in out
         assert "mean_norm=" in out
 
+    def test_w2v_header_without_records_is_empty_input(self, capsys, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"0 3\n")
+        code, out, err = run_without_warnings(capsys, "inspect", str(path), "--format", "w2v-bin")
+        assert code == 1
+        assert out == ""
+        assert err == "ERROR empty-input: header declares no records\n"
+
+    def test_w2v_records_after_the_declared_count_warn(self, capsys, tmp_path):
+        row = np.array([1.0, 2.0], dtype="<f4").tobytes()
+        path = tmp_path / "long.bin"
+        path.write_bytes(b"1 2\na " + row + b"\nb " + row + b"\n")
+        code, out, err = run_without_warnings(capsys, "inspect", str(path), "--format", "w2v-bin")
+        assert code == 0
+        assert "vocab=1\n" in out
+        assert out.endswith("WARNING: count mismatch: header declares 1, bytes follow record 1\n")
+
 
 class TestNonUtf8Input:
     """A byte that is not UTF-8 ends in one ERROR line naming its line, not a traceback."""

@@ -203,6 +203,25 @@ class TestWord2vecBinary:
             parse_word2vec_binary(b"12 3")
         assert exc.value.code == "bad-header"
 
+    def test_header_without_records_rejected(self):
+        for data in (b"0 3\n", b"0 3\n" + b"a " + np.ones(3, dtype="<f4").tobytes()):
+            with pytest.raises(ValidationError) as exc:
+                parse_word2vec_binary(data)
+            assert exc.value.code == "empty-input"
+
+    def test_bytes_after_the_declared_records_warn(self):
+        row = np.array([1.5], dtype="<f4").tobytes()
+        mismatch = ["count mismatch: header declares 1, bytes follow record 1"]
+        for tail, want in ((b"", []), (b"\n", []), (b"b " + row, mismatch),
+                           (b"\nb " + row, mismatch), (b"\n\n", mismatch)):
+            data = b"1 1\na " + row + tail
+            # the last split puts the trailing bytes, or the one newline, in a chunk of their own
+            for chunks in ([data], chunked(data, 1), iter([data[:10], data[10:]])):
+                table = parse_word2vec_binary(chunks)
+                assert table.vocab == {"a": 0}
+                assert table.matrix.tolist() == [[1.5]]
+                assert table.warnings == want
+
     def test_non_utf8_token_replaced_with_warning(self):
         row = np.array([1.0], dtype="<f4").tobytes()
         data = b"1 1\n\xff\xfe " + row
@@ -235,6 +254,30 @@ class TestTableOps:
             [math.fsum(table.matrix[:, d]) / 17 for d in range(6)]
         )
         assert np.allclose(table.mean, expected, rtol=0, atol=1e-12)
+
+    def test_matrix_width_by_format(self):
+        w2v = parse_word2vec_binary(b"1 2\na " + np.array([0.1, 2.0], dtype="<f4").tobytes())
+        glove = parse_glove_text(b"a 0.1 2\n")
+        fasttext = parse_fasttext_text(b"1 2\na 0.1 2\n")
+        assert w2v.matrix.dtype == np.float32
+        assert glove.matrix.dtype == fasttext.matrix.dtype == np.float64
+        for table in (w2v, glove, fasttext):
+            assert table.mean.dtype == np.float64
+        half = EmbeddingTable("h", 2, {"a": 0}, np.ones((1, 2), dtype=np.float16), np.ones(2))
+        assert half.matrix.dtype == np.float64
+
+    def test_float32_mean_is_the_widened_mean(self):
+        rng = derive_rng(6, "f32-mean")
+        values = rng.normal(size=(3 * BLOCK_ROWS + 5, 4)) * 10.0 ** rng.integers(-30, 31, size=4)
+        values[:, 2] = -0.0
+        one_row = np.array([[0.1, -0.0, 3.4e38]], dtype="<f4")
+        for matrix in (one_row, values.astype("<f4"), np.full((7, 3), -0.0, dtype="<f4")):
+            n, dim = matrix.shape
+            data = f"{n} {dim}\n".encode("ascii") + b"".join(
+                f"w{i} ".encode("ascii") + matrix[i].tobytes() for i in range(n))
+            table = parse_word2vec_binary(data)
+            assert table.matrix.tobytes() == matrix.tobytes()
+            assert table.mean.tobytes() == matrix.astype(np.float64).mean(axis=0).tobytes()
 
     def test_contains_len_vector(self):
         table = make_table(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
@@ -323,15 +366,17 @@ def w2v_oracle(data):
             continue
         vocab[token] = len(rows)
         rows.append(row)
-    return vocab, np.array(rows), warnings
+    return vocab, np.array(rows, dtype="<f4"), warnings
 
 
 def assert_same_table(table, oracle):
     vocab, matrix, warnings = oracle
     assert table.vocab == vocab
+    assert table.matrix.dtype == matrix.dtype
     assert table.matrix.shape == matrix.shape
     assert table.matrix.tobytes() == matrix.tobytes()  # bit-identical, -0.0 included
-    assert table.mean.tobytes() == matrix.mean(axis=0).tobytes()
+    assert table.mean.dtype == np.float64
+    assert table.mean.tobytes() == matrix.astype(np.float64).mean(axis=0).tobytes()
     assert table.warnings == warnings
 
 
@@ -490,6 +535,22 @@ class TestErrorsDeepInFile:
             parse_word2vec_binary(chunked(data[:cut], 4099))
         assert exc.value.code == "truncated-record"
         assert str(exc.value) == "record 5000: stream ended in floats"
+
+    def test_w2v_parse_peak_is_about_twice_the_float32_table(self):
+        # The blocks and the matrix they are stacked into, both float32; a float64
+        # matrix would take the peak to three times the table.
+        n, dim = 3 * BLOCK_ROWS + 5, 300
+        values = np.arange(n * dim, dtype="<f4").reshape(n, dim)
+        stream = io.BytesIO(f"{n} {dim}\n".encode("ascii") + b"".join(
+            f"w{i} ".encode("ascii") + values[i].tobytes() for i in range(n)))
+        tracemalloc.start()
+        try:
+            table = parse_word2vec_binary(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.matrix.tobytes() == values.tobytes()
+        assert peak < 2.5 * values.nbytes
 
     def test_w2v_huge_declared_count_allocates_nothing_for_it(self):
         row = np.ones(300, dtype="<f4").tobytes()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from embfuse.corpus import CorpusDictionaries, build_dictionaries
-from embfuse.embedding_io import EmbeddingTable
+from embfuse.embedding_io import EmbeddingTable, parse_word2vec_binary, write_word2vec_binary
 from embfuse.errors import ValidationError
 from embfuse.fusion import (
     FALLBACK_STAGES,
@@ -307,3 +307,38 @@ class TestReportAndTable:
         with pytest.raises(ValidationError) as exc:
             matrix_from_table(table, dicts)
         assert "b" in str(exc.value)
+
+
+class TestFloat32Table:
+    """A float32 table (as parsed from w2v-bin) fuses to the bits of its float64 widening."""
+
+    def tables(self):
+        rng = derive_rng(17, "f32-fusion")
+        words1 = [f"w{k}" for k in range(12)] + ["Cap"]
+        words2 = [f"w{k}" for k in range(6, 18)]
+        t1 = parse_word2vec_binary(write_word2vec_binary(
+            make_table(words1, rng.normal(size=(len(words1), 5)) * 1e3)))
+        wide = EmbeddingTable(t1.name, t1.dim, t1.vocab, t1.matrix.astype(np.float64), t1.mean)
+        t2 = make_table(words2, rng.normal(size=(len(words2), 5)))
+        dicts = dicts_for([f"w{k}" for k in range(0, 20, 2)] + ["cap", "zzz"])
+        return dicts, t1, wide, t2
+
+    def test_fused_matrix_written_bytes_and_read_back_match_the_widening(self):
+        dicts, t1, wide, t2 = self.tables()
+        assert t1.matrix.dtype == np.float32 and wide.matrix.dtype == np.float64
+        assert t1.mean.tobytes() == wide.mean.tobytes()
+        fused = build_fused_matrix(dicts, t1, t2, unknown_fill=0.25)
+        fused_wide = build_fused_matrix(dicts, wide, t2, unknown_fill=0.25)
+        counts = fused.branch_counts
+        assert min(counts.both, counts.first_only, counts.second_only, counts.unknown) > 0
+        assert counts == fused_wide.branch_counts
+        assert fused.matrix.dtype == np.float64
+        assert fused.matrix.tobytes() == fused_wide.matrix.tobytes()
+        payload = write_word2vec_binary(fused_to_table(fused, dicts))
+        assert payload == write_word2vec_binary(fused_to_table(fused_wide, dicts))
+        back = parse_word2vec_binary(payload)
+        back_wide = EmbeddingTable(back.name, back.dim, back.vocab,
+                                   back.matrix.astype(np.float64), back.mean)
+        matrix = matrix_from_table(back, dicts)
+        assert matrix.dtype == np.float64
+        assert matrix.tobytes() == matrix_from_table(back_wide, dicts).tobytes()
