@@ -15,19 +15,21 @@ which are parsed from decimal text. Its column mean is float64 for every
 format. Consumers widen a row to float64 before doing arithmetic on it.
 Parsing streams from a binary file object; a bytes object or an iterable of
 bytes chunks is also accepted. Text formats are read as the file's own lines
-and w2v-bin in chunks. Besides the output table, a parser holds one line or
-input chunk (or the one record that spans chunks, if longer) and the rows
-decoded so far, in blocks of up to ``_BLOCK_ROWS`` rows: float32 for
-``w2v-bin``, float64 for text. The blocks are copied into a matrix of their
-own dtype once, at the end, and each is freed as soon as it is copied.
+and w2v-bin in chunks. Besides the output table, a parser holds one input
+chunk (or the one record that spans chunks, if longer) or one block of text
+lines (``_BLOCK_ROWS`` lines or about ``_BLOCK_BYTES``, whichever is less).
+Decoded rows are appended to one growing byte buffer, and the matrix is a
+view of that buffer, so no second matrix is built from them. Only a w2v-bin
+file with duplicate tokens pays one copy, at the end, when the duplicate
+records' rows are removed.
 
-Decoding is done a block at a time. A w2v-bin record's float bytes are
-appended to a float32 block and checked for non-finite values when the block
-is full. A block of text lines has its components decoded by one
-``np.loadtxt`` call, which rounds exactly as ``float()`` does; a block it
-cannot decode exactly is re-read line by line with ``float()``, so the
-accepted syntax and every error (code, message, line number) are those of
-the line-by-line parser.
+A w2v-bin record's float bytes are appended to the buffer as they are read;
+every ``_BLOCK_ROWS`` records the newest rows are checked for non-finite
+values (the first bad row gives the record number). A block of text lines
+has its components decoded by one ``np.loadtxt`` call, which rounds exactly
+as ``float()`` does; a block it cannot decode exactly is re-read line by line
+with ``float()``, so the accepted syntax and every error (code, message, line
+number) are those of the line-by-line parser.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .errors import InvalidUtf8Error, ValidationError
 
 _CHUNK = 1 << 16
 _BLOCK_ROWS = 4096
+_BLOCK_BYTES = 1 << 20
 
 
 def _chunks(source) -> Iterator[bytes]:
@@ -158,23 +161,16 @@ def _admit(vocab: Dict[str, int], warnings: List[str], token: str, unit: str, no
     return True
 
 
-def _finish_table(name: str, dim: int, vocab: Dict[str, int], blocks: List[np.ndarray],
-                  warnings: List[str]) -> EmbeddingTable:
-    """Stack the row blocks (at least one, emptying ``blocks``) into one matrix of their dtype.
+def _finish_table(name: str, dim: int, vocab: Dict[str, int], rows: bytearray, dtype,
+                  warnings: List[str], drop: Sequence[int] = ()) -> EmbeddingTable:
+    """The table whose matrix is a view of the decoded rows in ``rows``, less the rows ``drop``.
 
     The float64 mean of a float32 matrix is bit-identical to the mean of its
     float64 widening; per-block partial means would not be.
     """
-    if len(blocks) == 1:
-        matrix = blocks.pop()
-    else:
-        matrix = np.empty((len(vocab), dim), dtype=blocks[0].dtype)
-        row = 0
-        blocks.reverse()
-        while blocks:
-            block = blocks.pop()
-            matrix[row:row + len(block)] = block
-            row += len(block)
+    matrix = np.frombuffer(rows, dtype=dtype).reshape(-1, dim)
+    if drop:
+        matrix = np.delete(matrix, drop, axis=0)
     return EmbeddingTable(name=name, dim=dim, vocab=vocab, matrix=matrix,
                           mean=matrix.mean(axis=0, dtype=np.float64), warnings=warnings)
 
@@ -198,7 +194,7 @@ class _TextRows:
         self.line_no = first_line_no - 1  # number of the last line consumed
         self.n_data = 0
         self.vocab: Dict[str, int] = {}
-        self.blocks: List[np.ndarray] = []
+        self.data = bytearray()  # the float64 rows decoded so far
         self.warnings = warnings
 
     def add(self, raws: List[bytes]) -> None:
@@ -233,7 +229,7 @@ class _TextRows:
         self.n_data += len(texts)
         keep = [i for i, (token, line_no) in enumerate(zip(tokens, line_nos))
                 if _admit(self.vocab, self.warnings, token, "line", line_no)]
-        self.blocks.append(values if len(keep) == len(texts) else values[keep])
+        self.data += memoryview(values if len(keep) == len(texts) else values[keep])
         return True
 
     def _add_each(self, raws: List[bytes]) -> None:
@@ -257,7 +253,7 @@ class _TextRows:
             if _admit(self.vocab, self.warnings, parts[0], "line", line_no):
                 rows.append([_parse_component(p, line_no) for p in parts[1:]])
         if rows:
-            self.blocks.append(np.array(rows))
+            self.data += memoryview(np.array(rows, dtype=np.float64))
 
 
 def _parse_text_lines(lines: Iterable[bytes], dim: Optional[int], first_line_no: int,
@@ -265,11 +261,13 @@ def _parse_text_lines(lines: Iterable[bytes], dim: Optional[int], first_line_no:
     """Shared line loop for the glove and fasttext text formats."""
     rows = _TextRows(dim, first_line_no, warnings)
     block: List[bytes] = []
+    size = 0
     for raw in lines:
         block.append(raw)
-        if len(block) == _BLOCK_ROWS:
+        size += len(raw)
+        if size >= _BLOCK_BYTES or len(block) == _BLOCK_ROWS:
             rows.add(block)
-            block = []
+            block, size = [], 0
     if block:
         rows.add(block)
     return rows
@@ -288,7 +286,7 @@ def parse_glove_text(stream, name: str = "glove") -> EmbeddingTable:
     rows = _parse_text_lines(iter_lines(stream), None, 1, warnings)
     if rows.n_data == 0:
         raise ValidationError("no lines in input", "empty-input")
-    return _finish_table(name, rows.dim, rows.vocab, rows.blocks, warnings)
+    return _finish_table(name, rows.dim, rows.vocab, rows.data, np.float64, warnings)
 
 
 def _header(line: bytes) -> Tuple[int, int]:
@@ -323,17 +321,16 @@ def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
         raise ValidationError("header but no vector lines", "empty-input")
     if rows.n_data != declared:
         warnings.append(f"count mismatch: header declares {declared}, found {rows.n_data} lines")
-    return _finish_table(name, dim, rows.vocab, rows.blocks, warnings)
+    return _finish_table(name, dim, rows.vocab, rows.data, np.float64, warnings)
 
 
-def _float32_block(data: bytearray, dim: int, first_rec: int, dups: List[int]) -> np.ndarray:
-    """View a block of records' float bytes as rows, check them, and drop duplicate rows."""
-    rows = np.frombuffer(data, dtype="<f4").reshape(-1, dim)
-    finite = np.isfinite(rows).all(axis=1)
+def _check_finite(rows: bytearray, dim: int, done: int) -> None:
+    """Raise at the first record after the first ``done`` whose float32 values are not all finite."""
+    finite = np.isfinite(np.frombuffer(rows, dtype="<f4", offset=4 * dim * done)
+                         .reshape(-1, dim)).all(axis=1)
     if not finite.all():
-        raise ValidationError(f"record {first_rec + int(np.argmin(finite))}: non-finite component",
+        raise ValidationError(f"record {done + 1 + int(np.argmin(finite))}: non-finite component",
                               "parse-float")
-    return np.delete(rows, dups, axis=0) if dups else rows
 
 
 def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
@@ -364,9 +361,9 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
 
     vocab: Dict[str, int] = {}
     warnings: List[str] = []
-    blocks: List[np.ndarray] = []
     nbytes = 4 * dim
-    block, block_first, dups = bytearray(), 1, []
+    rows = bytearray()  # every record's float bytes, duplicates included
+    checked, dups = 0, []  # records checked for non-finite values; duplicate records' rows
     pos, view = nl + 1, memoryview(buf)
     error = None
     rec = 0
@@ -391,20 +388,19 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
         except UnicodeDecodeError:
             token = buf[pos:sp].decode("utf-8", errors="replace")
             warnings.append(f"record {rec}: token is not valid UTF-8, replaced")
-        block += view[sp + 1:end]
+        rows += view[sp + 1:end]
         pos = end + 1 if end < len(buf) and buf[end] == 0x0A else end
         if not _admit(vocab, warnings, token, "record", rec):
-            dups.append(rec - block_first)
-        if rec - block_first + 1 == _BLOCK_ROWS:
-            blocks.append(_float32_block(block, dim, block_first, dups))
-            block, block_first, dups = bytearray(), rec + 1, []
-    if block:
-        blocks.append(_float32_block(block, dim, block_first, dups))
+            dups.append(rec - 1)
+        if rec - checked == _BLOCK_ROWS:
+            _check_finite(rows, dim, checked)
+            checked = rec
+    _check_finite(rows, dim, checked)
     if error is not None:
         raise error
     if pos < len(buf) or _refill(chunks, b"", 1)[0]:
         warnings.append(f"count mismatch: header declares {count}, bytes follow record {count}")
-    return _finish_table(name, dim, vocab, blocks, warnings)
+    return _finish_table(name, dim, vocab, rows, "<f4", warnings, dups)
 
 
 def write_word2vec_binary(table: EmbeddingTable) -> bytes:

@@ -846,22 +846,25 @@ class ForwardTrace:
     """The intermediates the exact backward pass reads, and nothing more.
 
     Dropout scales each layer's output in place, so only the dropped-out
-    arrays are kept. Each recurrent layer keeps the store of its scan, both
-    directions in one; the backward pass consumes the stores, and drops the
-    GRU store once consumed, so a trace is backpropagated at most once.
+    arrays are kept, and of the GRU output only its shape. Each dropout keeps
+    its boolean keep-mask, from which backward rebuilds the factor forward
+    applied (_dropout_factor). Each recurrent layer keeps the store of its
+    scan, both directions in one; the backward pass consumes the stores, and
+    drops the GRU store once consumed, so a trace is backpropagated at most
+    once.
     """
 
     x: np.ndarray
     mask: np.ndarray
     steps: _StepMask  # _step_mask(mask); steps.p counts the leading all-pad steps
-    sd_mask: Optional[np.ndarray]
+    sd_kept: Optional[np.ndarray]  # each dropout's boolean keep-mask (see _dropout)
     emb_dropped: np.ndarray
     lstm_store: tuple
-    do1_mask: Optional[np.ndarray]
+    do1_kept: Optional[np.ndarray]
     S_dropped: np.ndarray
     gru_store: Optional[tuple]
-    do2_mask: Optional[np.ndarray]
-    G_dropped: np.ndarray
+    do2_kept: Optional[np.ndarray]
+    G_shape: Tuple[int, ...]
     pool1: Tuple[np.ndarray, np.ndarray, np.ndarray]
     pool2: Tuple[np.ndarray, np.ndarray, np.ndarray]
     feats: np.ndarray
@@ -869,15 +872,19 @@ class ForwardTrace:
     log_probs: np.ndarray
 
 
+def _dropout_factor(kept: np.ndarray, rate: float) -> np.ndarray:
+    """The inverted-dropout factor of a boolean keep-mask: 1 / (1 - rate) where kept, else 0."""
+    return kept.astype(np.float64) / (1.0 - rate)
+
+
 def _dropout(a: np.ndarray, rng: np.random.Generator, shape, rate: float) -> Optional[np.ndarray]:
     """Scale a in place by a fresh inverted-dropout mask of shape; returns the
-    mask, or None (drawing nothing) when rate is 0."""
+    boolean keep-mask, or None (drawing nothing) when rate is 0."""
     if rate == 0:
         return None
-    keep = 1.0 - rate
-    mask = (rng.random(shape) < keep).astype(np.float64) / keep
-    a *= mask
-    return mask
+    kept = rng.random(shape) < 1.0 - rate
+    a *= _dropout_factor(kept, rate)
+    return kept
 
 
 # Weights that diverged carry overflow into inf and nan through every layer
@@ -922,18 +929,18 @@ def forward(
     # a gathered copy, so dropout can scale it in place
     emb_dropped = np.take(params.embedding, x, axis=-2)
 
-    sd_mask = _dropout(emb_dropped, rng, (x.shape[0], 1, config.emb_dim), sd_rate)
+    sd_kept = _dropout(emb_dropped, rng, (x.shape[0], 1, config.emb_dim), sd_rate)
 
     p = params.blocks
     S_dropped, lstm_store = _bidirectional(
         _lstm_direction_forward, emb_dropped, mask, params.pairs(params.flat, "lstm"), training,
         steps)
-    do1_mask = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
+    do1_kept = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
 
     G_dropped, gru_store = _bidirectional(
         _gru_direction_forward, S_dropped, mask, params.pairs(params.flat, "gru"), training,
         steps)
-    do2_mask = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
+    do2_kept = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
 
     pool1 = masked_max_pool(S_dropped, mask)
     pool2 = masked_max_pool(G_dropped, mask)
@@ -948,9 +955,9 @@ def forward(
     if not training:
         return probs, None
     trace = ForwardTrace(
-        x=x, mask=mask, steps=steps, sd_mask=sd_mask, emb_dropped=emb_dropped,
-        lstm_store=lstm_store, do1_mask=do1_mask, S_dropped=S_dropped, gru_store=gru_store,
-        do2_mask=do2_mask, G_dropped=G_dropped,
+        x=x, mask=mask, steps=steps, sd_kept=sd_kept, emb_dropped=emb_dropped,
+        lstm_store=lstm_store, do1_kept=do1_kept, S_dropped=S_dropped, gru_store=gru_store,
+        do2_kept=do2_kept, G_shape=G_dropped.shape,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
     )
     return probs, trace
@@ -992,9 +999,9 @@ def _backward(
 
     dpool1, dpool2 = np.split(dfeats, [2 * config.lstm_units], axis=-1)
 
-    dG = _masked_max_pool_backward(dpool2, trace.pool2[1], trace.pool2[2], trace.G_dropped.shape)
-    if trace.do2_mask is not None:
-        dG *= trace.do2_mask
+    dG = _masked_max_pool_backward(dpool2, trace.pool2[1], trace.pool2[2], trace.G_shape)
+    if trace.do2_kept is not None:
+        dG *= _dropout_factor(trace.do2_kept, config.dropout_rate)
 
     dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.steps,
                                  params.pairs(params.flat, "gru"), params.pairs(grad, "gru"),
@@ -1003,15 +1010,15 @@ def _backward(
     del dG
     trace.gru_store = None
     dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
-    if trace.do1_mask is not None:
-        dS *= trace.do1_mask
+    if trace.do1_kept is not None:
+        dS *= _dropout_factor(trace.do1_kept, config.dropout_rate)
 
     dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.steps,
                                  params.pairs(params.flat, "lstm"), params.pairs(grad, "lstm"),
                                  trace.lstm_store, config.train_embedding)
     if dE is not None:
-        if trace.sd_mask is not None:
-            dE *= trace.sd_mask
+        if trace.sd_kept is not None:
+            dE *= _dropout_factor(trace.sd_kept, config.spatial_dropout_rate)
         g["embedding"][...] = 0.0
         np.add.at(g["embedding"], (..., trace.x, slice(None)), dE)
 

@@ -275,6 +275,7 @@ def train_runs(
     batch_size: int = 32,
     seed: int = 7,
     pair_id: str = "",
+    test: bool = True,
 ) -> Tuple[ModelParameters, List[TrainingHistory]]:
     """Mini-batch training of one run per spec, as one stack.
 
@@ -290,6 +291,8 @@ def train_runs(
     the whole test split, from one stacked evaluation of every live run
     (``evaluate_runs``), which equals ``evaluate`` of each run bit for bit.
     epoch_seconds is the stack's training time plus that evaluation's time.
+    With ``test`` False the test split is not evaluated and the test metric
+    lists stay empty; the training itself is the same.
     A run whose loss or gradient goes non-finite is marked diverged, keeps
     its recorded epochs, which stay finite, and stops stepping in place; its
     row keeps its weights from before that batch. The row is not evaluated
@@ -328,14 +331,16 @@ def train_runs(
                 break
         if not live:
             break
-        test_metrics = evaluate_runs(data.test_x, data.test_y, params, live, config)
-        seconds = time.perf_counter() - started  # the stack's training and evaluation
-        for k, (test_loss, test_acc) in zip(live, test_metrics):  # each stepped every batch
+        if test:
+            for k, (test_loss, test_acc) in zip(
+                    live, evaluate_runs(data.test_x, data.test_y, params, live, config)):
+                histories[k].test_loss.append(test_loss)
+                histories[k].test_accuracy.append(test_acc)
+        seconds = time.perf_counter() - started  # the stack's training and any evaluation
+        for k in live:  # each stepped every batch
             history = histories[k]
             history.train_loss.append(float(np.mean(batch_losses[k])))
             history.train_accuracy.append(int(correct[k]) / n)
-            history.test_loss.append(test_loss)
-            history.test_accuracy.append(test_acc)
             history.epoch_seconds.append(seconds)
     return params, histories
 
@@ -365,6 +370,7 @@ def _stacked_histories(
     batch_size: int,
     seed: int,
     pair_id: str = "",
+    test: bool = True,
 ) -> List[TrainingHistory]:
     """The histories of specs, trained in order as stacks of ``stack_size`` runs."""
     check_loop(data, epochs, batch_size, seed)
@@ -373,7 +379,7 @@ def _stacked_histories(
     for start in range(0, len(specs), k):
         # bind no name to a stack's parameters, so they are freed before the next stack
         histories += train_runs(data, embedding, config, specs[start:start + k],
-                                epochs, batch_size, seed, pair_id)[1]
+                                epochs, batch_size, seed, pair_id, test)[1]
     return histories
 
 
@@ -420,6 +426,7 @@ def lr_range_search(
     """Short training run per learning rate; pick the lowest final train loss.
 
     Every probe starts from the same seed so only the learning rate varies.
+    Probes read only train losses, so the test split is not evaluated.
     Diverged probes are kept in the table but excluded from the argmin; ties
     resolve to the smaller rate. Raises AllDivergedError, carrying the
     probes, if every probe diverged.
@@ -430,7 +437,8 @@ def lr_range_search(
     specs = [OptimizerSpec(kind=optimizer_kind, learning_rate=lr) for lr in rates]
     probes = [LrProbe(h.learning_rate, list(h.train_loss),
                       math.inf if h.diverged else h.train_loss[-1], h.diverged)
-              for h in _stacked_histories(data, embedding, config, specs, epochs, batch_size, seed)]
+              for h in _stacked_histories(data, embedding, config, specs, epochs, batch_size, seed,
+                                          test=False)]
     best = min((p for p in probes if not p.diverged), key=lambda p: p.final_loss, default=None)
     if best is None:
         raise AllDivergedError("every learning rate in the grid diverged", probes)

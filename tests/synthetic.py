@@ -1,10 +1,14 @@
-"""Synthetic data shared by the test suite.
+"""Synthetic data shared by the test suite, and its allocation-peak helper.
 
 The synthetic corpus generator plants one designated signal token per class
 into random filler sequences, so the label is a pure function of the tokens
 and the generator itself is the ground-truth oracle: a model that learns the
 task must have recovered exactly that function.
 """
+import contextlib
+import tracemalloc
+import types
+
 from embfuse.corpus import EncodedExample, SentimentLabel, split_train_test
 from embfuse.optim import SplitDataset
 from embfuse.seeding import derive_rng
@@ -46,3 +50,16 @@ def random_embedding(vocab=30, dim=10, scale=0.5, seed=11):
     emb = derive_rng(seed, "emb").normal(0.0, scale, size=(vocab, dim))
     emb[0] = 0.0
     return emb
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace allocations while the block runs; the yielded record's ``bytes``
+    is their peak, read when the block ends, also by an exception."""
+    record = types.SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        yield record
+    finally:
+        record.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()

@@ -2,7 +2,6 @@
 import io
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from embfuse.embedding_io import (
 )
 from embfuse.errors import ValidationError
 from embfuse.seeding import derive_rng
+from synthetic import traced_peak
 
 
 def make_table(tokens, matrix, name="t"):
@@ -460,6 +460,26 @@ class TestBlockDecoding:
         for size in (1, 13, 4099):
             assert_same_table(parse_word2vec_binary(chunked(data, size)), want)
 
+    def test_w2v_duplicates_on_both_sides_of_a_check_boundary(self):
+        # records BLOCK_ROWS - 1 to BLOCK_ROWS + 2 repeat earlier tokens; records
+        # BLOCK_ROWS and BLOCK_ROWS + 1 end one non-finite check window and start the next
+        rng = derive_rng(5, "w2v-boundary-dups")
+        n, dim = 2 * BLOCK_ROWS + 3, 3
+        values = rng.normal(size=(n, dim)).astype("<f4")
+        tokens = [f"w{i}" for i in range(n)]
+        for rec, first in ((BLOCK_ROWS - 1, 2), (BLOCK_ROWS, 1), (BLOCK_ROWS + 1, 2),
+                           (BLOCK_ROWS + 2, BLOCK_ROWS - 2)):
+            tokens[rec - 1] = f"w{first - 1}"
+        out = bytearray(f"{n} {dim}\n".encode("ascii"))
+        for i in range(n):
+            out += tokens[i].encode("ascii") + b" " + values[i].tobytes() + (b"\n" if i % 2 else b"")
+        data = bytes(out)
+        want = w2v_oracle(data)
+        assert len(want[0]) == n - 4 and len(want[2]) == 4
+        assert_same_table(parse_word2vec_binary(data), want)
+        for size in (1, 13, 4099):
+            assert_same_table(parse_word2vec_binary(chunked(data, size)), want)
+
 
 class TestErrorsDeepInFile:
     N = 6000
@@ -536,32 +556,52 @@ class TestErrorsDeepInFile:
         assert exc.value.code == "truncated-record"
         assert str(exc.value) == "record 5000: stream ended in floats"
 
-    def test_w2v_parse_peak_is_about_twice_the_float32_table(self):
-        # The blocks and the matrix they are stacked into, both float32; a float64
-        # matrix would take the peak to three times the table.
+    @pytest.mark.parametrize("nan_record", [BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("size", [None, 1, 13, 4099])
+    def test_w2v_non_finite_at_a_check_boundary_reports_its_record(self, nan_record, size):
+        data = self.w2v_bytes(nan_record=nan_record)
+        # a duplicate token before the bad record and the bad record itself a duplicate
+        data = data.replace(b"w9 ", b"w1 ", 1).replace(f"w{nan_record - 1} ".encode("ascii"),
+                                                       b"w2 ", 1)
+        with pytest.raises(ValidationError) as exc:
+            parse_word2vec_binary(data if size is None else chunked(data, size))
+        assert exc.value.code == "parse-float"
+        assert str(exc.value) == f"record {nan_record}: non-finite component"
+
+    def test_w2v_parse_peak_is_within_1_3x_the_float32_table(self):
+        # The rows go into one buffer that becomes the matrix; the stream's
+        # chunks, the tokens and one check window's temporaries come on top.
         n, dim = 3 * BLOCK_ROWS + 5, 300
         values = np.arange(n * dim, dtype="<f4").reshape(n, dim)
         stream = io.BytesIO(f"{n} {dim}\n".encode("ascii") + b"".join(
             f"w{i} ".encode("ascii") + values[i].tobytes() for i in range(n)))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             table = parse_word2vec_binary(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert table.matrix.tobytes() == values.tobytes()
-        assert peak < 2.5 * values.nbytes
+        assert peak.bytes <= 1.3 * values.nbytes
+
+    @pytest.mark.parametrize("fmt", ["glove", "fasttext"])
+    def test_text_parse_peak_is_within_1_5x_the_float64_table(self, fmt):
+        # The float64 rows go into one buffer that becomes the matrix; one
+        # block of lines, about 1 MiB, and its decoding come on top.
+        n, dim = 6000, 300
+        values = (np.arange(n * dim) % 1021 - 510).reshape(n, dim) / 256.0  # exact in decimal
+        text = "".join(f"w{i} " + " ".join(map(repr, row)) + "\n"
+                       for i, row in enumerate(values.tolist())).encode("ascii")
+        if fmt == "fasttext":
+            text = f"{n} {dim}\n".encode("ascii") + text
+        stream = io.BytesIO(text)
+        with traced_peak() as peak:
+            table = parse_embedding(stream, fmt)
+        assert table.matrix.tobytes() == values.tobytes()
+        assert peak.bytes <= 1.5 * values.nbytes
 
     def test_w2v_huge_declared_count_allocates_nothing_for_it(self):
         row = np.ones(300, dtype="<f4").tobytes()
         data = b"1000000000 300\nonly " + row
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             with pytest.raises(ValidationError) as exc:
                 parse_word2vec_binary(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert exc.value.code == "truncated-record"
         assert str(exc.value) == "record 2: stream ended in token"
-        assert peak < 1 << 20
+        assert peak.bytes < 1 << 20

@@ -439,6 +439,22 @@ class TestGradient:
         assert loss1 < loss0
 
 
+class TestForwardTrace:
+    def test_trace_keeps_keep_masks_and_no_gru_output(self):
+        # gru_units=3 gives the GRU output a width no other traced array has
+        config = tiny_config(gru_units=3, spatial_dropout_rate=0.2, dropout_rate=0.3)
+        x, _, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        _, trace = forward(x, params, config, training=True, rng=derive_rng(3, "trace"))
+        B, T = x.shape
+        assert trace.sd_kept.dtype == bool and trace.sd_kept.shape == (B, 1, config.emb_dim)
+        assert trace.do1_kept.dtype == bool and trace.do1_kept.shape == (B, T, 2 * config.lstm_units)
+        assert trace.do2_kept.dtype == bool and trace.do2_kept.shape == (B, T, 2 * config.gru_units)
+        assert trace.G_shape == (B, T, 2 * config.gru_units)
+        held = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+        assert not any(v.shape == trace.G_shape and v.dtype == np.float64 for v in held)
+
+
 class TestForwardInvariances:
     def test_extra_left_padding_does_not_change_probs(self):
         config = tiny_config()

@@ -554,7 +554,7 @@ class TestLrRangeSearch:
         from embfuse.optim import TrainingHistory
         losses = {1e-4: [], 1e-3: [0.9, 0.5], 1e-2: [0.8, 0.5], 1e-1: [0.7, 0.6]}
 
-        def fake_histories(data, embedding, config, specs, epochs, batch_size, seed):
+        def fake_histories(data, embedding, config, specs, epochs, batch_size, seed, test=True):
             return [TrainingHistory(pair="", optimizer=spec.kind, learning_rate=spec.learning_rate,
                                     seed=seed, train_loss=losses[spec.learning_rate],
                                     diverged=not losses[spec.learning_rate])
@@ -565,6 +565,26 @@ class TestLrRangeSearch:
                                        "sgd", grid=list(losses), epochs=2)
         assert [p.final_loss for p in probes] == [math.inf, 0.5, 0.5, 0.6]
         assert best == 1e-3
+
+    def test_search_evaluates_no_test_split(self, tiny_dataset, tiny_embedding, monkeypatch):
+        from embfuse import optim
+        grid = [1e-3, 1e-2, 1e307]
+        specs = [OptimizerSpec("sgd_momentum", lr) for lr in grid]
+        _, histories = optim.train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
+                                        epochs=2, batch_size=16, seed=5)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return optim.evaluate_runs(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "evaluate_runs", counting)
+        _, probes = lr_range_search(tiny_dataset, tiny_embedding, small_config(),
+                                    "sgd_momentum", grid=grid, epochs=2, batch_size=16, seed=5)
+        assert calls == []
+        # the probes are the train losses of the same runs trained with their evaluation
+        assert [p.epoch_losses for p in probes] == [h.train_loss for h in histories]
+        assert [p.diverged for p in probes] == [False, False, True]
 
     def test_empty_grid_rejected(self, tiny_dataset, tiny_embedding):
         with pytest.raises(ValidationError):
