@@ -19,9 +19,10 @@ and w2v-bin in chunks. Besides the output table, a parser holds one input
 chunk (or the one record that spans chunks, if longer) or one block of text
 lines (``_BLOCK_ROWS`` lines or about ``_BLOCK_BYTES``, whichever is less).
 Decoded rows are appended to one growing byte buffer, and the matrix is a
-view of that buffer, so no second matrix is built from them. Only a w2v-bin
-file with duplicate tokens pays one copy, at the end, when the duplicate
-records' rows are removed.
+view of that buffer, so no second matrix is built from them. A w2v-bin
+file's duplicate records are removed at the end by moving the rows after
+them down inside the buffer, about ``_BLOCK_BYTES`` at a time, so the matrix
+views the buffer's first rows.
 
 A w2v-bin record's float bytes are appended to the buffer as they are read;
 every ``_BLOCK_ROWS`` records the newest rows are checked for non-finite
@@ -165,12 +166,22 @@ def _finish_table(name: str, dim: int, vocab: Dict[str, int], rows: bytearray, d
                   warnings: List[str], drop: Sequence[int] = ()) -> EmbeddingTable:
     """The table whose matrix is a view of the decoded rows in ``rows``, less the rows ``drop``.
 
-    The float64 mean of a float32 matrix is bit-identical to the mean of its
+    The rows drop, ascending, are dropped in place: each run of kept rows
+    moves down over them a block of at most ``_BLOCK_BYTES`` at a time, so the
+    matrix is the buffer's first rows and holds what ``np.delete`` would. The
+    float64 mean of a float32 matrix is bit-identical to the mean of its
     float64 widening; per-block partial means would not be.
     """
     matrix = np.frombuffer(rows, dtype=dtype).reshape(-1, dim)
     if drop:
-        matrix = np.delete(matrix, drop, axis=0)
+        step = max(1, _BLOCK_BYTES // max(1, matrix[0].nbytes))
+        dst = drop[0]
+        for start, stop in zip([d + 1 for d in drop], [*drop[1:], len(matrix)]):
+            for src in range(start, stop, step):
+                m = min(step, stop - src)
+                matrix[dst:dst + m] = matrix[src:src + m]
+                dst += m
+        matrix = matrix[:dst]
     return EmbeddingTable(name=name, dim=dim, vocab=vocab, matrix=matrix,
                           mean=matrix.mean(axis=0, dtype=np.float64), warnings=warnings)
 

@@ -47,7 +47,7 @@ import math
 import struct
 from dataclasses import dataclass, asdict
 from itertools import accumulate
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -204,13 +204,6 @@ class ModelParameters:
     def run(self, k: int) -> "ModelParameters":
         """Of a stack: run k as a set viewing its row of ``flat``."""
         return self._over(self.flat[k], share_embedding=True)
-
-    def runs(self, ks: Sequence[int]) -> "ModelParameters":
-        """Of a stack: runs ks as a stack, viewing their rows of ``flat`` when
-        ks are consecutive and copying them otherwise."""
-        ks = list(ks)
-        rows = slice(ks[0], ks[-1] + 1) if ks == list(range(ks[0], ks[-1] + 1)) else ks
-        return self._over(self.flat[rows], share_embedding=True)
 
 
 def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:
@@ -767,15 +760,14 @@ def _step_mask(mask: np.ndarray) -> _StepMask:
     return _StepMask(_pair(real[:, :, None], p=p), p, (every & every[::-1]).tolist())
 
 
-def _bidirectional(direction, X, mask, weights, training: bool, steps=None):
+def _bidirectional(direction, X, steps, weights, training: bool):
     """One bidirectional layer over (..., B, T, D) with weights, the layer's
-    (W, U, b) pair views: one call of the direction kernel. steps is
-    _step_mask(mask), when the caller has built it already.
+    (W, U, b) pair views, and steps, the _step_mask of the batch: one call of
+    the direction kernel.
 
     Returns the (..., B, T, 2H) output, fw features then bw, and the store.
     """
     W, U, b = weights
-    steps = _step_mask(mask) if steps is None else steps
     rows = _pair(X)
     T, B = rows.shape[-3:-1]
     gates = _store(np.broadcast_shapes(rows.shape[:-3], W.shape[:-2]), T, B, W.shape[-1],
@@ -855,7 +847,6 @@ class ForwardTrace:
     """
 
     x: np.ndarray
-    mask: np.ndarray
     steps: _StepMask  # _step_mask(mask); steps.p counts the leading all-pad steps
     sd_kept: Optional[np.ndarray]  # each dropout's boolean keep-mask (see _dropout)
     emb_dropped: np.ndarray
@@ -933,13 +924,11 @@ def forward(
 
     p = params.blocks
     S_dropped, lstm_store = _bidirectional(
-        _lstm_direction_forward, emb_dropped, mask, params.pairs(params.flat, "lstm"), training,
-        steps)
+        _lstm_direction_forward, emb_dropped, steps, params.pairs(params.flat, "lstm"), training)
     do1_kept = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
 
     G_dropped, gru_store = _bidirectional(
-        _gru_direction_forward, S_dropped, mask, params.pairs(params.flat, "gru"), training,
-        steps)
+        _gru_direction_forward, S_dropped, steps, params.pairs(params.flat, "gru"), training)
     do2_kept = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
 
     pool1 = masked_max_pool(S_dropped, mask)
@@ -955,7 +944,7 @@ def forward(
     if not training:
         return probs, None
     trace = ForwardTrace(
-        x=x, mask=mask, steps=steps, sd_kept=sd_kept, emb_dropped=emb_dropped,
+        x=x, steps=steps, sd_kept=sd_kept, emb_dropped=emb_dropped,
         lstm_store=lstm_store, do1_kept=do1_kept, S_dropped=S_dropped, gru_store=gru_store,
         do2_kept=do2_kept, G_shape=G_dropped.shape,
         pool1=pool1, pool2=pool2, feats=feats, probs=probs, log_probs=log_probs,
@@ -1060,22 +1049,19 @@ def _loss_probs_grad(x, labels, params, config, rng):
 # Inference runs in chunks of rows sized so that the LSTM layer's
 # preactivation over a chunk, a (2, max_len, rows, 4 * lstm_units) float64
 # array holding both directions (its one scan holds them at once), stays
-# within this many bytes; a stacked evaluation (evaluate_runs) groups runs
-# under the same budget.
+# within this many bytes.
 _INFER_CHUNK_BYTES = 64 << 20
 
 
-def _row_bytes(config: ModelConfig) -> int:
-    """Bytes of one row's LSTM preactivation in one run's inference forward,
-    counting max_len steps: a chunk whose first p steps are padding in every
-    row holds max_len + p slots (see the scans), which the budget does not
-    count."""
-    return 2 * config.max_len * 4 * config.lstm_units * 8
-
-
 def inference_batch_size(config: ModelConfig) -> int:
-    """Rows per inference chunk for ``config`` (at least 1)."""
-    return max(1, _INFER_CHUNK_BYTES // _row_bytes(config))
+    """Rows per inference chunk for ``config`` (at least 1).
+
+    A row's LSTM preactivation is counted at max_len steps: a chunk whose
+    first p steps are padding in every row holds max_len + p slots (see the
+    scans), which the budget does not count.
+    """
+    row_bytes = 2 * config.max_len * 4 * config.lstm_units * 8
+    return max(1, _INFER_CHUNK_BYTES // row_bytes)
 
 
 def stack_size(config: ModelConfig, batch_size: int) -> int:
@@ -1133,29 +1119,6 @@ def evaluate(
 ) -> Tuple[float, float]:
     """Inference-mode (loss, accuracy) over a full set, computed in chunks."""
     return loss_accuracy(predict_proba(x, params, config), labels)
-
-
-def evaluate_runs(
-    x: np.ndarray,
-    labels: np.ndarray,
-    params: ModelParameters,
-    runs: Sequence[int],
-    config: ModelConfig,
-) -> List[Tuple[float, float]]:
-    """Of a stack: ``evaluate`` of each run in runs, bit for bit, from one
-    stacked inference forward per chunk for each group of runs.
-
-    Chunks keep ``inference_batch_size(config)`` rows, so a run's metrics do
-    not depend on which runs share its stack; a group holds as many runs as
-    keep its LSTM preactivation over one chunk within the chunk budget.
-    """
-    rows = min(inference_batch_size(config), max(1, len(x)))
-    size = max(1, _INFER_CHUNK_BYTES // (rows * _row_bytes(config)))
-    out: List[Tuple[float, float]] = []
-    for start in range(0, len(runs), size):
-        probs = predict_proba(x, params.runs(runs[start:start + size]), config)
-        out += [loss_accuracy(p, labels) for p in probs]
-    return out
 
 
 def predict(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.ndarray:

@@ -11,9 +11,9 @@ vectors are allocated once, and only the step's temporaries are transient.
 On top of the rules sits one epoch loop with per-epoch metrics,
 ``train_runs``, which trains a stack of runs that differ only in update rule
 and rate, one optimizer per run, with one forward and backward pass per
-batch and one stacked test evaluation per epoch for the whole stack. A
-single run (``train``), a learning-rate range search over a log grid (its
-probes stacked) and an optimizer-by-embedding sweep (the cells of each pair
+batch and a test evaluation of each live run per epoch. A single run
+(``train``), a learning-rate range search over a log grid (its probes
+stacked) and an optimizer-by-embedding sweep (the cells of each pair
 stacked) all go through it. A run whose loss or gradient goes non-finite is
 marked diverged and stops stepping in place; its row keeps its weights from
 before that batch, and the other runs go on.
@@ -35,7 +35,7 @@ from .model import (  # noqa: F401  from_flat and to_flat are re-exported helper
     ModelParameters,
     _diverging_quietly,
     _loss_probs_grad,
-    evaluate_runs,
+    evaluate,
     from_flat,
     init_parameters,
     stack_size,
@@ -287,10 +287,9 @@ def train_runs(
     ``stack_size(config, batch_size)``.
 
     Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
-    aggregates training-mode predictions, test metrics are inference-mode over
-    the whole test split, from one stacked evaluation of every live run
-    (``evaluate_runs``), which equals ``evaluate`` of each run bit for bit.
-    epoch_seconds is the stack's training time plus that evaluation's time.
+    aggregates training-mode predictions, and test metrics are ``evaluate`` of
+    each live run over the whole test split, in inference mode.
+    epoch_seconds is the stack's training time plus those evaluations' time.
     With ``test`` False the test split is not evaluated and the test metric
     lists stay empty; the training itself is the same.
     A run whose loss or gradient goes non-finite is marked diverged, keeps
@@ -332,8 +331,8 @@ def train_runs(
         if not live:
             break
         if test:
-            for k, (test_loss, test_acc) in zip(
-                    live, evaluate_runs(data.test_x, data.test_y, params, live, config)):
+            for k in live:
+                test_loss, test_acc = evaluate(data.test_x, data.test_y, params.run(k), config)
                 histories[k].test_loss.append(test_loss)
                 histories[k].test_accuracy.append(test_acc)
         seconds = time.perf_counter() - started  # the stack's training and any evaluation

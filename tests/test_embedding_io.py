@@ -580,6 +580,27 @@ class TestErrorsDeepInFile:
         assert table.matrix.tobytes() == values.tobytes()
         assert peak.bytes <= 1.3 * values.nbytes
 
+    @pytest.mark.parametrize("where", ["early", "late", "100"])
+    def test_w2v_parse_peak_with_duplicates_is_within_1_3x_the_float32_table(self, where):
+        # Duplicate records' rows are dropped inside the buffer, so dropping
+        # them costs at most about _BLOCK_BYTES on top of the table.
+        n, dim = 3 * BLOCK_ROWS + 5, 300
+        values = np.arange(n * dim, dtype="<f4").reshape(n, dim)
+        records = [(f"w{i}", values[i]) for i in range(n)]
+        at = {"early": [1], "late": [n], "100": list(range(7, n, n // 100))[:100]}[where]
+        for pos in at:  # a record repeating the token before it, with other values
+            records.insert(pos, (records[pos - 1][0], np.full(dim, -1 - pos, dtype="<f4")))
+        stream = io.BytesIO(f"{len(records)} {dim}\n".encode("ascii") + b"".join(
+            f"{token} ".encode("ascii") + row.tobytes() for token, row in records))
+        with traced_peak() as peak:
+            table = parse_word2vec_binary(stream)
+        every = np.array([row for _, row in records])
+        assert table.matrix.tobytes() == np.delete(every, at, axis=0).tobytes()
+        assert table.matrix.tobytes() == values.tobytes()
+        assert table.mean.tobytes() == values.mean(axis=0, dtype=np.float64).tobytes()
+        assert len(table.warnings) == len(at)
+        assert peak.bytes <= 1.3 * values.nbytes
+
     @pytest.mark.parametrize("fmt", ["glove", "fasttext"])
     def test_text_parse_peak_is_within_1_5x_the_float64_table(self, fmt):
         # The float64 rows go into one buffer that becomes the matrix; one

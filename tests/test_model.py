@@ -193,7 +193,7 @@ class TestDirectionLayers:
     def _check_both_halves(self, direction, X, mask, weights, step, state):
         """fw half = the cell loop with the fw blocks; bw half = the cell loop
         with the bw blocks over the reversed input, flipped back."""
-        out, store = _bidirectional(direction, X, mask, weights, training=False)
+        out, store = _bidirectional(direction, X, _step_mask(mask), weights, training=False)
         assert store is None
         H = out.shape[-1] // 2
         for d, half in enumerate((out[..., :H], out[..., H:])):
@@ -228,7 +228,8 @@ class TestDirectionLayers:
         mask[1, 1] = mask[1, 3] = 1.0
         weights = (rng.normal(size=(2, X.shape[2], 4 * H)), rng.normal(size=(2, H, 4 * H)),
                    rng.normal(size=(2, 4 * H)))
-        out, _ = _bidirectional(_lstm_direction_forward, X, mask, weights, training=False)
+        out, _ = _bidirectional(_lstm_direction_forward, X, _step_mask(mask), weights,
+                                training=False)
         # fw carries the state of step 1 through step 2, bw the state of step 3
         assert np.array_equal(out[1, 2, :H], out[1, 1, :H])
         assert np.array_equal(out[1, 2, H:], out[1, 3, H:])
@@ -453,6 +454,8 @@ class TestForwardTrace:
         assert trace.G_shape == (B, T, 2 * config.gru_units)
         held = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
         assert not any(v.shape == trace.G_shape and v.dtype == np.float64 for v in held)
+        # backward reads the step mask, not the padding mask it was built from
+        assert "mask" not in vars(trace) and trace.steps.valid.dtype == bool
 
 
 class TestForwardInvariances:

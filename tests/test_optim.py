@@ -13,7 +13,6 @@ from embfuse.errors import AllDivergedError, NonFiniteGradientError, ValidationE
 from embfuse.model import (
     ModelConfig,
     evaluate,
-    evaluate_runs,
     load_checkpoint,
     save_checkpoint,
     stack_size,
@@ -37,7 +36,6 @@ from embfuse.optim import (
 from embfuse.seeding import derive_rng
 
 from synthetic import random_embedding, synthetic_dataset
-from test_model import set_inference_chunk
 
 
 class TestOptimizerSpec:
@@ -342,18 +340,19 @@ class TestTrainRuns:
             clock[0] += 1.0
             return real_loss_probs_grad(*args)
 
-        def ten_seconds_per_stack_evaluation(x, labels, params, runs, config):
+        def ten_seconds_per_evaluation(x, labels, params, config):
             clock[0] += 10.0
-            return [(0.5, 0.5)] * len(runs)
+            return 0.5, 0.5
 
         monkeypatch.setattr(optim.time, "perf_counter", lambda: clock[0])
         monkeypatch.setattr(optim, "_loss_probs_grad", one_second_per_batch)
-        monkeypatch.setattr(optim, "evaluate_runs", ten_seconds_per_stack_evaluation)
+        monkeypatch.setattr(optim, "evaluate", ten_seconds_per_evaluation)
         specs = [OptimizerSpec(kind="sgd", learning_rate=lr) for lr in (0.1, 0.05, 0.01)]
         _, histories = train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
                                   epochs=2, batch_size=16, seed=5)
         batches = math.ceil(len(tiny_dataset.train_y) / 16)
-        assert [h.epoch_seconds for h in histories] == [[batches + 10.0] * 2] * 3
+        # every run's epoch holds the stack's batches and all three evaluations
+        assert [h.epoch_seconds for h in histories] == [[batches + 30.0] * 2] * 3
 
     def test_diverged_run_stays_in_the_one_stack(self, tiny_dataset, tiny_embedding,
                                                  monkeypatch):
@@ -383,76 +382,52 @@ class TestTrainRuns:
         assert stack_size(tiny, 1) > stack_size(tiny, 8) > stack_size(tiny, 64)
 
 
-class TestStackedEvaluation:
-    """evaluate_runs, the one stacked evaluation of train_runs, against
-    evaluate run by run, bit for bit."""
+class TestTestEvaluation:
+    """train_runs's per-epoch test metrics: evaluate of each live run."""
 
     @staticmethod
-    def _trained(data, embedding, case):
+    def _trained(data, embedding, case, epochs):
         overrides, pairs, batch_size, _ = STACKS[case]
-        config = small_config(**overrides)
         specs = [OptimizerSpec(kind=kind, learning_rate=lr) for kind, lr in pairs]
-        params, histories = train_runs(data, embedding, config, specs,
-                                       epochs=2, batch_size=batch_size, seed=5)
-        return config, params, histories
+        return train_runs(data, embedding, small_config(**overrides), specs,
+                          epochs=epochs, batch_size=batch_size, seed=5)
 
-    @staticmethod
-    def _check(data, config, params, runs):
-        got = evaluate_runs(data.test_x, data.test_y, params, runs, config)
-        want = [evaluate(data.test_x, data.test_y, params.run(k), config) for k in runs]
-        assert len(got) == len(runs)
-        for (loss, acc), (want_loss, want_acc) in zip(got, want):
-            assert np.array_equal(loss, want_loss) and np.array_equal(acc, want_acc)
-        return got
+    @pytest.mark.parametrize("case", ["mixed-kinds-and-rates", "diverging-member"])
+    def test_each_epoch_is_evaluate_of_each_live_run(self, tiny_dataset, tiny_embedding, case):
+        config = small_config(**STACKS[case][0])
+        final = self._trained(tiny_dataset, tiny_embedding, case, 2)[1]
+        for epochs in (1, 2):  # a run's weights after epoch e are those of e epochs
+            params, histories = self._trained(tiny_dataset, tiny_embedding, case, epochs)
+            for k, history in enumerate(final):
+                if len(history.train_loss) < epochs:  # diverged before then
+                    continue
+                want = evaluate(tiny_dataset.test_x, tiny_dataset.test_y, params.run(k), config)
+                got = (history.test_loss[epochs - 1], history.test_accuracy[epochs - 1])
+                assert np.array_equal(got, want)
+                assert histories[k].test_loss == history.test_loss[:epochs]
 
-    @staticmethod
-    def _stack_sizes(monkeypatch):
-        """(stack size, rows) of every forward from now on."""
-        import embfuse.model as model_module
-        sizes = []
-        real_forward = model_module.forward
+    @pytest.mark.parametrize("case", ["mixed-kinds-and-rates", "diverging-member"])
+    def test_once_per_live_run_per_epoch(self, tiny_dataset, tiny_embedding, case,
+                                         monkeypatch):
+        from embfuse import optim
+        real_evaluate = optim.evaluate
+        evaluated = []  # the flat vector of each evaluated run, in call order
 
-        def recording(x, params, *args, **kwargs):
-            sizes.append((params.flat.shape[0], len(x)))
-            return real_forward(x, params, *args, **kwargs)
+        def recording(x, labels, params, config):
+            evaluated.append(params.flat)
+            return real_evaluate(x, labels, params, config)
 
-        monkeypatch.setattr(model_module, "forward", recording)
-        return sizes
-
-    def test_mixed_rules_and_rates(self, tiny_dataset, tiny_embedding, monkeypatch):
-        config, params, histories = self._trained(tiny_dataset, tiny_embedding,
-                                                  "mixed-kinds-and-rates")
-        runs = list(range(len(histories)))
-        sizes = self._stack_sizes(monkeypatch)
-        got = self._check(tiny_dataset, config, params, runs)
-        assert sizes[0] == (len(runs), len(tiny_dataset.test_y))  # one stacked forward
-        assert [(h.test_loss[-1], h.test_accuracy[-1]) for h in histories] == got
-
-    def test_a_test_split_longer_than_one_chunk(self, tiny_dataset, tiny_embedding,
-                                                monkeypatch):
-        config, params, _ = self._trained(tiny_dataset, tiny_embedding, "mixed-kinds-and-rates")
-        set_inference_chunk(monkeypatch, config, 5)
-        assert len(tiny_dataset.test_y) == 12
-        sizes = self._stack_sizes(monkeypatch)
-        self._check(tiny_dataset, config, params, [0, 2, 3])
-        # a chunk fills the budget, so each run is its own group of chunks of 5 rows
-        assert sizes[:9] == [(1, 5), (1, 5), (1, 2)] * 3
-
-    def test_a_stack_with_a_diverged_row(self, tiny_dataset, tiny_embedding):
-        config, params, histories = self._trained(tiny_dataset, tiny_embedding,
-                                                  "diverging-member")
-        assert [h.diverged for h in histories] == [False, True, False]
-        got = self._check(tiny_dataset, config, params, [0, 2])
-        assert [(histories[k].test_loss[-1], histories[k].test_accuracy[-1])
-                for k in (0, 2)] == got
-
-    def test_a_budget_for_fewer_runs_than_are_live(self, tiny_dataset, tiny_embedding,
-                                                   monkeypatch):
-        config, params, _ = self._trained(tiny_dataset, tiny_embedding, "mixed-kinds-and-rates")
-        set_inference_chunk(monkeypatch, config, 2 * len(tiny_dataset.test_y))
-        sizes = self._stack_sizes(monkeypatch)
-        self._check(tiny_dataset, config, params, [0, 1, 2, 3, 5])
-        assert sizes[:3] == [(2, 12), (2, 12), (1, 12)]
+        monkeypatch.setattr(optim, "evaluate", recording)
+        params, histories = self._trained(tiny_dataset, tiny_embedding, case, 3)
+        rows = [k for flat in evaluated for k in range(len(histories))
+                if np.shares_memory(flat, params.flat[k])]
+        live = [[k for k, h in enumerate(histories) if len(h.train_loss) >= epoch]
+                for epoch in (1, 2, 3)]
+        assert len(rows) == len(evaluated) and rows == [k for runs in live for k in runs]
+        assert [len(h.test_loss) for h in histories] == [len(h.train_loss) for h in histories]
+        if case == "diverging-member":
+            assert [h.diverged for h in histories] == [False, True, False]
+            assert live[2] == [0, 2]  # the diverged row is never evaluated again
 
 
 class TestTrainParameterBuffer:
@@ -574,11 +549,13 @@ class TestLrRangeSearch:
                                         epochs=2, batch_size=16, seed=5)
         calls = []
 
+        real_evaluate = optim.evaluate
+
         def counting(*args, **kwargs):
             calls.append(args)
-            return optim.evaluate_runs(*args, **kwargs)
+            return real_evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(optim, "evaluate_runs", counting)
+        monkeypatch.setattr(optim, "evaluate", counting)
         _, probes = lr_range_search(tiny_dataset, tiny_embedding, small_config(),
                                     "sgd_momentum", grid=grid, epochs=2, batch_size=16, seed=5)
         assert calls == []
