@@ -785,20 +785,26 @@ def _bidirectional_backward(direction, dout, X, steps, weights, grads, store, ne
     (dW, dU, db) of both directions into grads, the layer's pair views of the
     gradient, and returns dX summed over fw and bw, or None unless need_dx.
 
-    One weight-gradient tail serves both cells. The kernel returns the states
-    hs and the (..., 2, T, B, K) input-side and recurrent-side gate gradients
-    (one array for the LSTM); dW = X^T dw_in, dU = h_prev^T du_in, db = sum
-    dw_in and dX = dw_in W^T are one GEMM or sum each over all T*B rows, read
-    in place from the stores. The two dX halves are separate GEMMs, the bw
-    half summed into the fw half, so dX costs two halves and not three.
+    Consumes store, which the caller passes as its only holder, so each of
+    its arrays is freed after its last read. One weight-gradient tail serves
+    both cells. The kernel returns the states hs and the (..., 2, T, B, K)
+    input-side and recurrent-side gate gradients (one array for the LSTM);
+    dU = h_prev^T du_in, dW = X^T dw_in, db = sum dw_in and dX = dw_in W^T
+    are one GEMM or sum each over all T*B rows, read in place from the
+    stores. dU comes first, so hs and du_in (the GRU's h U store) are freed
+    before X is paired again for dW and the dX halves are formed. The two
+    dX halves are separate GEMMs, the bw half summed into the fw half, so
+    dX costs two halves and not three.
     """
     (W, U, _), (dW, dU, db) = weights, grads
     H = dout.shape[-1] // 2
     hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:], steps.p), steps, U, store)
+    del store  # the LSTM's cell states and tanh(c) go with it
+    np.matmul(_rows(hs[..., :-1, :, :]).swapaxes(-1, -2), _rows(du_in), out=dU)
+    del hs, du_in
     T, B = dw_in.shape[-3:-1]
     dw_in = _rows(dw_in)
     np.matmul(_rows(_pair(X)).swapaxes(-1, -2), dw_in, out=dW)
-    np.matmul(_rows(hs[..., :-1, :, :]).swapaxes(-1, -2), _rows(du_in), out=dU)
     dw_in.sum(axis=-2, out=db)
     if not need_dx:
         return None
@@ -841,16 +847,17 @@ class ForwardTrace:
     arrays are kept, and of the GRU output only its shape. Each dropout keeps
     its boolean keep-mask, from which backward rebuilds the factor forward
     applied (_dropout_factor). Each recurrent layer keeps the store of its
-    scan, both directions in one; the backward pass consumes the stores, and
-    drops the GRU store once consumed, so a trace is backpropagated at most
-    once.
+    scan, both directions in one. The backward pass consumes both stores,
+    taking each out of the trace (take_store) before its layer's backward,
+    which then frees each array after its last read; so a trace is
+    backpropagated at most once.
     """
 
     x: np.ndarray
     steps: _StepMask  # _step_mask(mask); steps.p counts the leading all-pad steps
     sd_kept: Optional[np.ndarray]  # each dropout's boolean keep-mask (see _dropout)
     emb_dropped: np.ndarray
-    lstm_store: tuple
+    lstm_store: Optional[tuple]
     do1_kept: Optional[np.ndarray]
     S_dropped: np.ndarray
     gru_store: Optional[tuple]
@@ -861,6 +868,14 @@ class ForwardTrace:
     feats: np.ndarray
     probs: np.ndarray
     log_probs: np.ndarray
+
+    def take_store(self, layer: str) -> tuple:
+        """The store of recurrent layer ("lstm" or "gru"), cleared from the
+        trace, so that the caller holds it alone."""
+        name = f"{layer}_store"
+        store = getattr(self, name)
+        setattr(self, name, None)
+        return store
 
 
 def _dropout_factor(kept: np.ndarray, rate: float) -> np.ndarray:
@@ -994,17 +1009,15 @@ def _backward(
 
     dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.steps,
                                  params.pairs(params.flat, "gru"), params.pairs(grad, "gru"),
-                                 trace.gru_store, True)
-    # neither is needed by the LSTM backward, whose store is the largest
-    del dG
-    trace.gru_store = None
+                                 trace.take_store("gru"), True)
+    del dG  # not needed by the LSTM backward, whose store is the largest
     dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
     if trace.do1_kept is not None:
         dS *= _dropout_factor(trace.do1_kept, config.dropout_rate)
 
     dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.steps,
                                  params.pairs(params.flat, "lstm"), params.pairs(grad, "lstm"),
-                                 trace.lstm_store, config.train_embedding)
+                                 trace.take_store("lstm"), config.train_embedding)
     if dE is not None:
         if trace.sd_kept is not None:
             dE *= _dropout_factor(trace.sd_kept, config.spatial_dropout_rate)

@@ -145,11 +145,23 @@ class Adadelta(_Stepper):
 
     def _apply(self, w, g):
         rho, eps = ADADELTA_RHO, ADADELTA_EPS
+        # two full-size temporaries, tmp and delta, written in place
+        tmp = np.multiply(1.0 - rho, g)
+        tmp *= g
         self.sq_grad *= rho
-        self.sq_grad += (1.0 - rho) * g * g
-        delta = -np.sqrt(self.sq_delta + eps) / np.sqrt(self.sq_grad + eps) * g
+        self.sq_grad += tmp
+        # delta = -sqrt(sq_delta + eps) / sqrt(sq_grad + eps) * g
+        delta = np.add(self.sq_delta, eps)
+        np.sqrt(delta, out=delta)
+        np.negative(delta, out=delta)
+        np.add(self.sq_grad, eps, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        delta /= tmp
+        delta *= g
+        np.multiply(1.0 - rho, delta, out=tmp)
+        tmp *= delta
         self.sq_delta *= rho
-        self.sq_delta += (1.0 - rho) * delta * delta
+        self.sq_delta += tmp
         delta *= self.lr
         w += delta
 
@@ -164,15 +176,19 @@ class Adam(_Stepper):
     def _apply(self, w, g):
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
+        # two full-size temporaries, denom and m_hat, written in place
+        denom = np.multiply(1.0 - b1, g)
         self.m *= b1
-        self.m += (1.0 - b1) * g
+        self.m += denom
+        np.multiply(1.0 - b2, g, out=denom)
+        denom *= g
         self.v *= b2
-        self.v += (1.0 - b2) * g * g
-        m_hat = self.m / (1.0 - b1 ** self.t)
-        denom = self.v / (1.0 - b2 ** self.t)
+        self.v += denom
+        np.divide(self.v, 1.0 - b2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         # w - lr * m_hat / (sqrt(v_hat) + eps), in place
+        m_hat = np.divide(self.m, 1.0 - b1 ** self.t)
         m_hat *= self.lr
         m_hat /= denom
         w -= m_hat
@@ -281,10 +297,11 @@ def train_runs(
 
     The runs share the init, the per-epoch shuffle and the dropout draws, and
     differ only in update rule and rate, so each batch's forward and backward
-    pass serve the whole stack. Returns the stacked parameters, row k trained
-    by specs[k], and one history per spec; each run's weights and history
-    are those it gets when trained alone. Callers keep len(specs) within
-    ``stack_size(config, batch_size)``.
+    pass serve the whole stack. A batch's gradient and probabilities are
+    freed once the stack has stepped, so a step holds one gradient. Returns
+    the stacked parameters, row k trained by specs[k], and one history per
+    spec; each run's weights and history are those it gets when trained
+    alone. Callers keep len(specs) within ``stack_size(config, batch_size)``.
 
     Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
     aggregates training-mode predictions, and test metrics are ``evaluate`` of
@@ -325,6 +342,7 @@ def train_runs(
             for k in live:
                 if not _stepped(steppers[k], params.flat[k], grad[k], losses[k]):
                     histories[k].diverged = True
+            del probs, grad  # so the next batch's forward and backward do not run beside them
             live = [k for k in live if not histories[k].diverged]
             if not live:
                 break

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import struct
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -456,6 +458,46 @@ class TestForwardTrace:
         assert not any(v.shape == trace.G_shape and v.dtype == np.float64 for v in held)
         # backward reads the step mask, not the padding mask it was built from
         assert "mask" not in vars(trace) and trace.steps.valid.dtype == bool
+
+
+class TestBackwardMemory:
+    def test_gru_tail_frees_the_store_before_pairing_its_input(self):
+        # at this shape the GRU's weight-gradient tail sets the layer's peak
+        import embfuse.model as model_module
+        config = ModelConfig(max_len=60, emb_dim=32, lstm_units=128, gru_units=64,
+                             spatial_dropout_rate=0.0, dropout_rate=0.0)
+        B = 32
+        rng = derive_rng(5, "gru-tail")
+        x = rng.integers(1, 40, size=(B, config.max_len))  # no padding
+        labels = rng.integers(0, config.num_classes, size=B)
+        params = init_parameters(config, rng.normal(size=(40, config.emb_dim)))
+        paired_input = 2 * config.max_len * B * 2 * config.lstm_units * 8  # 7.86 MB
+        tail = model_module._bidirectional_backward.__code__
+        gru = model_module._gru_direction_backward.__code__
+        calls, rises = [], []
+
+        # a profile hook, not a wrapper: a wrapper would hold the store it passes on
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is tail:
+                calls.append([tracemalloc.get_traced_memory()[0], False])
+                tracemalloc.reset_peak()
+            elif event == "call" and frame.f_code is gru:
+                calls[-1][1] = True
+            elif event == "return" and frame.f_code is tail:
+                entry, is_gru = calls.pop()
+                if is_gru:
+                    rises.append(tracemalloc.get_traced_memory()[1] - entry)
+
+        previous = sys.getprofile()
+        tracemalloc.start()
+        sys.setprofile(profile)
+        try:
+            loss_and_grad(x, labels, params, config)
+        finally:
+            sys.setprofile(previous)
+            tracemalloc.stop()
+        assert len(rises) == 1
+        assert rises[0] < paired_input, f"rose {rises[0]} bytes"
 
 
 class TestForwardInvariances:

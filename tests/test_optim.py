@@ -160,6 +160,38 @@ class TestInPlaceStep:
             assert np.array_equal(w_next, w_inplace)
             w = w_next
 
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_rules_match_their_textbook_formulas_bit_for_bit(self, kind):
+        n, lr = 100_000, DEFAULT_LR[kind]
+        opt = make_optimizer(OptimizerSpec(kind=kind, learning_rate=lr), n)
+        rng = derive_rng(29, "textbook", kind)
+        w = rng.normal(size=n)
+        ref = w.copy()
+        s1, s2 = np.zeros(n), np.zeros(n)  # each rule's state vectors
+        for t in range(1, 21):
+            g = rng.normal(size=n)
+            opt.step(w, g, out=w)
+            if kind == "sgd":
+                ref = ref - lr * g
+            elif kind == "sgd_momentum":
+                s1 = 0.9 * s1 + g
+                ref = ref - lr * s1
+            elif kind == "adagrad":
+                s1 = s1 + g * g
+                ref = ref - lr * g / np.sqrt(s1 + 1e-10)
+            elif kind == "adadelta":
+                s1 = 0.95 * s1 + (1.0 - 0.95) * g * g
+                delta = -np.sqrt(s2 + 1e-6) / np.sqrt(s1 + 1e-6) * g
+                s2 = 0.95 * s2 + (1.0 - 0.95) * delta * delta
+                ref = ref + lr * delta
+            else:
+                s1 = 0.9 * s1 + (1.0 - 0.9) * g
+                s2 = 0.999 * s2 + (1.0 - 0.999) * g * g
+                m_hat = s1 / (1.0 - 0.9 ** t)
+                v_hat = s2 / (1.0 - 0.999 ** t)
+                ref = ref - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(w, ref), f"step {t}"
+
     def test_bad_out_rejected_and_state_untouched(self):
         opt = make_optimizer(OptimizerSpec(kind="sgd_momentum", learning_rate=0.1), 4)
         w = np.zeros(4)
@@ -373,6 +405,24 @@ class TestTrainRuns:
         assert params.flat.shape[0] == 3 and len(seen) > 1
         assert all(flat.shape == params.flat.shape and np.shares_memory(flat, params.flat)
                    for flat in seen)
+
+    def test_batch_gradient_freed_before_next_batch(self, tiny_dataset, tiny_embedding,
+                                                    monkeypatch):
+        from embfuse import optim
+        real_loss_probs_grad = optim._loss_probs_grad
+        returned = []
+
+        def tracking(*args):
+            assert all(ref() is None for ref in returned)
+            losses, probs, grad = real_loss_probs_grad(*args)
+            returned.extend((weakref.ref(probs), weakref.ref(grad)))
+            return losses, probs, grad
+
+        monkeypatch.setattr(optim, "_loss_probs_grad", tracking)
+        specs = [OptimizerSpec(kind=kind, learning_rate=0.05) for kind in ("sgd", "adam")]
+        train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
+                   epochs=2, batch_size=16, seed=5)
+        assert len(returned) == 2 * 2 * math.ceil(len(tiny_dataset.train_y) / 16)
 
     def test_stack_size_rule(self):
         # the paper model at batch 32 needs about 165 MB of training stores per run
