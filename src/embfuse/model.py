@@ -10,7 +10,9 @@ Architecture over a (usually frozen) embedding matrix:
 
 Index 0 marks left padding. Padded steps pass the recurrent state through
 unchanged in both directions, and pooling ignores them, so adding more left
-padding never changes the output.
+padding never changes the output. Forward therefore drops a batch's leading
+steps that are padding in every row before the embedding gather, and the
+whole network runs on the rest.
 
 Parameters have one representation: the 14 weight blocks (and the embedding,
 when it is trained) are reshaped views into one contiguous float64 vector,
@@ -27,11 +29,8 @@ Training-mode forward returns a trace for exact backpropagation through time
 (..., 2, T, B, .) arrays filled step by step: the gate activations, the
 hidden states (and for the LSTM the cell states and tanh of the new cell
 state), and for the GRU the recurrent products h U. Each is a view of a
-time-major (T + p, B, ..., 2, .) buffer, where p counts the batch's leading
-steps that are padding in every row, offset so that one loop slot, fw step
-j and bw step j - p of every run, is one contiguous block. The loops skip
-the p all-pad steps of each direction, and whole-array calls write what
-the loop would have written there, bit for bit. The backward pass consumes
+time-major (T, B, ..., 2, .) buffer, so that one loop step of every run
+and direction is one contiguous block. The backward pass consumes
 the store, overwriting the gate arrays with the gate gradients, and writes
 each block's gradient straight into its view of one flat gradient vector
 laid out like ``flat``. Inference-mode forward keeps no store: each layer
@@ -393,23 +392,15 @@ def gru_cell_step(
 # store. dW, dU, db and dX are then one GEMM or reduction each over all T*B
 # rows.
 #
-# Left padding makes a batch's first p time steps padding in every row
-# (_step_mask counts them): fw's steps 0..p-1, first in processing order,
-# and bw's steps T-p..T-1, last. The loops skip both. Every array a loop
-# indexes by step is an offset store (see _store), whose slot j holds fw
-# step j and bw step j-p, so the loops run over slots p..T-1 only. The
-# skipped steps are filled with whole-array calls that write what the
-# per-step loop writes, bit for bit. Forward, every skipped step of a
-# direction is entered with the same state (zero for fw, the final state
-# for bw), so their h U is one product of the per-step shape and their cell
-# math one call. Backward, dh and dc pass through them as running sums (see
-# _running_sums). On a loop slot where every row is real, the selects that
-# keep padded rows' states are dropped.
+# forward has already dropped the batch's leading steps that are padding in
+# every row, so a scan sees padding only in rows shorter than the longest.
+# Padded rows keep their state through a select; on a step where every row
+# is real (_step_mask's full), the select is dropped.
 #
 # Further leading axes, a stack of runs, broadcast: a (K, 2, D, 4H) W over
 # the (2, T*B, D) rows of a shared (B, T, D) input scans K runs, and every
 # product is a stacked np.matmul of the same 2-D GEMMs one direction of one
-# run makes alone. A loop's slot j is one contiguous block holding that slot
+# run makes alone. A loop's step j is one contiguous block holding that step
 # of every run and direction (see _slots), while each run's and direction's
 # T*B rows stay one uniformly strided matrix, in time order, that the GEMMs
 # read and write in place (see _rows).
@@ -422,44 +413,27 @@ _SLOT_AXES = {n: (0, *range(2, 2 + n), 1, 2 + n) for n in (1, 2)}
 _GATE_FIRST = {n: (n - 2, *range(n - 2), n - 1) for n in (5, 6)}
 
 
-def _view(buf: np.ndarray, n: int, shift: int) -> np.ndarray:
-    """The (*lead, n, B, F) view of n steps of a time-major (S, B, *lead, F)
-    store buffer, lead ending in the direction axis: fw's from slot 0, bw's
-    from slot shift. An offset store is _view(buf, T, p), and its steps that
-    are padding in every row are _view(buf, p, T)."""
-    slot, row, *lead_st, feat = buf.strides
-    lead_st[-1] += shift * slot
-    shape = buf.shape[2:-1] + (n, buf.shape[1], buf.shape[-1])
-    return np.ndarray(shape, buf.dtype, buf, 0, (*lead_st, slot, row, feat))
-
-
-def _store(lead: Tuple[int, ...], T: int, B: int, F: int, p: int = 0, alloc=np.empty,
-           dtype=np.float64):
-    """A new offset store: the (*lead, T, B, F) view, lead ending in the
-    direction axis, of a time-major (T + p, B, *lead, F) buffer, whose slot
-    j holds fw step j and bw step j-p. alloc (np.empty or np.zeros) makes
-    the buffer, and np.zeros whenever p > 0: fw leaves slots T.. unused and
-    bw slots ..p-1, and arithmetic over the whole buffer (see _slots) then
-    reads zeros there."""
-    if p:
-        return _view(np.zeros((T + p, B) + lead + (F,), dtype=dtype), T, p)
+def _store(lead: Tuple[int, ...], T: int, B: int, F: int, alloc=np.empty, dtype=np.float64):
+    """A new store: the (*lead, T, B, F) view, lead ending in the direction
+    axis, of a time-major (T, B, *lead, F) buffer made by alloc (np.empty or
+    np.zeros)."""
     return alloc((T, B) + lead + (F,), dtype=dtype).transpose(_STORE_AXES[len(lead)])
 
 
 def _slots(a: np.ndarray) -> np.ndarray:
-    """The (T + p, ..., 2, B, F) view of offset store a by slot: its buffer
-    (a.base) with the batch axis moved next to the features. A slot is one
-    contiguous block, and elementwise arithmetic over the whole view runs
-    as over one contiguous array."""
+    """The (T, ..., 2, B, F) view of store a by step: its buffer (a.base)
+    with the batch axis moved next to the features. A step is one contiguous
+    block, and elementwise arithmetic over the whole view runs as over one
+    contiguous array."""
     return a.base.transpose(_SLOT_AXES[a.base.ndim - 3])
 
 
-def _pair(fw: np.ndarray, bw: Optional[np.ndarray] = None, p: int = 0) -> np.ndarray:
+def _pair(fw: np.ndarray, bw: Optional[np.ndarray] = None) -> np.ndarray:
     """(..., B, T, F) fw and bw halves of one shape (bw defaults to fw) -> one
-    time-major (..., 2, T, B, F) store in processing order, offset by p."""
+    time-major (..., 2, T, B, F) store in processing order."""
     bw = fw if bw is None else bw
     B, T, F = fw.shape[-3:]
-    out = _store(fw.shape[:-3] + (2,), T, B, F, p, dtype=fw.dtype)
+    out = _store(fw.shape[:-3] + (2,), T, B, F, dtype=fw.dtype)
     out[..., 0, :, :, :] = fw.swapaxes(-3, -2)
     out[..., 1, :, :, :] = bw[..., ::-1, :].swapaxes(-3, -2)
     return out
@@ -483,9 +457,8 @@ def _rows(a: np.ndarray) -> np.ndarray:
 class _StepMask(NamedTuple):
     """The (B, T) padding mask as the scans read it (see _step_mask)."""
 
-    valid: np.ndarray  # a (2, T, B, 1) offset store, True where a step is real
-    p: int  # the leading steps that are padding in every row
-    full: List[bool]  # per loop slot p..T-1, whether every row is real there
+    valid: np.ndarray  # a (2, T, B, 1) store, True where a step is real
+    full: List[bool]  # per loop step, whether every row is real there in both directions
 
 
 def _slot_mask(valid: np.ndarray, lead: Tuple[int, ...]) -> np.ndarray:
@@ -503,36 +476,23 @@ def _chunks(n: int, step_bytes: int) -> List[slice]:
     return [slice(s, s + k) for s in range(0, n, k)]
 
 
-def _running_sums(terms: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """For each of the (n, ...) terms, in step order: start plus that step's
-    term and every later one's, added one step at a time from the last step
-    down, in the backward loop's order (and IEEE addition commutes). Each
-    step is one whole-array add: np.add.accumulate along the step axis also
-    adds in order, but runs one strided inner loop per element, 12x slower
-    at paper size."""
-    sums = np.empty(terms.shape)
-    for k in range(len(terms) - 1, -1, -1):
-        start = np.add(terms[k], start, out=sums[k])
-    return sums
-
-
 def _lstm_direction_forward(gates, steps, U, training: bool = False):
-    """The LSTM scan over (..., 2, T, B, 4H) preactivations X W + b, an offset
-    store, which become the gate activations; steps is _step_mask's.
+    """The LSTM scan over (..., 2, T, B, 4H) preactivations X W + b, a store,
+    which become the gate activations; steps is _step_mask's.
     Returns ((..., 2, T, B, H) outputs, store).
 
     Padded steps carry h and c through unchanged. store is None unless training.
     """
-    valid, p, full = steps
+    valid, full = steps
     lead, (T, B), H = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
-    hs = _store(lead, T + 1, B, H, p, np.zeros)  # hs[..., s, :, :] is the state entering step s
-    cs = _store(lead, T + 1, B, H, p, np.zeros) if training else None
-    tanh_cs = _store(lead, T, B, H, p) if training else None
+    hs = _store(lead, T + 1, B, H, np.zeros)  # hs[..., s, :, :] is the state entering step s
+    cs = _store(lead, T + 1, B, H, np.zeros) if training else None
+    tanh_cs = _store(lead, T, B, H) if training else None
     gates_s, hs_s, pad_s = _slots(gates), _slots(hs), ~_slots(valid)
     cs_s, tanh_cs_s = (_slots(cs), _slots(tanh_cs)) if training else (None, None)
-    c = cs_s[p] if training else np.zeros(lead + (B, H))
+    c = cs_s[0] if training else np.zeros(lead + (B, H))
     with np.errstate(over="ignore"):
-        for j, every in zip(range(p, T), full):
+        for j, every in enumerate(full):
             g, h_prev, c_prev = gates_s[j], hs_s[j], c
             a = h_prev @ U
             a += g
@@ -542,30 +502,17 @@ def _lstm_direction_forward(gates, steps, U, training: bool = False):
             if not every:  # padded rows keep their state
                 np.copyto(h, h_prev, where=pad_s[j])
                 np.copyto(c, c_prev, where=pad_s[j])
-        if p:  # bw's all-pad steps carry its final state
-            hs[..., 1, T - p + 1:, :, :] = hs[..., 1, T - p, None, :, :]
-        if training and p:
-            cs[..., 1, T - p + 1:, :, :] = cs[..., 1, T - p, None, :, :]
-            # the all-pad steps' gate activations and tanh(c), which the loop
-            # would store, from the state entering them: fw's zero, bw's final
-            pads, pad_tanh = _view(gates.base, p, T), _view(tanh_cs.base, p, T)
-            hU, c_in = _view(hs.base, 1, T) @ U[..., None, :, :], _view(cs.base, 1, T)
-            for k in _chunks(p, pads[..., 0, :, :].nbytes):
-                a = hU + pads[..., k, :, :]
-                act = np.empty_like(a)
-                _lstm_cell(a, c_in, act, (None, pad_tanh[..., k, :, :], None))
-                pads[..., k, :, :] = act
     store = (gates, hs, cs, tanh_cs) if training else None
     return hs[..., 1:, :, :], store
 
 
 def _lstm_direction_backward(dout, steps, U, store):
     """BPTT through the LSTM scan from its (..., 2, T, B, H) output gradient,
-    an offset store; returns hs and the gate gradients (dw_in, du_in).
+    a store; returns hs and the gate gradients (dw_in, du_in).
 
     Consumes store: the gate array ends up holding the gate gradients.
     """
-    (gates, hs, cs, tanh_cs), (valid, p, full) = store, steps
+    (gates, hs, cs, tanh_cs), (valid, full) = store, steps
     lead, (T, B, H) = tanh_cs.shape[:-3], tanh_cs.shape[-3:]
     valid_s, gates_s, tanh_cs_s = _slot_mask(valid, lead), _slots(gates), _slots(tanh_cs)
     gates4 = np.reshape(gates_s, gates_s.shape[:-1] + (4, H), copy=False)
@@ -612,78 +559,51 @@ def _lstm_direction_backward(dout, steps, U, store):
     UT = U.swapaxes(-1, -2)
     dh = np.zeros(lead + (B, H))
     dc = np.zeros(lead + (B, H))
-
-    def all_pad(half, slots):
-        # one direction's all-pad steps have a unit carry and pass dh_total
-        # on, so dh and dc run through them as sums
-        dh_total = _running_sums(dout_s[slots, ..., half, :, :], dh[..., half, :, :])
-        dcs = _running_sums(dh_total * tanh_cs_s[slots, ..., half, :, :], dc[..., half, :, :])
-        gates4[slots, ..., half, :, :3, :] *= dcs[..., None, :]
-        gates4[slots, ..., half, :, 3, :] *= dh_total
-        return dh_total[0], dcs[0]
-
-    if p:  # bw's all-pad steps come first in processing order, fw's last
-        dh[..., 1, :, :], dc[..., 1, :, :] = all_pad(1, slice(T, T + p))
     ifg, o = gates4[..., :3, :], gates4[..., 3, :]
-    for j, every in zip(range(T - 1, p - 1, -1), full[::-1]):
+    for j in range(T - 1, -1, -1):
         dh_total = dout_s[j] + dh
         dc = dc + dh_total * tanh_cs_s[j]
         ifg[j] *= dc[..., None, :]
         o[j] *= dh_total
         dc *= carry[j]
         dh = gates_s[j] @ UT
-        if not every:
+        if not full[j]:
             dh = np.where(valid_s[j], dh, dh_total)
-    if p:
-        all_pad(0, slice(0, p))
     return hs, gates, gates
 
 
 def _gru_direction_forward(gates, steps, U, training: bool = False):
-    """The GRU scan over (..., 2, T, B, 3G) preactivations X W + b, an offset
-    store, which become the gate activations; steps is _step_mask's.
+    """The GRU scan over (..., 2, T, B, 3G) preactivations X W + b, a store,
+    which become the gate activations; steps is _step_mask's.
     Returns ((..., 2, T, B, G) outputs, store).
 
     Padded steps carry h through unchanged. store is None unless training.
     """
-    valid, p, full = steps
+    valid, full = steps
     lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
-    hs = _store(lead, T + 1, B, G, p, np.zeros)  # hs[..., s, :, :] is the state entering step s
-    hus = _store(lead, T, B, 3 * G, p) if training else None
+    hs = _store(lead, T + 1, B, G, np.zeros)  # hs[..., s, :, :] is the state entering step s
+    hus = _store(lead, T, B, 3 * G) if training else None
     gates_s, hs_s, pad_s = _slots(gates), _slots(hs), ~_slots(valid)
     hus_s = _slots(hus) if training else None
     with np.errstate(over="ignore"):
-        for j, every in zip(range(p, T), full):
+        for j, every in enumerate(full):
             h_prev, g = hs_s[j], gates_s[j]
             hu = np.matmul(h_prev, U, out=hus_s[j]) if training else h_prev @ U
             h = _gru_cell(g, hu, h_prev, g, hs_s[j + 1])
             if not every:  # padded rows keep their state
                 np.copyto(h, h_prev, where=pad_s[j])
-        if p:  # bw's all-pad steps carry its final state
-            hs[..., 1, T - p + 1:, :, :] = hs[..., 1, T - p, None, :, :]
-        if training and p:
-            # the all-pad steps' gate activations and h U, which the loop
-            # would store, from the state entering them: fw's zero, bw's final
-            h = _view(hs.base, 1, T)
-            hu = h @ U[..., None, :, :]
-            _view(hus.base, p, T)[...] = hu
-            pads = _view(gates.base, p, T)
-            for k in _chunks(p, pads[..., 0, :, :].nbytes):
-                act = pads[..., k, :, :].copy()
-                _gru_cell(act, hu, h, act)
-                pads[..., k, :, :] = act
     store = (gates, hs, hus) if training else None
     return hs[..., 1:, :, :], store
 
 
 def _gru_direction_backward(dout, steps, U, store):
     """BPTT through the GRU scan from its (..., 2, T, B, G) output gradient,
-    an offset store; returns hs and the gate gradients (dw_in, du_in).
+    a store; returns hs and the gate gradients (dw_in, du_in).
 
     Consumes store: the gate array ends up holding the input-side gradient
     dw_in and the recurrent products hus the recurrent-side gradient du_in.
     """
-    (gates, hs, hus), (valid, p, _) = store, steps
+    (gates, hs, hus), (valid, _) = store, steps
     lead, (T, B), G = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
     valid_s, gates_s, hus_s = _slot_mask(valid, lead), _slots(gates), _slots(hus)
     gates3, hus3 = (np.reshape(a, a.shape[:-1] + (3, G), copy=False) for a in (gates_s, hus_s))
@@ -723,41 +643,31 @@ def _gru_direction_backward(dout, steps, U, store):
     dout_s = _slots(dout)
     UT = U.swapaxes(-1, -2)
     dh = np.zeros(lead + (B, G))
-
-    def all_pad(half, slots):
-        # one direction's all-pad steps have keep = 1 and signed-zero factors,
-        # so hus @ U^T adds a signed zero to dh_total, which leaves it as it
-        # is: it is never -0 there, as dh enters bw's all-pad steps as +0 and
-        # dout is +0 on them (pooling routes no gradient to padding)
-        dh_total = _running_sums(dout_s[slots, ..., half, :, :], dh[..., half, :, :])
-        gates3[slots, ..., half, :, :, :] *= dh_total[..., None, :]
-        hus3[slots, ..., half, :, :, :] *= dh_total[..., None, :]
-        return dh_total[0]
-
-    if p:  # bw's all-pad steps come first in processing order, fw's last
-        dh[..., 1, :, :] = all_pad(1, slice(T, T + p))
-    for j in range(T - 1, p - 1, -1):
+    for j in range(T - 1, -1, -1):
         dh_total = dout_s[j] + dh
         d = dh_total[..., None, :]
         gates3[j] *= d
         hus3[j] *= d
         dh = hus_s[j] @ UT
         dh += dh_total * keep[j]
-    if p:
-        all_pad(0, slice(0, p))
     return hs, gates, hus
 
 
 def _step_mask(mask: np.ndarray) -> _StepMask:
-    """The (B, T) padding mask as the scans read it. p counts the leading
-    steps that are padding in every row; an index 0 may sit inside a row, so
-    it is not T minus the longest row. Loop slot j is full when fw step j,
-    time j, and bw step j-p, time T-1-j+p, are real in every row."""
+    """The (B, T) padding mask as the scans read it. Loop step j is full
+    when fw step j, time j, and bw step j, time T-1-j, are real in every row."""
     real = mask > 0.0
-    some = real.any(axis=0)
-    p = int(some.argmax()) if some.any() else mask.shape[1]
-    every = real[:, p:].all(axis=0)
-    return _StepMask(_pair(real[:, :, None], p=p), p, (every & every[::-1]).tolist())
+    every = real.all(axis=0)
+    return _StepMask(_pair(real[:, :, None]), (every & every[::-1]).tolist())
+
+
+def _leading_pad(x: np.ndarray) -> int:
+    """How many leading steps of the (B, T) index batch x are padding in
+    every row, short of the last step: forward drops them. An index 0 may
+    sit inside a row, so this is not T minus the longest row. An all-pad
+    batch keeps its last step, as pooling needs one step to reduce over."""
+    some = (x != 0).any(axis=0)
+    return int(some.argmax()) if some.any() else x.shape[1] - 1
 
 
 def _bidirectional(direction, X, steps, weights, training: bool):
@@ -770,8 +680,7 @@ def _bidirectional(direction, X, steps, weights, training: bool):
     W, U, b = weights
     rows = _pair(X)
     T, B = rows.shape[-3:-1]
-    gates = _store(np.broadcast_shapes(rows.shape[:-3], W.shape[:-2]), T, B, W.shape[-1],
-                   steps.p)
+    gates = _store(np.broadcast_shapes(rows.shape[:-3], W.shape[:-2]), T, B, W.shape[-1])
     np.matmul(_rows(rows), W, out=_rows(gates))
     del rows
     _slots(gates)[...] += b[..., None, :]
@@ -798,7 +707,7 @@ def _bidirectional_backward(direction, dout, X, steps, weights, grads, store, ne
     """
     (W, U, _), (dW, dU, db) = weights, grads
     H = dout.shape[-1] // 2
-    hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:], steps.p), steps, U, store)
+    hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:]), steps, U, store)
     del store  # the LSTM's cell states and tanh(c) go with it
     np.matmul(_rows(hs[..., :-1, :, :]).swapaxes(-1, -2), _rows(du_in), out=dU)
     del hs, du_in
@@ -853,8 +762,8 @@ class ForwardTrace:
     backpropagated at most once.
     """
 
-    x: np.ndarray
-    steps: _StepMask  # _step_mask(mask); steps.p counts the leading all-pad steps
+    x: np.ndarray  # the batch forward ran on, after dropping its leading all-pad steps
+    steps: _StepMask  # _step_mask(mask)
     sd_kept: Optional[np.ndarray]  # each dropout's boolean keep-mask (see _dropout)
     emb_dropped: np.ndarray
     lstm_store: Optional[tuple]
@@ -883,12 +792,16 @@ def _dropout_factor(kept: np.ndarray, rate: float) -> np.ndarray:
     return kept.astype(np.float64) / (1.0 - rate)
 
 
-def _dropout(a: np.ndarray, rng: np.random.Generator, shape, rate: float) -> Optional[np.ndarray]:
-    """Scale a in place by a fresh inverted-dropout mask of shape; returns the
-    boolean keep-mask, or None (drawing nothing) when rate is 0."""
+def _dropout(a: np.ndarray, rng: np.random.Generator, shape, rate: float,
+             pad: int = 0) -> Optional[np.ndarray]:
+    """Scale a in place by a fresh inverted-dropout mask; returns the boolean
+    keep-mask, or None (drawing nothing) when rate is 0. The mask is drawn
+    at shape, (B, T, F) with T counting the pad leading steps forward
+    dropped, and those steps' draws are discarded, so the random stream and
+    every kept entry do not depend on the trim."""
     if rate == 0:
         return None
-    kept = rng.random(shape) < 1.0 - rate
+    kept = rng.random(shape)[:, pad:] < 1.0 - rate
     a *= _dropout_factor(kept, rate)
     return kept
 
@@ -911,8 +824,10 @@ def forward(
     """Run the network on an int index batch (B, T).
 
     Returns (probs, trace); the trace is populated only in training mode.
-    Dropout is active only in training mode and draws masks from rng in a
-    fixed order (spatial, after-LSTM, after-GRU). For a stack of K runs the
+    The batch's leading steps that are padding in every row are dropped
+    first (see _leading_pad). Dropout is active only in training mode and
+    draws masks from rng in a fixed order (spatial, after-LSTM, after-GRU),
+    at the untrimmed T. For a stack of K runs the
     probabilities are (K, B, 3), and the runs share the dropout masks and,
     when it is frozen, the embedding gather.
     """
@@ -930,21 +845,24 @@ def forward(
     if (sd_rate > 0 or rate > 0) and rng is None:
         raise ValidationError("training-mode forward with dropout needs an rng")
 
+    B, T = x.shape
+    pad = _leading_pad(x)
+    x = x[:, pad:]  # the model is unchanged on the steps that are left
     mask = (x != 0).astype(np.float64)
     steps = _step_mask(mask)  # built once, for both layers and both passes
     # a gathered copy, so dropout can scale it in place
     emb_dropped = np.take(params.embedding, x, axis=-2)
 
-    sd_kept = _dropout(emb_dropped, rng, (x.shape[0], 1, config.emb_dim), sd_rate)
+    sd_kept = _dropout(emb_dropped, rng, (B, 1, config.emb_dim), sd_rate)
 
     p = params.blocks
     S_dropped, lstm_store = _bidirectional(
         _lstm_direction_forward, emb_dropped, steps, params.pairs(params.flat, "lstm"), training)
-    do1_kept = _dropout(S_dropped, rng, S_dropped.shape[-3:], rate)
+    do1_kept = _dropout(S_dropped, rng, (B, T, S_dropped.shape[-1]), rate, pad)
 
     G_dropped, gru_store = _bidirectional(
         _gru_direction_forward, S_dropped, steps, params.pairs(params.flat, "gru"), training)
-    do2_kept = _dropout(G_dropped, rng, G_dropped.shape[-3:], rate)
+    do2_kept = _dropout(G_dropped, rng, (B, T, G_dropped.shape[-1]), rate, pad)
 
     pool1 = masked_max_pool(S_dropped, mask)
     pool2 = masked_max_pool(G_dropped, mask)
@@ -1069,9 +987,9 @@ _INFER_CHUNK_BYTES = 64 << 20
 def inference_batch_size(config: ModelConfig) -> int:
     """Rows per inference chunk for ``config`` (at least 1).
 
-    A row's LSTM preactivation is counted at max_len steps: a chunk whose
-    first p steps are padding in every row holds max_len + p slots (see the
-    scans), which the budget does not count.
+    A row's LSTM preactivation is counted at max_len steps, so the budget is
+    an upper bound: forward drops a chunk's leading all-pad steps, and a
+    chunk of short rows holds fewer.
     """
     row_bytes = 2 * config.max_len * 4 * config.lstm_units * 8
     return max(1, _INFER_CHUNK_BYTES // row_bytes)
@@ -1082,9 +1000,9 @@ def stack_size(config: ModelConfig, batch_size: int) -> int:
 
     As many as whose training stores, the BPTT stores of the four recurrent
     directions (see the scans), fit in the same budget as an inference chunk.
-    The stores are counted at max_len steps; a batch whose first p steps are
-    padding in every row makes them p / max_len larger, which the budget does
-    not count.
+    The stores are counted at max_len steps, so the budget is an upper
+    bound: forward drops a batch's leading all-pad steps, and a batch of
+    short rows stores fewer.
     """
     T, Hl, Hg = config.max_len, config.lstm_units, config.gru_units
     run_bytes = 2 * 8 * batch_size * (Hl * (7 * T + 2) + Hg * (7 * T + 1))

@@ -133,8 +133,15 @@ class Adagrad(_Stepper):
         self.accum = np.zeros(n)
 
     def _apply(self, w, g):
-        self.accum += g * g
-        w -= self.lr * g / np.sqrt(self.accum + ADAGRAD_EPS)
+        # two full-size temporaries, tmp and delta, written in place
+        tmp = np.multiply(g, g)
+        self.accum += tmp
+        np.add(self.accum, ADAGRAD_EPS, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        # w - lr * g / sqrt(accum + eps), in place
+        delta = np.multiply(self.lr, g)
+        delta /= tmp
+        w -= delta
 
 
 class Adadelta(_Stepper):

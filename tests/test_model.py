@@ -34,7 +34,7 @@ from embfuse.model import (
     trainable_block_names,
 )
 from embfuse.model import _bidirectional, _gru_direction_forward, _lstm_direction_forward
-from embfuse.model import _loss_probs_grad, _step_mask
+from embfuse.model import _leading_pad, _loss_probs_grad, _step_mask
 from embfuse.model import _rows, _slots
 from embfuse.seeding import derive_rng
 
@@ -265,8 +265,9 @@ def one_block(a):
 
 
 class TestTimeMajorLayout:
-    """The scan stores of a stack, offset by the p leading all-pad steps: one
-    contiguous block per loop slot, each direction's T*B rows read in place."""
+    """The scan stores of a stack, over the T - p steps left once forward
+    drops the p leading all-pad steps: one contiguous block per loop step,
+    each direction's T*B rows read in place."""
 
     @staticmethod
     def _trace(batch, p):
@@ -276,7 +277,7 @@ class TestTimeMajorLayout:
             x[0, 0] = 3  # a token on the first step
         params = init_parameters(config, emb).stacked(3)
         trace = forward(x, params, config, training=True)[1]
-        assert trace.steps.p == p
+        assert trace.x.shape == (batch, config.max_len - p)
         return config, trace
 
     @pytest.mark.parametrize("p", [0, 2])
@@ -288,16 +289,16 @@ class TestTimeMajorLayout:
         arrays = [trace.steps.valid]
         for store, gate_width in stores.values():
             gates = store[0]  # the preactivation, which the scan turned into gate activations
-            assert gates.shape == (3, 2, config.max_len, batch, gate_width)
+            assert gates.shape == (3, 2, config.max_len - p, batch, gate_width)
             arrays += store
         for a in arrays:
             slots = _slots(a)
-            assert slots.shape == (a.shape[-3] + p,) + a.shape[:-3] + a.shape[-2:]
-            for j in range(p, a.shape[-3]):  # the loops' slots; hs and cs have T + 1
+            assert slots.shape == (a.shape[-3],) + a.shape[:-3] + a.shape[-2:]
+            for j in range(a.shape[-3]):  # hs and cs have T + 1 steps
                 slot = slots[j]
                 assert np.shares_memory(slot, a)
                 assert np.array_equal(slot[..., 0, :, :], a[..., 0, j, :, :])
-                assert np.array_equal(slot[..., 1, :, :], a[..., 1, j - p, :, :])
+                assert np.array_equal(slot[..., 1, :, :], a[..., 1, j, :, :])
                 assert one_block(slot)
                 if batch == 1:
                     assert slot.flags.c_contiguous
@@ -322,17 +323,19 @@ class TestTimeMajorLayout:
 
 
 class TestAllPadSteps:
-    """The scans leave the steps that are padding in every row to whole-array calls."""
+    """Forward drops the leading steps that are padding in every row, so the
+    scans never see them."""
 
-    def test_step_mask_counts_leading_all_pad_steps(self):
-        mask = np.array([[0, 0, 1, 1, 0, 1, 1], [0, 0, 1, 1, 1, 0, 1]], dtype=np.float64)
-        valid, p, full = _step_mask(mask)
-        assert p == 2  # not T minus the longest row's 4 real steps: an index 0 inside a row
-        # slot j holds fw step j (time j) and bw step j - p (time T - 1 - j + p)
+    def test_leading_pad_counts_steps_padding_in_every_row(self):
+        x = np.array([[0, 0, 3, 4, 0, 5, 6], [0, 0, 7, 8, 9, 0, 1]])
+        assert _leading_pad(x) == 2  # not T minus the longest row's 4 real steps: an index 0 inside a row
+        assert _leading_pad(np.zeros((2, 5), dtype=int)) == 4  # an all-pad batch keeps its last step
+        mask = (x[:, 2:] != 0).astype(np.float64)
+        valid, full = _step_mask(mask)
+        # step j holds fw step j (time j) and bw step j (time T - 1 - j)
         assert full == [True, False, False, False, True]
         assert np.array_equal(valid[0, :, :, 0].T, mask > 0)
         assert np.array_equal(valid[1, :, :, 0].T, mask[:, ::-1] > 0)
-        assert _step_mask(np.zeros((2, 5))).p == 5
 
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("pad", [0, 4, 7])
@@ -350,9 +353,65 @@ class TestAllPadSteps:
             monkeypatch.setattr(model_module, name,
                                 lambda *a, _cell=cell, _name=name: calls.append(_name) or _cell(*a))
         forward(x, params, config, training=training)
-        steps = config.max_len - pad
-        region = int(training and pad > 0)  # one call fills both directions' all-pad steps
-        assert calls.count("_lstm_cell") == calls.count("_gru_cell") == steps + region
+        steps = max(1, config.max_len - pad)  # an all-pad batch keeps its last step
+        assert calls.count("_lstm_cell") == calls.count("_gru_cell") == steps
+
+    def test_dropout_masks_are_drawn_at_the_untrimmed_shape(self):
+        config = tiny_config(spatial_dropout_rate=0.2, dropout_rate=0.3)
+        x, _, emb = tiny_batch(config)
+        x[:, :4] = 0
+        x[0, 4] = 5
+        params = init_parameters(config, emb)
+        rng = derive_rng(3, "trim")
+        trace = forward(x, params, config, training=True, rng=rng)[1]
+        B, T = x.shape
+        assert trace.x.shape == (B, T - 4)
+        ref = derive_rng(3, "trim")
+        sd = ref.random((B, 1, config.emb_dim)) < 1.0 - config.spatial_dropout_rate
+        do1 = ref.random((B, T, 2 * config.lstm_units)) < 1.0 - config.dropout_rate
+        do2 = ref.random((B, T, 2 * config.gru_units)) < 1.0 - config.dropout_rate
+        assert np.array_equal(trace.sd_kept, sd)
+        assert np.array_equal(trace.do1_kept, do1[:, 4:])
+        assert np.array_equal(trace.do2_kept, do2[:, 4:])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_an_all_pad_batch_runs_on_its_last_step(self, dropout):
+        rates = dict(spatial_dropout_rate=0.2, dropout_rate=0.3) if dropout else {}
+        config = tiny_config(**rates)
+        _, labels, emb = tiny_batch(config)
+        x = np.zeros((3, config.max_len), dtype=np.int64)
+        params = init_parameters(config, emb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs, trace = forward(x, params, config, training=True, rng=derive_rng(4, "all-pad"))
+            loss, grad = loss_and_grad(x, labels, params, config, rng=derive_rng(4, "all-pad"))
+            infer = predict_proba(x, params, config)
+        assert trace.x.shape == (3, 1)
+        assert not trace.feats.any()  # both pools give zeros
+        assert np.array_equal(probs, infer)
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+
+    def test_a_row_alone_runs_as_its_stripped_self(self, monkeypatch):
+        import embfuse.model as model_module
+        config = tiny_config(max_len=9)
+        x, _, emb = tiny_batch(config, batch=4, seed=7)
+        x[x == 0] = 1
+        x[0, :3] = 0
+        x[1, :6] = 0
+        x[1, 7] = 0  # an index 0 inside a row, which the trim keeps
+        x[2, 1] = 0
+        params = init_parameters(config, emb)
+        lengths = []
+        real_step_mask = model_module._step_mask
+        monkeypatch.setattr(model_module, "_step_mask",
+                            lambda mask: lengths.append(mask.shape[1]) or real_step_mask(mask))
+        for row, start in zip(x, (3, 6, 0, 0)):
+            lengths.clear()
+            alone = predict_proba(row, params, config)
+            stripped = predict_proba(row[start:], params, config)
+            assert lengths == [config.max_len - start] * 2
+            assert np.array_equal(alone, stripped)
 
 
 class TestMaskedMaxPool:
@@ -449,7 +508,8 @@ class TestForwardTrace:
         x, _, emb = tiny_batch(config)
         params = init_parameters(config, emb)
         _, trace = forward(x, params, config, training=True, rng=derive_rng(3, "trace"))
-        B, T = x.shape
+        B, T = x.shape[0], x.shape[1] - _leading_pad(x)  # the steps forward ran on
+        assert T < x.shape[1]
         assert trace.sd_kept.dtype == bool and trace.sd_kept.shape == (B, 1, config.emb_dim)
         assert trace.do1_kept.dtype == bool and trace.do1_kept.shape == (B, T, 2 * config.lstm_units)
         assert trace.do2_kept.dtype == bool and trace.do2_kept.shape == (B, T, 2 * config.gru_units)
@@ -652,7 +712,7 @@ PADDED_DIGESTS = {
     (1, 4, False, False, 1):
         ['678debe7d9c1b528', '39ac65f1e882cf65', '585e4b1614d8612e', '678debe7d9c1b528'],
     (1, 8, False, False, 1):
-        ['68bf43280466f17e', '59d75831dbd8b7cf', '00a3cba77d22c491', '68bf43280466f17e'],
+        ['68bf43280466f17e', '59d75831dbd8b7cf', '3739f23c21d12637', '68bf43280466f17e'],
     (1, 9, False, False, 1):
         ['1855a9836fde8e6b', 'c4e32ff7accc160b', 'e2ceddfb0888bab1', '1855a9836fde8e6b'],
     (3, 0, False, False, 1):
