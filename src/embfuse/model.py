@@ -27,8 +27,9 @@ and bw, is one more leading axis, so each recurrent layer is one kernel call.
 Training-mode forward returns a trace for exact backpropagation through time
 (BPTT). For each recurrent layer it holds a store of preallocated
 (..., 2, T, B, .) arrays filled step by step: the gate activations, the
-hidden states (and for the LSTM the cell states and tanh of the new cell
-state), and for the GRU the recurrent products h U. Each is a view of a
+hidden states, and for the LSTM the cell states, for the GRU the recurrent
+products h U. The LSTM backward recomputes tanh of the cell states, one
+elementwise pass, rather than keeping it. Each is a view of a
 time-major (T, B, ..., 2, .) buffer, so that one loop step of every run
 and direction is one contiguous block. The backward pass consumes
 the store, overwriting the gate arrays with the gate gradients, and writes
@@ -291,12 +292,13 @@ def init_parameters(
 
 # --- cell math: one definition, shared by the single-step cells and the scans ---
 
-def _lstm_cell(a, c_prev, gates, out=(None, None, None)):
+def _lstm_cell(a, c_prev, gates, out=(None, None)):
     """LSTM cell on the preactivation a = x W + b + h_prev U, packed [i|f|g|o].
 
     Writes the gate activations [i, f, g, o] into gates, which must not alias
-    a, and returns (c, tanh(c), h), each written into its array of out where
-    one is given. Call under np.errstate(over="ignore").
+    a, and returns (c, h), each written into its array of out where one is
+    given. tanh(c) is formed in h's memory, so it needs no array of its own.
+    Call under np.errstate(over="ignore").
     """
     H = a.shape[-1] // 4
     _sigmoid(a, gates)
@@ -304,8 +306,9 @@ def _lstm_cell(a, c_prev, gates, out=(None, None, None)):
     i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
     c = np.multiply(f, c_prev, out=out[0])
     c += i * g
-    tanh_c = np.tanh(c, out=out[1])
-    return c, tanh_c, np.multiply(o, tanh_c, out=out[2])
+    h = np.tanh(c, out=out[1])
+    h *= o
+    return c, h
 
 
 def _gru_cell(xw, hu, h_prev, gates, out=None):
@@ -351,7 +354,7 @@ def lstm_cell_step(
         raise ValidationError("h_prev and c_prev must have the same shape", "shape-mismatch")
     a = h_prev @ U + (x @ W + b)
     with np.errstate(over="ignore"):
-        c, _, h = _lstm_cell(a, c_prev, np.empty_like(a))
+        c, h = _lstm_cell(a, c_prev, np.empty_like(a))
     return h, c
 
 
@@ -444,6 +447,12 @@ def _unpair(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return a[..., 0, :, :, :].swapaxes(-3, -2), a[..., 1, ::-1, :, :].swapaxes(-3, -2)
 
 
+def _pair_output(dout: np.ndarray) -> np.ndarray:
+    """A bidirectional layer's (..., B, T, 2H) output gradient, fw features
+    then bw, as the (..., 2, T, B, H) store its direction kernel reads."""
+    return _pair(*np.split(dout, 2, axis=-1))
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """(..., T, B, F) -> (..., T*B, F) view of the same memory.
 
@@ -479,56 +488,63 @@ def _chunks(n: int, step_bytes: int) -> List[slice]:
 def _lstm_direction_forward(gates, steps, U, training: bool = False):
     """The LSTM scan over (..., 2, T, B, 4H) preactivations X W + b, a store,
     which become the gate activations; steps is _step_mask's.
-    Returns ((..., 2, T, B, H) outputs, store).
+    Returns ((..., 2, T, B, H) outputs, store); store is (gates, hs, cs),
+    or None unless training.
 
-    Padded steps carry h and c through unchanged. store is None unless training.
+    Padded steps carry h and c through unchanged. tanh(c) is not kept: each
+    step forms it in h's memory, and backward rebuilds it from cs.
     """
     valid, full = steps
     lead, (T, B), H = gates.shape[:-3], gates.shape[-3:-1], U.shape[-2]
     hs = _store(lead, T + 1, B, H, np.zeros)  # hs[..., s, :, :] is the state entering step s
     cs = _store(lead, T + 1, B, H, np.zeros) if training else None
-    tanh_cs = _store(lead, T, B, H) if training else None
     gates_s, hs_s, pad_s = _slots(gates), _slots(hs), ~_slots(valid)
-    cs_s, tanh_cs_s = (_slots(cs), _slots(tanh_cs)) if training else (None, None)
+    cs_s = _slots(cs) if training else None
     c = cs_s[0] if training else np.zeros(lead + (B, H))
     with np.errstate(over="ignore"):
         for j, every in enumerate(full):
             g, h_prev, c_prev = gates_s[j], hs_s[j], c
             a = h_prev @ U
             a += g
-            h = hs_s[j + 1]
-            c, _, h = _lstm_cell(a, c_prev, g,
-                                 (cs_s[j + 1], tanh_cs_s[j], h) if training else (None, None, h))
+            c, h = _lstm_cell(a, c_prev, g, (cs_s[j + 1] if training else None, hs_s[j + 1]))
             if not every:  # padded rows keep their state
                 np.copyto(h, h_prev, where=pad_s[j])
                 np.copyto(c, c_prev, where=pad_s[j])
-    store = (gates, hs, cs, tanh_cs) if training else None
+    store = (gates, hs, cs) if training else None
     return hs[..., 1:, :, :], store
 
 
 def _lstm_direction_backward(dout, steps, U, store):
     """BPTT through the LSTM scan from its (..., 2, T, B, H) output gradient,
-    a store; returns hs and the gate gradients (dw_in, du_in).
+    a store (gates, hs, cs); returns hs and the gate gradients (dw_in, du_in).
 
-    Consumes store: the gate array ends up holding the gate gradients.
+    Consumes store: the gate array ends up holding the gate gradients, and
+    the cell states the carry dc_prev / dc. tanh(c) is rebuilt from the cell
+    states, chunk by chunk, into the (dc from dh) / dh factor, an array made
+    here and not in forward.
     """
-    (gates, hs, cs, tanh_cs), (valid, full) = store, steps
-    lead, (T, B, H) = tanh_cs.shape[:-3], tanh_cs.shape[-3:]
-    valid_s, gates_s, tanh_cs_s = _slot_mask(valid, lead), _slots(gates), _slots(tanh_cs)
+    (gates, hs, cs), (valid, full) = store, steps
+    lead, (T, B), H = gates.shape[:-3], gates.shape[-3:-1], hs.shape[-1]
+    dc_dh = _store(lead, T, B, H)
+    valid_s, gates_s, dc_dh_s = _slot_mask(valid, lead), _slots(gates), _slots(dc_dh)
     gates4 = np.reshape(gates_s, gates_s.shape[:-1] + (4, H), copy=False)
-    carry = _slots(cs)[:-1]
+    cs_s = _slots(cs)
+    carry = cs_s[:-1]
     # Per-step factors that do not depend on the incoming gradient, for all
     # steps at once and in place over the store, by chunks of slots, each
     # chunk's gates on a contiguous copy (a strided 8-wide gate costs each
     # call several times more at the tiny shape). Padded steps get zero
-    # factors and a unit carry, so they pass dc through untouched.
+    # factors and a unit carry, so they pass dc through untouched. A chunk
+    # reads its new cell states, cs[1:], before it overwrites cs[:-1] with
+    # the carry, so each slot is read before it is overwritten.
     for sl in _chunks(len(gates_s), gates_s[0].nbytes):
-        m, tc, cr = valid_s[sl], tanh_cs_s[sl], carry[sl]
+        m, cr = valid_s[sl], carry[sl]
+        tc = np.tanh(cs_s[1:][sl], out=dc_dh_s[sl])
         live = m.astype(np.float64)
         ifgo = gates4[sl].transpose(_GATE_FIRST[gates4.ndim]).copy()
         i, f, g, o = ifgo
         # o <- da_o / dh = o (1 - o) tanh(c)
-        # tanh_cs <- (dc from dh) / dh = o (1 - tanh(c)^2)
+        # dc_dh <- (dc from dh) / dh = o (1 - tanh(c)^2)
         d = 1.0 - o
         d *= o
         d *= tc
@@ -562,7 +578,7 @@ def _lstm_direction_backward(dout, steps, U, store):
     ifg, o = gates4[..., :3, :], gates4[..., 3, :]
     for j in range(T - 1, -1, -1):
         dh_total = dout_s[j] + dh
-        dc = dc + dh_total * tanh_cs_s[j]
+        dc = dc + dh_total * dc_dh_s[j]
         ifg[j] *= dc[..., None, :]
         o[j] *= dh_total
         dc *= carry[j]
@@ -690,12 +706,14 @@ def _bidirectional(direction, X, steps, weights, training: bool):
 
 
 def _bidirectional_backward(direction, dout, X, steps, weights, grads, store, need_dx: bool):
-    """Backward of _bidirectional, with steps = _step_mask(mask): writes the
-    (dW, dU, db) of both directions into grads, the layer's pair views of the
-    gradient, and returns dX summed over fw and bw, or None unless need_dx.
+    """Backward of _bidirectional, with steps = _step_mask(mask), from dout,
+    the output gradient as _pair_output pairs it: writes the (dW, dU, db) of
+    both directions into grads, the layer's pair views of the gradient, and
+    returns dX summed over fw and bw, or None unless need_dx.
 
     Consumes store, which the caller passes as its only holder, so each of
-    its arrays is freed after its last read. One weight-gradient tail serves
+    its arrays is freed after its last read; dout is the only copy of the
+    output gradient the kernel sees. One weight-gradient tail serves
     both cells. The kernel returns the states hs and the (..., 2, T, B, K)
     input-side and recurrent-side gate gradients (one array for the LSTM);
     dU = h_prev^T du_in, dW = X^T dw_in, db = sum dw_in and dX = dw_in W^T
@@ -706,9 +724,8 @@ def _bidirectional_backward(direction, dout, X, steps, weights, grads, store, ne
     dX costs two halves and not three.
     """
     (W, U, _), (dW, dU, db) = weights, grads
-    H = dout.shape[-1] // 2
-    hs, dw_in, du_in = direction(_pair(dout[..., :H], dout[..., H:]), steps, U, store)
-    del store  # the LSTM's cell states and tanh(c) go with it
+    hs, dw_in, du_in = direction(dout, steps, U, store)
+    del store  # the LSTM's cell states go with it
     np.matmul(_rows(hs[..., :-1, :, :]).swapaxes(-1, -2), _rows(du_in), out=dU)
     del hs, du_in
     T, B = dw_in.shape[-3:-1]
@@ -728,11 +745,17 @@ def masked_max_pool(seq: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.n
     """Per-feature max of a (..., B, T, F) sequence over valid (unmasked) steps.
 
     Returns (pooled, argmax, all_pad); an all-padding sequence pools to the
-    zero vector. Ties route to the earliest step.
+    zero vector. Ties route to the earliest step, and a nan on a valid step
+    wins, as in np.argmax. The max reads seq in place, so no masked copy of
+    the sequence is made: only boolean arrays of its shape.
     """
-    masked = np.where(mask[:, :, None] > 0.0, seq, -np.inf)
-    argmax = masked.argmax(axis=-2)
-    pooled = np.take_along_axis(masked, argmax[..., None, :], axis=-2)[..., 0, :]
+    real = mask[:, :, None] > 0.0
+    top = np.max(seq, axis=-2, where=real, initial=-np.inf, keepdims=True)
+    first = np.isnan(seq)
+    first |= seq == top
+    first &= real
+    argmax = first.argmax(axis=-2)
+    pooled = np.take_along_axis(seq, argmax[..., None, :], axis=-2)[..., 0, :]
     all_pad = mask.sum(axis=1) == 0
     if all_pad.any():
         pooled[..., all_pad, :] = 0.0
@@ -756,10 +779,11 @@ class ForwardTrace:
     arrays are kept, and of the GRU output only its shape. Each dropout keeps
     its boolean keep-mask, from which backward rebuilds the factor forward
     applied (_dropout_factor). Each recurrent layer keeps the store of its
-    scan, both directions in one. The backward pass consumes both stores,
-    taking each out of the trace (take_store) before its layer's backward,
-    which then frees each array after its last read; so a trace is
-    backpropagated at most once.
+    scan, both directions in one: the LSTM's gates, hs and cs (backward
+    recomputes tanh(c)), the GRU's gates, hs and h U. The backward pass
+    consumes both stores, taking each out of the trace (take_store) before
+    its layer's backward, which then frees each array after its last read;
+    so a trace is backpropagated at most once.
     """
 
     x: np.ndarray  # the batch forward ran on, after dropping its leading all-pad steps
@@ -925,14 +949,19 @@ def _backward(
     if trace.do2_kept is not None:
         dG *= _dropout_factor(trace.do2_kept, config.dropout_rate)
 
+    # each layer's output gradient is held paired only: rebinding frees the
+    # (B, T, 2H) array before the layer's kernel runs, so the kernel's input
+    # is the one copy
+    dG = _pair_output(dG)
     dS = _bidirectional_backward(_gru_direction_backward, dG, trace.S_dropped, trace.steps,
                                  params.pairs(params.flat, "gru"), params.pairs(grad, "gru"),
                                  trace.take_store("gru"), True)
-    del dG  # not needed by the LSTM backward, whose store is the largest
+    del dG  # the paired copy: not needed by the LSTM backward, whose store is the largest
     dS += _masked_max_pool_backward(dpool1, trace.pool1[1], trace.pool1[2], trace.S_dropped.shape)
     if trace.do1_kept is not None:
         dS *= _dropout_factor(trace.do1_kept, config.dropout_rate)
 
+    dS = _pair_output(dS)
     dE = _bidirectional_backward(_lstm_direction_backward, dS, trace.emb_dropped, trace.steps,
                                  params.pairs(params.flat, "lstm"), params.pairs(grad, "lstm"),
                                  trace.take_store("lstm"), config.train_embedding)
@@ -995,18 +1024,24 @@ def inference_batch_size(config: ModelConfig) -> int:
     return max(1, _INFER_CHUNK_BYTES // row_bytes)
 
 
+def _store_bytes(config: ModelConfig, batch_size: int) -> int:
+    """Bytes of one run's training stores, both directions of both layers,
+    at max_len steps: per direction and row, the LSTM's gates (4T) and its
+    states hs and cs (T + 1 each), and the GRU's gates and h U (3T each)
+    and its states hs (T + 1), of each layer's units."""
+    T, Hl, Hg = config.max_len, config.lstm_units, config.gru_units
+    return 2 * 8 * batch_size * (Hl * (6 * T + 2) + Hg * (7 * T + 1))
+
+
 def stack_size(config: ModelConfig, batch_size: int) -> int:
     """Runs trained together as one stack at this batch size (at least 1).
 
-    As many as whose training stores, the BPTT stores of the four recurrent
-    directions (see the scans), fit in the same budget as an inference chunk.
-    The stores are counted at max_len steps, so the budget is an upper
-    bound: forward drops a batch's leading all-pad steps, and a batch of
-    short rows stores fewer.
+    As many as whose training stores (_store_bytes) fit in the same budget
+    as an inference chunk. The stores are counted at max_len steps, so the
+    budget is an upper bound: forward drops a batch's leading all-pad steps,
+    and a batch of short rows stores fewer.
     """
-    T, Hl, Hg = config.max_len, config.lstm_units, config.gru_units
-    run_bytes = 2 * 8 * batch_size * (Hl * (7 * T + 2) + Hg * (7 * T + 1))
-    return max(1, _INFER_CHUNK_BYTES // run_bytes)
+    return max(1, _INFER_CHUNK_BYTES // _store_bytes(config, batch_size))
 
 
 def predict_proba(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.ndarray:

@@ -7,6 +7,7 @@ import struct
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from embfuse.model import (
     trainable_block_names,
 )
 from embfuse.model import _bidirectional, _gru_direction_forward, _lstm_direction_forward
-from embfuse.model import _leading_pad, _loss_probs_grad, _step_mask
+from embfuse.model import _leading_pad, _loss_probs_grad, _step_mask, _store_bytes
 from embfuse.model import _rows, _slots
 from embfuse.seeding import derive_rng
 
@@ -306,8 +307,8 @@ class TestTimeMajorLayout:
     @pytest.mark.parametrize("p", [0, 2])
     def test_row_views_share_memory_with_their_store(self, p):
         _, trace = self._trace(3, p)
-        (gates, hs, cs, tanh_cs), (ggates, ghs, hus) = trace.lstm_store, trace.gru_store
-        for a in (gates, hs[..., :-1, :, :], cs, tanh_cs, ggates, ghs[..., :-1, :, :], hus):
+        (gates, hs, cs), (ggates, ghs, hus) = trace.lstm_store, trace.gru_store
+        for a in (gates, hs[..., :-1, :, :], cs, ggates, ghs[..., :-1, :, :], hus):
             rows = _rows(a)
             assert rows.shape == a.shape[:-3] + (a.shape[-3] * a.shape[-2], a.shape[-1])
             for d in (0, 1):
@@ -436,6 +437,15 @@ class TestMaskedMaxPool:
         _, argmax, _ = masked_max_pool(seq, mask)
         assert argmax.tolist() == [[0]]
 
+    def test_first_nan_on_a_valid_step_wins(self):
+        # a diverged run's nan must reach the loss; padded steps never win
+        nan = float("nan")
+        seq = np.array([[[nan, 1.0], [4.0, nan], [nan, 2.0], [9.0, 9.0]]])
+        mask = np.array([[0.0, 1.0, 1.0, 0.0]])
+        pooled, argmax, _ = masked_max_pool(seq, mask)
+        assert argmax.tolist() == [[2, 1]]
+        assert np.isnan(pooled).tolist() == [[True, True]]
+
 
 def tiny_config(**kw):
     base = dict(max_len=7, emb_dim=8, lstm_units=5, gru_units=4,
@@ -519,18 +529,94 @@ class TestForwardTrace:
         # backward reads the step mask, not the padding mask it was built from
         assert "mask" not in vars(trace) and trace.steps.valid.dtype == bool
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_stores_hold_what_stack_size_counts(self, runs):
+        # the LSTM keeps gates, hs and cs; the GRU gates, hs and h U
+        config = tiny_config(max_len=9)
+        x, _, emb = tiny_batch(config, batch=4)
+        x[:, 0] = 3  # no leading all-pad step: the stores span max_len steps
+        params = init_parameters(config, emb)
+        if runs > 1:
+            params = params.stacked(runs)
+        trace = forward(x, params, config, training=True)[1]
+        assert len(trace.lstm_store) == 3 and len(trace.gru_store) == 3
+        held = sum(a.nbytes for a in trace.lstm_store + trace.gru_store)
+        assert held == runs * _store_bytes(config, 4)
+
 
 class TestBackwardMemory:
+    B = 32
+
+    @classmethod
+    def _problem(cls):
+        config = ModelConfig(max_len=60, emb_dim=32, lstm_units=128, gru_units=64,
+                             spatial_dropout_rate=0.0, dropout_rate=0.0)
+        rng = derive_rng(5, "gru-tail")
+        x = rng.integers(1, 40, size=(cls.B, config.max_len))  # no padding
+        labels = rng.integers(0, config.num_classes, size=cls.B)
+        params = init_parameters(config, rng.normal(size=(40, config.emb_dim)))
+        return config, x, labels, params
+
+    def test_lstm_store_keeps_no_tanh_of_the_cell_states(self):
+        config, x, _, params = self._problem()
+        gates, hs, cs = forward(x, params, config, training=True)[1].lstm_store
+        assert gates.shape[-1] == 4 * config.lstm_units
+        assert hs.shape == cs.shape == (2, config.max_len + 1, self.B, config.lstm_units)
+
+    def test_each_kernel_sees_its_output_gradient_paired_only(self):
+        # weakrefs taken by a profile hook, not a wrapper: a wrapper would
+        # hold the gradient it passes on
+        import embfuse.model as model_module
+        config, x, labels, params = self._problem()
+        pool_grad = model_module._masked_max_pool_backward.__code__
+        tail = model_module._bidirectional_backward.__code__
+        kernels = {model_module._gru_direction_backward.__code__: "gru",
+                   model_module._lstm_direction_backward.__code__: "lstm"}
+        unpaired, alive = {}, {}
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is pool_grad and "gru" not in unpaired:
+                unpaired["gru"] = [weakref.ref(arg)]  # dG, before its dropout
+            elif event == "return" and frame.f_code is tail and "lstm" not in unpaired:
+                # dS, the GRU layer's dX: a view, so its memory's owner too
+                unpaired["lstm"] = [weakref.ref(arg), weakref.ref(arg.base)]
+            elif event == "call" and frame.f_code in kernels:
+                layer = kernels[frame.f_code]
+                alive[layer] = [ref() is not None for ref in unpaired[layer]]
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            loss_and_grad(x, labels, params, config)
+        finally:
+            sys.setprofile(previous)
+        assert alive == {"gru": [False], "lstm": [False, False]}
+
+    def test_traced_peak_stays_under_the_stores_and_four_layer_outputs(self):
+        # The peak is in the GRU kernel's factor pass, which holds the four
+        # direction stores and, beyond them, the trace's dropped-out LSTM
+        # output, the kernel's input gradient, its keep array and chunk
+        # temporaries: the bound allows four arrays of the LSTM output's
+        # size for these. A stored tanh(c) is one more such array, and an
+        # unpaired GRU output gradient beside its paired copy half of one.
+        config, x, labels, params = self._problem()
+        layer_output = self.B * config.max_len * 2 * config.lstm_units * 8  # 3.93 MB
+        bound = _store_bytes(config, self.B) + 4 * layer_output  # 53.2 MB
+        loss_and_grad(x, labels, params, config)  # warm numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            loss_and_grad(x, labels, params, config)
+            rise = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert rise < bound, f"rose {rise} bytes, bound {bound}"
+
     def test_gru_tail_frees_the_store_before_pairing_its_input(self):
         # at this shape the GRU's weight-gradient tail sets the layer's peak
         import embfuse.model as model_module
-        config = ModelConfig(max_len=60, emb_dim=32, lstm_units=128, gru_units=64,
-                             spatial_dropout_rate=0.0, dropout_rate=0.0)
-        B = 32
-        rng = derive_rng(5, "gru-tail")
-        x = rng.integers(1, 40, size=(B, config.max_len))  # no padding
-        labels = rng.integers(0, config.num_classes, size=B)
-        params = init_parameters(config, rng.normal(size=(40, config.emb_dim)))
+        config, x, labels, params = self._problem()
+        B = self.B
         paired_input = 2 * config.max_len * B * 2 * config.lstm_units * 8  # 7.86 MB
         tail = model_module._bidirectional_backward.__code__
         gru = model_module._gru_direction_backward.__code__

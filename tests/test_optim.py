@@ -425,7 +425,7 @@ class TestTrainRuns:
         assert len(returned) == 2 * 2 * math.ceil(len(tiny_dataset.train_y) / 16)
 
     def test_stack_size_rule(self):
-        # the paper model at batch 32 needs about 165 MB of training stores per run
+        # the paper model at batch 32 needs about 150 MB of training stores per run
         assert stack_size(ModelConfig(), 32) == 1
         tiny = ModelConfig(max_len=12, emb_dim=10, lstm_units=8, gru_units=6)
         assert stack_size(tiny, 1) >= 7
