@@ -80,7 +80,8 @@ class ModelConfig:
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) written into out (which may be x); the caller silences overflow."""
+    """1 / (1 + exp(-x)) written into out (which may be x), under the overflow
+    guard of forward or of a public oracle: sigmoid, lstm_cell_step, gru_cell_step."""
     np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -194,9 +195,6 @@ class ModelParameters:
         new._bind(flat, frozen if share_embedding or frozen is None else frozen.copy())
         return new
 
-    def copy(self) -> "ModelParameters":
-        return self._over(self.flat.copy())
-
     def stacked(self, k: int) -> "ModelParameters":
         """A stack of k runs, each starting from a copy of these weights."""
         return self._over(np.repeat(self.flat[None], k, axis=0), share_embedding=True)
@@ -298,7 +296,7 @@ def _lstm_cell(a, c_prev, gates, out=(None, None)):
     Writes the gate activations [i, f, g, o] into gates, which must not alias
     a, and returns (c, h), each written into its array of out where one is
     given. tanh(c) is formed in h's memory, so it needs no array of its own.
-    Call under np.errstate(over="ignore").
+    Overflow is silenced by the guard of forward or of lstm_cell_step.
     """
     H = a.shape[-1] // 4
     _sigmoid(a, gates)
@@ -316,8 +314,8 @@ def _gru_cell(xw, hu, h_prev, gates, out=None):
 
     The reset gate scales the recurrent term inside the candidate. Writes the
     activations [z, r, n] into gates (which may alias xw) and returns
-    h = (1 - z) * n + z * h_prev, written into out when given. Call under
-    np.errstate(over="ignore").
+    h = (1 - z) * n + z * h_prev, written into out when given. Overflow is
+    silenced by the guard of forward or of gru_cell_step.
     """
     G = hu.shape[-1] // 3
     zr = xw[..., :2 * G] + hu[..., :2 * G]  # a contiguous temporary, cheaper to work on
@@ -397,8 +395,9 @@ def gru_cell_step(
 #
 # forward has already dropped the batch's leading steps that are padding in
 # every row, so a scan sees padding only in rows shorter than the longest.
-# Padded rows keep their state through a select; on a step where every row
-# is real (_step_mask's full), the select is dropped.
+# Padded rows keep their state through a select on the boolean mask; on a
+# step where every row is real (_step_mask's full), the select is dropped.
+# The kernels run under forward's overflow guard.
 #
 # Further leading axes, a stack of runs, broadcast: a (K, 2, D, 4H) W over
 # the (2, T*B, D) rows of a shared (B, T, D) input scans K runs, and every
@@ -450,7 +449,8 @@ def _unpair(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _pair_output(dout: np.ndarray) -> np.ndarray:
     """A bidirectional layer's (..., B, T, 2H) output gradient, fw features
     then bw, as the (..., 2, T, B, H) store its direction kernel reads."""
-    return _pair(*np.split(dout, 2, axis=-1))
+    H = dout.shape[-1] // 2
+    return _pair(dout[..., :H], dout[..., H:])
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -464,7 +464,7 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 class _StepMask(NamedTuple):
-    """The (B, T) padding mask as the scans read it (see _step_mask)."""
+    """The (B, T) boolean padding mask as the scans read it (see _step_mask)."""
 
     valid: np.ndarray  # a (2, T, B, 1) store, True where a step is real
     full: List[bool]  # per loop step, whether every row is real there in both directions
@@ -501,15 +501,14 @@ def _lstm_direction_forward(gates, steps, U, training: bool = False):
     gates_s, hs_s, pad_s = _slots(gates), _slots(hs), ~_slots(valid)
     cs_s = _slots(cs) if training else None
     c = cs_s[0] if training else np.zeros(lead + (B, H))
-    with np.errstate(over="ignore"):
-        for j, every in enumerate(full):
-            g, h_prev, c_prev = gates_s[j], hs_s[j], c
-            a = h_prev @ U
-            a += g
-            c, h = _lstm_cell(a, c_prev, g, (cs_s[j + 1] if training else None, hs_s[j + 1]))
-            if not every:  # padded rows keep their state
-                np.copyto(h, h_prev, where=pad_s[j])
-                np.copyto(c, c_prev, where=pad_s[j])
+    for j, every in enumerate(full):
+        g, h_prev, c_prev = gates_s[j], hs_s[j], c
+        a = h_prev @ U
+        a += g
+        c, h = _lstm_cell(a, c_prev, g, (cs_s[j + 1] if training else None, hs_s[j + 1]))
+        if not every:  # padded rows keep their state
+            np.copyto(h, h_prev, where=pad_s[j])
+            np.copyto(c, c_prev, where=pad_s[j])
     store = (gates, hs, cs) if training else None
     return hs[..., 1:, :, :], store
 
@@ -601,13 +600,12 @@ def _gru_direction_forward(gates, steps, U, training: bool = False):
     hus = _store(lead, T, B, 3 * G) if training else None
     gates_s, hs_s, pad_s = _slots(gates), _slots(hs), ~_slots(valid)
     hus_s = _slots(hus) if training else None
-    with np.errstate(over="ignore"):
-        for j, every in enumerate(full):
-            h_prev, g = hs_s[j], gates_s[j]
-            hu = np.matmul(h_prev, U, out=hus_s[j]) if training else h_prev @ U
-            h = _gru_cell(g, hu, h_prev, g, hs_s[j + 1])
-            if not every:  # padded rows keep their state
-                np.copyto(h, h_prev, where=pad_s[j])
+    for j, every in enumerate(full):
+        h_prev, g = hs_s[j], gates_s[j]
+        hu = np.matmul(h_prev, U, out=hus_s[j]) if training else h_prev @ U
+        h = _gru_cell(g, hu, h_prev, g, hs_s[j + 1])
+        if not every:  # padded rows keep their state
+            np.copyto(h, h_prev, where=pad_s[j])
     store = (gates, hs, hus) if training else None
     return hs[..., 1:, :, :], store
 
@@ -669,21 +667,22 @@ def _gru_direction_backward(dout, steps, U, store):
     return hs, gates, hus
 
 
-def _step_mask(mask: np.ndarray) -> _StepMask:
-    """The (B, T) padding mask as the scans read it. Loop step j is full
-    when fw step j, time j, and bw step j, time T-1-j, are real in every row."""
-    real = mask > 0.0
+def _step_mask(real: np.ndarray) -> _StepMask:
+    """The (B, T) boolean padding mask, True where a step is real, as the
+    scans read it. Loop step j is full when fw step j, time j, and bw step
+    j, time T-1-j, are real in every row."""
     every = real.all(axis=0)
     return _StepMask(_pair(real[:, :, None]), (every & every[::-1]).tolist())
 
 
-def _leading_pad(x: np.ndarray) -> int:
-    """How many leading steps of the (B, T) index batch x are padding in
-    every row, short of the last step: forward drops them. An index 0 may
-    sit inside a row, so this is not T minus the longest row. An all-pad
-    batch keeps its last step, as pooling needs one step to reduce over."""
-    some = (x != 0).any(axis=0)
-    return int(some.argmax()) if some.any() else x.shape[1] - 1
+def _leading_pad(real: np.ndarray) -> int:
+    """How many leading steps of real, a (B, T) mask or index batch nonzero on
+    real steps, are padding in every row, short of the last step: forward
+    drops them. An index 0 may sit inside a row, so this is not T minus the
+    longest row. An all-pad batch keeps its last step, as pooling needs one
+    step to reduce over."""
+    some = real.any(axis=0)
+    return int(some.argmax()) if some.any() else real.shape[1] - 1
 
 
 def _bidirectional(direction, X, steps, weights, training: bool):
@@ -706,7 +705,7 @@ def _bidirectional(direction, X, steps, weights, training: bool):
 
 
 def _bidirectional_backward(direction, dout, X, steps, weights, grads, store, need_dx: bool):
-    """Backward of _bidirectional, with steps = _step_mask(mask), from dout,
+    """Backward of _bidirectional, with steps = _step_mask(real), from dout,
     the output gradient as _pair_output pairs it: writes the (dW, dU, db) of
     both directions into grads, the layer's pair views of the gradient, and
     returns dX summed over fw and bw, or None unless need_dx.
@@ -742,21 +741,22 @@ def _bidirectional_backward(direction, dout, X, steps, weights, grads, store, ne
 
 
 def masked_max_pool(seq: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-feature max of a (..., B, T, F) sequence over valid (unmasked) steps.
+    """Per-feature max of a (..., B, T, F) sequence over its valid steps,
+    where the (B, T) mask is True (nonzero).
 
     Returns (pooled, argmax, all_pad); an all-padding sequence pools to the
     zero vector. Ties route to the earliest step, and a nan on a valid step
     wins, as in np.argmax. The max reads seq in place, so no masked copy of
     the sequence is made: only boolean arrays of its shape.
     """
-    real = mask[:, :, None] > 0.0
+    real = np.asarray(mask, dtype=bool)[:, :, None]  # no copy of forward's boolean mask
     top = np.max(seq, axis=-2, where=real, initial=-np.inf, keepdims=True)
     first = np.isnan(seq)
     first |= seq == top
     first &= real
     argmax = first.argmax(axis=-2)
     pooled = np.take_along_axis(seq, argmax[..., None, :], axis=-2)[..., 0, :]
-    all_pad = mask.sum(axis=1) == 0
+    all_pad = ~real.any(axis=(1, 2))
     if all_pad.any():
         pooled[..., all_pad, :] = 0.0
     return pooled, argmax, all_pad
@@ -787,7 +787,7 @@ class ForwardTrace:
     """
 
     x: np.ndarray  # the batch forward ran on, after dropping its leading all-pad steps
-    steps: _StepMask  # _step_mask(mask)
+    steps: _StepMask  # _step_mask(real)
     sd_kept: Optional[np.ndarray]  # each dropout's boolean keep-mask (see _dropout)
     emb_dropped: np.ndarray
     lstm_store: Optional[tuple]
@@ -833,8 +833,21 @@ def _dropout(a: np.ndarray, rng: np.random.Generator, shape, rate: float,
 # Weights that diverged carry overflow into inf and nan through every layer
 # and through the optimizer step. train_runs() reads divergence from the loss and
 # the gradient, so the forward pass, the loss, the backward pass and the step
-# run with numpy's overflow and invalid-value reports off.
+# run with numpy's overflow and invalid-value reports off. Its three users are
+# the entry points of that work: forward, _loss_probs_grad (the loss and the
+# backward pass) and optim._Stepper.step.
 _diverging_quietly = np.errstate(over="ignore", invalid="ignore")
+
+
+def _index_batch(x) -> np.ndarray:
+    """x as a (B, T) index batch; a 1-D x is one row."""
+    x = np.asarray(x)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2:
+        raise ValidationError(f"expected a (batch, time) index array, got shape {x.shape}",
+                              "shape-mismatch")
+    return x
 
 
 @_diverging_quietly
@@ -855,12 +868,7 @@ def forward(
     probabilities are (K, B, 3), and the runs share the dropout masks and,
     when it is frozen, the embedding gather.
     """
-    x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise ValidationError(f"expected a (batch, time) index array, got shape {x.shape}",
-                              "shape-mismatch")
+    x = _index_batch(x)
     rows = params.embedding.shape[-2]
     if x.size and (x.min() < 0 or x.max() >= rows):
         raise ValidationError(f"token index outside embedding table of {rows} rows",
@@ -870,10 +878,10 @@ def forward(
         raise ValidationError("training-mode forward with dropout needs an rng")
 
     B, T = x.shape
-    pad = _leading_pad(x)
-    x = x[:, pad:]  # the model is unchanged on the steps that are left
-    mask = (x != 0).astype(np.float64)
-    steps = _step_mask(mask)  # built once, for both layers and both passes
+    real = x != 0  # the padding mask, for the trim, both layers, both passes and both pools
+    pad = _leading_pad(real)
+    x, real = x[:, pad:], real[:, pad:]  # the model is unchanged on the steps that are left
+    steps = _step_mask(real)
     # a gathered copy, so dropout can scale it in place
     emb_dropped = np.take(params.embedding, x, axis=-2)
 
@@ -888,8 +896,8 @@ def forward(
         _gru_direction_forward, S_dropped, steps, params.pairs(params.flat, "gru"), training)
     do2_kept = _dropout(G_dropped, rng, (B, T, G_dropped.shape[-1]), rate, pad)
 
-    pool1 = masked_max_pool(S_dropped, mask)
-    pool2 = masked_max_pool(G_dropped, mask)
+    pool1 = masked_max_pool(S_dropped, real)
+    pool2 = masked_max_pool(G_dropped, real)
     feats = np.concatenate([pool1[0], pool2[0]], axis=-1)
 
     logits = feats @ p["dense_W"] + p["dense_b"][..., None, :]
@@ -909,7 +917,6 @@ def forward(
     return probs, trace
 
 
-@_diverging_quietly
 def _loss_from_trace(trace: ForwardTrace, labels: np.ndarray):
     """Mean cross-entropy over the batch: a float, or a (K,) array for a stack."""
     B = trace.probs.shape[-2]
@@ -919,7 +926,6 @@ def _loss_from_trace(trace: ForwardTrace, labels: np.ndarray):
     return -picked.mean(axis=-1)
 
 
-@_diverging_quietly
 def _backward(
     trace: ForwardTrace,
     labels: np.ndarray,
@@ -943,7 +949,8 @@ def _backward(
     dlogits.sum(axis=-2, out=g["dense_b"])
     dfeats = dlogits @ p["dense_W"].swapaxes(-1, -2)
 
-    dpool1, dpool2 = np.split(dfeats, [2 * config.lstm_units], axis=-1)
+    S = 2 * config.lstm_units  # the width of the LSTM output S
+    dpool1, dpool2 = dfeats[..., :S], dfeats[..., S:]
 
     dG = _masked_max_pool_backward(dpool2, trace.pool2[1], trace.pool2[2], trace.G_shape)
     if trace.do2_kept is not None:
@@ -987,12 +994,11 @@ def loss_and_grad(
     return loss, grad
 
 
+@_diverging_quietly
 def _loss_probs_grad(x, labels, params, config, rng):
     """Train-loop variant of loss_and_grad that also reports batch probabilities."""
     labels = np.asarray(labels, dtype=np.int64)
-    x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = _index_batch(x)
     if labels.shape != (x.shape[0],):
         raise ValidationError(f"labels shape {labels.shape} does not match batch {x.shape[0]}",
                               "shape-mismatch")
@@ -1051,9 +1057,7 @@ def predict_proba(x: np.ndarray, params: ModelParameters, config: ModelConfig) -
     The chunk's row count is part of the result's bits: the GEMMs of a
     differently sized chunk may round differently.
     """
-    x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = _index_batch(x)
     step = inference_batch_size(config)
     out = [forward(x[start:start + step], params, config, training=False)[0]
            for start in range(0, len(x), step)]
@@ -1063,8 +1067,8 @@ def predict_proba(x: np.ndarray, params: ModelParameters, config: ModelConfig) -
 
 
 def classify(probs: np.ndarray) -> np.ndarray:
-    """Predicted class of each row of class probabilities."""
-    return probs.argmax(axis=1)
+    """Predicted class of each row of class probabilities, over the last axis."""
+    return probs.argmax(axis=-1)
 
 
 def loss_accuracy(probs: np.ndarray, labels: np.ndarray) -> Tuple[float, float]:

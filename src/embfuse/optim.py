@@ -35,6 +35,7 @@ from .model import (  # noqa: F401  from_flat and to_flat are re-exported helper
     ModelParameters,
     _diverging_quietly,
     _loss_probs_grad,
+    classify,
     evaluate,
     from_flat,
     init_parameters,
@@ -79,9 +80,13 @@ class OptimizerSpec:
 class _Stepper:
     """Shared stepping shell: validates the gradient, applies the rule in place."""
 
+    state: Tuple[str, ...] = ()  # the rule's state vectors, each zeros(n) at the start
+
     def __init__(self, spec: OptimizerSpec, n: int):
         self.lr = spec.learning_rate
         self.n = n
+        for name in self.state:
+            setattr(self, name, np.zeros(n))
 
     @_diverging_quietly
     def step(self, w: np.ndarray, g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -117,9 +122,7 @@ class Sgd(_Stepper):
 
 
 class SgdMomentum(_Stepper):
-    def __init__(self, spec, n):
-        super().__init__(spec, n)
-        self.velocity = np.zeros(n)
+    state = ("velocity",)
 
     def _apply(self, w, g):
         self.velocity *= MOMENTUM
@@ -128,9 +131,7 @@ class SgdMomentum(_Stepper):
 
 
 class Adagrad(_Stepper):
-    def __init__(self, spec, n):
-        super().__init__(spec, n)
-        self.accum = np.zeros(n)
+    state = ("accum",)
 
     def _apply(self, w, g):
         # two full-size temporaries, tmp and delta, written in place
@@ -145,10 +146,7 @@ class Adagrad(_Stepper):
 
 
 class Adadelta(_Stepper):
-    def __init__(self, spec, n):
-        super().__init__(spec, n)
-        self.sq_grad = np.zeros(n)
-        self.sq_delta = np.zeros(n)
+    state = ("sq_grad", "sq_delta")
 
     def _apply(self, w, g):
         rho, eps = ADADELTA_RHO, ADADELTA_EPS
@@ -174,11 +172,8 @@ class Adadelta(_Stepper):
 
 
 class Adam(_Stepper):
-    def __init__(self, spec, n):
-        super().__init__(spec, n)
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = 0
+    state = ("m", "v")
+    t = 0  # steps taken; the first step sets the stepper's own count
 
     def _apply(self, w, g):
         b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -345,7 +340,7 @@ def train_runs(
             rng = derive_rng(seed, "dropout", epoch, bi) if dropout else None
             losses, probs, grad = _loss_probs_grad(xb, yb, params, config, rng)
             batch_losses[:, bi] = losses
-            correct += (probs.argmax(axis=-1) == yb).sum(axis=-1)
+            correct += (classify(probs) == yb).sum(axis=-1)
             for k in live:
                 if not _stepped(steppers[k], params.flat[k], grad[k], losses[k]):
                     histories[k].diverged = True

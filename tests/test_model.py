@@ -196,7 +196,7 @@ class TestDirectionLayers:
     def _check_both_halves(self, direction, X, mask, weights, step, state):
         """fw half = the cell loop with the fw blocks; bw half = the cell loop
         with the bw blocks over the reversed input, flipped back."""
-        out, store = _bidirectional(direction, X, _step_mask(mask), weights, training=False)
+        out, store = _bidirectional(direction, X, _step_mask(mask > 0), weights, training=False)
         assert store is None
         H = out.shape[-1] // 2
         for d, half in enumerate((out[..., :H], out[..., H:])):
@@ -231,7 +231,7 @@ class TestDirectionLayers:
         mask[1, 1] = mask[1, 3] = 1.0
         weights = (rng.normal(size=(2, X.shape[2], 4 * H)), rng.normal(size=(2, H, 4 * H)),
                    rng.normal(size=(2, 4 * H)))
-        out, _ = _bidirectional(_lstm_direction_forward, X, _step_mask(mask), weights,
+        out, _ = _bidirectional(_lstm_direction_forward, X, _step_mask(mask > 0), weights,
                                 training=False)
         # fw carries the state of step 1 through step 2, bw the state of step 3
         assert np.array_equal(out[1, 2, :H], out[1, 1, :H])
@@ -331,12 +331,29 @@ class TestAllPadSteps:
         x = np.array([[0, 0, 3, 4, 0, 5, 6], [0, 0, 7, 8, 9, 0, 1]])
         assert _leading_pad(x) == 2  # not T minus the longest row's 4 real steps: an index 0 inside a row
         assert _leading_pad(np.zeros((2, 5), dtype=int)) == 4  # an all-pad batch keeps its last step
-        mask = (x[:, 2:] != 0).astype(np.float64)
+        mask = x[:, 2:] != 0
         valid, full = _step_mask(mask)
         # step j holds fw step j (time j) and bw step j (time T - 1 - j)
         assert full == [True, False, False, False, True]
-        assert np.array_equal(valid[0, :, :, 0].T, mask > 0)
-        assert np.array_equal(valid[1, :, :, 0].T, mask[:, ::-1] > 0)
+        assert np.array_equal(valid[0, :, :, 0].T, mask)
+        assert np.array_equal(valid[1, :, :, 0].T, mask[:, ::-1])
+
+    def test_one_boolean_mask_reaches_the_scans_and_both_pools(self, monkeypatch):
+        import embfuse.model as model_module
+        config = tiny_config(spatial_dropout_rate=0.2, dropout_rate=0.3)
+        x, _, emb = tiny_batch(config)
+        x[0, 3] = 0  # a padded step inside a row, so the scans select
+        params = init_parameters(config, emb)
+        masks = []
+        for name in ("_step_mask", "masked_max_pool"):
+            real = getattr(model_module, name)
+            monkeypatch.setattr(model_module, name,
+                                lambda *a, _real=real: masks.append(a[-1]) or _real(*a))
+        forward(x, params, config, training=True, rng=derive_rng(6, "mask"))
+        assert len(masks) == 3
+        assert all(m is masks[0] for m in masks)
+        assert masks[0].dtype == bool
+        assert np.array_equal(masks[0], x[:, _leading_pad(x):] != 0)
 
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("pad", [0, 4, 7])
@@ -678,7 +695,7 @@ class TestForwardInvariances:
         params = init_parameters(config, emb)
         Hl, Hg = config.lstm_units, config.gru_units
 
-        swapped = params.copy()
+        swapped = from_flat(params, config, params.flat)
         for kind in ("lstm", "gru"):
             for part in ("W", "U", "b"):
                 fw = swapped.blocks[f"{kind}_fw_{part}"]
@@ -953,6 +970,14 @@ class TestEvaluatePredict:
         loss, acc = evaluate(np.zeros((0, config.max_len), dtype=int), np.zeros(0, dtype=int),
                              params, config)
         assert math.isnan(loss) and math.isnan(acc)
+
+    def test_a_batch_that_is_not_2d_is_refused_even_empty(self):
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        with pytest.raises(ValidationError) as exc:
+            predict_proba(np.zeros((0, 4, 4), dtype=np.int64), params, config)
+        assert exc.value.code == "shape-mismatch"
 
     def test_predict_shapes_and_chunking(self, monkeypatch):
         config = tiny_config()
