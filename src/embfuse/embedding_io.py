@@ -90,7 +90,7 @@ def decode_line(raw: bytes, line_no: int, what: str = "line") -> str:
             f"{what} {line_no}: byte {exc.start + 1} is not valid UTF-8", exc) from None
 
 
-def csv_rows(lines: Iterable[str], what: str = "line") -> Iterator[Tuple[int, List[str]]]:
+def csv_rows(lines: Iterable[str], what: str) -> Iterator[Tuple[int, List[str]]]:
     """(line number, row) for each CSV row of decoded lines. A row the csv
     module cannot split, such as one with a lone carriage return, raises
     ValidationError naming its line."""

@@ -204,8 +204,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 
-def fused_to_table(fused: FusedMatrix, dicts: CorpusDictionaries, name: str = "fused") -> EmbeddingTable:
-    """View the fused matrix as an embedding table for binary serialization.
+def fused_to_table(fused: FusedMatrix, dicts: CorpusDictionaries) -> EmbeddingTable:
+    """View the fused matrix as an embedding table, named ``fused``, for binary serialization.
 
     The padding and unknown rows are stored under the reserved keys
     ``<pad>`` and ``<unk>``.
@@ -214,7 +214,7 @@ def fused_to_table(fused: FusedMatrix, dicts: CorpusDictionaries, name: str = "f
     for token, w in dicts.dict_words.items():
         vocab[token] = w
     return EmbeddingTable(
-        name=name,
+        name="fused",
         dim=fused.dim,
         vocab=vocab,
         matrix=fused.matrix.copy(),

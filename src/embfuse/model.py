@@ -485,7 +485,7 @@ def _chunks(n: int, step_bytes: int) -> List[slice]:
     return [slice(s, s + k) for s in range(0, n, k)]
 
 
-def _lstm_direction_forward(gates, steps, U, training: bool = False):
+def _lstm_direction_forward(gates, steps, U, training: bool):
     """The LSTM scan over (..., 2, T, B, 4H) preactivations X W + b, a store,
     which become the gate activations; steps is _step_mask's.
     Returns ((..., 2, T, B, H) outputs, store); store is (gates, hs, cs),
@@ -587,7 +587,7 @@ def _lstm_direction_backward(dout, steps, U, store):
     return hs, gates, gates
 
 
-def _gru_direction_forward(gates, steps, U, training: bool = False):
+def _gru_direction_forward(gates, steps, U, training: bool):
     """The GRU scan over (..., 2, T, B, 3G) preactivations X W + b, a store,
     which become the gate activations; steps is _step_mask's.
     Returns ((..., 2, T, B, G) outputs, store).
@@ -840,12 +840,15 @@ _diverging_quietly = np.errstate(over="ignore", invalid="ignore")
 
 
 def _index_batch(x) -> np.ndarray:
-    """x as a (B, T) index batch; a 1-D x is one row."""
+    """x as a (B, T) index batch with at least one time step; a 1-D x is one row."""
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2:
         raise ValidationError(f"expected a (batch, time) index array, got shape {x.shape}",
+                              "shape-mismatch")
+    if not x.shape[1]:
+        raise ValidationError(f"an index batch needs at least one time step, got shape {x.shape}",
                               "shape-mismatch")
     return x
 
@@ -999,6 +1002,8 @@ def _loss_probs_grad(x, labels, params, config, rng):
     """Train-loop variant of loss_and_grad that also reports batch probabilities."""
     labels = np.asarray(labels, dtype=np.int64)
     x = _index_batch(x)
+    if not len(x):
+        raise ValidationError("an empty batch has no loss", "shape-mismatch")
     if labels.shape != (x.shape[0],):
         raise ValidationError(f"labels shape {labels.shape} does not match batch {x.shape[0]}",
                               "shape-mismatch")
@@ -1055,15 +1060,16 @@ def predict_proba(x: np.ndarray, params: ModelParameters, config: ModelConfig) -
     chunks of ``inference_batch_size(config)`` rows; (K, B, 3) for a stack.
 
     The chunk's row count is part of the result's bits: the GEMMs of a
-    differently sized chunk may round differently.
+    differently sized chunk may round differently. A batch of no rows, such
+    as an empty split's (0, 0) array, gives an empty result.
     """
+    x = np.asarray(x)
+    if x.ndim == 2 and not len(x):
+        return np.zeros(params.flat.shape[:-1] + (0, config.num_classes))
     x = _index_batch(x)
     step = inference_batch_size(config)
-    out = [forward(x[start:start + step], params, config, training=False)[0]
-           for start in range(0, len(x), step)]
-    if not out:
-        return np.zeros(params.flat.shape[:-1] + (0, config.num_classes))
-    return np.concatenate(out, axis=-2)
+    return np.concatenate([forward(x[start:start + step], params, config, training=False)[0]
+                           for start in range(0, len(x), step)], axis=-2)
 
 
 def classify(probs: np.ndarray) -> np.ndarray:
@@ -1096,9 +1102,9 @@ def predict(x: np.ndarray, params: ModelParameters, config: ModelConfig) -> np.n
     return classify(predict_proba(x, params, config))
 
 
-def confusion_matrix(pred: np.ndarray, labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def confusion_matrix(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Counts of each (true class, predicted class) pair; rows are the truth."""
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(cm, (np.asarray(labels, dtype=np.int64), np.asarray(pred, dtype=np.int64)), 1)
     return cm
 

@@ -2,11 +2,11 @@
 
 Five update rules (sgd, sgd with momentum, adagrad, adadelta, adam) share a
 flat-vector interface so the whole parameter set is one array. Each rule is
-written once, as an in-place update: ``step(w, g, out=w)`` overwrites the
-weights, and ``step(w, g)`` returns new weights and leaves w untouched. The
-training loop steps ``params.flat`` in place, so the block views of the
-model's parameters see each update with no copying; the optimizer's state
-vectors are allocated once, and only the step's temporaries are transient.
+written once, as an in-place update: ``step(w, g)`` overwrites the weights w
+and returns w. The training loop steps ``params.flat`` in place, so the
+block views of the model's parameters see each update with no copying; the
+optimizer's state vectors are allocated once, and only the step's
+temporaries are transient.
 
 On top of the rules sits one epoch loop with per-epoch metrics,
 ``train_runs``, which trains a stack of runs that differ only in update rule
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -78,7 +77,7 @@ class OptimizerSpec:
 
 
 class _Stepper:
-    """Shared stepping shell: validates the gradient, applies the rule in place."""
+    """Shared stepping shell: validates the weights and the gradient, applies the rule in place."""
 
     state: Tuple[str, ...] = ()  # the rule's state vectors, each zeros(n) at the start
 
@@ -89,30 +88,28 @@ class _Stepper:
             setattr(self, name, np.zeros(n))
 
     @_diverging_quietly
-    def step(self, w: np.ndarray, g: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The next weights: a new vector with out=None (w is left untouched),
-        or w itself, updated in place, with out=w.
+    def step(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Update w, a writable float64 vector, in place to the next weights; returns w.
 
-        Optimizer state advances only once the gradient has passed validation.
+        Any other w is refused, not copied, so no update lands in a copy.
+        Optimizer state advances only once w and the gradient pass validation.
         """
-        w = np.asarray(w, dtype=np.float64)
+        if not (isinstance(w, np.ndarray) and w.dtype == np.float64 and w.flags.writeable):
+            raise ValidationError("the weights must be a writable float64 ndarray, "
+                                  "which the step updates in place")
         g = np.asarray(g, dtype=np.float64)
         if w.shape != (self.n,) or g.shape != (self.n,):
             raise ValidationError(
                 f"expected flat vectors of length {self.n}, got {w.shape} and {g.shape}",
                 "shape-mismatch")
-        if out is not None and out is not w:
-            raise ValidationError("out must be None or w itself", "shape-mismatch")
         if not np.isfinite(g).all():
             raise NonFiniteGradientError("gradient contains nan or inf")
-        if out is None:
-            out = w.copy()
-        self._apply(out, g)
-        return out
+        self._apply(w, g)
+        return w
 
     def _apply(self, w: np.ndarray, g: np.ndarray) -> None:
         """Update w and the state in place, in the rule's textbook operation
-        order, so the result is bit-identical to the out-of-place formula."""
+        order, so the result is bit-identical to the textbook formula."""
         raise NotImplementedError
 
 
@@ -251,7 +248,6 @@ class TrainingHistory:
     train_accuracy: List[float] = field(default_factory=list)
     test_loss: List[float] = field(default_factory=list)
     test_accuracy: List[float] = field(default_factory=list)
-    epoch_seconds: List[float] = field(default_factory=list)
     diverged: bool = False
 
     @property
@@ -278,7 +274,7 @@ def _stepped(stepper: _Stepper, w: np.ndarray, g: np.ndarray, loss: float) -> bo
     if not math.isfinite(loss):
         return False
     try:
-        stepper.step(w, g, out=w)
+        stepper.step(w, g)
     except NonFiniteGradientError:
         return False
     return True
@@ -308,7 +304,6 @@ def train_runs(
     Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
     aggregates training-mode predictions, and test metrics are ``evaluate`` of
     each live run over the whole test split, in inference mode.
-    epoch_seconds is the stack's training time plus those evaluations' time.
     With ``test`` False the test split is not evaluated and the test metric
     lists stay empty; the training itself is the same.
     A run whose loss or gradient goes non-finite is marked diverged, keeps
@@ -329,7 +324,6 @@ def train_runs(
     starts = range(0, n, batch_size)
     live = list(range(len(specs)))  # the runs still stepping: rows of params
     for epoch in range(1, epochs + 1):
-        started = time.perf_counter()
         order = derive_rng(seed, "shuffle", epoch).permutation(n)
         batch_losses = np.empty((len(specs), len(starts)))
         correct = np.zeros(len(specs), dtype=np.int64)
@@ -350,17 +344,14 @@ def train_runs(
                 break
         if not live:
             break
-        if test:
-            for k in live:
-                test_loss, test_acc = evaluate(data.test_x, data.test_y, params.run(k), config)
-                histories[k].test_loss.append(test_loss)
-                histories[k].test_accuracy.append(test_acc)
-        seconds = time.perf_counter() - started  # the stack's training and any evaluation
         for k in live:  # each stepped every batch
             history = histories[k]
             history.train_loss.append(float(np.mean(batch_losses[k])))
             history.train_accuracy.append(int(correct[k]) / n)
-            history.epoch_seconds.append(seconds)
+            if test:
+                test_loss, test_acc = evaluate(data.test_x, data.test_y, params.run(k), config)
+                history.test_loss.append(test_loss)
+                history.test_accuracy.append(test_acc)
     return params, histories
 
 
@@ -545,8 +536,8 @@ def write_history_csv(histories: Sequence[TrainingHistory], fh) -> None:
 
 
 def read_history_csv(fh) -> List[TrainingHistory]:
-    """Rebuild histories from write_history_csv output (wall times excluded),
-    refusing any row the writer could not have written."""
+    """Rebuild histories from write_history_csv output, refusing any row the
+    writer could not have written."""
     rows = csv_rows(fh, "history CSV line")
     _, header = next(rows, (0, None))
     if header != _HISTORY_COLUMNS:

@@ -293,8 +293,8 @@ class TestReportAndTable:
 
     def test_round_trip_through_embedding_table(self):
         dicts, fused = self.build()
-        table = fused_to_table(fused, dicts, name="fused")
-        assert "<pad>" in table and "<unk>" in table
+        table = fused_to_table(fused, dicts)
+        assert table.name == "fused" and "<pad>" in table and "<unk>" in table
         back = matrix_from_table(table, dicts)
         assert np.array_equal(back, fused.matrix)
 

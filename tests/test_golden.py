@@ -257,6 +257,6 @@ def test_in_place_rules_equal_textbook_formulas(kind):
     w_ref = w.copy()
     for _ in range(30):
         g = rng.normal(size=64) * rng.choice([1e-6, 1.0, 1e3])
-        stepper.step(w, g, out=w)
+        stepper.step(w, g)
         w_ref = reference(w_ref, g)
         assert np.array_equal(w, w_ref)

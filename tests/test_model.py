@@ -970,6 +970,8 @@ class TestEvaluatePredict:
         loss, acc = evaluate(np.zeros((0, config.max_len), dtype=int), np.zeros(0, dtype=int),
                              params, config)
         assert math.isnan(loss) and math.isnan(acc)
+        # an empty split's (0, 0) array has no time step, yet no rows to refuse either
+        assert predict_proba(np.zeros((0, 0), dtype=int), params, config).shape == (0, 3)
 
     def test_a_batch_that_is_not_2d_is_refused_even_empty(self):
         config = tiny_config()
@@ -977,6 +979,28 @@ class TestEvaluatePredict:
         params = init_parameters(config, emb)
         with pytest.raises(ValidationError) as exc:
             predict_proba(np.zeros((0, 4, 4), dtype=np.int64), params, config)
+        assert exc.value.code == "shape-mismatch"
+
+    @pytest.mark.parametrize("entry", ["forward", "predict_proba", "loss_and_grad"])
+    def test_a_batch_with_no_time_step_is_refused(self, entry):
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        x, labels = np.zeros((3, 0), dtype=np.int64), np.zeros(3, dtype=np.int64)
+        run = {"forward": lambda: forward(x, params, config),
+               "predict_proba": lambda: predict_proba(x, params, config),
+               "loss_and_grad": lambda: loss_and_grad(x, labels, params, config)}[entry]
+        with pytest.raises(ValidationError, match="at least one time step") as exc:
+            run()
+        assert exc.value.code == "shape-mismatch"
+
+    def test_an_empty_batch_has_no_loss(self):
+        config = tiny_config()
+        _, _, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        with pytest.raises(ValidationError, match="an empty batch has no loss") as exc:
+            loss_and_grad(np.zeros((0, config.max_len), dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), params, config)
         assert exc.value.code == "shape-mismatch"
 
     def test_predict_shapes_and_chunking(self, monkeypatch):

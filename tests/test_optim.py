@@ -65,14 +65,15 @@ class TestStepRules:
         opt = make_optimizer(OptimizerSpec(kind="sgd", learning_rate=0.1), 2)
         w = np.array([1.0, 2.0])
         g = np.array([0.5, -1.0])
-        assert np.array_equal(opt.step(w, g), w - 0.1 * g)
+        assert np.array_equal(opt.step(w.copy(), g), w - 0.1 * g)
 
     def test_sgd_scale_equivariance(self):
         w = derive_rng(1, "w").normal(size=6)
         g = derive_rng(1, "g").normal(size=6)
+        w2 = w.copy()
         a = make_optimizer(OptimizerSpec(kind="sgd", learning_rate=0.3), 6).step(w, g)
-        b = make_optimizer(OptimizerSpec(kind="sgd", learning_rate=0.15), 6).step(w, 2.0 * g)
-        assert np.array_equal(a, b)
+        b = make_optimizer(OptimizerSpec(kind="sgd", learning_rate=0.15), 6).step(w2, 2.0 * g)
+        assert a is w and b is w2 and np.array_equal(a, b)
 
     def test_momentum_two_step_displacement(self):
         # Unit gradient twice at lr=1, momentum 0.9: steps 1 and 1.9.
@@ -95,7 +96,7 @@ class TestStepRules:
         w = np.array([0.0])
         sizes = []
         for _ in range(4):
-            w_next = opt.step(w, np.array([2.0]))
+            w_next = opt.step(w.copy(), np.array([2.0]))
             sizes.append(abs(w_next[0] - w[0]))
             w = w_next
         assert sizes == sorted(sizes, reverse=True)
@@ -144,23 +145,6 @@ class TestStepRules:
 
 class TestInPlaceStep:
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
-    def test_out_equals_pure_step_and_pure_leaves_w(self, kind):
-        spec = OptimizerSpec(kind=kind, learning_rate=DEFAULT_LR[kind])
-        pure, inplace = make_optimizer(spec, 50), make_optimizer(spec, 50)
-        rng = derive_rng(23, "in-place", kind)
-        w = rng.normal(size=50)
-        w_inplace = w.copy()
-        for _ in range(20):
-            g = rng.normal(size=50)
-            before = w.copy()
-            w_next = pure.step(w, g)
-            assert np.array_equal(w, before)
-            assert w_next is not w
-            assert inplace.step(w_inplace, g, out=w_inplace) is w_inplace
-            assert np.array_equal(w_next, w_inplace)
-            w = w_next
-
-    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     def test_rules_match_their_textbook_formulas_bit_for_bit(self, kind):
         n, lr = 100_000, DEFAULT_LR[kind]
         opt = make_optimizer(OptimizerSpec(kind=kind, learning_rate=lr), n)
@@ -170,7 +154,7 @@ class TestInPlaceStep:
         s1, s2 = np.zeros(n), np.zeros(n)  # each rule's state vectors
         for t in range(1, 21):
             g = rng.normal(size=n)
-            opt.step(w, g, out=w)
+            opt.step(w, g)
             if kind == "sgd":
                 ref = ref - lr * g
             elif kind == "sgd_momentum":
@@ -192,15 +176,27 @@ class TestInPlaceStep:
                 ref = ref - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.array_equal(w, ref), f"step {t}"
 
-    def test_bad_out_rejected_and_state_untouched(self):
+    @pytest.mark.parametrize("bad", ["list", "float32", "read_only"])
+    def test_refused_weights_leave_the_state_untouched(self, bad):
+        # a step could only update a copy of these
+        if bad == "list":
+            w = [0.0] * 4
+        elif bad == "float32":
+            w = np.zeros(4, dtype=np.float32)
+        else:
+            w = np.zeros(4)
+            w.flags.writeable = False
+        opt = make_optimizer(OptimizerSpec(kind="sgd_momentum", learning_rate=0.1), 4)
+        with pytest.raises(ValidationError, match="writable float64 ndarray"):
+            opt.step(w, np.ones(4))
+        assert not (np.any(w) or opt.velocity.any())
+
+    def test_non_finite_gradient_leaves_weights_and_state_untouched(self):
         opt = make_optimizer(OptimizerSpec(kind="sgd_momentum", learning_rate=0.1), 4)
         w = np.zeros(4)
-        with pytest.raises(ValidationError) as exc:
-            opt.step(w, np.ones(4), out=w.copy())
-        assert exc.value.code == "shape-mismatch"
         with pytest.raises(NonFiniteGradientError):
-            opt.step(w, np.array([1.0, np.nan, 0.0, 0.0]), out=w)
-        assert np.array_equal(w, np.zeros(4)) and not opt.velocity.any()
+            opt.step(w, np.array([1.0, np.nan, 0.0, 0.0]))
+        assert not (w.any() or opt.velocity.any())
 
 
 class TestConvexConvergence:
@@ -266,7 +262,6 @@ class TestTrain:
                         epochs=3, batch_size=16, seed=5)
         assert hist.epochs == [1, 2, 3]
         assert len(hist.train_loss) == len(hist.test_loss) == 3
-        assert len(hist.epoch_seconds) == 3
         assert not hist.diverged
         assert hist.train_loss[-1] < hist.train_loss[0]
         assert hist.optimizer == "adam" and hist.learning_rate == 0.01
@@ -312,11 +307,6 @@ class TestTrain:
         assert math.isnan(hist.test_loss[0]) and math.isnan(hist.test_accuracy[0])
 
 
-def untimed(history):
-    """A history's fields without its wall times."""
-    return {k: v for k, v in dataclasses.asdict(history).items() if k != "epoch_seconds"}
-
-
 # (config overrides, specs as (kind, rate), batch size, training examples kept)
 STACKS = {
     "mixed-kinds-and-rates": ({}, [("sgd", 0.1), ("sgd_momentum", 0.05), ("adagrad", 0.5),
@@ -349,9 +339,7 @@ class TestTrainRuns:
             alone, history = train(data, tiny_embedding, config, spec,
                                    epochs=2, batch_size=batch_size, seed=5)
             assert np.array_equal(params.run(k).flat, alone.flat)
-            assert untimed(histories[k]) == untimed(history)
-            for name in ("train_loss", "train_accuracy", "test_loss", "test_accuracy"):
-                assert np.array_equal(getattr(histories[k], name), getattr(history, name))
+            assert histories[k] == history
         if case == "diverging-member":
             assert [h.diverged for h in histories] == [False, True, False]
             assert histories[1].diverged_epoch == 1 and histories[1].train_loss == []
@@ -361,30 +349,6 @@ class TestTrainRuns:
     def test_needs_a_spec(self, tiny_dataset, tiny_embedding):
         with pytest.raises(ValidationError):
             train_runs(tiny_dataset, tiny_embedding, small_config(), [])
-
-    def test_each_run_times_the_shared_training_and_the_stack_evaluation(
-            self, tiny_dataset, tiny_embedding, monkeypatch):
-        from embfuse import optim
-        clock = [0.0]
-        real_loss_probs_grad = optim._loss_probs_grad
-
-        def one_second_per_batch(*args):
-            clock[0] += 1.0
-            return real_loss_probs_grad(*args)
-
-        def ten_seconds_per_evaluation(x, labels, params, config):
-            clock[0] += 10.0
-            return 0.5, 0.5
-
-        monkeypatch.setattr(optim.time, "perf_counter", lambda: clock[0])
-        monkeypatch.setattr(optim, "_loss_probs_grad", one_second_per_batch)
-        monkeypatch.setattr(optim, "evaluate", ten_seconds_per_evaluation)
-        specs = [OptimizerSpec(kind="sgd", learning_rate=lr) for lr in (0.1, 0.05, 0.01)]
-        _, histories = train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
-                                  epochs=2, batch_size=16, seed=5)
-        batches = math.ceil(len(tiny_dataset.train_y) / 16)
-        # every run's epoch holds the stack's batches and all three evaluations
-        assert [h.epoch_seconds for h in histories] == [[batches + 30.0] * 2] * 3
 
     def test_diverged_run_stays_in_the_one_stack(self, tiny_dataset, tiny_embedding,
                                                  monkeypatch):
@@ -650,6 +614,16 @@ class TestHistoryCsv:
         assert not back[0].diverged
         assert back[1].diverged
         assert back[1].train_loss == bad.train_loss
+
+    def test_read_back_equals_the_written_histories(self, tiny_dataset, tiny_embedding):
+        specs = [OptimizerSpec(kind="adam", learning_rate=0.01),
+                 OptimizerSpec(kind="sgd", learning_rate=1e307)]
+        _, histories = train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
+                                  epochs=2, batch_size=16, seed=5, pair_id="pair-a")
+        assert [h.diverged for h in histories] == [False, True]
+        fh = io.StringIO()
+        write_history_csv(histories, fh)
+        assert read_history_csv(io.StringIO(fh.getvalue())) == histories
 
     def test_zero_epoch_diverged_row(self):
         from embfuse.optim import TrainingHistory
