@@ -33,14 +33,17 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Opt:
-    """One option; a name with no leading dash is positional, and a bool one is a switch."""
-    dest: str
-    flags: Tuple[str, ...]
+    """One option; a flag with no leading dash is positional, and a bool one is a switch."""
+    flag: str
     type: Callable[[str], Any] = str
     default: Any = None
     help: str = ""
     required: bool = False
     choices: Optional[Tuple[str, ...]] = None
+
+    @property
+    def dest(self) -> str:  # the option's config key and argparse dest
+        return self.flag.lstrip("-").replace("-", "_")
 
 
 def _split_emb_arg(text: str) -> Tuple[str, str]:
@@ -97,17 +100,17 @@ class _Command:
 
 
 _MODEL_OPTS = [
-    _Opt("lstm_units", ("--lstm-units",), int, 512, "units per LSTM direction"),
-    _Opt("gru_units", ("--gru-units",), int, 256, "units per GRU direction"),
-    _Opt("spatial_dropout", ("--spatial-dropout",), float, 0.2, "embedding channel dropout rate"),
-    _Opt("dropout", ("--dropout",), float, 0.3, "dropout rate after each recurrent layer"),
+    _Opt("--lstm-units", int, 512, "units per LSTM direction"),
+    _Opt("--gru-units", int, 256, "units per GRU direction"),
+    _Opt("--spatial-dropout", float, 0.2, "embedding channel dropout rate"),
+    _Opt("--dropout", float, 0.3, "dropout rate after each recurrent layer"),
 ]
 
 _TRAIN_COMMON = [
-    _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
-    _Opt("fused", ("--fused",), str, help="fused embedding file (binary)", required=True),
-    _Opt("batch", ("--batch",), int, 32, "mini-batch size"),
-    _Opt("seed", ("--seed",), int, 7, "seed for init, shuffling and dropout"),
+    _Opt("--dataset", str, help="prepared dataset file", required=True),
+    _Opt("--fused", str, help="fused embedding file (binary)", required=True),
+    _Opt("--batch", int, 32, "mini-batch size"),
+    _Opt("--seed", int, 7, "seed for init, shuffling and dropout"),
 ]
 
 
@@ -115,13 +118,13 @@ def _build_parser(command: str) -> _Parser:
     parser = _Parser(prog=f"embfuse {command}", description=_COMMANDS[command].help,
                      add_help=True)
     for opt in _COMMANDS[command].opts:
-        if not opt.flags[0].startswith("-"):
+        if not opt.flag.startswith("-"):
             parser.add_argument(opt.dest, nargs="?", default=None, help=opt.help)
         elif opt.type is bool:
-            parser.add_argument(*opt.flags, dest=opt.dest, action="store_const",
+            parser.add_argument(opt.flag, dest=opt.dest, action="store_const",
                                 const=True, default=None, help=opt.help)
         else:
-            parser.add_argument(*opt.flags, dest=opt.dest, type=opt.type, default=None,
+            parser.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=None,
                                 choices=opt.choices, help=opt.help)
     parser.add_argument("--config", dest="config", type=str, default=None,
                         help="JSON file supplying any of the flags")
@@ -176,10 +179,9 @@ def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
         if value is None:
             value = opt.default
         if value is None and opt.required:
-            raise ValidationError(f"missing required option {opt.flags[0]}", "usage")
+            raise ValidationError(f"missing required option {opt.flag}", "usage")
         if opt.choices and value is not None and value not in opt.choices:
-            raise ValidationError(f"{opt.flags[0]} must be one of {', '.join(opt.choices)}",
-                                  "usage")
+            raise ValidationError(f"{opt.flag} must be one of {', '.join(opt.choices)}", "usage")
         merged[opt.dest] = value
     return merged
 
@@ -211,7 +213,7 @@ def _training_inputs(
     is parsed; the tables must then agree on their dim.
     """
     ds = _read_dataset(opts["dataset"])
-    data = optim.SplitDataset.from_examples(ds.train, ds.test)
+    data = optim.SplitDataset.from_examples(ds.train, ds.test, ds.max_len)
     optim.check_loop(data, opts["epochs"], opts["batch"], opts["seed"])
     config = model.ModelConfig(
         max_len=ds.max_len,
@@ -465,7 +467,7 @@ def _run_eval(opts: Dict[str, Any]) -> None:
     _require_file(opts["ckpt"], "checkpoint")
     with open(opts["ckpt"], "rb") as fh:
         params, config = model.load_checkpoint(fh)
-    data = optim.SplitDataset.from_examples(ds.train, ds.test)
+    data = optim.SplitDataset.from_examples(ds.train, ds.test, ds.max_len)
     x, y = (data.train_x, data.train_y) if opts["split"] == "train" else (data.test_x, data.test_y)
     probs = model.predict_proba(x, params, config)
     loss, acc = model.loss_accuracy(probs, y)
@@ -519,70 +521,63 @@ def _run_report(opts: Dict[str, Any]) -> None:
 # every command, in the order --help lists them
 _COMMANDS: Dict[str, _Command] = {
     "inspect": _Command("parse an embedding file and print its stats", [
-        _Opt("file", ("file",), str, help="embedding file to inspect", required=True),
-        _Opt("format", ("--format",), str, help="file format", required=True,
-             choices=FORMATS),
+        _Opt("file", str, help="embedding file to inspect", required=True),
+        _Opt("--format", str, help="file format", required=True, choices=FORMATS),
     ], _run_inspect),
     "prepare": _Command("build an encoded dataset from a review CSV", [
-        _Opt("csv", ("--csv",), str, help="review CSV to ingest", required=True),
-        _Opt("out", ("--out",), _out_path, help="dataset file to write", required=True),
-        _Opt("seed", ("--seed",), int, 0, "seed for the train/test split"),
-        _Opt("buckets", ("--buckets",), corpus.parse_buckets, corpus.DEFAULT_BUCKETS,
+        _Opt("--csv", str, help="review CSV to ingest", required=True),
+        _Opt("--out", _out_path, help="dataset file to write", required=True),
+        _Opt("--seed", int, 0, "seed for the train/test split"),
+        _Opt("--buckets", corpus.parse_buckets, corpus.DEFAULT_BUCKETS,
              "star buckets as bad/neutral/good"),
-        _Opt("no_title", ("--no-title",), bool, False, "ignore the review title column"),
-        _Opt("max_len", ("--max-len",), int, 60, "encoded sequence length"),
-        _Opt("train_fraction", ("--train-fraction",), float, 0.9, "share of examples in train"),
-        _Opt("lemma_table", ("--lemma-table",), str, help="token<TAB>lemma file replacing the built-in lemmatizer"),
+        _Opt("--no-title", bool, False, "ignore the review title column"),
+        _Opt("--max-len", int, 60, "encoded sequence length"),
+        _Opt("--train-fraction", float, 0.9, "share of examples in train"),
+        _Opt("--lemma-table", str, help="token<TAB>lemma file replacing the built-in lemmatizer"),
     ], _run_prepare),
     "fuse": _Command("fuse two embedding tables over a dataset vocabulary", [
-        _Opt("emb1", ("--emb1",), _split_emb_arg, help="first table as PATH:FORMAT", required=True),
-        _Opt("emb2", ("--emb2",), _split_emb_arg, help="second table as PATH:FORMAT", required=True),
-        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
-        _Opt("out", ("--out",), _out_path, help="fused embedding file to write", required=True),
-        _Opt("report", ("--report",), _out_path, help="branch-count CSV to write"),
-        _Opt("unknown_fill", ("--unknown-fill",), float, 0.0, "value for rows of unknown words"),
-        _Opt("fallback_order", ("--fallback-order",), _stage_list, fusion.FALLBACK_STAGES,
+        _Opt("--emb1", _split_emb_arg, help="first table as PATH:FORMAT", required=True),
+        _Opt("--emb2", _split_emb_arg, help="second table as PATH:FORMAT", required=True),
+        _Opt("--dataset", str, help="prepared dataset file", required=True),
+        _Opt("--out", _out_path, help="fused embedding file to write", required=True),
+        _Opt("--report", _out_path, help="branch-count CSV to write"),
+        _Opt("--unknown-fill", float, 0.0, "value for rows of unknown words"),
+        _Opt("--fallback-order", _stage_list, fusion.FALLBACK_STAGES,
              "comma-separated key fallback stages"),
     ], _run_fuse),
     "lr-find": _Command("search a learning-rate grid with short training runs",
                         _TRAIN_COMMON + _MODEL_OPTS + [
-        _Opt("optimizer", ("--optimizer",), str, "adam", "update rule to probe",
-             choices=optim.OPTIMIZER_KINDS),
-        _Opt("grid", ("--grid",), optim.parse_lr_grid, help="learning-rate grid lo:hi:logN"),
-        _Opt("epochs", ("--epochs",), int, 3, "epochs per probe"),
-        _Opt("out", ("--out",), _out_path, help="loss-per-rate CSV to write"),
-        _Opt("svg", ("--svg",), _out_path, help="loss-versus-rate chart to write"),
+        _Opt("--optimizer", str, "adam", "update rule to probe", choices=optim.OPTIMIZER_KINDS),
+        _Opt("--grid", optim.parse_lr_grid, help="learning-rate grid lo:hi:logN"),
+        _Opt("--epochs", int, 3, "epochs per probe"),
+        _Opt("--out", _out_path, help="loss-per-rate CSV to write"),
+        _Opt("--svg", _out_path, help="loss-versus-rate chart to write"),
     ], _run_lr_find),
     "train": _Command("train the classifier and save a checkpoint", _TRAIN_COMMON + _MODEL_OPTS + [
-        _Opt("optimizer", ("--optimizer",), str, help="update rule", required=True,
-             choices=optim.OPTIMIZER_KINDS),
-        _Opt("lr", ("--lr",), float, help="learning rate (default: per-optimizer)"),
-        _Opt("epochs", ("--epochs",), int, 20, "training epochs"),
-        _Opt("out", ("--out",), _out_path, help="checkpoint file to write", required=True),
-        _Opt("history", ("--history",), _out_path, help="per-epoch metrics CSV to write"),
+        _Opt("--optimizer", str, help="update rule", required=True, choices=optim.OPTIMIZER_KINDS),
+        _Opt("--lr", float, help="learning rate (default: per-optimizer)"),
+        _Opt("--epochs", int, 20, "training epochs"),
+        _Opt("--out", _out_path, help="checkpoint file to write", required=True),
+        _Opt("--history", _out_path, help="per-epoch metrics CSV to write"),
     ], _run_train),
     "sweep": _Command("train every optimizer on every embedding pair", [
-        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
-        _Opt("pairs", ("--pairs",), str, help="manifest CSV with pair,path rows", required=True),
-        _Opt("optimizers", ("--optimizers",), _kind_list, optim.OPTIMIZER_KINDS,
-             "comma-separated update rules"),
-        _Opt("lr", ("--lr",), float,
-             help="learning rate shared by every cell (default: sgd range search)"),
-        _Opt("epochs", ("--epochs",), int, 20, "training epochs per cell"),
-        _Opt("batch", ("--batch",), int, 32, "mini-batch size"),
-        _Opt("seed", ("--seed",), int, 7, "seed shared by every cell"),
-        _Opt("out_dir", ("--out-dir",), _out_dir, help="directory for histories.csv and charts",
-             required=True),
+        _Opt("--dataset", str, help="prepared dataset file", required=True),
+        _Opt("--pairs", str, help="manifest CSV with pair,path rows", required=True),
+        _Opt("--optimizers", _kind_list, optim.OPTIMIZER_KINDS, "comma-separated update rules"),
+        _Opt("--lr", float, help="learning rate shared by every cell (default: sgd range search)"),
+        _Opt("--epochs", int, 20, "training epochs per cell"),
+        _Opt("--batch", int, 32, "mini-batch size"),
+        _Opt("--seed", int, 7, "seed shared by every cell"),
+        _Opt("--out-dir", _out_dir, help="directory for histories.csv and charts", required=True),
     ] + _MODEL_OPTS, _run_sweep),
     "eval": _Command("score a checkpoint on a dataset split", [
-        _Opt("dataset", ("--dataset",), str, help="prepared dataset file", required=True),
-        _Opt("ckpt", ("--ckpt",), str, help="checkpoint to evaluate", required=True),
-        _Opt("split", ("--split",), str, "test", "which split to score", choices=("train", "test")),
+        _Opt("--dataset", str, help="prepared dataset file", required=True),
+        _Opt("--ckpt", str, help="checkpoint to evaluate", required=True),
+        _Opt("--split", str, "test", "which split to score", choices=("train", "test")),
     ], _run_eval),
     "report": _Command("re-render charts and summaries from a history CSV", [
-        _Opt("history", ("--history",), str, help="history CSV from train or sweep", required=True),
-        _Opt("out_dir", ("--out-dir",), _out_dir, help="directory for charts and summary.csv",
-             required=True),
+        _Opt("--history", str, help="history CSV from train or sweep", required=True),
+        _Opt("--out-dir", _out_dir, help="directory for charts and summary.csv", required=True),
     ], _run_report),
 }
 

@@ -139,7 +139,7 @@ class ModelParameters:
     an update written into ``flat`` is the update of every block. ``blocks``
     refuses rebinding a name: a block is changed by writing into it. A frozen embedding is held outside the buffer.
     A stack of runs (``stacked``) has a (K, n) ``flat`` and blocks with a
-    leading axis of K; its runs share one frozen embedding.
+    leading axis of K; the sets derived from one share its frozen embedding.
     """
 
     def __init__(self, blocks: Mapping[str, np.ndarray], embedding: np.ndarray,
@@ -186,22 +186,21 @@ class ModelParameters:
         both = vec[..., span].reshape(vec.shape[:-1] + (2, s))
         return tuple(both[..., part].reshape(both.shape[:-1] + shape) for part, shape in blocks)
 
-    def _over(self, flat: np.ndarray, share_embedding: bool = False) -> "ModelParameters":
-        """A set with this layout whose trainable weights are flat; a frozen
-        embedding is copied, or shared with share_embedding."""
+    def _over(self, flat: np.ndarray) -> "ModelParameters":
+        """A set with this layout whose trainable weights are flat; it shares
+        a frozen embedding with this set, as nothing writes one."""
         new = ModelParameters.__new__(ModelParameters)
         new.layout, new._pair_slices = self.layout, self._pair_slices
-        frozen = None if self.train_embedding else self.embedding
-        new._bind(flat, frozen if share_embedding or frozen is None else frozen.copy())
+        new._bind(flat, None if self.train_embedding else self.embedding)
         return new
 
     def stacked(self, k: int) -> "ModelParameters":
         """A stack of k runs, each starting from a copy of these weights."""
-        return self._over(np.repeat(self.flat[None], k, axis=0), share_embedding=True)
+        return self._over(np.repeat(self.flat[None], k, axis=0))
 
     def run(self, k: int) -> "ModelParameters":
         """Of a stack: run k as a set viewing its row of ``flat``."""
-        return self._over(self.flat[k], share_embedding=True)
+        return self._over(self.flat[k])
 
 
 def trainable_block_names(config: ModelConfig) -> Tuple[str, ...]:
@@ -224,7 +223,8 @@ def to_flat(params: ModelParameters, config: ModelConfig) -> np.ndarray:
 
 
 def from_flat(params: ModelParameters, config: ModelConfig, flat: np.ndarray) -> ModelParameters:
-    """A new parameter set with the trainable weights copied from flat (round-trip of to_flat)."""
+    """A new parameter set with the trainable weights copied from flat (round-trip
+    of to_flat) and a frozen embedding shared with params."""
     _check_layout(params, config)
     flat = np.array(flat, dtype=np.float64)
     if flat.shape != params.flat.shape:
@@ -1007,7 +1007,7 @@ def _loss_probs_grad(x, labels, params, config, rng):
     if labels.shape != (x.shape[0],):
         raise ValidationError(f"labels shape {labels.shape} does not match batch {x.shape[0]}",
                               "shape-mismatch")
-    if labels.size and (labels.min() < 0 or labels.max() >= config.num_classes):
+    if labels.min() < 0 or labels.max() >= config.num_classes:
         raise ValidationError("labels must lie in 0..2", "index-out-of-range")
     _check_layout(params, config)
     probs, trace = forward(x, params, config, training=True, rng=rng)
@@ -1061,12 +1061,11 @@ def predict_proba(x: np.ndarray, params: ModelParameters, config: ModelConfig) -
 
     The chunk's row count is part of the result's bits: the GEMMs of a
     differently sized chunk may round differently. A batch of no rows, such
-    as an empty split's (0, 0) array, gives an empty result.
+    as an empty split's (0, max_len) array, gives an empty result.
     """
-    x = np.asarray(x)
-    if x.ndim == 2 and not len(x):
-        return np.zeros(params.flat.shape[:-1] + (0, config.num_classes))
     x = _index_batch(x)
+    if not len(x):
+        return np.zeros(params.flat.shape[:-1] + (0, config.num_classes))
     step = inference_batch_size(config)
     return np.concatenate([forward(x[start:start + step], params, config, training=False)[0]
                            for start in range(0, len(x), step)], axis=-2)

@@ -224,14 +224,13 @@ class SplitDataset:
         self.test_y = np.asarray(self.test_y, dtype=np.int64)
 
     @classmethod
-    def from_examples(cls, train, test) -> "SplitDataset":
-        """Build index arrays from encoded-example sequences (.indices/.label)."""
+    def from_examples(cls, train, test, max_len: int) -> "SplitDataset":
+        """Build index arrays from encoded-example sequences (.indices/.label);
+        each side's x is (len(examples), max_len), an empty side's too."""
         def arrays(examples):
-            if not examples:
-                return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
             x = np.array([ex.indices for ex in examples], dtype=np.int64)
             y = np.array([int(ex.label) for ex in examples], dtype=np.int64)
-            return x, y
+            return x.reshape(len(examples), max_len), y
 
         train_x, train_y = arrays(train)
         test_x, test_y = arrays(test)
@@ -240,10 +239,11 @@ class SplitDataset:
 
 @dataclass
 class TrainingHistory:
-    pair: str
+    """One run's per-epoch metrics; only ``optimizer_sweep`` sets ``pair``."""
     optimizer: str
     learning_rate: float
     seed: int
+    pair: str = ""
     train_loss: List[float] = field(default_factory=list)
     train_accuracy: List[float] = field(default_factory=list)
     test_loss: List[float] = field(default_factory=list)
@@ -285,10 +285,9 @@ def train_runs(
     embedding: np.ndarray,
     config: ModelConfig,
     specs: Sequence[OptimizerSpec],
-    epochs: int = 20,
-    batch_size: int = 32,
-    seed: int = 7,
-    pair_id: str = "",
+    epochs: int,
+    batch_size: int,
+    seed: int,
     test: bool = True,
 ) -> Tuple[ModelParameters, List[TrainingHistory]]:
     """Mini-batch training of one run per spec, as one stack.
@@ -298,8 +297,8 @@ def train_runs(
     pass serve the whole stack. A batch's gradient and probabilities are
     freed once the stack has stepped, so a step holds one gradient. Returns
     the stacked parameters, row k trained by specs[k], and one history per
-    spec; each run's weights and history are those it gets when trained
-    alone. Callers keep len(specs) within ``stack_size(config, batch_size)``.
+    spec (``pair`` empty); each run's weights and history are those it gets
+    when trained alone. Callers keep len(specs) within ``stack_size(config, batch_size)``.
 
     Epoch metrics: train_loss is the mean of the batch losses, train_accuracy
     aggregates training-mode predictions, and test metrics are ``evaluate`` of
@@ -317,8 +316,8 @@ def train_runs(
         raise ValidationError("train_runs needs at least one optimizer spec")
     params = init_parameters(config, embedding, derive_rng(seed, "init")).stacked(len(specs))
     steppers = [make_optimizer(spec, params.flat.shape[1]) for spec in specs]
-    histories = [TrainingHistory(pair=pair_id, optimizer=spec.kind,
-                                 learning_rate=spec.learning_rate, seed=seed) for spec in specs]
+    histories = [TrainingHistory(optimizer=spec.kind, learning_rate=spec.learning_rate, seed=seed)
+                 for spec in specs]
     dropout = config.spatial_dropout_rate > 0 or config.dropout_rate > 0
     n = data.train_x.shape[0]
     starts = range(0, n, batch_size)
@@ -363,11 +362,9 @@ def train(
     epochs: int = 20,
     batch_size: int = 32,
     seed: int = 7,
-    pair_id: str = "",
 ) -> Tuple[ModelParameters, TrainingHistory]:
     """One run: ``train_runs`` with a single spec."""
-    params, (history,) = train_runs(data, embedding, config, [spec],
-                                    epochs, batch_size, seed, pair_id)
+    params, (history,) = train_runs(data, embedding, config, [spec], epochs, batch_size, seed)
     return params.run(0), history
 
 
@@ -379,7 +376,6 @@ def _stacked_histories(
     epochs: int,
     batch_size: int,
     seed: int,
-    pair_id: str = "",
     test: bool = True,
 ) -> List[TrainingHistory]:
     """The histories of specs, trained in order as stacks of ``stack_size`` runs."""
@@ -389,7 +385,7 @@ def _stacked_histories(
     for start in range(0, len(specs), k):
         # bind no name to a stack's parameters, so they are freed before the next stack
         histories += train_runs(data, embedding, config, specs[start:start + k],
-                                epochs, batch_size, seed, pair_id, test)[1]
+                                epochs, batch_size, seed, test)[1]
     return histories
 
 
@@ -495,16 +491,20 @@ def optimizer_sweep(
 
     pairs is a sequence of (pair_id, embedding_matrix). Every cell runs at
     the same learning rate so that rows differ only in update rule and
-    embedding. Returns one history per cell, pair-major, in input order.
-    Runs that diverge keep their partial history and are flagged, not
-    dropped.
+    embedding. Returns one history per cell, pair-major, in input order,
+    each with ``pair`` set to its pair_id. Runs that diverge keep their
+    partial history and are flagged, not dropped.
     """
     if not pairs:
         raise ValidationError("sweep needs at least one embedding pair")
     check_sweep_cells(kinds, [pair_id for pair_id, _ in pairs])
     specs = [OptimizerSpec(kind=kind, learning_rate=learning_rate) for kind in kinds]
-    return [h for pair_id, emb in pairs
-            for h in _stacked_histories(data, emb, config, specs, epochs, batch_size, seed, pair_id)]
+    histories: List[TrainingHistory] = []
+    for pair_id, emb in pairs:
+        for h in _stacked_histories(data, emb, config, specs, epochs, batch_size, seed):
+            h.pair = pair_id
+            histories.append(h)
+    return histories
 
 
 _HISTORY_COLUMNS = [

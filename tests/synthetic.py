@@ -42,7 +42,7 @@ def token_determined_examples(n=600, max_len=12, vocab=30, seed=11):
 def synthetic_dataset(n=600, max_len=12, vocab=30, seed=11, train_fraction=0.9):
     examples = token_determined_examples(n=n, max_len=max_len, vocab=vocab, seed=seed)
     train, test = split_train_test(examples, train_fraction, seed)
-    return SplitDataset.from_examples(train, test)
+    return SplitDataset.from_examples(train, test, max_len)
 
 
 def random_embedding(vocab=30, dim=10, scale=0.5, seed=11):

@@ -429,7 +429,7 @@ class TestAcceptance:
                 ("a+b", fusion.build_fused_matrix(ds.dicts, table_a, table_b).matrix),
                 ("b+a", fusion.build_fused_matrix(ds.dicts, table_b, table_a).matrix),
             ]
-            data = SplitDataset.from_examples(ds.train, ds.test)
+            data = SplitDataset.from_examples(ds.train, ds.test, ds.max_len)
             config = ModelConfig(max_len=16, emb_dim=4, lstm_units=6, gru_units=4,
                                  spatial_dropout_rate=0.0, dropout_rate=0.0, seed=7)
 

@@ -618,7 +618,7 @@ class TestPreparedPipeline:
         capsys.readouterr()
         with open(pipeline_dir["dataset"], "r", encoding="utf-8", newline="") as fh:
             ds = corpus.read_dataset(fh)
-        data = optim.SplitDataset.from_examples(ds.train, ds.test)
+        data = optim.SplitDataset.from_examples(ds.train, ds.test, ds.max_len)
         with open(ckpt, "rb") as fh:
             params, config = model.load_checkpoint(fh)
         probs, _ = model.forward(data.train_x, params, config, training=False)
@@ -753,7 +753,7 @@ class TestPreparedPipeline:
         config = model.ModelConfig(max_len=ds.max_len, emb_dim=matrix.shape[1],
                                    lstm_units=6, gru_units=4, spatial_dropout_rate=0.0,
                                    dropout_rate=0.0, seed=3)
-        data = optim.SplitDataset.from_examples(ds.train, ds.test)
+        data = optim.SplitDataset.from_examples(ds.train, ds.test, ds.max_len)
         best, _ = optim.lr_range_search(data, matrix, config, "sgd", batch_size=8, seed=3)
         assert f"shared lr from sgd range search on glove+fasttext: {best!r}" in out.splitlines()
         with open(os.path.join(out_dir, "histories.csv"), newline="") as fh:
@@ -839,6 +839,31 @@ class TestPreparedPipeline:
         assert code == 0, err
         assert err == ""
         assert "split=test examples=4 loss=nan" in out
+
+    def test_empty_test_split_trains_and_evaluates_to_nan(self, capsys, tmp_path):
+        dataset, fused = str(tmp_path / "d.ds"), str(tmp_path / "f.bin")
+        ckpt, hist = str(tmp_path / "m.ckpt"), str(tmp_path / "h.csv")
+        code, out, err = run(capsys, "prepare",
+                             "--csv", os.path.join(FIXTURES, "reviews_50.csv"),
+                             "--out", dataset, "--train-fraction", "0.99", "--max-len", "16")
+        assert code == 0, err
+        assert "split: train=40 test=0" in out
+        assert dispatch(["fuse", "--emb1", glove_a() + ":glove",
+                         "--emb2", fasttext_b() + ":fasttext",
+                         "--dataset", dataset, "--out", fused]) == 0
+        code, out, err = run_without_warnings(
+            capsys, "train", "--dataset", dataset, "--fused", fused, "--optimizer", "sgd",
+            "--lr", "0.05", "--epochs", "2", "--batch", "8", "--out", ckpt,
+            "--history", hist, *TINY_MODEL)
+        assert (code, err) == (0, "")
+        with open(hist, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(row["test_loss"] == row["test_accuracy"] == "nan" for row in rows)
+        code, out, err = run_without_warnings(capsys, "eval", "--dataset", dataset,
+                                              "--ckpt", ckpt, "--split", "test")
+        assert (code, err) == (0, "")
+        assert "split=test examples=0 loss=nan accuracy=nan" in out
 
     def test_sweep_with_diverging_cells_prints_no_warnings(self, capsys, pipeline_dir):
         manifest = str(pipeline_dir["root"] / "pairs_diverge.csv")

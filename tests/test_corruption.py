@@ -277,10 +277,10 @@ def test_flag_invocation_is_valid_as_given(capsys, tmp_path, flag_inputs, comman
 
 
 @pytest.mark.parametrize("command,opt,value,route", FLAG_CASES, ids=[
-    f"{command}{opt.flags[0]}={value}-{route}" for command, opt, value, route in FLAG_CASES])
+    f"{command}{opt.flag}={value}-{route}" for command, opt, value, route in FLAG_CASES])
 def test_out_of_range_flag_value_ends_in_exit_0_or_one_error_line(
         capsys, tmp_path, heavy_calls, flag_inputs, command, opt, value, route):
-    flag = opt.flags[0]
+    flag = opt.flag
     argv = flag_argv(command, flag_inputs, str(tmp_path))
     if flag in argv:
         at = argv.index(flag)
@@ -317,7 +317,7 @@ def test_bad_text_flag_fails_before_any_table_parse(
     if route == "flag":
         argv.append(f"{flag}={text}")
     else:
-        dest = next(opt.dest for opt in _COMMANDS[command].opts if flag in opt.flags)
+        dest = next(opt.dest for opt in _COMMANDS[command].opts if flag == opt.flag)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({dest: text}))
         argv += ["--config", str(config)]

@@ -916,6 +916,15 @@ class TestFlatPacking:
         assert to_flat(params, config).size == n_weights
         assert "embedding" not in trainable_block_names(config)
 
+    def test_frozen_embedding_is_shared_and_weights_copied(self):
+        config = tiny_config(train_embedding=False)
+        _, _, emb = tiny_batch(config)
+        params = init_parameters(config, emb)
+        flat = to_flat(params, config)
+        new = from_flat(params, config, flat)
+        assert np.shares_memory(new.embedding, params.embedding)
+        assert not np.shares_memory(new.flat, flat)
+
     def test_wrong_length_rejected(self):
         config = tiny_config()
         _, _, emb = tiny_batch(config)
@@ -970,8 +979,10 @@ class TestEvaluatePredict:
         loss, acc = evaluate(np.zeros((0, config.max_len), dtype=int), np.zeros(0, dtype=int),
                              params, config)
         assert math.isnan(loss) and math.isnan(acc)
-        # an empty split's (0, 0) array has no time step, yet no rows to refuse either
-        assert predict_proba(np.zeros((0, 0), dtype=int), params, config).shape == (0, 3)
+        # a (0, 0) array has no time step, so it is refused like any such batch
+        with pytest.raises(ValidationError, match="at least one time step") as exc:
+            predict_proba(np.zeros((0, 0), dtype=int), params, config)
+        assert exc.value.code == "shape-mismatch"
 
     def test_a_batch_that_is_not_2d_is_refused_even_empty(self):
         config = tiny_config()

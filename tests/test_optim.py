@@ -348,7 +348,8 @@ class TestTrainRuns:
 
     def test_needs_a_spec(self, tiny_dataset, tiny_embedding):
         with pytest.raises(ValidationError):
-            train_runs(tiny_dataset, tiny_embedding, small_config(), [])
+            train_runs(tiny_dataset, tiny_embedding, small_config(), [],
+                       epochs=2, batch_size=16, seed=5)
 
     def test_diverged_run_stays_in_the_one_stack(self, tiny_dataset, tiny_embedding,
                                                  monkeypatch):
@@ -495,15 +496,16 @@ class TestSplitDataset:
         train_ex = [types.SimpleNamespace(indices=[0, 2, 3], label=1),
                     types.SimpleNamespace(indices=[4, 5, 6], label=2)]
         test_ex = [types.SimpleNamespace(indices=[7, 8, 9], label=0)]
-        data = SplitDataset.from_examples(train_ex, test_ex)
+        data = SplitDataset.from_examples(train_ex, test_ex, 3)
         assert data.train_x.tolist() == [[0, 2, 3], [4, 5, 6]]
         assert data.train_y.tolist() == [1, 2]
         assert data.test_x.tolist() == [[7, 8, 9]]
         assert data.test_y.dtype == np.int64
 
     def test_from_examples_empty_side(self):
-        data = SplitDataset.from_examples([], [])
-        assert data.train_x.shape[0] == 0 and data.test_y.shape[0] == 0
+        data = SplitDataset.from_examples([], [], 3)
+        assert data.train_x.shape == data.test_x.shape == (0, 3)
+        assert data.train_y.shape == data.test_y.shape == (0,)
 
 
 class TestLrRangeSearch:
@@ -599,10 +601,11 @@ class TestHistoryCsv:
         config = small_config()
         _, ok = train(tiny_dataset, tiny_embedding, config,
                       OptimizerSpec(kind="adam", learning_rate=0.01),
-                      epochs=2, batch_size=16, seed=5, pair_id="pair-a")
+                      epochs=2, batch_size=16, seed=5)
         _, bad = train(tiny_dataset, tiny_embedding, config,
                        OptimizerSpec(kind="sgd", learning_rate=1e307),
-                       epochs=2, batch_size=16, seed=5, pair_id="pair-b")
+                       epochs=2, batch_size=16, seed=5)
+        ok.pair, bad.pair = "pair-a", "pair-b"
         fh = io.StringIO()
         write_history_csv([ok, bad], fh)
         back = read_history_csv(io.StringIO(fh.getvalue()))
@@ -619,7 +622,9 @@ class TestHistoryCsv:
         specs = [OptimizerSpec(kind="adam", learning_rate=0.01),
                  OptimizerSpec(kind="sgd", learning_rate=1e307)]
         _, histories = train_runs(tiny_dataset, tiny_embedding, small_config(), specs,
-                                  epochs=2, batch_size=16, seed=5, pair_id="pair-a")
+                                  epochs=2, batch_size=16, seed=5)
+        for h in histories:
+            h.pair = "pair-a"
         assert [h.diverged for h in histories] == [False, True]
         fh = io.StringIO()
         write_history_csv(histories, fh)
