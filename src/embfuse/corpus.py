@@ -54,7 +54,11 @@ class CorpusDictionaries:
 
     dict_words: Dict[str, int]
     lemma_dict: Dict[str, str]
-    vocab_size: int
+
+    @property
+    def vocab_size(self) -> int:
+        """Rows of an embedding over this dictionary: its words plus padding and unknown."""
+        return len(self.dict_words) + 2
 
 
 @dataclass
@@ -68,8 +72,11 @@ class FilterReport:
     place: str
     kept: int
     total: int
-    share: float
     tied: bool = False
+
+    @property
+    def share(self) -> float:
+        return self.kept / self.total
 
 
 def _normalize_header(name: str) -> str:
@@ -155,7 +162,6 @@ def filter_dominant_place(records: Sequence[ReviewRecord]) -> Tuple[List[ReviewR
         place=modal,
         kept=len(kept),
         total=len(records),
-        share=len(kept) / len(records),
         tied=len(modal_names) > 1,
     )
     return kept, report
@@ -283,14 +289,12 @@ def build_dictionaries(
         lemmatizer = default_lemmatize
     dict_words: Dict[str, int] = {}
     lemma_dict: Dict[str, str] = {}
-    next_index = 2
     for tokens in token_lists:
         for token in tokens:
             if token not in dict_words:
-                dict_words[token] = next_index
-                next_index += 1
+                dict_words[token] = len(dict_words) + 2
                 lemma_dict[token] = lemmatizer(token.lower())
-    return CorpusDictionaries(dict_words=dict_words, lemma_dict=lemma_dict, vocab_size=next_index)
+    return CorpusDictionaries(dict_words=dict_words, lemma_dict=lemma_dict)
 
 
 def encode_sequence(tokens: Sequence[str], dicts: CorpusDictionaries, max_len: int = MAX_LEN) -> List[int]:
@@ -485,7 +489,7 @@ def read_dataset(fh) -> PreparedDataset:
         line_no, line = next(lines, (0, ""))
     if len(dict_words) + 2 != vocab_size:
         raise ValidationError("word section does not match declared vocab_size")
-    dicts = CorpusDictionaries(dict_words, lemma_dict, vocab_size)
+    dicts = CorpusDictionaries(dict_words, lemma_dict)
 
     sections: Dict[str, List[EncodedExample]] = {"train": [], "test": []}
     current = line.strip().strip("[]") if line else ""

@@ -42,7 +42,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidUtf8Error, ValidationError
+from .errors import ValidationError
 
 _CHUNK = 1 << 16
 _BLOCK_ROWS = 4096
@@ -82,12 +82,11 @@ def iter_lines(source) -> Iterator[bytes]:
 
 
 def decode_line(raw: bytes, line_no: int, what: str = "line") -> str:
-    """A line decoded as UTF-8; an InvalidUtf8Error naming the line if it is not UTF-8."""
+    """A line decoded as UTF-8; a ValidationError naming the line and byte if it is not UTF-8."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InvalidUtf8Error(
-            f"{what} {line_no}: byte {exc.start + 1} is not valid UTF-8", exc) from None
+        raise ValidationError(f"{what} {line_no}: byte {exc.start + 1} is not valid UTF-8") from None
 
 
 def csv_rows(lines: Iterable[str], what: str) -> Iterator[Tuple[int, List[str]]]:
@@ -111,15 +110,16 @@ def csv_rows(lines: Iterable[str], what: str) -> Iterator[Tuple[int, List[str]]]
 class EmbeddingTable:
     """A parsed embedding: vocabulary, dense matrix, and cached column mean.
 
-    ``vocab`` maps each token to its row index in ``matrix``. A float32
-    matrix (as parsed from ``w2v-bin``) stays float32; any other is stored as
-    float64. ``mean`` is always float64: the arithmetic mean over all rows,
-    accumulated in float64 (zeros for an empty table). ``warnings`` collects
+    ``vocab`` maps each token to its row index in ``matrix``, which must be
+    2-D with one row per token (ValidationError ``dim-mismatch`` otherwise);
+    ``dim`` is its width. A float32 matrix (as parsed from ``w2v-bin``) stays
+    float32; any other is stored as float64. ``mean`` is always float64: the
+    arithmetic mean over all rows, accumulated in float64 (zeros for an empty
+    table). ``warnings`` collects
     non-fatal parse diagnostics such as duplicate tokens.
     """
 
     name: str
-    dim: int
     vocab: Dict[str, int]
     matrix: np.ndarray
     mean: np.ndarray
@@ -129,8 +129,19 @@ class EmbeddingTable:
         matrix = np.asarray(self.matrix)
         if matrix.dtype != np.float32:
             matrix = matrix.astype(np.float64, copy=False)
-        self.matrix = matrix.reshape(len(self.vocab), self.dim)
+        self.matrix = matrix
+        self._check_shape()
         self.mean = np.asarray(self.mean, dtype=np.float64).reshape(self.dim)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def _check_shape(self) -> None:
+        """Raise unless the matrix is 2-D with one row per vocab entry."""
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.vocab):
+            raise ValidationError(f"matrix shape {self.matrix.shape} != ({len(self.vocab)}, dim)",
+                                  "dim-mismatch")
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -143,10 +154,8 @@ class EmbeddingTable:
 
     def validate(self) -> None:
         """Check the structural invariants, raising on violation."""
+        self._check_shape()
         n = len(self.vocab)
-        if self.matrix.shape != (n, self.dim):
-            raise ValidationError(f"matrix shape {self.matrix.shape} != ({n}, {self.dim})",
-                                  "dim-mismatch")
         if sorted(self.vocab.values()) != list(range(n)):
             raise ValidationError("vocab indices are not a permutation of 0..n-1", "dim-mismatch")
         if n and not np.isfinite(self.matrix).all():
@@ -182,7 +191,7 @@ def _finish_table(name: str, dim: int, vocab: Dict[str, int], rows: bytearray, d
                 matrix[dst:dst + m] = matrix[src:src + m]
                 dst += m
         matrix = matrix[:dst]
-    return EmbeddingTable(name=name, dim=dim, vocab=vocab, matrix=matrix,
+    return EmbeddingTable(name=name, vocab=vocab, matrix=matrix,
                           mean=matrix.mean(axis=0, dtype=np.float64), warnings=warnings)
 
 

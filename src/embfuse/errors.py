@@ -6,10 +6,10 @@ a checkpoint) is a :class:`ValidationError` and exits 1, whatever its code.
 Exit 2 is left for the outcomes of valid input: ``all-diverged`` here and
 the CLI's ``io`` for a failing read or write.
 
-A class exists only where a caller tells it apart: ``InvalidUtf8Error`` is
-also a ``UnicodeDecodeError``, ``NonFiniteGradientError`` and
-``EmptySeriesError`` are caught by name, and ``AllDivergedError`` carries its
-probe table. Any other fault is ``ValidationError(message, code)``.
+A class exists only where a caller tells it apart: ``NonFiniteGradientError``
+and ``EmptySeriesError`` are caught by name, and ``AllDivergedError`` carries
+its probe table. Any other fault, a line that is not UTF-8 among them, is
+``ValidationError(message, code)``.
 """
 from __future__ import annotations
 
@@ -33,21 +33,6 @@ class ValidationError(EmbfuseError):
 
     code = "invalid"
     exit_code = 1
-
-
-class InvalidUtf8Error(ValidationError, UnicodeDecodeError):
-    """A line of text input that is not UTF-8.
-
-    Still a UnicodeDecodeError carrying the codec's details, so a caller
-    that catches the decode error keeps working.
-    """
-
-    def __init__(self, message: str, exc: UnicodeDecodeError):
-        UnicodeDecodeError.__init__(self, exc.encoding, exc.object, exc.start, exc.end, exc.reason)
-        self.message = message
-
-    def __str__(self) -> str:
-        return self.message
 
 
 class NonFiniteGradientError(ValidationError):

@@ -213,13 +213,8 @@ def fused_to_table(fused: FusedMatrix, dicts: CorpusDictionaries) -> EmbeddingTa
     vocab: Dict[str, int] = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
     for token, w in dicts.dict_words.items():
         vocab[token] = w
-    return EmbeddingTable(
-        name="fused",
-        dim=fused.dim,
-        vocab=vocab,
-        matrix=fused.matrix.copy(),
-        mean=fused.matrix.mean(axis=0) if len(fused.matrix) else np.zeros(fused.dim),
-    )
+    return EmbeddingTable(name="fused", vocab=vocab, matrix=fused.matrix.copy(),
+                          mean=fused.matrix.mean(axis=0))
 
 
 def matrix_from_table(table: EmbeddingTable, dicts: CorpusDictionaries) -> np.ndarray:

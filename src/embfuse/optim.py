@@ -415,8 +415,12 @@ def parse_lr_grid(text: str) -> List[float]:
 class LrProbe:
     learning_rate: float
     epoch_losses: List[float]
-    final_loss: float
     diverged: bool
+
+    @property
+    def final_loss(self) -> float:
+        """The last epoch's train loss; inf if the probe diverged."""
+        return math.inf if self.diverged else self.epoch_losses[-1]
 
 
 def lr_range_search(
@@ -441,8 +445,7 @@ def lr_range_search(
     if not rates:
         raise ValidationError("learning-rate grid is empty")
     specs = [OptimizerSpec(kind=optimizer_kind, learning_rate=lr) for lr in rates]
-    probes = [LrProbe(h.learning_rate, list(h.train_loss),
-                      math.inf if h.diverged else h.train_loss[-1], h.diverged)
+    probes = [LrProbe(h.learning_rate, list(h.train_loss), h.diverged)
               for h in _stacked_histories(data, embedding, config, specs, epochs, batch_size, seed,
                                           test=False)]
     best = min((p for p in probes if not p.diverged), key=lambda p: p.final_loss, default=None)

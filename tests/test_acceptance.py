@@ -144,8 +144,7 @@ def random_fusion_instance(rng, dyadic=False):
     lemma_dict = {display[i]: (base[i][:-1] if len(base[i]) > 2 and rng.random() < 0.3
                                else display[i])
                   for i in range(vocab_n)}
-    dicts = corpus.CorpusDictionaries(dict_words=dict_words, lemma_dict=lemma_dict,
-                                      vocab_size=vocab_n + 2)
+    dicts = corpus.CorpusDictionaries(dict_words=dict_words, lemma_dict=lemma_dict)
     dim = int(rng.integers(1, 9))
 
     def table(name):
@@ -159,8 +158,7 @@ def random_fusion_instance(rng, dyadic=False):
             matrix = rng.integers(-64, 65, size=(n, dim)) / 8.0
         else:
             matrix = rng.normal(size=(n, dim))
-        return EmbeddingTable(name=name, dim=dim, vocab=vocab, matrix=matrix,
-                              mean=matrix.mean(axis=0))
+        return EmbeddingTable(name=name, vocab=vocab, matrix=matrix, mean=matrix.mean(axis=0))
 
     return dicts, table("t1"), table("t2")
 
@@ -187,8 +185,8 @@ class TestAcceptance:
                 dicts, t1, t2 = random_fusion_instance(rng, dyadic=True)
                 c = float(rng.integers(-64, 65)) / 8.0
                 moved = t2.matrix + c
-                shifted = EmbeddingTable(name=t2.name, dim=t2.dim, vocab=dict(t2.vocab),
-                                         matrix=moved, mean=moved.mean(axis=0))
+                shifted = EmbeddingTable(name=t2.name, vocab=dict(t2.vocab), matrix=moved,
+                                         mean=moved.mean(axis=0))
                 a = fusion.build_fused_matrix(dicts, t1, t2)
                 b = fusion.build_fused_matrix(dicts, t1, shifted)
                 assert np.array_equal(a.matrix, b.matrix), trial
@@ -469,7 +467,7 @@ class TestAcceptance:
                 n = int(rng.integers(1, 15))
                 vocab = {f"word{k}": k for k in range(n)}
                 matrix = rng.normal(size=(n, dim))
-                table = EmbeddingTable(name="t", dim=dim, vocab=vocab, matrix=matrix,
+                table = EmbeddingTable(name="t", vocab=vocab, matrix=matrix,
                                        mean=matrix.mean(axis=0))
                 payload = write_word2vec_binary(table)
                 back = parse_embedding(io.BytesIO(payload), "w2v-bin", name="t")

@@ -127,16 +127,16 @@ class TestHistoryChart:
 
 class TestLrChart:
     def test_diverged_probes_excluded(self):
-        probes = [LrProbe(1e-4, [1.0, 0.9, 0.8], 0.8, False),
-                  LrProbe(1e-3, [0.9, 0.6, 0.4], 0.4, False),
-                  LrProbe(1e-2, [], math.inf, True)]
+        probes = [LrProbe(1e-4, [1.0, 0.9, 0.8], False),
+                  LrProbe(1e-3, [0.9, 0.6, 0.4], False),
+                  LrProbe(1e-2, [], True)]
         svg = lr_chart(probes, title="range test")
         assert svg.count("<polyline") == 1
         assert "inf" not in svg
 
     def test_too_few_surviving_probes(self):
-        probes = [LrProbe(1e-4, [1.0], 1.0, False),
-                  LrProbe(1e-2, [], math.inf, True)]
+        probes = [LrProbe(1e-4, [1.0], False),
+                  LrProbe(1e-2, [], True)]
         with pytest.raises(EmptySeriesError):
             lr_chart(probes, title="t")
 
@@ -153,8 +153,8 @@ PINNED = {
         "2bb663c8ab0b497b497bfd87d948b0e748aa7c2b147fe37d82557408fd6cd262"),
     "lr": (
         lambda: lr_chart(
-            [LrProbe(1e-4, [1.0, 0.9], 0.9, False), LrProbe(1e-3, [0.9, 0.6], 0.6, False),
-             LrProbe(1e-2, [0.8, 0.3], 0.3, False), LrProbe(1e-1, [], math.inf, True)],
+            [LrProbe(1e-4, [1.0, 0.9], False), LrProbe(1e-3, [0.9, 0.6], False),
+             LrProbe(1e-2, [0.8, 0.3], False), LrProbe(1e-1, [], True)],
             title="adam learning-rate search"),
         "2d211b88cf071437fb57098dceb144ff69a06647d98ddcc5110210686412557c"),
     "escaped": (

@@ -26,7 +26,6 @@ def make_table(tokens, matrix, name="t"):
     vocab = {tok: i for i, tok in enumerate(tokens)}
     return EmbeddingTable(
         name=name,
-        dim=matrix.shape[1],
         vocab=vocab,
         matrix=matrix,
         mean=matrix.mean(axis=0),
@@ -263,7 +262,7 @@ class TestTableOps:
         assert glove.matrix.dtype == fasttext.matrix.dtype == np.float64
         for table in (w2v, glove, fasttext):
             assert table.mean.dtype == np.float64
-        half = EmbeddingTable("h", 2, {"a": 0}, np.ones((1, 2), dtype=np.float16), np.ones(2))
+        half = EmbeddingTable("h", {"a": 0}, np.ones((1, 2), dtype=np.float16), np.ones(2))
         assert half.matrix.dtype == np.float64
 
     def test_float32_mean_is_the_widened_mean(self):
@@ -288,6 +287,19 @@ class TestTableOps:
     def test_validate_catches_bad_indices(self):
         table = make_table(["a", "b"], [[1.0], [2.0]])
         table.vocab["b"] = 5
+        with pytest.raises(ValidationError) as exc:
+            table.validate()
+        assert exc.value.code == "dim-mismatch"
+
+    def test_matrix_must_give_one_row_to_each_token(self):
+        vocab = {"a": 0, "b": 1}
+        for matrix in (np.ones(4), np.ones((3, 2)), np.ones((2, 2, 1)), np.ones((1, 4))):
+            with pytest.raises(ValidationError) as exc:
+                EmbeddingTable("t", vocab, matrix, np.zeros(2))
+            assert exc.value.code == "dim-mismatch"
+            assert str(exc.value) == f"matrix shape {matrix.shape} != (2, dim)"
+        table = make_table(["a", "b"], [[1.0], [2.0]])
+        table.matrix = np.ones(2)
         with pytest.raises(ValidationError) as exc:
             table.validate()
         assert exc.value.code == "dim-mismatch"
@@ -522,8 +534,9 @@ class TestErrorsDeepInFile:
     def test_first_error_wins_across_a_block(self):
         data = self.glove_bytes(5200, "bad 1 2 3")
         data = data.replace(b"\nw4100 ", b"\nw4100 \xff", 1)  # invalid UTF-8 earlier in the block
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValidationError) as exc:
             parse_glove_text(data)
+        assert str(exc.value).startswith("line 4100: ")
 
     def w2v_bytes(self, nan_record=None):
         values = np.arange(2 * self.N, dtype="<f4").reshape(self.N, 2)

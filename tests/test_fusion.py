@@ -22,7 +22,6 @@ def make_table(tokens, matrix, name="t"):
     matrix = np.asarray(matrix, dtype=np.float64)
     return EmbeddingTable(
         name=name,
-        dim=matrix.shape[1],
         vocab={tok: i for i, tok in enumerate(tokens)},
         matrix=matrix,
         mean=matrix.mean(axis=0),
@@ -33,7 +32,7 @@ def dicts_for(tokens, lemmas=None):
     lemmas = lemmas or {}
     dict_words = {tok: i + 2 for i, tok in enumerate(tokens)}
     lemma_dict = {tok: lemmas.get(tok, tok.lower()) for tok in tokens}
-    return CorpusDictionaries(dict_words, lemma_dict, len(tokens) + 2)
+    return CorpusDictionaries(dict_words, lemma_dict)
 
 
 # --- independent scalar reference ---
@@ -267,7 +266,7 @@ class TestBuildFusedMatrix:
     def test_empty_dictionary_rejected(self):
         t = make_table(["a"], [[1.0]])
         with pytest.raises(ValidationError) as exc:
-            build_fused_matrix(CorpusDictionaries({}, {}, 2), t, t)
+            build_fused_matrix(CorpusDictionaries({}, {}), t, t)
         assert exc.value.code == "empty-dictionaries"
 
     @pytest.mark.parametrize("fill", [float("nan"), float("inf"), -float("inf")])
@@ -318,7 +317,7 @@ class TestFloat32Table:
         words2 = [f"w{k}" for k in range(6, 18)]
         t1 = parse_word2vec_binary(write_word2vec_binary(
             make_table(words1, rng.normal(size=(len(words1), 5)) * 1e3)))
-        wide = EmbeddingTable(t1.name, t1.dim, t1.vocab, t1.matrix.astype(np.float64), t1.mean)
+        wide = EmbeddingTable(t1.name, t1.vocab, t1.matrix.astype(np.float64), t1.mean)
         t2 = make_table(words2, rng.normal(size=(len(words2), 5)))
         dicts = dicts_for([f"w{k}" for k in range(0, 20, 2)] + ["cap", "zzz"])
         return dicts, t1, wide, t2
@@ -337,7 +336,7 @@ class TestFloat32Table:
         payload = write_word2vec_binary(fused_to_table(fused, dicts))
         assert payload == write_word2vec_binary(fused_to_table(fused_wide, dicts))
         back = parse_word2vec_binary(payload)
-        back_wide = EmbeddingTable(back.name, back.dim, back.vocab,
+        back_wide = EmbeddingTable(back.name, back.vocab,
                                    back.matrix.astype(np.float64), back.mean)
         matrix = matrix_from_table(back, dicts)
         assert matrix.dtype == np.float64

@@ -586,8 +586,8 @@ class TestLrRangeSearch:
 
     def test_lr_table_format(self):
         from embfuse.optim import LrProbe
-        probes = [LrProbe(1e-3, [1.0, 0.5], 0.5, False),
-                  LrProbe(1e300, [], math.inf, True)]
+        probes = [LrProbe(1e-3, [1.0, 0.5], False),
+                  LrProbe(1e300, [], True)]
         fh = io.StringIO()
         write_lr_table(probes, fh)
         lines = fh.getvalue().splitlines()
