@@ -33,13 +33,15 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Opt:
-    """One option; a flag with no leading dash is positional, and a bool one is a switch."""
+    """One option; a flag with no leading dash is positional, a bool one is a switch,
+    and one that ``reads`` names a file the command reads."""
     flag: str
     type: Callable[[str], Any] = str
     default: Any = None
     help: str = ""
     required: bool = False
     choices: Optional[Tuple[str, ...]] = None
+    reads: bool = False
 
     @property
     def dest(self) -> str:  # the option's config key and argparse dest
@@ -100,15 +102,17 @@ class _Command:
 
 
 _MODEL_OPTS = [
-    _Opt("--lstm-units", int, 512, "units per LSTM direction"),
-    _Opt("--gru-units", int, 256, "units per GRU direction"),
-    _Opt("--spatial-dropout", float, 0.2, "embedding channel dropout rate"),
-    _Opt("--dropout", float, 0.3, "dropout rate after each recurrent layer"),
+    _Opt("--lstm-units", int, model.ModelConfig.lstm_units, "units per LSTM direction"),
+    _Opt("--gru-units", int, model.ModelConfig.gru_units, "units per GRU direction"),
+    _Opt("--spatial-dropout", float, model.ModelConfig.spatial_dropout_rate,
+         "embedding channel dropout rate"),
+    _Opt("--dropout", float, model.ModelConfig.dropout_rate,
+         "dropout rate after each recurrent layer"),
 ]
 
 _TRAIN_COMMON = [
-    _Opt("--dataset", str, help="prepared dataset file", required=True),
-    _Opt("--fused", str, help="fused embedding file (binary)", required=True),
+    _Opt("--dataset", str, help="prepared dataset file", required=True, reads=True),
+    _Opt("--fused", str, help="fused embedding file (binary)", required=True, reads=True),
     _Opt("--batch", int, 32, "mini-batch size"),
     _Opt("--seed", int, 7, "seed for init, shuffling and dropout"),
 ]
@@ -184,6 +188,19 @@ def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
             raise ValidationError(f"{opt.flag} must be one of {', '.join(opt.choices)}", "usage")
         merged[opt.dest] = value
     return merged
+
+
+def _check_outputs(command: str, opts: Dict[str, Any], config: Optional[str]) -> None:
+    """Refuse an output file that an input or an earlier output of the command also names."""
+    named = {os.path.realpath(config): "--config"} if config else {}  # real path -> first flag
+    for opt in sorted(_COMMANDS[command].opts, key=lambda o: o.type is _out_path):
+        path = opts[opt.dest]
+        if path is None or not (opt.reads or opt.type is _out_path):
+            continue
+        real = os.path.realpath(path[0] if isinstance(path, tuple) else path)  # PATH:FORMAT
+        if opt.type is _out_path and real in named:
+            raise ValidationError(f"{opt.flag} names the same file as {named[real]}: {path}")
+        named.setdefault(real, opt.flag)
 
 
 def _require_file(path: str, what: str) -> str:
@@ -467,6 +484,11 @@ def _run_eval(opts: Dict[str, Any]) -> None:
     _require_file(opts["ckpt"], "checkpoint")
     with open(opts["ckpt"], "rb") as fh:
         params, config = model.load_checkpoint(fh)
+    rows = len(params.embedding)
+    if ds.dicts.vocab_size != rows or ds.max_len != config.max_len:
+        raise ValidationError(
+            f"dataset (vocab_size {ds.dicts.vocab_size}, max_len {ds.max_len}) does not fit the "
+            f"checkpoint (embedding rows {rows}, max_len {config.max_len})", "dim-mismatch")
     data = optim.SplitDataset.from_examples(ds.train, ds.test, ds.max_len)
     x, y = (data.train_x, data.train_y) if opts["split"] == "train" else (data.test_x, data.test_y)
     probs = model.predict_proba(x, params, config)
@@ -521,24 +543,27 @@ def _run_report(opts: Dict[str, Any]) -> None:
 # every command, in the order --help lists them
 _COMMANDS: Dict[str, _Command] = {
     "inspect": _Command("parse an embedding file and print its stats", [
-        _Opt("file", str, help="embedding file to inspect", required=True),
+        _Opt("file", str, help="embedding file to inspect", required=True, reads=True),
         _Opt("--format", str, help="file format", required=True, choices=FORMATS),
     ], _run_inspect),
     "prepare": _Command("build an encoded dataset from a review CSV", [
-        _Opt("--csv", str, help="review CSV to ingest", required=True),
+        _Opt("--csv", str, help="review CSV to ingest", required=True, reads=True),
         _Opt("--out", _out_path, help="dataset file to write", required=True),
         _Opt("--seed", int, 0, "seed for the train/test split"),
         _Opt("--buckets", corpus.parse_buckets, corpus.DEFAULT_BUCKETS,
              "star buckets as bad/neutral/good"),
         _Opt("--no-title", bool, False, "ignore the review title column"),
-        _Opt("--max-len", int, 60, "encoded sequence length"),
+        _Opt("--max-len", int, corpus.MAX_LEN, "encoded sequence length"),
         _Opt("--train-fraction", float, 0.9, "share of examples in train"),
-        _Opt("--lemma-table", str, help="token<TAB>lemma file replacing the built-in lemmatizer"),
+        _Opt("--lemma-table", str, help="token<TAB>lemma file replacing the built-in lemmatizer",
+             reads=True),
     ], _run_prepare),
     "fuse": _Command("fuse two embedding tables over a dataset vocabulary", [
-        _Opt("--emb1", _split_emb_arg, help="first table as PATH:FORMAT", required=True),
-        _Opt("--emb2", _split_emb_arg, help="second table as PATH:FORMAT", required=True),
-        _Opt("--dataset", str, help="prepared dataset file", required=True),
+        _Opt("--emb1", _split_emb_arg, help="first table as PATH:FORMAT", required=True,
+             reads=True),
+        _Opt("--emb2", _split_emb_arg, help="second table as PATH:FORMAT", required=True,
+             reads=True),
+        _Opt("--dataset", str, help="prepared dataset file", required=True, reads=True),
         _Opt("--out", _out_path, help="fused embedding file to write", required=True),
         _Opt("--report", _out_path, help="branch-count CSV to write"),
         _Opt("--unknown-fill", float, 0.0, "value for rows of unknown words"),
@@ -561,8 +586,8 @@ _COMMANDS: Dict[str, _Command] = {
         _Opt("--history", _out_path, help="per-epoch metrics CSV to write"),
     ], _run_train),
     "sweep": _Command("train every optimizer on every embedding pair", [
-        _Opt("--dataset", str, help="prepared dataset file", required=True),
-        _Opt("--pairs", str, help="manifest CSV with pair,path rows", required=True),
+        _Opt("--dataset", str, help="prepared dataset file", required=True, reads=True),
+        _Opt("--pairs", str, help="manifest CSV with pair,path rows", required=True, reads=True),
         _Opt("--optimizers", _kind_list, optim.OPTIMIZER_KINDS, "comma-separated update rules"),
         _Opt("--lr", float, help="learning rate shared by every cell (default: sgd range search)"),
         _Opt("--epochs", int, 20, "training epochs per cell"),
@@ -571,12 +596,12 @@ _COMMANDS: Dict[str, _Command] = {
         _Opt("--out-dir", _out_dir, help="directory for histories.csv and charts", required=True),
     ] + _MODEL_OPTS, _run_sweep),
     "eval": _Command("score a checkpoint on a dataset split", [
-        _Opt("--dataset", str, help="prepared dataset file", required=True),
-        _Opt("--ckpt", str, help="checkpoint to evaluate", required=True),
+        _Opt("--dataset", str, help="prepared dataset file", required=True, reads=True),
+        _Opt("--ckpt", str, help="checkpoint to evaluate", required=True, reads=True),
         _Opt("--split", str, "test", "which split to score", choices=("train", "test")),
     ], _run_eval),
     "report": _Command("re-render charts and summaries from a history CSV", [
-        _Opt("--history", str, help="history CSV from train or sweep", required=True),
+        _Opt("--history", str, help="history CSV from train or sweep", required=True, reads=True),
         _Opt("--out-dir", _out_dir, help="directory for charts and summary.csv", required=True),
     ], _run_report),
 }
@@ -607,6 +632,7 @@ def dispatch(argv: Sequence[str]) -> int:
         parser = _build_parser(command)
         ns = parser.parse_args(list(argv[1:]))
         opts = _merge(command, ns)
+        _check_outputs(command, opts, ns.config)
         _COMMANDS[command].run(opts)
         return 0
     except SystemExit as exc:  # argparse --help

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .embedding_io import csv_rows, decode_line, iter_lines
+from .embedding_io import csv_rows, decode_line
 from .errors import ValidationError
 from .seeding import derive_rng
 
@@ -84,7 +84,7 @@ def _normalize_header(name: str) -> str:
 
 
 def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
-    """Load review records from a CSV byte stream.
+    """Load review records from a CSV binary file object.
 
     The header row must name the four collected columns (matched
     order-insensitively after lowercasing and whitespace collapsing); extra
@@ -93,7 +93,7 @@ def load_reviews_csv(stream) -> Tuple[List[ReviewRecord], int]:
 
     Returns (records, dropped_row_count).
     """
-    lines = (decode_line(raw, no, "CSV line") for no, raw in enumerate(iter_lines(stream), 1))
+    lines = (decode_line(raw, no, "CSV line") for no, raw in enumerate(stream, 1))
     rows = csv_rows(lines, "CSV line")
     try:
         _, header = next(rows)
@@ -256,9 +256,9 @@ def default_lemmatize(token: str) -> str:
 
 
 def load_lemma_table(stream) -> Dict[str, str]:
-    """Load a ``token TAB lemma`` lemma table exported from any NLP tool."""
+    """Load a ``token TAB lemma`` table, as any NLP tool exports, from a binary file object."""
     table: Dict[str, str] = {}
-    for line_no, raw in enumerate(iter_lines(stream), start=1):
+    for line_no, raw in enumerate(stream, start=1):
         line = decode_line(raw, line_no, "lemma table line").rstrip("\n").rstrip("\r")
         if not line:
             continue

@@ -13,11 +13,11 @@ A table's matrix keeps the width its values were decoded at: float32 for
 ``w2v-bin``, whose records store float32, and float64 for the text formats,
 which are parsed from decimal text. Its column mean is float64 for every
 format. Consumers widen a row to float64 before doing arithmetic on it.
-Parsing streams from a binary file object; a bytes object or an iterable of
-bytes chunks is also accepted. Text formats are read as the file's own lines
-and w2v-bin in chunks. Besides the output table, a parser holds one input
-chunk (or the one record that spans chunks, if longer) or one block of text
-lines (``_BLOCK_ROWS`` lines or about ``_BLOCK_BYTES``, whichever is less).
+Every parser reads one source, a binary file object: the text formats
+iterate its own lines, and w2v-bin reads its header line and then chunks of
+``_CHUNK`` bytes. Besides the output table, a parser holds one input chunk
+(or the one record that spans chunks, if longer) or one block of text lines
+(``_BLOCK_ROWS`` lines or about ``_BLOCK_BYTES``, whichever is less).
 Decoded rows are appended to one growing byte buffer, and the matrix is a
 view of that buffer, so no second matrix is built from them. A w2v-bin
 file's duplicate records are removed at the end by moving the rows after
@@ -35,7 +35,6 @@ number) are those of the line-by-line parser.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -49,15 +48,6 @@ _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 20
 
 
-def _chunks(source) -> Iterator[bytes]:
-    """Byte chunks of a binary file object, a bytes object or an iterable of bytes."""
-    if hasattr(source, "read"):
-        return iter(lambda: source.read(_CHUNK), b"")
-    if isinstance(source, (bytes, bytearray)):
-        return iter((bytes(source),))
-    return map(bytes, source)
-
-
 def _refill(chunks: Iterator[bytes], tail: bytes, need: int) -> Tuple[bytes, bool]:
     """``tail`` plus further chunks until it holds ``need`` bytes; True once the stream ends."""
     pieces = [tail]
@@ -68,17 +58,6 @@ def _refill(chunks: Iterator[bytes], tail: bytes, need: int) -> Tuple[bytes, boo
         if have >= need:
             return b"".join(pieces), False
     return b"".join(pieces), True
-
-
-def iter_lines(source) -> Iterator[bytes]:
-    """The lines of a byte source, each with its trailing newline where present.
-
-    A binary file object is iterated as it is; lines end at ``b"\\n"`` only,
-    so no UTF-8 character is ever split.
-    """
-    if hasattr(source, "read"):
-        return iter(source)
-    return iter(io.BytesIO(b"".join(_chunks(source))))
 
 
 def decode_line(raw: bytes, line_no: int, what: str = "line") -> str:
@@ -294,7 +273,8 @@ def _parse_text_lines(lines: Iterable[bytes], dim: Optional[int], first_line_no:
 
 
 def parse_glove_text(stream, name: str = "glove") -> EmbeddingTable:
-    """Parse headerless ``token c1 ... cd`` text (the GloVe distribution layout).
+    """Parse headerless ``token c1 ... cd`` text (the GloVe distribution layout)
+    from a binary file object.
 
     The vector length is fixed by the first line; duplicate tokens keep their
     first occurrence. Raises ValidationError with code ``empty-input`` on a
@@ -303,7 +283,7 @@ def parse_glove_text(stream, name: str = "glove") -> EmbeddingTable:
     components.
     """
     warnings: List[str] = []
-    rows = _parse_text_lines(iter_lines(stream), None, 1, warnings)
+    rows = _parse_text_lines(stream, None, 1, warnings)
     if rows.n_data == 0:
         raise ValidationError("no lines in input", "empty-input")
     return _finish_table(name, rows.dim, rows.vocab, rows.data, np.float64, warnings)
@@ -324,19 +304,19 @@ def _header(line: bytes) -> Tuple[int, int]:
 
 
 def parse_fasttext_text(stream, name: str = "fasttext") -> EmbeddingTable:
-    """Parse text with a leading ``vocab_size dim`` header (fastText .vec layout).
+    """Parse text with a leading ``vocab_size dim`` header (fastText .vec layout)
+    from a binary file object.
 
     The declared vocab_size is cross-checked against the actual data line
     count; a mismatch is recorded as a warning, not an error, since published
     files are sometimes trimmed.
     """
-    lines = iter_lines(stream)
-    header = next(lines, b"")
+    header = stream.readline()
     if not header:
         raise ValidationError("no lines in input", "empty-input")
     declared, dim = _header(header)
     warnings: List[str] = []
-    rows = _parse_text_lines(lines, dim, 2, warnings)
+    rows = _parse_text_lines(stream, dim, 2, warnings)
     if rows.n_data == 0:
         raise ValidationError("header but no vector lines", "empty-input")
     if rows.n_data != declared:
@@ -354,7 +334,8 @@ def _check_finite(rows: bytearray, dim: int, done: int) -> None:
 
 
 def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
-    """Parse the word2vec binary layout (the GoogleNews distribution format).
+    """Parse the word2vec binary layout (the GoogleNews distribution format)
+    from a binary file object.
 
     Header is ASCII ``vocab_size dim\\n``; each record is the token bytes, a
     single space, then dim little-endian float32 values, optionally followed
@@ -366,25 +347,21 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
     after the last declared record are not read but warned of as a count
     mismatch.
     """
-    chunks = _chunks(stream)
-    buf, eof = b"", False
-    while True:
-        nl = buf.find(b"\n")
-        if nl >= 0 or eof:
-            break
-        buf, eof = _refill(chunks, buf, 2 * len(buf) + 1)
-    if nl < 0:
+    header = stream.readline()
+    if not header.endswith(b"\n"):
         raise ValidationError("missing header line", "bad-header")
-    count, dim = _header(buf[:nl + 1])
+    count, dim = _header(header)
     if count == 0:
         raise ValidationError("header declares no records", "empty-input")
 
+    chunks = iter(lambda: stream.read(_CHUNK), b"")
+    buf, eof = b"", False
     vocab: Dict[str, int] = {}
     warnings: List[str] = []
     nbytes = 4 * dim
     rows = bytearray()  # every record's float bytes, duplicates included
     checked, dups = 0, []  # records checked for non-finite values; duplicate records' rows
-    pos, view = nl + 1, memoryview(buf)
+    pos, view = 0, memoryview(buf)
     error = None
     rec = 0
     while rec < count:
@@ -418,7 +395,7 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
     _check_finite(rows, dim, checked)
     if error is not None:
         raise error
-    if pos < len(buf) or _refill(chunks, b"", 1)[0]:
+    if pos < len(buf) or next(chunks, b""):
         warnings.append(f"count mismatch: header declares {count}, bytes follow record {count}")
     return _finish_table(name, dim, vocab, rows, "<f4", warnings, dups)
 
@@ -426,8 +403,9 @@ def parse_word2vec_binary(stream, name: str = "w2v") -> EmbeddingTable:
 def write_word2vec_binary(table: EmbeddingTable) -> bytes:
     """Serialize a table to the word2vec binary layout accepted above.
 
-    Floats are narrowed to little-endian float32. Tokens must not contain
-    whitespace bytes, which would corrupt the record framing.
+    Floats are narrowed to little-endian float32. A token holding a space or
+    a newline byte, the two bytes that frame a record, is refused; other
+    whitespace is written as it is.
     """
     table.validate()
     out = bytearray()
@@ -453,7 +431,7 @@ FORMATS = tuple(_PARSERS)
 
 
 def parse_embedding(stream, fmt: str, name: str = "") -> EmbeddingTable:
-    """Dispatch to the parser for ``fmt`` (one of FORMATS)."""
+    """Parse a binary file object with the parser for ``fmt`` (one of FORMATS)."""
     if fmt not in _PARSERS:
         raise ValidationError(f"unknown embedding format {fmt!r}; expected one of {', '.join(FORMATS)}")
     return _PARSERS[fmt](stream, name or fmt)

@@ -1,6 +1,8 @@
 """End-to-end command-line tests driven through dispatch()."""
 import csv
+import json
 import os
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -989,6 +991,53 @@ class TestFlagsBeforeTables:
         assert calls == {"parse_embedding": 0, "lr_range_search": 0}
         assert trained == []
 
+    @pytest.mark.parametrize("case", [
+        "prepare-out-is-csv", "prepare-out-is-lemma-table", "fuse-out-is-dataset",
+        "fuse-report-is-emb1", "fuse-report-is-out", "lr-find-svg-is-fused", "lr-find-svg-is-out",
+        "train-history-is-out", "train-out-is-config"])
+    def test_output_naming_a_file_of_another_flag_is_refused(self, capsys, calls, pipeline_dir,
+                                                             tmp_path, case):
+        ds, fused = tmp_path / "d.ds", tmp_path / "f.bin"
+        glove, csv_in, lemmas = tmp_path / "a.txt", tmp_path / "r.csv", tmp_path / "l.tsv"
+        for src, dst in ((pipeline_dir["dataset"], ds), (pipeline_dir["fused"], fused),
+                         (glove_a(), glove), (os.path.join(FIXTURES, "reviews_50.csv"), csv_in)):
+            shutil.copyfile(src, dst)
+        lemmas.write_bytes(b"went\tgo\n")
+        (tmp_path / "sub").mkdir()
+        same = str(tmp_path / "sub" / ".." / "x.out")  # resolves to x.out
+        ckpt, config = tmp_path / "m.ckpt", tmp_path / "c.json"
+        config.write_text(json.dumps({"out": str(config)}))
+        prepare = ["prepare", "--csv", str(csv_in)]
+        fuse = ["fuse", "--emb1", f"{glove}:glove", "--emb2", fasttext_b() + ":fasttext",
+                "--dataset", str(ds)]
+        lr_find = ["lr-find", "--dataset", str(ds), "--fused", str(fused), "--optimizer", "sgd",
+                   "--grid", "1e-3:1e-1:log3", "--epochs", "1", "--batch", "8", *TINY_MODEL]
+        train = ["train", "--dataset", str(ds), "--fused", str(fused), "--optimizer", "sgd",
+                 "--epochs", "1", "--batch", "8", *TINY_MODEL]
+        argv, flag, other, path = {
+            "prepare-out-is-csv": (prepare + ["--out", str(csv_in)], "--out", "--csv", csv_in),
+            "prepare-out-is-lemma-table": (prepare + ["--lemma-table", str(lemmas),
+                                                      "--out", str(lemmas)],
+                                           "--out", "--lemma-table", lemmas),
+            "fuse-out-is-dataset": (fuse + ["--out", str(ds)], "--out", "--dataset", ds),
+            "fuse-report-is-emb1": (fuse + ["--out", str(tmp_path / "o.bin"),
+                                            "--report", str(glove)], "--report", "--emb1", glove),
+            "fuse-report-is-out": (fuse + ["--out", str(tmp_path / "x.out"), "--report", same],
+                                   "--report", "--out", same),
+            "lr-find-svg-is-fused": (lr_find + ["--svg", str(fused)], "--svg", "--fused", fused),
+            "lr-find-svg-is-out": (lr_find + ["--out", str(tmp_path / "x.out"), "--svg", same],
+                                   "--svg", "--out", same),
+            "train-history-is-out": (train + ["--out", str(ckpt), "--history", str(ckpt)],
+                                     "--history", "--out", ckpt),
+            "train-out-is-config": (train + ["--config", str(config)], "--out", "--config", config),
+        }[case]
+        inputs = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        code, out, err = run_without_warnings(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"ERROR invalid: {flag} names the same file as {other}: {path}\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == inputs
+
     def test_sweep_repeated_pair_fails_before_any_table_parse(self, capsys, calls, pipeline_dir,
                                                               tmp_path):
         argv = self.argv("sweep-unknown", pipeline_dir, tmp_path)[:-2]
@@ -1207,11 +1256,6 @@ class TestBadInputExitsOne:
                     "--lr", "0.01", "--epochs", "1", "--out", str(tmp_path / "m.ckpt"),
                     *TINY_MODEL]
 
-        def short_embedding():
-            ckpt = resave(checkpoint, tmp_path / "short.ckpt",
-                          lambda a: a.update(embedding=a["embedding"][:3]))
-            return ["eval", "--dataset", ds, "--ckpt", ckpt]
-
         header = b"Name of the shop place,Title of the review,Review,Rate\n"
         return {
             "parse-float": lambda: inspect("glove", b"a 1 2\nb 3 x\n"),
@@ -1225,13 +1269,11 @@ class TestBadInputExitsOne:
             "empty-file": lambda: prepare(b""),
             "too-few-examples": lambda: prepare(header + b"S,T,good stay,5\n" * 3),
             "empty-dataset": empty_train_split,
-            "index-out-of-range": short_embedding,
         }[code]()
 
     @pytest.mark.parametrize("code", [
         "parse-float", "bad-header", "truncated-record", "empty-input", "dim-mismatch",
-        "missing-column", "empty-file", "too-few-examples", "empty-dataset",
-        "index-out-of-range"])
+        "missing-column", "empty-file", "too-few-examples", "empty-dataset"])
     def test_fault_exits_one_under_its_code(self, capsys, pipeline_dir, checkpoint, tmp_path,
                                             code):
         argv = self.argv(code, pipeline_dir, checkpoint, tmp_path)
@@ -1239,6 +1281,28 @@ class TestBadInputExitsOne:
         exit_code, out, err = run_without_warnings(capsys, *argv)
         assert exit_code == 1
         assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("case", ["no-title", "max-len", "short-embedding"])
+    def test_eval_refuses_a_dataset_that_does_not_fit_the_checkpoint(self, capsys, pipeline_dir,
+                                                                     checkpoint, tmp_path, case):
+        ds, ckpt = str(tmp_path / "d.ds"), checkpoint
+        prepare = ["prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv"), "--out", ds]
+        flags, shown = {  # the checkpoint fits a dataset of 61 words and max_len 16
+            "no-title": (["--max-len", "16", "--no-title"], "vocab_size 49, max_len 16"),
+            "max-len": (["--max-len", "12"], "vocab_size 61, max_len 12"),
+            "short-embedding": (["--max-len", "16"], "vocab_size 61, max_len 16"),
+        }[case]
+        assert dispatch(prepare + flags) == 0
+        rows = 61
+        if case == "short-embedding":
+            ckpt = resave(checkpoint, tmp_path / "short.ckpt",
+                          lambda a: a.update(embedding=a["embedding"][:3]))
+            rows = 3
+        capsys.readouterr()
+        code, out, err = run_without_warnings(capsys, "eval", "--dataset", ds, "--ckpt", ckpt)
+        assert (code, out) == (1, "")
+        assert err == (f"ERROR dim-mismatch: dataset ({shown}) does not fit the checkpoint "
+                       f"(embedding rows {rows}, max_len 16)\n")
 
     @pytest.mark.parametrize("name,edit,config_changes", [
         ("dense_b", lambda a: a.update(dense_b=np.zeros(5)), {}),

@@ -42,7 +42,7 @@ def record(place="P", title="T", text="some text", rate=4):
 class TestCsvLoader:
     def test_loads_all_columns(self):
         records, dropped = load_reviews_csv(
-            csv_bytes("Shop A,Great,Loved the tea,5")
+            io.BytesIO(csv_bytes("Shop A,Great,Loved the tea,5"))
         )
         assert dropped == 0
         assert records == [
@@ -54,7 +54,7 @@ class TestCsvLoader:
             "RATE, review ,  name OF the   shop place ,Title of the Review\n"
             "4,nice place,Shop B,ok\n"
         ).encode()
-        records, _ = load_reviews_csv(data)
+        records, _ = load_reviews_csv(io.BytesIO(data))
         assert records[0].place_name == "Shop B"
         assert records[0].rate == 4
         assert records[0].review_text == "nice place"
@@ -64,23 +64,23 @@ class TestCsvLoader:
             "id,Name of the shop place,Title of the review,Review,Rate,junk\n"
             "7,S,T,R,3,x\n"
         ).encode()
-        records, _ = load_reviews_csv(data)
+        records, _ = load_reviews_csv(io.BytesIO(data))
         assert records[0].rate == 3
 
     def test_missing_column_named_in_error(self):
         data = "Name of the shop place,Title of the review,Review\nS,T,R\n".encode()
         with pytest.raises(ValidationError) as exc:
-            load_reviews_csv(data)
+            load_reviews_csv(io.BytesIO(data))
         assert exc.value.code == "missing-column"
         assert "Rate" in str(exc.value)
 
     def test_empty_file_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            load_reviews_csv(b"")
+            load_reviews_csv(io.BytesIO(b""))
         assert exc.value.code == "empty-file"
 
     def test_bad_rows_dropped_and_counted(self):
-        records, dropped = load_reviews_csv(csv_bytes(
+        records, dropped = load_reviews_csv(io.BytesIO(csv_bytes(
             "S,T,fine,4",
             "S,T,fractional,4.5",
             "S,T,zero,0",
@@ -89,13 +89,13 @@ class TestCsvLoader:
             "S,T,,3",
             "S,T,   ,3",
             "S,T,integral float,3.0",
-        ))
+        )))
         assert dropped == 6
         assert [r.rate for r in records] == [4, 3]
 
     def test_quoted_commas_and_newlines(self):
         data = (HEADER + '"Shop, Inc",T,"line one\nline two",5\n').encode()
-        records, _ = load_reviews_csv(data)
+        records, _ = load_reviews_csv(io.BytesIO(data))
         assert records[0].place_name == "Shop, Inc"
         assert "line two" in records[0].review_text
 
@@ -187,14 +187,14 @@ class TestTokenizeAndLemma:
         assert default_lemmatize(token) == lemma
 
     def test_lemma_table_loader_and_lookup(self):
-        table = load_lemma_table(b"went\tgo\nbetter\tgood\n")
+        table = load_lemma_table(io.BytesIO(b"went\tgo\nbetter\tgood\n"))
         lemmatize = table_lemmatizer(table)
         assert lemmatize("went") == "go"
         assert lemmatize("unlisted") == "unlisted"
 
     def test_lemma_table_rejects_bad_line(self):
         with pytest.raises(ValidationError):
-            load_lemma_table(b"went go\n")
+            load_lemma_table(io.BytesIO(b"went go\n"))
 
 
 class TestDictionaries:

@@ -41,7 +41,7 @@ def random_table(rng, n_words, dim, name="t"):
 
 class TestGlove:
     def test_two_line_fixture_matches_expected_table(self):
-        table = parse_glove_text(b"a 1.0 2.0\nb 3.0 4.0\n")
+        table = parse_glove_text(io.BytesIO(b"a 1.0 2.0\nb 3.0 4.0\n"))
         assert table.dim == 2
         assert table.vocab == {"a": 0, "b": 1}
         assert np.array_equal(table.matrix, [[1.0, 2.0], [3.0, 4.0]])
@@ -49,60 +49,53 @@ class TestGlove:
         assert table.warnings == []
 
     def test_dim_fixed_by_first_line(self):
-        table = parse_glove_text(b"x 1 2 3\n")
+        table = parse_glove_text(io.BytesIO(b"x 1 2 3\n"))
         assert table.dim == 3 and len(table) == 1
 
     def test_missing_trailing_newline_ok(self):
-        table = parse_glove_text(b"a 1 2\nb 3 4")
+        table = parse_glove_text(io.BytesIO(b"a 1 2\nb 3 4"))
         assert len(table) == 2
 
     def test_blank_lines_skipped(self):
-        table = parse_glove_text(b"a 1 2\n\nb 3 4\n\n")
+        table = parse_glove_text(io.BytesIO(b"a 1 2\n\nb 3 4\n\n"))
         assert table.vocab == {"a": 0, "b": 1}
 
     def test_duplicate_token_keeps_first_and_warns(self):
-        table = parse_glove_text(b"a 1 2\na 9 9\nb 3 4\n")
+        table = parse_glove_text(io.BytesIO(b"a 1 2\na 9 9\nb 3 4\n"))
         assert np.array_equal(table.vector("a"), [1.0, 2.0])
         assert len(table) == 2
         assert any("duplicate" in w for w in table.warnings)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(b"")
+            parse_glove_text(io.BytesIO(b""))
         assert exc.value.code == "empty-input"
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(b"\n\n")
+            parse_glove_text(io.BytesIO(b"\n\n"))
         assert exc.value.code == "empty-input"
 
     def test_dim_mismatch_reports_line_number(self):
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(b"a 1 2\nb 3\n")
+            parse_glove_text(io.BytesIO(b"a 1 2\nb 3\n"))
         assert exc.value.code == "dim-mismatch"
         assert str(exc.value).startswith("line 2: ")
 
     def test_bad_float_reports_line_number(self):
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(b"a 1 2\nb x 4\n")
+            parse_glove_text(io.BytesIO(b"a 1 2\nb x 4\n"))
         assert exc.value.code == "parse-float"
         assert str(exc.value).startswith("line 2: ")
 
     def test_non_finite_component_rejected(self):
         for bad in (b"a inf 2\n", b"a 1 nan\n"):
             with pytest.raises(ValidationError) as exc:
-                parse_glove_text(bad)
+                parse_glove_text(io.BytesIO(bad))
             assert exc.value.code == "parse-float"
 
     def test_token_only_line_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(b"loneword\n")
+            parse_glove_text(io.BytesIO(b"loneword\n"))
         assert exc.value.code == "dim-mismatch"
-
-    def test_accepts_chunked_byte_iterable(self):
-        data = b"alpha 1.5 -2.5\nbeta 0.25 8.0\n"
-        whole = parse_glove_text(data)
-        chunked = parse_glove_text(iter([data[:7], data[7:13], data[13:]]))
-        assert whole.vocab == chunked.vocab
-        assert np.array_equal(whole.matrix, chunked.matrix)
 
     def test_accepts_binary_file_object(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -116,7 +109,7 @@ class TestGlove:
 
 class TestFasttext:
     def test_header_fixture_matches_expected_table(self):
-        table = parse_fasttext_text(b"2 3\nw 1 2 3\nv 4 5 6\n")
+        table = parse_fasttext_text(io.BytesIO(b"2 3\nw 1 2 3\nv 4 5 6\n"))
         assert table.dim == 3
         assert table.vocab == {"w": 0, "v": 1}
         assert np.array_equal(table.matrix, [[1, 2, 3], [4, 5, 6]])
@@ -124,25 +117,25 @@ class TestFasttext:
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            parse_fasttext_text(b"x y\na 1 2\n")
+            parse_fasttext_text(io.BytesIO(b"x y\na 1 2\n"))
         assert exc.value.code == "bad-header"
         with pytest.raises(ValidationError) as exc:
-            parse_fasttext_text(b"3\na 1 2\n")
+            parse_fasttext_text(io.BytesIO(b"3\na 1 2\n"))
         assert exc.value.code == "bad-header"
 
     def test_header_without_rows_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            parse_fasttext_text(b"0 300\n")
+            parse_fasttext_text(io.BytesIO(b"0 300\n"))
         assert exc.value.code == "empty-input"
 
     def test_count_mismatch_warns_but_parses(self):
-        table = parse_fasttext_text(b"5 2\na 1 2\nb 3 4\n")
+        table = parse_fasttext_text(io.BytesIO(b"5 2\na 1 2\nb 3 4\n"))
         assert len(table) == 2
         assert any("count mismatch" in w for w in table.warnings)
 
     def test_dim_mismatch_against_header(self):
         with pytest.raises(ValidationError) as exc:
-            parse_fasttext_text(b"1 3\na 1 2\n")
+            parse_fasttext_text(io.BytesIO(b"1 3\na 1 2\n"))
         assert exc.value.code == "dim-mismatch"
 
 
@@ -156,7 +149,7 @@ class TestWord2vecBinary:
             dim = int(rng.integers(1, 9))
             table = random_table(rng, n, dim, name="orig")
             data = write_word2vec_binary(table)
-            back = parse_word2vec_binary(data, name="orig")
+            back = parse_word2vec_binary(io.BytesIO(data), name="orig")
             assert back.vocab == table.vocab
             assert back.dim == table.dim
             stored = table.matrix.astype("<f4").astype(np.float64)
@@ -165,7 +158,7 @@ class TestWord2vecBinary:
     def test_hand_built_record_bytes(self):
         payload = np.array([1.0, -2.0], dtype="<f4").tobytes()
         data = b"1 2\n" + b"tok " + payload
-        table = parse_word2vec_binary(data)
+        table = parse_word2vec_binary(io.BytesIO(data))
         assert table.vocab == {"tok": 0}
         assert np.array_equal(table.matrix, [[1.0, -2.0]])
 
@@ -173,50 +166,51 @@ class TestWord2vecBinary:
         row = np.array([0.5], dtype="<f4").tobytes()
         with_nl = b"2 1\na " + row + b"\nb " + row + b"\n"
         without = b"2 1\na " + row + b"b " + row
-        t1 = parse_word2vec_binary(with_nl)
-        t2 = parse_word2vec_binary(without)
+        t1 = parse_word2vec_binary(io.BytesIO(with_nl))
+        t2 = parse_word2vec_binary(io.BytesIO(without))
         assert t1.vocab == t2.vocab == {"a": 0, "b": 1}
         assert np.array_equal(t1.matrix, t2.matrix)
 
     def test_unicode_token_round_trip(self):
         table = make_table(["café", "ночь"], [[1.0, 2.0], [3.0, 4.0]])
-        back = parse_word2vec_binary(write_word2vec_binary(table))
+        back = parse_word2vec_binary(io.BytesIO(write_word2vec_binary(table)))
         assert set(back.vocab) == {"café", "ночь"}
 
     def test_truncated_floats_reports_record(self):
         row = np.array([0.5, 1.5], dtype="<f4").tobytes()
         data = b"2 2\na " + row + b"b " + row[:5]
         with pytest.raises(ValidationError) as exc:
-            parse_word2vec_binary(data)
+            parse_word2vec_binary(io.BytesIO(data))
         assert exc.value.code == "truncated-record"
         assert str(exc.value).startswith("record 2: ")
 
     def test_truncated_token_reports_record(self):
         with pytest.raises(ValidationError) as exc:
-            parse_word2vec_binary(b"1 2\nabc")
+            parse_word2vec_binary(io.BytesIO(b"1 2\nabc"))
         assert exc.value.code == "truncated-record"
         assert str(exc.value).startswith("record 1: ")
 
     def test_missing_header_rejected(self):
         with pytest.raises(ValidationError) as exc:
-            parse_word2vec_binary(b"12 3")
+            parse_word2vec_binary(io.BytesIO(b"12 3"))
         assert exc.value.code == "bad-header"
 
     def test_header_without_records_rejected(self):
         for data in (b"0 3\n", b"0 3\n" + b"a " + np.ones(3, dtype="<f4").tobytes()):
             with pytest.raises(ValidationError) as exc:
-                parse_word2vec_binary(data)
+                parse_word2vec_binary(io.BytesIO(data))
             assert exc.value.code == "empty-input"
 
-    def test_bytes_after_the_declared_records_warn(self):
+    def test_bytes_after_the_declared_records_warn(self, monkeypatch):
         row = np.array([1.5], dtype="<f4").tobytes()
         mismatch = ["count mismatch: header declares 1, bytes follow record 1"]
         for tail, want in ((b"", []), (b"\n", []), (b"b " + row, mismatch),
                            (b"\nb " + row, mismatch), (b"\n\n", mismatch)):
             data = b"1 1\na " + row + tail
-            # the last split puts the trailing bytes, or the one newline, in a chunk of their own
-            for chunks in ([data], chunked(data, 1), iter([data[:10], data[10:]])):
-                table = parse_word2vec_binary(chunks)
+            # a 6-byte read ends right after the record's floats, so the
+            # trailing bytes, or the one newline, come in a read of their own
+            for size in (embedding_io._CHUNK, 1, 6):
+                table = parse_w2v_in_reads(monkeypatch, data, size)
                 assert table.vocab == {"a": 0}
                 assert table.matrix.tolist() == [[1.5]]
                 assert table.warnings == want
@@ -224,7 +218,7 @@ class TestWord2vecBinary:
     def test_non_utf8_token_replaced_with_warning(self):
         row = np.array([1.0], dtype="<f4").tobytes()
         data = b"1 1\n\xff\xfe " + row
-        table = parse_word2vec_binary(data)
+        table = parse_word2vec_binary(io.BytesIO(data))
         assert len(table) == 1
         assert any("UTF-8" in w for w in table.warnings)
 
@@ -233,14 +227,14 @@ class TestWord2vecBinary:
         with pytest.raises(ValidationError):
             write_word2vec_binary(table)
 
-    def test_chunked_stream_equals_whole(self):
+    def test_chunked_stream_equals_whole(self, monkeypatch):
         rng = derive_rng(7, "w2v-chunks")
         table = random_table(rng, 9, 5)
         data = write_word2vec_binary(table)
-        chunks = [data[i:i + 13] for i in range(0, len(data), 13)]
-        back = parse_word2vec_binary(iter(chunks))
-        assert back.vocab == table.vocab
-        assert np.array_equal(back.matrix, table.matrix.astype("<f4").astype(np.float64))
+        for size in (1, 3, 7, 13, 64):
+            back = parse_w2v_in_reads(monkeypatch, data, size)
+            assert back.vocab == table.vocab
+            assert np.array_equal(back.matrix, table.matrix.astype("<f4").astype(np.float64))
 
 
 # --- mean, validate, dispatch ---
@@ -255,9 +249,9 @@ class TestTableOps:
         assert np.allclose(table.mean, expected, rtol=0, atol=1e-12)
 
     def test_matrix_width_by_format(self):
-        w2v = parse_word2vec_binary(b"1 2\na " + np.array([0.1, 2.0], dtype="<f4").tobytes())
-        glove = parse_glove_text(b"a 0.1 2\n")
-        fasttext = parse_fasttext_text(b"1 2\na 0.1 2\n")
+        w2v = parse_word2vec_binary(io.BytesIO(b"1 2\na " + np.array([0.1, 2.0], dtype="<f4").tobytes()))
+        glove = parse_glove_text(io.BytesIO(b"a 0.1 2\n"))
+        fasttext = parse_fasttext_text(io.BytesIO(b"1 2\na 0.1 2\n"))
         assert w2v.matrix.dtype == np.float32
         assert glove.matrix.dtype == fasttext.matrix.dtype == np.float64
         for table in (w2v, glove, fasttext):
@@ -274,7 +268,7 @@ class TestTableOps:
             n, dim = matrix.shape
             data = f"{n} {dim}\n".encode("ascii") + b"".join(
                 f"w{i} ".encode("ascii") + matrix[i].tobytes() for i in range(n))
-            table = parse_word2vec_binary(data)
+            table = parse_word2vec_binary(io.BytesIO(data))
             assert table.matrix.tobytes() == matrix.tobytes()
             assert table.mean.tobytes() == matrix.astype(np.float64).mean(axis=0).tobytes()
 
@@ -305,18 +299,18 @@ class TestTableOps:
         assert exc.value.code == "dim-mismatch"
 
     def test_dispatch_routes_all_formats(self, tmp_path):
-        glove = parse_embedding(b"a 1 2\n", "glove")
+        glove = parse_embedding(io.BytesIO(b"a 1 2\n"), "glove")
         assert glove.dim == 2
-        ft = parse_embedding(b"1 2\na 1 2\n", "fasttext")
+        ft = parse_embedding(io.BytesIO(b"1 2\na 1 2\n"), "fasttext")
         assert ft.dim == 2
         data = write_word2vec_binary(make_table(["a"], [[1.0, 2.0]]))
-        w2v = parse_embedding(data, "w2v-bin")
+        w2v = parse_embedding(io.BytesIO(data), "w2v-bin")
         assert w2v.dim == 2
         assert set(FORMATS) == {"glove", "w2v-bin", "fasttext"}
 
     def test_dispatch_rejects_unknown_format(self):
         with pytest.raises(ValidationError):
-            parse_embedding(b"a 1\n", "pickle")
+            parse_embedding(io.BytesIO(b"a 1\n"), "pickle")
 
     def test_dispatch_accepts_text_file_object(self, tmp_path):
         p = tmp_path / "v.vec"
@@ -392,8 +386,10 @@ def assert_same_table(table, oracle):
     assert table.warnings == warnings
 
 
-def chunked(data, size):
-    return iter([data[i:i + size] for i in range(0, len(data), size)])
+def parse_w2v_in_reads(monkeypatch, data, size):
+    """parse_word2vec_binary of a file whose records come ``size`` bytes a read."""
+    monkeypatch.setattr(embedding_io, "_CHUNK", size)
+    return parse_word2vec_binary(io.BytesIO(data))
 
 
 def varied_text_lines(n, dim, seed):
@@ -422,27 +418,25 @@ class TestBlockDecoding:
         lines[9] = "dup 5 6 x 8"  # a duplicate is skipped before its components are read
         lines[12] = ""
         data = ("\n".join(lines) + "\n").encode("utf-8")
-        assert_same_table(parse_glove_text(data), text_oracle(data))
+        assert_same_table(parse_glove_text(io.BytesIO(data)), text_oracle(data))
         ft = f"{len(lines) - 1} 4\n".encode("ascii") + data
-        assert_same_table(parse_fasttext_text(ft), text_oracle(ft, header=True))
+        assert_same_table(parse_fasttext_text(io.BytesIO(ft)), text_oracle(ft, header=True))
 
     def test_float_only_spellings_fall_back_line_by_line(self):
         # float() accepts underscores, non-ASCII digits and Unicode spaces
         data = "a 1_0 0.5\nb \u0663.\u0665 2\nc 1\u00a02.5\nd 4\u2003-0.0\n".encode("utf-8")
-        table = parse_glove_text(data)
+        table = parse_glove_text(io.BytesIO(data))
         assert_same_table(table, text_oracle(data))
         assert np.array_equal(table.matrix, [[10.0, 0.5], [3.5, 2.0], [1.0, 2.5], [4.0, -0.0]])
 
-    def test_multi_block_text_in_odd_chunks(self):
+    def test_multi_block_text(self):
         n = 3 * BLOCK_ROWS + 7
         lines = varied_text_lines(n, 3, seed=2)
         lines[BLOCK_ROWS + 11] = f"w{BLOCK_ROWS + 11} 1_0 2 3"  # one block decodes line by line
         lines[2 * BLOCK_ROWS + 3] = "w5 9 9 9"  # a duplicate in a later block
         data = ("\r\n".join(lines) + "\r\n").encode("utf-8")
         want = text_oracle(data)
-        assert_same_table(parse_glove_text(data), want)
-        for size in (1, 13, 4099):
-            assert_same_table(parse_glove_text(chunked(data, size)), want)
+        assert_same_table(parse_glove_text(io.BytesIO(data)), want)
 
     def test_w2v_bit_identical_to_struct_oracle(self):
         rng = derive_rng(3, "w2v-oracle")
@@ -454,11 +448,11 @@ class TestBlockDecoding:
                 raw = b"\xff\xfe" if token == "\xff" else token.encode("utf-8")
                 out += raw + b" " + row.tobytes() + newline
             data = bytes(out)
-            table = parse_word2vec_binary(data)
+            table = parse_word2vec_binary(io.BytesIO(data))
             assert_same_table(table, w2v_oracle(data))
             assert any("duplicate token 'b' at record 4" in w for w in table.warnings)
 
-    def test_multi_block_w2v_in_odd_chunks(self):
+    def test_multi_block_w2v_in_odd_chunks(self, monkeypatch):
         rng = derive_rng(4, "w2v-blocks")
         n, dim = 3 * BLOCK_ROWS + 5, 3
         values = rng.normal(size=(n, dim)).astype("<f4")
@@ -468,11 +462,11 @@ class TestBlockDecoding:
             out += token.encode("ascii") + b" " + values[i].tobytes() + (b"\n" if i % 3 else b"")
         data = bytes(out)
         want = w2v_oracle(data)
-        assert_same_table(parse_word2vec_binary(data), want)
+        assert_same_table(parse_word2vec_binary(io.BytesIO(data)), want)
         for size in (1, 13, 4099):
-            assert_same_table(parse_word2vec_binary(chunked(data, size)), want)
+            assert_same_table(parse_w2v_in_reads(monkeypatch, data, size), want)
 
-    def test_w2v_duplicates_on_both_sides_of_a_check_boundary(self):
+    def test_w2v_duplicates_on_both_sides_of_a_check_boundary(self, monkeypatch):
         # records BLOCK_ROWS - 1 to BLOCK_ROWS + 2 repeat earlier tokens; records
         # BLOCK_ROWS and BLOCK_ROWS + 1 end one non-finite check window and start the next
         rng = derive_rng(5, "w2v-boundary-dups")
@@ -488,9 +482,9 @@ class TestBlockDecoding:
         data = bytes(out)
         want = w2v_oracle(data)
         assert len(want[0]) == n - 4 and len(want[2]) == 4
-        assert_same_table(parse_word2vec_binary(data), want)
+        assert_same_table(parse_word2vec_binary(io.BytesIO(data)), want)
         for size in (1, 13, 4099):
-            assert_same_table(parse_word2vec_binary(chunked(data, size)), want)
+            assert_same_table(parse_w2v_in_reads(monkeypatch, data, size), want)
 
 
 class TestErrorsDeepInFile:
@@ -503,31 +497,31 @@ class TestErrorsDeepInFile:
 
     def test_bad_float_reports_its_line(self):
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(self.glove_bytes(5000, "bad 1.5 x"))
+            parse_glove_text(io.BytesIO(self.glove_bytes(5000, "bad 1.5 x")))
         assert exc.value.code == "parse-float"
         assert str(exc.value) == "line 5000: cannot parse 'x' as a float"
 
     def test_non_finite_reports_its_line(self):
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(chunked(self.glove_bytes(5001, "bad nan 2"), 4099))
+            parse_glove_text(io.BytesIO(self.glove_bytes(5001, "bad nan 2")))
         assert exc.value.code == "parse-float"
         assert str(exc.value) == "line 5001: non-finite component 'nan'"
 
     def test_dim_mismatch_reports_its_line(self):
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(self.glove_bytes(4999, "bad 1 2 3"))
+            parse_glove_text(io.BytesIO(self.glove_bytes(4999, "bad 1 2 3")))
         assert exc.value.code == "dim-mismatch"
         assert str(exc.value) == "line 4999: 3 components, expected 2"
         ft = f"{self.N} 2\n".encode("ascii") + self.glove_bytes(4999, "bad 1 2 3")
         with pytest.raises(ValidationError) as exc:
-            parse_fasttext_text(ft)
+            parse_fasttext_text(io.BytesIO(ft))
         assert exc.value.code == "dim-mismatch"
         assert str(exc.value).startswith("line 5000: ")
 
     def test_width_change_at_a_block_edge_reports_its_line(self):
         lines = [f"w{i} 1 2" if i <= BLOCK_ROWS else f"w{i} 1 2 3" for i in range(1, self.N + 1)]
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(("\n".join(lines) + "\n").encode("ascii"))
+            parse_glove_text(io.BytesIO(("\n".join(lines) + "\n").encode("ascii")))
         assert exc.value.code == "dim-mismatch"
         assert str(exc.value).startswith(f"line {BLOCK_ROWS + 1}: ")
 
@@ -535,7 +529,7 @@ class TestErrorsDeepInFile:
         data = self.glove_bytes(5200, "bad 1 2 3")
         data = data.replace(b"\nw4100 ", b"\nw4100 \xff", 1)  # invalid UTF-8 earlier in the block
         with pytest.raises(ValidationError) as exc:
-            parse_glove_text(data)
+            parse_glove_text(io.BytesIO(data))
         assert str(exc.value).startswith("line 4100: ")
 
     def w2v_bytes(self, nan_record=None):
@@ -549,7 +543,7 @@ class TestErrorsDeepInFile:
 
     def test_w2v_non_finite_reports_its_record(self):
         with pytest.raises(ValidationError) as exc:
-            parse_word2vec_binary(self.w2v_bytes(nan_record=5000))
+            parse_word2vec_binary(io.BytesIO(self.w2v_bytes(nan_record=5000)))
         assert exc.value.code == "parse-float"
         assert str(exc.value) == "record 5000: non-finite component"
 
@@ -557,27 +551,28 @@ class TestErrorsDeepInFile:
         data = self.w2v_bytes(nan_record=4990)
         cut = data.index(b"w5000 ") + 8
         with pytest.raises(ValidationError) as exc:
-            parse_word2vec_binary(data[:cut])
+            parse_word2vec_binary(io.BytesIO(data[:cut]))
         assert exc.value.code == "parse-float"
         assert str(exc.value) == "record 4990: non-finite component"
 
-    def test_w2v_truncation_reports_its_record(self):
+    def test_w2v_truncation_reports_its_record(self, monkeypatch):
         data = self.w2v_bytes()
         cut = data.index(b"w4999 ") + 8
         with pytest.raises(ValidationError) as exc:
-            parse_word2vec_binary(chunked(data[:cut], 4099))
+            parse_w2v_in_reads(monkeypatch, data[:cut], 4099)
         assert exc.value.code == "truncated-record"
         assert str(exc.value) == "record 5000: stream ended in floats"
 
     @pytest.mark.parametrize("nan_record", [BLOCK_ROWS, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("size", [None, 1, 13, 4099])
-    def test_w2v_non_finite_at_a_check_boundary_reports_its_record(self, nan_record, size):
+    def test_w2v_non_finite_at_a_check_boundary_reports_its_record(self, nan_record, size,
+                                                                   monkeypatch):
         data = self.w2v_bytes(nan_record=nan_record)
         # a duplicate token before the bad record and the bad record itself a duplicate
         data = data.replace(b"w9 ", b"w1 ", 1).replace(f"w{nan_record - 1} ".encode("ascii"),
                                                        b"w2 ", 1)
         with pytest.raises(ValidationError) as exc:
-            parse_word2vec_binary(data if size is None else chunked(data, size))
+            parse_w2v_in_reads(monkeypatch, data, size or embedding_io._CHUNK)
         assert exc.value.code == "parse-float"
         assert str(exc.value) == f"record {nan_record}: non-finite component"
 
@@ -635,7 +630,7 @@ class TestErrorsDeepInFile:
         data = b"1000000000 300\nonly " + row
         with traced_peak() as peak:
             with pytest.raises(ValidationError) as exc:
-                parse_word2vec_binary(data)
+                parse_word2vec_binary(io.BytesIO(data))
         assert exc.value.code == "truncated-record"
         assert str(exc.value) == "record 2: stream ended in token"
         assert peak.bytes < 1 << 20

@@ -1,4 +1,6 @@
 """Fusion tests against an independent scalar reference implementation."""
+import io
+
 import numpy as np
 import pytest
 
@@ -315,8 +317,8 @@ class TestFloat32Table:
         rng = derive_rng(17, "f32-fusion")
         words1 = [f"w{k}" for k in range(12)] + ["Cap"]
         words2 = [f"w{k}" for k in range(6, 18)]
-        t1 = parse_word2vec_binary(write_word2vec_binary(
-            make_table(words1, rng.normal(size=(len(words1), 5)) * 1e3)))
+        t1 = parse_word2vec_binary(io.BytesIO(write_word2vec_binary(
+            make_table(words1, rng.normal(size=(len(words1), 5)) * 1e3))))
         wide = EmbeddingTable(t1.name, t1.vocab, t1.matrix.astype(np.float64), t1.mean)
         t2 = make_table(words2, rng.normal(size=(len(words2), 5)))
         dicts = dicts_for([f"w{k}" for k in range(0, 20, 2)] + ["cap", "zzz"])
@@ -335,7 +337,7 @@ class TestFloat32Table:
         assert fused.matrix.tobytes() == fused_wide.matrix.tobytes()
         payload = write_word2vec_binary(fused_to_table(fused, dicts))
         assert payload == write_word2vec_binary(fused_to_table(fused_wide, dicts))
-        back = parse_word2vec_binary(payload)
+        back = parse_word2vec_binary(io.BytesIO(payload))
         back_wide = EmbeddingTable(back.name, back.vocab,
                                    back.matrix.astype(np.float64), back.mean)
         matrix = matrix_from_table(back, dicts)
