@@ -63,7 +63,7 @@ def _names(text: str) -> Tuple[str, ...]:
 
 def _stage_list(text: str) -> Tuple[str, ...]:
     order = _names(text)
-    fusion.candidate_keys("", None, order)  # rejects an unknown stage
+    fusion.check_fallback_order(order)
     return order
 
 
@@ -190,17 +190,42 @@ def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
     return merged
 
 
-def _check_outputs(command: str, opts: Dict[str, Any], config: Optional[str]) -> None:
-    """Refuse an output file that an input or an earlier output of the command also names."""
-    named = {os.path.realpath(config): "--config"} if config else {}  # real path -> first flag
+# the file each --out-dir command writes there besides its charts
+_OUT_DIR_FILE = {"sweep": "histories.csv", "report": "summary.csv"}
+
+
+def _claim(files: Dict[str, Tuple[str, bool]], label: str, path: str, writes: bool) -> None:
+    """Record in files (real path -> (first label, written)) that label reads or writes path.
+
+    A file that one label writes may not be named by any other.
+    """
+    real = os.path.realpath(path)
+    if real in files and (writes or files[real][1]):
+        earlier = files[real][0]
+        writer, other = (label, earlier) if writes else (earlier, label)
+        raise ValidationError(f"{writer} names the same file as {other}: {path}")
+    files.setdefault(real, (label, writes))
+
+
+def _check_outputs(command: str, opts: Dict[str, Any],
+                   config: Optional[str]) -> Dict[str, Tuple[str, bool]]:
+    """Refuse an output file that an input or an earlier output of the command also names.
+
+    The outputs are the ``_out_path`` files and the fixed file an --out-dir
+    gets. Returns the claimed files, against which sweep and report claim
+    what they learn later: a manifest's tables and the chart files.
+    """
+    files: Dict[str, Tuple[str, bool]] = {}
+    if config:
+        _claim(files, "--config", config, False)
     for opt in sorted(_COMMANDS[command].opts, key=lambda o: o.type is _out_path):
         path = opts[opt.dest]
-        if path is None or not (opt.reads or opt.type is _out_path):
-            continue
-        real = os.path.realpath(path[0] if isinstance(path, tuple) else path)  # PATH:FORMAT
-        if opt.type is _out_path and real in named:
-            raise ValidationError(f"{opt.flag} names the same file as {named[real]}: {path}")
-        named.setdefault(real, opt.flag)
+        if path is not None and (opt.reads or opt.type is _out_path):
+            _claim(files, opt.flag, path[0] if isinstance(path, tuple) else path,  # PATH:FORMAT
+                   opt.type is _out_path)
+    if command in _OUT_DIR_FILE:
+        _claim(files, "--out-dir", os.path.join(opts["out_dir"], _OUT_DIR_FILE[command]), True)
+    return files
 
 
 def _require_file(path: str, what: str) -> str:
@@ -255,8 +280,9 @@ def _safe_name(text: str) -> str:
     return cleaned or "pair"
 
 
-def _chart_paths(pair_ids: Sequence[str], out_dir: str) -> Dict[str, str]:
-    """Each pair's chart file in out_dir; two pairs may not share one."""
+def _chart_paths(pair_ids: Sequence[str], out_dir: str,
+                 files: Dict[str, Tuple[str, bool]]) -> Dict[str, str]:
+    """Each pair's chart file in out_dir, claimed in files; two pairs may not share one."""
     owners: Dict[str, str] = {}  # chart file name -> pair id
     for pair_id in pair_ids:
         name = f"{_safe_name(pair_id)}.svg"
@@ -264,6 +290,7 @@ def _chart_paths(pair_ids: Sequence[str], out_dir: str) -> Dict[str, str]:
             raise ValidationError(
                 f"pairs {owners[name]!r} and {pair_id!r} would share the chart file {name}")
         owners[name] = pair_id
+        _claim(files, "--out-dir", os.path.join(out_dir, name), True)
     return {pair_id: os.path.join(out_dir, name) for name, pair_id in owners.items()}
 
 
@@ -445,10 +472,12 @@ def _write_history_chart(histories, pair_id: str, svg_path: str) -> None:
 
 def _run_sweep(opts: Dict[str, Any]) -> None:
     manifest = _read_manifest(opts["pairs"])
+    for pair_id, path in manifest:
+        _claim(opts["files"], f"pair {pair_id!r} of --pairs", path, False)
     pair_ids = [pair_id for pair_id, _ in manifest]
     kinds = opts["optimizers"]
     optim.check_sweep_cells(kinds, pair_ids)
-    svgs = _chart_paths(pair_ids, opts["out_dir"])
+    svgs = _chart_paths(pair_ids, opts["out_dir"], opts["files"])
     data, config, pairs = _training_inputs(opts, manifest)
     lr = opts["lr"]
     if lr is None:
@@ -463,7 +492,7 @@ def _run_sweep(opts: Dict[str, Any]) -> None:
         epochs=opts["epochs"], batch_size=opts["batch"], seed=opts["seed"],
     )
     os.makedirs(opts["out_dir"], exist_ok=True)
-    csv_path = os.path.join(opts["out_dir"], "histories.csv")
+    csv_path = os.path.join(opts["out_dir"], _OUT_DIR_FILE["sweep"])
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         optim.write_history_csv(histories, fh)
     for pair_id, svg_path in svgs.items():
@@ -511,11 +540,11 @@ def _run_report(opts: Dict[str, Any]) -> None:
     if not histories:
         raise ValidationError("history CSV holds no runs")
     pair_ids = list(dict.fromkeys(h.pair for h in histories))
-    svgs = _chart_paths(pair_ids, opts["out_dir"])
+    svgs = _chart_paths(pair_ids, opts["out_dir"], opts["files"])
     os.makedirs(opts["out_dir"], exist_ok=True)
     for pair_id, svg_path in svgs.items():
         _write_history_chart(histories, pair_id, svg_path)
-    summary_path = os.path.join(opts["out_dir"], "summary.csv")
+    summary_path = os.path.join(opts["out_dir"], _OUT_DIR_FILE["report"])
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([
@@ -632,7 +661,7 @@ def dispatch(argv: Sequence[str]) -> int:
         parser = _build_parser(command)
         ns = parser.parse_args(list(argv[1:]))
         opts = _merge(command, ns)
-        _check_outputs(command, opts, ns.config)
+        opts["files"] = _check_outputs(command, opts, ns.config)
         _COMMANDS[command].run(opts)
         return 0
     except SystemExit as exc:  # argparse --help

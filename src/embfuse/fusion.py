@@ -17,7 +17,7 @@ and keeps the rest as written ("iPHONE" -> "IPHONE"), unlike str.capitalize().
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,20 +73,35 @@ def candidate_keys(
                 continue
             key = lemma
         else:
-            raise ValidationError(f"unknown fallback stage {stage!r}")
+            check_fallback_order(order)  # raises: the stage is unknown
         if key not in seen:
             seen.add(key)
             out.append((stage, key))
     return out
 
 
+def check_fallback_order(order: Sequence[str]) -> None:
+    """Reject a fallback order that names no stage, or a stage not in FALLBACK_STAGES."""
+    if not order:
+        raise ValidationError("fallback order lists no stages")
+    for stage in order:
+        if stage not in FALLBACK_STAGES:
+            raise ValidationError(f"unknown fallback stage {stage!r}")
+
+
 @dataclass
 class BranchCounts:
+    """How many dictionary words took each branch, and how many a fallback stage resolved.
+
+    The four branch counts are the sums of build_fused_matrix's branch masks,
+    so they total the dictionary's words. ``case_hits`` counts words the
+    lower or capital stage resolved, ``lemma_hits`` those the lemma stage did.
+    """
+
     both: int = 0
     first_only: int = 0
     second_only: int = 0
     unknown: int = 0
-    # how often a fallback stage (rather than the exact token) resolved the key
     case_hits: int = 0
     lemma_hits: int = 0
 
@@ -144,58 +159,43 @@ def build_fused_matrix(
 ) -> FusedMatrix:
     """Fuse two embedding tables into one matrix over the corpus dictionary.
 
-    Every dictionary word is resolved through the fallback chain against the
-    union of both vocabularies; the first candidate found in either table
-    decides the branch. Branch counts over dictionary words sum to
-    vocab_size - 2 (padding and unknown rows are synthetic).
+    One pass resolves every dictionary word through the fallback chain
+    against the union of both vocabularies: the first candidate key found in
+    either table gives the word's row in each table, -1 where that table
+    lacks the key. The four branches are masks over those two row arrays,
+    each written with one gather, and their sums are the branch counts,
+    which total vocab_size - 2 (padding and unknown rows are synthetic).
+    An empty fallback order or an unknown stage is refused.
     """
     check_unknown_fill(unknown_fill)
+    check_fallback_order(fallback_order)
     if not dicts.dict_words:
         raise ValidationError("corpus dictionary has no words", "empty-dictionaries")
     if emb1.dim != emb2.dim:
         raise ValidationError(f"table dims differ: {emb1.dim} vs {emb2.dim}", "dim-mismatch")
-    dim = emb1.dim
-    matrix = np.zeros((dicts.vocab_size, dim), dtype=np.float64)
-    matrix[UNK_INDEX] = unknown_fill
-    counts = BranchCounts()
-    # dictionary row and table rows of each word, per branch
-    both: List[Tuple[int, int, int]] = []
-    first_only: List[Tuple[int, int]] = []
-    second_only: List[Tuple[int, int]] = []
-    unknown: List[int] = []
-
+    case_hits = lemma_hits = 0
+    found = []  # each word's dictionary row and its row in each table, -1 where absent
     for token, w in dicts.dict_words.items():
-        resolved = None
+        i1 = i2 = -1
         for stage, key in candidate_keys(token, dicts.lemma_dict.get(token), fallback_order):
             if key in emb1 or key in emb2:
-                resolved = (stage, key)
+                i1, i2 = emb1.vocab.get(key, -1), emb2.vocab.get(key, -1)
+                case_hits += stage in ("lower", "capital")
+                lemma_hits += stage == "lemma"
                 break
-        if resolved is None:
-            unknown.append(w)
-            continue
-        stage, key = resolved
-        if stage in ("lower", "capital"):
-            counts.case_hits += 1
-        elif stage == "lemma":
-            counts.lemma_hits += 1
-        i1 = emb1.vocab.get(key)
-        i2 = emb2.vocab.get(key)
-        if i1 is not None and i2 is not None:
-            both.append((w, i1, i2))
-        elif i1 is not None:
-            first_only.append((w, i1))
-        else:
-            second_only.append((w, i2))
+        found.append((w, i1, i2))
+    w, i1, i2 = np.array(found, dtype=np.intp).T
+    in1, in2 = i1 >= 0, i2 >= 0
+    both, first_only, second_only, unknown = in1 & in2, in1 & ~in2, in2 & ~in1, ~(in1 | in2)
 
-    w, i1, i2 = np.array(both, dtype=np.intp).reshape(-1, 3).T
-    matrix[w] = fuse_both(emb1.matrix[i1], emb2.matrix[i2], emb1.mean, emb2.mean)
-    w, i1 = np.array(first_only, dtype=np.intp).reshape(-1, 2).T
-    matrix[w] = emb1.matrix[i1]
-    w, i2 = np.array(second_only, dtype=np.intp).reshape(-1, 2).T
-    matrix[w] = fuse_second_only(emb2.matrix[i2], emb1.mean, emb2.mean)
-    matrix[unknown] = unknown_fill
-    counts.both, counts.first_only = len(both), len(first_only)
-    counts.second_only, counts.unknown = len(second_only), len(unknown)
+    matrix = np.zeros((dicts.vocab_size, emb1.dim), dtype=np.float64)
+    matrix[UNK_INDEX] = unknown_fill
+    matrix[w[both]] = fuse_both(emb1.matrix[i1[both]], emb2.matrix[i2[both]], emb1.mean, emb2.mean)
+    matrix[w[first_only]] = emb1.matrix[i1[first_only]]
+    matrix[w[second_only]] = fuse_second_only(emb2.matrix[i2[second_only]], emb1.mean, emb2.mean)
+    matrix[w[unknown]] = unknown_fill
+    counts = BranchCounts(*(int(mask.sum()) for mask in (both, first_only, second_only, unknown)),
+                          case_hits=case_hits, lemma_hits=lemma_hits)
 
     return FusedMatrix(matrix=matrix, branch_counts=counts)
 
@@ -207,13 +207,12 @@ UNK_TOKEN = "<unk>"
 def fused_to_table(fused: FusedMatrix, dicts: CorpusDictionaries) -> EmbeddingTable:
     """View the fused matrix as an embedding table, named ``fused``, for binary serialization.
 
-    The padding and unknown rows are stored under the reserved keys
-    ``<pad>`` and ``<unk>``.
+    The table's matrix is ``fused.matrix`` itself, not a copy; nothing writes
+    a table's matrix. The padding and unknown rows are stored under the
+    reserved keys ``<pad>`` and ``<unk>``.
     """
-    vocab: Dict[str, int] = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX}
-    for token, w in dicts.dict_words.items():
-        vocab[token] = w
-    return EmbeddingTable(name="fused", vocab=vocab, matrix=fused.matrix.copy(),
+    vocab = {PAD_TOKEN: PAD_INDEX, UNK_TOKEN: UNK_INDEX, **dicts.dict_words}
+    return EmbeddingTable(name="fused", vocab=vocab, matrix=fused.matrix,
                           mean=fused.matrix.mean(axis=0))
 
 

@@ -1038,6 +1038,57 @@ class TestFlagsBeforeTables:
         assert calls == {"parse_embedding": 0, "lr_range_search": 0}
         assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == inputs
 
+    @pytest.mark.parametrize("case", [
+        "sweep-histories-is-pairs", "sweep-chart-is-pairs", "sweep-histories-is-table",
+        "report-summary-is-history"])
+    def test_file_written_into_out_dir_naming_an_input_is_refused(self, capsys, calls,
+                                                                 pipeline_dir, tmp_path, case):
+        out = tmp_path / "out"
+        out.mkdir()
+        histories, chart, summary = out / "histories.csv", out / "ab.svg", out / "summary.csv"
+        pairs = tmp_path / "pairs.csv"
+        sweep = ["sweep", "--dataset", pipeline_dir["dataset"], "--optimizers", "sgd",
+                 "--lr", "0.05", "--epochs", "2", "--batch", "8", "--out-dir", str(out),
+                 *TINY_MODEL]
+        argv, other, path = {
+            "sweep-histories-is-pairs": (sweep + ["--pairs", str(histories)], "--pairs", histories),
+            "sweep-chart-is-pairs": (sweep + ["--pairs", str(chart)], "--pairs", chart),
+            "sweep-histories-is-table": (sweep + ["--pairs", str(pairs)],
+                                         "pair 'ab' of --pairs", histories),
+            "report-summary-is-history": (["report", "--history", str(summary),
+                                           "--out-dir", str(out)], "--history", summary),
+        }[case]
+        if case == "report-summary-is-history":
+            summary.write_text(
+                "pair,optimizer,learning_rate,seed,epoch,train_loss,train_accuracy,test_loss,"
+                "test_accuracy,run_diverged\n"
+                "ab,sgd,0.05,7,1,1.0,0.5,1.0,0.5,0\nab,sgd,0.05,7,2,0.9,0.5,1.0,0.5,0\n")
+        elif case == "sweep-histories-is-table":
+            shutil.copyfile(pipeline_dir["fused"], histories)
+            pairs.write_text(f"pair,path\nab,{histories}\n")
+        else:
+            path.write_text(f"pair,path\nab,{pipeline_dir['fused']}\n")
+        files = [*tmp_path.iterdir(), *out.iterdir()]
+        inputs = {f: f.read_bytes() for f in files if f.is_file()}
+        code, out_text, err = run_without_warnings(capsys, *argv)
+        assert (code, out_text) == (1, "")
+        assert err == f"ERROR invalid: --out-dir names the same file as {other}: {path}\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+        assert sorted(out.iterdir()) == sorted(f for f in files if f.parent == out)
+        assert {f: f.read_bytes() for f in files if f.is_file()} == inputs
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_fallback_order_fails_before_any_table_parse(self, capsys, calls,
+                                                               pipeline_dir, tmp_path, via):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"fallback_order": ","}))
+        given = {"flag": ["--fallback-order", ","], "config": ["--config", str(config)]}[via]
+        code, out, err = run(capsys, *self.argv("fuse-stage", pipeline_dir, tmp_path)[:-2], *given)
+        assert (code, out) == (1, "")
+        assert err == "ERROR invalid: fallback order lists no stages\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+        assert not (tmp_path / "f.bin").exists()
+
     def test_sweep_repeated_pair_fails_before_any_table_parse(self, capsys, calls, pipeline_dir,
                                                               tmp_path):
         argv = self.argv("sweep-unknown", pipeline_dir, tmp_path)[:-2]

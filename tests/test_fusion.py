@@ -258,6 +258,23 @@ class TestBuildFusedMatrix:
         expected = fuse_second_only(np.array([5.0]), t1.mean, t2.mean)
         assert np.array_equal(fused.matrix[2], expected)
 
+    def test_no_word_in_either_table_fills_every_row(self):
+        t1 = make_table(["a"], [[1.0, 2.0]])
+        t2 = make_table(["b"], [[3.0, 4.0]])
+        dicts = dicts_for(["x", "y", "z"])
+        fused = build_fused_matrix(dicts, t1, t2, unknown_fill=0.5)
+        counts = fused.branch_counts
+        assert (counts.both, counts.first_only, counts.second_only, counts.unknown) == (0, 0, 0, 3)
+        assert fused.matrix[0].tolist() == [0.0, 0.0]
+        assert fused.matrix[1:].tolist() == [[0.5, 0.5]] * 4
+
+    @pytest.mark.parametrize("order", [(), ("exact", "soundex")])
+    def test_empty_order_or_unknown_stage_rejected(self, order):
+        t = make_table(["a"], [[1.0]])
+        message = "fallback order lists no stages" if not order else "unknown fallback stage"
+        with pytest.raises(ValidationError, match=message):
+            build_fused_matrix(dicts_for(["a"]), t, t, fallback_order=order)
+
     def test_dim_mismatch_rejected(self):
         t1 = make_table(["a"], [[1.0, 2.0]])
         t2 = make_table(["a"], [[1.0]])
@@ -298,6 +315,10 @@ class TestReportAndTable:
         assert table.name == "fused" and "<pad>" in table and "<unk>" in table
         back = matrix_from_table(table, dicts)
         assert np.array_equal(back, fused.matrix)
+
+    def test_table_views_the_fused_matrix(self):
+        dicts, fused = self.build()
+        assert np.shares_memory(fused_to_table(fused, dicts).matrix, fused.matrix)
 
     def test_matrix_from_table_names_missing_word(self):
         dicts, fused = self.build()
