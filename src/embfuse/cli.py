@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class _Opt:
     """One option; a flag with no leading dash is positional, a bool one is a switch,
-    and one that ``reads`` names a file the command reads."""
+    and one that ``reads`` (``writes``) names a file the command reads (writes)."""
     flag: str
     type: Callable[[str], Any] = str
     default: Any = None
@@ -42,6 +42,7 @@ class _Opt:
     required: bool = False
     choices: Optional[Tuple[str, ...]] = None
     reads: bool = False
+    writes: bool = False
 
     @property
     def dest(self) -> str:  # the option's config key and argparse dest
@@ -73,18 +74,19 @@ def _kind_list(text: str) -> Tuple[str, ...]:
     return kinds
 
 
-def _out_path(path: str) -> str:
-    """A file to write; its directory must exist, and it may not be a directory."""
+def _out_path(flag: str, path: str) -> None:
+    """Refuse flag's file to write unless it is named and its directory exists."""
+    if not path:
+        raise ValidationError(f"{flag} names no file")
     directory = os.path.dirname(path)
     if directory and not os.path.isdir(directory):
         raise ValidationError(f"output directory not found: {directory}")
-    if os.path.isdir(path):
-        raise ValidationError(f"output file is a directory: {path}")
-    return path
 
 
 def _out_dir(path: str) -> str:
     """A directory to write into, made when missing; what exists of it must be a directory."""
+    if not path:
+        raise ValidationError("--out-dir names no directory")
     existing = path
     while existing and not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -141,6 +143,13 @@ def _read_lines(path: str, what: str) -> List[str]:
         return [decode_line(raw, i, f"{what} line") for i, raw in enumerate(fh, 1)]
 
 
+def _write(path: str, write: Callable[[Any], Any], binary: bool = False) -> None:
+    """Create or replace path and call write on it; text is UTF-8, its "\\n" untranslated."""
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    with open(path, "wb" if binary else "w", **text) as fh:
+        write(fh)
+
+
 def _load_config(path: str) -> Dict[str, Any]:
     lines = _read_lines(_require_file(path, "config file"), "config file")
     try:
@@ -194,35 +203,35 @@ def _merge(command: str, ns: argparse.Namespace) -> Dict[str, Any]:
 _OUT_DIR_FILE = {"sweep": "histories.csv", "report": "summary.csv"}
 
 
-def _claim(files: Dict[str, Tuple[str, bool]], label: str, path: str, writes: bool) -> None:
-    """Record in files (real path -> (first label, written)) that label reads or writes path.
-
-    A file that one label writes may not be named by any other.
-    """
+def _claim(files: Dict[str, Tuple[str, str, bool]], label: str, path: str, writes: bool) -> None:
+    """Record in files (real path -> (first label, its path, written)) that label reads or
+    writes path. A written file may not be a directory, nor be named by another label."""
+    if writes and os.path.isdir(path):
+        raise ValidationError(f"output file is a directory: {path}")
     real = os.path.realpath(path)
-    if real in files and (writes or files[real][1]):
-        earlier = files[real][0]
-        writer, other = (label, earlier) if writes else (earlier, label)
-        raise ValidationError(f"{writer} names the same file as {other}: {path}")
-    files.setdefault(real, (label, writes))
+    if real in files and (writes or files[real][2]):
+        earlier, earlier_path, _ = files[real]
+        writer, other, shown = (label, earlier, path) if writes else (earlier, label, earlier_path)
+        raise ValidationError(f"{writer} names the same file as {other}: {shown}")
+    files.setdefault(real, (label, path, writes))
 
 
 def _check_outputs(command: str, opts: Dict[str, Any],
-                   config: Optional[str]) -> Dict[str, Tuple[str, bool]]:
-    """Refuse an output file that an input or an earlier output of the command also names.
-
-    The outputs are the ``_out_path`` files and the fixed file an --out-dir
-    gets. Returns the claimed files, against which sweep and report claim
-    what they learn later: a manifest's tables and the chart files.
+                   config: Optional[str]) -> Dict[str, Tuple[str, str, bool]]:
+    """Apply _out_path to each ``writes`` option, and _claim to it, to each input and to the
+    fixed file an --out-dir gets. Returns the claimed files, against which sweep and report
+    claim what they learn later: a manifest's tables and the chart files.
     """
-    files: Dict[str, Tuple[str, bool]] = {}
+    files: Dict[str, Tuple[str, str, bool]] = {}
     if config:
         _claim(files, "--config", config, False)
-    for opt in sorted(_COMMANDS[command].opts, key=lambda o: o.type is _out_path):
+    for opt in _COMMANDS[command].opts:
         path = opts[opt.dest]
-        if path is not None and (opt.reads or opt.type is _out_path):
+        if path is not None and opt.writes:
+            _out_path(opt.flag, path)
+        if path is not None and (opt.reads or opt.writes):
             _claim(files, opt.flag, path[0] if isinstance(path, tuple) else path,  # PATH:FORMAT
-                   opt.type is _out_path)
+                   opt.writes)
     if command in _OUT_DIR_FILE:
         _claim(files, "--out-dir", os.path.join(opts["out_dir"], _OUT_DIR_FILE[command]), True)
     return files
@@ -281,7 +290,7 @@ def _safe_name(text: str) -> str:
 
 
 def _chart_paths(pair_ids: Sequence[str], out_dir: str,
-                 files: Dict[str, Tuple[str, bool]]) -> Dict[str, str]:
+                 files: Dict[str, Tuple[str, str, bool]]) -> Dict[str, str]:
     """Each pair's chart file in out_dir, claimed in files; two pairs may not share one."""
     owners: Dict[str, str] = {}  # chart file name -> pair id
     for pair_id in pair_ids:
@@ -329,8 +338,7 @@ def _run_prepare(opts: Dict[str, Any]) -> None:
         seed=opts["seed"],
         lemmatizer=lemmatizer,
     )
-    with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
-        corpus.write_dataset(ds, fh)
+    _write(opts["out"], lambda fh: corpus.write_dataset(ds, fh))
     for line in report.lines():
         print(line)
     print(f"wrote {opts['out']}")
@@ -358,15 +366,12 @@ def _run_fuse(opts: Dict[str, Any]) -> None:
         fallback_order=opts["fallback_order"],
     )
     payload = write_word2vec_binary(fusion.fused_to_table(fused, ds.dicts))
-    with open(opts["out"], "wb") as fh:
-        fh.write(payload)
+    _write(opts["out"], lambda fh: fh.write(payload), binary=True)
     for line in fused.lines():
         print(line)
     if opts["report"]:
-        with open(opts["report"], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["key", "value"])
-            writer.writerows(fused.rows())
+        _write(opts["report"], lambda fh: csv.writer(fh, lineterminator="\n").writerows(
+            [["key", "value"], *fused.rows()]))
     print(f"wrote {opts['out']}")
 
 
@@ -388,8 +393,7 @@ def _run_lr_find(opts: Dict[str, Any]) -> None:
     if failure is None:
         print(f"best_lr={best!r}")
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8", newline="") as fh:
-            optim.write_lr_table(probes, fh)
+        _write(opts["out"], lambda fh: optim.write_lr_table(probes, fh))
     if opts["svg"]:
         _write_chart(opts["svg"],
                      lambda: charts.lr_chart(probes, f"{opts['optimizer']} learning-rate search"),
@@ -414,11 +418,9 @@ def _run_train(opts: Dict[str, Any]) -> None:
         )
     if hist.diverged:
         print(f"diverged at epoch {hist.diverged_epoch}")
-    with open(opts["out"], "wb") as fh:
-        model.save_checkpoint(fh, params, config)
+    _write(opts["out"], lambda fh: model.save_checkpoint(fh, params, config), binary=True)
     if opts["history"]:
-        with open(opts["history"], "w", encoding="utf-8", newline="") as fh:
-            optim.write_history_csv([hist], fh)
+        _write(opts["history"], lambda fh: optim.write_history_csv([hist], fh))
     print(f"wrote {opts['out']}")
 
 
@@ -457,8 +459,7 @@ def _write_chart(svg_path: str, render: Callable[[], str], why: str) -> None:
     except EmptySeriesError:
         print(f"skipped chart {svg_path}: {why}")
         return
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    _write(svg_path, lambda fh: fh.write(svg))
 
 
 def _write_history_chart(histories, pair_id: str, svg_path: str) -> None:
@@ -493,8 +494,7 @@ def _run_sweep(opts: Dict[str, Any]) -> None:
     )
     os.makedirs(opts["out_dir"], exist_ok=True)
     csv_path = os.path.join(opts["out_dir"], _OUT_DIR_FILE["sweep"])
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        optim.write_history_csv(histories, fh)
+    _write(csv_path, lambda fh: optim.write_history_csv(histories, fh))
     for pair_id, svg_path in svgs.items():
         _write_history_chart(histories, pair_id, svg_path)
     for h in histories:
@@ -545,19 +545,14 @@ def _run_report(opts: Dict[str, Any]) -> None:
     for pair_id, svg_path in svgs.items():
         _write_history_chart(histories, pair_id, svg_path)
     summary_path = os.path.join(opts["out_dir"], _OUT_DIR_FILE["report"])
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "pair", "optimizer", "learning_rate", "epochs",
-            "final_train_loss", "final_test_accuracy", "diverged",
-        ])
-        for h in histories:
-            writer.writerow([
-                h.pair, h.optimizer, repr(h.learning_rate), len(h.train_loss),
-                repr(h.train_loss[-1]) if h.train_loss else "",
-                repr(h.test_accuracy[-1]) if h.test_accuracy else "",
-                int(h.diverged),
-            ])
+    _write(summary_path, lambda fh: csv.writer(fh, lineterminator="\n").writerows([
+        ["pair", "optimizer", "learning_rate", "epochs",
+         "final_train_loss", "final_test_accuracy", "diverged"],
+        *([h.pair, h.optimizer, repr(h.learning_rate), len(h.train_loss),
+           repr(h.train_loss[-1]) if h.train_loss else "",
+           repr(h.test_accuracy[-1]) if h.test_accuracy else "",
+           int(h.diverged)] for h in histories),
+    ]))
     for pair_id in pair_ids:
         shown = pair_id or "(unnamed)"
         scored = [h for h in histories if h.pair == pair_id and h.test_accuracy]
@@ -577,7 +572,7 @@ _COMMANDS: Dict[str, _Command] = {
     ], _run_inspect),
     "prepare": _Command("build an encoded dataset from a review CSV", [
         _Opt("--csv", str, help="review CSV to ingest", required=True, reads=True),
-        _Opt("--out", _out_path, help="dataset file to write", required=True),
+        _Opt("--out", str, help="dataset file to write", required=True, writes=True),
         _Opt("--seed", int, 0, "seed for the train/test split"),
         _Opt("--buckets", corpus.parse_buckets, corpus.DEFAULT_BUCKETS,
              "star buckets as bad/neutral/good"),
@@ -593,8 +588,8 @@ _COMMANDS: Dict[str, _Command] = {
         _Opt("--emb2", _split_emb_arg, help="second table as PATH:FORMAT", required=True,
              reads=True),
         _Opt("--dataset", str, help="prepared dataset file", required=True, reads=True),
-        _Opt("--out", _out_path, help="fused embedding file to write", required=True),
-        _Opt("--report", _out_path, help="branch-count CSV to write"),
+        _Opt("--out", str, help="fused embedding file to write", required=True, writes=True),
+        _Opt("--report", str, help="branch-count CSV to write", writes=True),
         _Opt("--unknown-fill", float, 0.0, "value for rows of unknown words"),
         _Opt("--fallback-order", _stage_list, fusion.FALLBACK_STAGES,
              "comma-separated key fallback stages"),
@@ -604,15 +599,15 @@ _COMMANDS: Dict[str, _Command] = {
         _Opt("--optimizer", str, "adam", "update rule to probe", choices=optim.OPTIMIZER_KINDS),
         _Opt("--grid", optim.parse_lr_grid, help="learning-rate grid lo:hi:logN"),
         _Opt("--epochs", int, 3, "epochs per probe"),
-        _Opt("--out", _out_path, help="loss-per-rate CSV to write"),
-        _Opt("--svg", _out_path, help="loss-versus-rate chart to write"),
+        _Opt("--out", str, help="loss-per-rate CSV to write", writes=True),
+        _Opt("--svg", str, help="loss-versus-rate chart to write", writes=True),
     ], _run_lr_find),
     "train": _Command("train the classifier and save a checkpoint", _TRAIN_COMMON + _MODEL_OPTS + [
         _Opt("--optimizer", str, help="update rule", required=True, choices=optim.OPTIMIZER_KINDS),
         _Opt("--lr", float, help="learning rate (default: per-optimizer)"),
         _Opt("--epochs", int, 20, "training epochs"),
-        _Opt("--out", _out_path, help="checkpoint file to write", required=True),
-        _Opt("--history", _out_path, help="per-epoch metrics CSV to write"),
+        _Opt("--out", str, help="checkpoint file to write", required=True, writes=True),
+        _Opt("--history", str, help="per-epoch metrics CSV to write", writes=True),
     ], _run_train),
     "sweep": _Command("train every optimizer on every embedding pair", [
         _Opt("--dataset", str, help="prepared dataset file", required=True, reads=True),

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through dispatch()."""
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -87,6 +88,24 @@ class TestDispatchBasics:
         assert (code, err) == (0, "")
         assert out.startswith(f"usage: embfuse {command} [-h]")
         assert out.split("\n\n")[1] == description
+
+    @pytest.mark.parametrize("command,digest", [
+        ("inspect", "c3bf9e7039c4896dcda8d49ec1f21bfc0abfa8674a5c341a8a88558103350854"),
+        ("prepare", "01fd0b09af04bbee2997fce2aa58acca8c127a1db473d6d4b481f965e9e5de46"),
+        ("fuse", "3dc1e1a811a863058595d8f574617a37a2d2234870e204fa48842025509accf4"),
+        ("lr-find", "7a2f036e60fdf073e393d6cea688629a3458bc1bede28d481aa3a16b4d119fa4"),
+        ("train", "6a21f2a565e7365b7ec64ed6d8801a4b6c0d89011cf07fc83a1c764222e59098"),
+        ("sweep", "79bf7d218c94cdcb79e8ff0455ef4062d8b33f9d73ed36e0331e2f7352983863"),
+        ("eval", "e59918adb05359dd0e008889c80c368a1853501af7902a22b40d97d598adec42"),
+        ("report", "2cc6799d9d9ff057209e4abab388a120e23b552386031cfa027f2e99affe12af"),
+    ])
+    def test_command_help_is_pinned(self, capsys, monkeypatch, command, digest):
+        """The whole --help text at 80 columns, as the sha256 of its UTF-8 bytes; a failure
+        prints the text. The layout is argparse's, pinned under Python 3.11."""
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, out
 
     def test_unknown_command(self, capsys):
         code, out, err = run(capsys, "frobnicate")
@@ -1109,6 +1128,92 @@ class TestFlagsBeforeTables:
         assert err == f"ERROR invalid: fused embedding file not found: {tmp_path / 'missing.bin'}\n"
         assert calls == {"parse_embedding": 0, "lr_range_search": 0}
         assert not (tmp_path / "o").exists()
+
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        """One entry per call of optim.train_runs, the loop every training command runs."""
+        runs = []
+        real = optim.train_runs
+        monkeypatch.setattr(optim, "train_runs", lambda *a, **k: runs.append(1) or real(*a, **k))
+        return runs
+
+    @pytest.mark.parametrize("case", ["sweep-histories", "sweep-chart", "report-summary"])
+    def test_directory_at_an_out_dir_file_fails_before_any_work(self, capsys, calls, trained,
+                                                                pipeline_dir, tmp_path, case):
+        out = tmp_path / "o"
+        history = tmp_path / "h.csv"
+        history.write_text(TestMalformedHistory.HEADER + "".join(
+            f"a,sgd,0.05,7,{epoch},1.0,0.5,1.0,0.5,0\n" for epoch in (1, 2)))
+        sweep = self.argv("sweep-unknown", pipeline_dir, tmp_path)[:-2] + [
+            "--optimizers", "sgd", "--lr", "0.05"]
+        argv, path = {
+            "sweep-histories": (sweep, out / "histories.csv"),
+            "sweep-chart": (sweep, out / "a.svg"),
+            "report-summary": (["report", "--history", str(history), "--out-dir", str(out)],
+                               out / "summary.csv"),
+        }[case]
+        path.mkdir(parents=True)
+        code, out_text, err = run_without_warnings(capsys, *argv)
+        assert (code, out_text) == (1, "")
+        assert err == f"ERROR invalid: output file is a directory: {path}\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+        assert trained == []
+        assert list(out.iterdir()) == [path] and list(path.iterdir()) == []
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", [
+        "prepare-out", "fuse-out", "fuse-report", "lr-find-out-and-svg", "train-out",
+        "train-history", "sweep-out-dir", "report-out-dir"])
+    def test_empty_output_path_fails_before_any_work(self, capsys, calls, trained, monkeypatch,
+                                                     pipeline_dir, tmp_path, case, via):
+        ds, fused = pipeline_dir["dataset"], pipeline_dir["fused"]
+        (tmp_path / "pairs.csv").write_text(f"pair,path\na,{fused}\n")
+        (tmp_path / "h.csv").write_text(TestMalformedHistory.HEADER + "".join(
+            f"a,sgd,0.05,7,{epoch},1.0,0.5,1.0,0.5,0\n" for epoch in (1, 2)))
+        fuse = ["fuse", "--emb1", glove_a() + ":glove", "--emb2", fasttext_b() + ":fasttext",
+                "--dataset", ds]
+        train = ["train", "--dataset", ds, "--fused", fused, "--optimizer", "sgd", "--lr", "0.05",
+                 "--epochs", "1", "--batch", "8", *TINY_MODEL]
+        argv, empty, message = {
+            "prepare-out": (["prepare", "--csv", os.path.join(FIXTURES, "reviews_50.csv")],
+                            ["out"], "--out names no file"),
+            "fuse-out": (fuse, ["out"], "--out names no file"),
+            "fuse-report": (fuse + ["--out", "f.bin"], ["report"], "--report names no file"),
+            "lr-find-out-and-svg": (["lr-find", "--dataset", ds, "--fused", fused,
+                                     "--optimizer", "sgd", "--grid", "1e-3:1e-1:log3",
+                                     "--epochs", "1", "--batch", "8", *TINY_MODEL],
+                                    ["out", "svg"], "--out names no file"),
+            "train-out": (train, ["out"], "--out names no file"),
+            "train-history": (train + ["--out", "m.ckpt"], ["history"],
+                              "--history names no file"),
+            "sweep-out-dir": (["sweep", "--dataset", ds, "--pairs", "pairs.csv",
+                               "--optimizers", "sgd", "--lr", "0.05", "--epochs", "1",
+                               "--batch", "8", *TINY_MODEL], ["out_dir"],
+                              "--out-dir names no directory"),
+            "report-out-dir": (["report", "--history", "h.csv"], ["out_dir"],
+                               "--out-dir names no directory"),
+        }[case]
+        (tmp_path / "c.json").write_text(json.dumps({key: "" for key in empty}))
+        given = {"flag": [arg for key in empty for arg in ("--" + key.replace("_", "-"), "")],
+                 "config": ["--config", "c.json"]}[via]
+        monkeypatch.chdir(tmp_path)
+        files = sorted(tmp_path.rglob("*"))
+        code, out, err = run_without_warnings(capsys, *argv, *given)
+        assert (code, out) == (1, "")
+        assert err == f"ERROR invalid: {message}\n"
+        assert calls == {"parse_embedding": 0, "lr_range_search": 0}
+        assert trained == []
+        assert sorted(tmp_path.rglob("*")) == files
+
+    def test_null_output_in_a_config_is_not_given(self, capsys, pipeline_dir, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"report": None}))
+        code, out, err = run(capsys, "fuse", "--emb1", glove_a() + ":glove",
+                             "--emb2", fasttext_b() + ":fasttext", "--dataset",
+                             pipeline_dir["dataset"], "--out", str(tmp_path / "f.bin"),
+                             "--config", str(config))
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "f.bin"]
 
 
 class TestChartNames:

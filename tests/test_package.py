@@ -47,3 +47,22 @@ def test_every_private_definition_has_a_caller():
     unused = [f"{module}: {name}" for module, stmt, name in defined
               if not any(name in names for other, names in used if other is not stmt)]
     assert unused == []
+
+
+def test_cli_writes_through_one_helper():
+    """Every open() in cli.py outside ``_write`` reads bytes ("rb"), and ``_write`` holds one,
+    so each output file gets its mode, encoding and line ends from one place."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    opens = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    helpers = [stmt for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef) and stmt.name == "_write"]
+    in_helper = {id(node) for helper in helpers for node in ast.walk(helper)}
+    assert len([node for node in opens if id(node) in in_helper]) == 1
+
+    def mode(node):
+        given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        return given[0].value if given and isinstance(given[0], ast.Constant) else None
+
+    stray = [node.lineno for node in opens if id(node) not in in_helper and mode(node) != "rb"]
+    assert stray == []
